@@ -16,7 +16,6 @@ from typing import Any, Optional, Sequence
 from .construction import EpsilonSearchError, build
 from .convex_subsets import ci_bruteforce, ci_dp
 from .document import (
-    ConstructionDoc,
     DocumentError,
     construction_to_document,
     dumps,
@@ -24,12 +23,7 @@ from .document import (
     graph_to_document,
     load_path,
 )
-from .geometry import (
-    is_convexly_independent,
-    is_south_east_chain,
-    midpoint,
-    midpoint_set,
-)
+from .geometry import midpoint_set
 from .graphs import (
     BipartiteDrawing,
     drawing_from_level,
@@ -64,54 +58,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     except EpsilonSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    doc = ConstructionDoc(
-        k=level.k,
-        a=list(level.a),
-        b=list(level.b),
-        witness=list(level.witness),
-        eps_history=list(level.eps_history),
-    )
-    _write_output(dumps(construction_to_document(doc)), args.output)
+    _write_output(dumps(construction_to_document(level)), args.output)
     return 0
-
-
-def _construction_checks(doc: ConstructionDoc) -> list[tuple[str, bool, str]]:
-    """Every level invariant, re-proved from the file contents alone."""
-    checks: list[tuple[str, bool, str]] = []
-    n = 2**doc.k
-    expected_witness = (doc.k + 2) * 2 ** (doc.k - 1)
-    counts_ok = (
-        len(doc.a) == n
-        and len(doc.b) == n
-        and len(doc.witness) == expected_witness
-        and len(doc.eps_history) == doc.k - 1
-        and all(e > 0 for e in doc.eps_history)
-    )
-    checks.append(
-        (
-            "counts",
-            counts_ok,
-            f"|a|={len(doc.a)} |b|={len(doc.b)} |witness|={len(doc.witness)} "
-            f"expected {n}/{n}/{expected_witness}",
-        )
-    )
-    pairs_ok = len(set(doc.witness)) == len(doc.witness)
-    checks.append(("witness-pairs-distinct", pairs_ok, ""))
-
-    def chain_ok(points) -> bool:
-        return len(points) >= 2 and is_south_east_chain(points)
-
-    checks.append(("chain-a", chain_ok(doc.a), ""))
-    checks.append(("chain-b", chain_ok(doc.b), ""))
-    mids = [midpoint(doc.a[i], doc.b[j]) for i, j in doc.witness]
-    checks.append(("witness-midpoint-chain", chain_ok(mids), ""))
-    ci_ok = (
-        is_convexly_independent(doc.a)
-        and is_convexly_independent(doc.b)
-        and is_convexly_independent(mids)
-    )
-    checks.append(("convex-independence", ci_ok, ""))
-    return checks
 
 
 def _graph_checks(graph, placements) -> list[tuple[str, bool, str]]:
@@ -152,7 +100,7 @@ def _report(checks: list[tuple[str, bool, str]], as_json: bool) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     kind, payload = load_path(args.input)
     if kind == "construction":
-        return _report(_construction_checks(payload), args.json)
+        return _report(payload.checks(), args.json)
     if kind == "graph":
         graph, placements = payload
         return _report(_graph_checks(graph, placements), args.json)

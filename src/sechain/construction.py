@@ -30,8 +30,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .geometry import (
-    Chain,
     Point,
+    chain_defect,
+    is_convexly_independent,
     is_south_east_chain,
     midpoint,
     pt,
@@ -39,77 +40,113 @@ from .geometry import (
 )
 
 IndexPair = tuple[int, int]
+Check = tuple[str, bool, str]
 
 
 @dataclass(frozen=True, slots=True)
 class StepOffsets:
-    """Translations that place the six blocks of a doubled level.
+    """Translations that place the chain blocks of a doubled level.
 
-    The first three anchor the chain copies; the witness-block anchors
-    are forced by linearity to be their half sums, which `validate`
-    checks.
+    The three fields anchor the chain copies.  The witness-block anchors
+    are forced by linearity to be half sums of them, so they are derived.
     """
 
     rotated_b_in_a: Point  # added to rot(flat(b)) inside new_a
     flat_b_in_b: Point  # added to flat(b) inside new_b
     rotated_a_in_b: Point  # added to rot(flat(a)) inside new_b
-    old_witness_block: Point  # anchor of the flat-copy witness midpoints
-    matching_block: Point  # anchor of the flat/rotated pairing midpoints
-    rotated_witness_block: Point  # anchor of the rotated-copy witness midpoints
 
-    def validate(self) -> None:
-        assert self.old_witness_block == midpoint(self.flat_b_in_b, pt(0, 0))
-        assert self.matching_block == midpoint(self.rotated_a_in_b, pt(0, 0))
-        assert self.rotated_witness_block == midpoint(
-            self.rotated_a_in_b, self.rotated_b_in_a
-        )
+    @property
+    def old_witness_block(self) -> Point:  # the flat-copy witness midpoints
+        return midpoint(pt(0, 0), self.flat_b_in_b)
+
+    @property
+    def matching_block(self) -> Point:  # the flat/rotated pairing midpoints
+        return midpoint(pt(0, 0), self.rotated_a_in_b)
+
+    @property
+    def rotated_witness_block(self) -> Point:  # the rotated-copy witness midpoints
+        return midpoint(self.rotated_a_in_b, self.rotated_b_in_a)
 
 
 STEP_OFFSETS = StepOffsets(
     rotated_b_in_a=pt(1, 1),
     flat_b_in_b=pt(0, 2),
     rotated_a_in_b=pt(1, Fraction(5, 2)),
-    old_witness_block=pt(0, 1),
-    matching_block=pt(Fraction(1, 2), Fraction(5, 4)),
-    rotated_witness_block=pt(1, Fraction(7, 4)),
 )
 
 
 @dataclass(frozen=True, slots=True)
 class Level:
-    """A verified stage of the construction."""
+    """A stage of the construction: two chains and a witness, as tuples.
+
+    Constructing a Level proves nothing.  `base_case`, `step` and
+    `build` return proved levels; a decoded document is unverified
+    until `checks()` or `validate()` has re-proved it.
+    """
 
     k: int
-    a: Chain
-    b: Chain
+    a: tuple[Point, ...]
+    b: tuple[Point, ...]
     witness: tuple[IndexPair, ...]
     eps_history: tuple[Fraction, ...]
 
     def witness_midpoints(self) -> tuple[Point, ...]:
         """Midpoints of the witness pairs, in witness order."""
-        apts, bpts = self.a.points, self.b.points
-        return tuple(midpoint(apts[i], bpts[j]) for i, j in self.witness)
+        a, b = self.a, self.b
+        return tuple(midpoint(a[i], b[j]) for i, j in self.witness)
+
+    def checks(self) -> list[Check]:
+        """Every level invariant as (name, passed, detail), in fixed order.
+
+        A failed check's detail locates the first failure.  No field is
+        trusted: `k` is bounded by the chain length before 2**k is
+        computed, and an out-of-range witness pair fails a check.
+        """
+        k, a, b, witness, eps = self.k, self.a, self.b, self.witness, self.eps_history
+        counts = f"|a|={len(a)} |b|={len(b)} |witness|={len(witness)} expected "
+        counts_ok = 1 <= k <= len(a).bit_length()
+        if counts_ok:
+            n, size = 2**k, expected_witness_size(k)
+            counts += f"{n}/{n}/{size}"
+            counts_ok = len(a) == n == len(b) and len(witness) == size
+        else:
+            counts += f"2**k points per chain with k={k}"
+        if len(eps) != k - 1 or any(e <= 0 for e in eps):
+            counts += f"; |eps_history|={len(eps)} expected {k - 1}, all positive"
+            counts_ok = False
+
+        pairs, seen = "", {}
+        mids_chain = independence = "witness pairs out of range"
+        for t, (i, j) in enumerate(witness):
+            if not (0 <= i < len(a) and 0 <= j < len(b)):
+                pairs = f"pair {t} ({i}, {j}) is out of range"
+                break
+            if seen.setdefault((i, j), t) != t:
+                pairs = pairs or f"pair {t} ({i}, {j}) repeats pair {seen[i, j]}"
+        else:
+            mids = self.witness_midpoints()
+            mids_chain = chain_defect(mids)
+            sets = (("chain a", a), ("chain b", b), ("witness midpoints", mids))
+            independence = next(
+                (f"{name}: not convexly independent" for name, points in sets
+                 if not is_convexly_independent(points)),
+                "",
+            )
+        chain_a, chain_b = chain_defect(a), chain_defect(b)
+        return [
+            ("counts", counts_ok, counts),
+            ("witness-pairs-distinct", not pairs, pairs),
+            ("chain-a", not chain_a, chain_a),
+            ("chain-b", not chain_b, chain_b),
+            ("witness-midpoint-chain", not mids_chain, mids_chain),
+            ("convex-independence", not independence, independence),
+        ]
 
     def validate(self) -> None:
-        """Re-check every level invariant; raises ValueError on failure."""
-        n = 2**self.k
-        if len(self.a) != n or len(self.b) != n:
-            raise ValueError(f"level {self.k}: chain lengths must be {n}")
-        if len(self.witness) != expected_witness_size(self.k):
-            raise ValueError(f"level {self.k}: wrong witness size")
-        if len(self.eps_history) != self.k - 1:
-            raise ValueError(f"level {self.k}: wrong eps history length")
-        if any(e <= 0 for e in self.eps_history):
-            raise ValueError("eps history entries must be positive")
-        if len(set(self.witness)) != len(self.witness):
-            raise ValueError("witness pairs must be distinct")
-        for i, j in self.witness:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"witness pair ({i}, {j}) out of range")
-        # Chain objects are validated on construction; the witness
-        # midpoint sequence is the remaining chain condition.
-        if not is_south_east_chain(self.witness_midpoints()):
-            raise ValueError("witness midpoints are not a south-east chain")
+        """Re-prove every level invariant; raises ValueError on failure."""
+        for name, ok, detail in self.checks():
+            if not ok:
+                raise ValueError(f"level {self.k}: {name} failed: {detail}")
 
 
 def expected_witness_size(k: int) -> int:
@@ -121,8 +158,8 @@ def base_case() -> Level:
     """Level 1: two 2-point chains and a 3-midpoint witness."""
     level = Level(
         k=1,
-        a=Chain((pt(0, 0), pt(2, 1))),
-        b=Chain((pt(0, 2), pt(2, 4))),
+        a=(pt(0, 0), pt(2, 1)),
+        b=(pt(0, 2), pt(2, 4)),
         witness=((0, 0), (1, 0), (1, 1)),
         eps_history=(),
     )
@@ -144,8 +181,8 @@ def step(level: Level, eps: Fraction) -> Optional[Level]:
     off = STEP_OFFSETS
     n = len(level.a)
 
-    a_flat, a_rot, _ = transform_chains(level.a.points, eps)
-    b_flat, b_rot, _ = transform_chains(level.b.points, eps)
+    a_flat, a_rot, _ = transform_chains(level.a, eps)
+    b_flat, b_rot, _ = transform_chains(level.b, eps)
 
     new_a = a_flat + [p + off.rotated_b_in_a for p in b_rot]
     new_b = [p + off.flat_b_in_b for p in b_flat]
@@ -164,8 +201,8 @@ def step(level: Level, eps: Fraction) -> Optional[Level]:
         return None
     return Level(
         k=level.k + 1,
-        a=Chain(tuple(new_a)),
-        b=Chain(tuple(new_b)),
+        a=tuple(new_a),
+        b=tuple(new_b),
         witness=tuple(new_witness),
         eps_history=level.eps_history + (eps,),
     )

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
+from .construction import Level
 from .geometry import Point
 from .graphs import BipartiteGraph
 from .numbers import QSqrt3
@@ -73,18 +73,25 @@ def _get(obj: dict[str, Any], key: str, context: str) -> Any:
     return obj[key]
 
 
+def _decode_int(obj: Any, context: str) -> int:
+    text = _expect(obj, str, context)
+    if not _INT_RE.match(text):
+        raise DocumentError("not a decimal integer", context)
+    try:
+        return int(text)
+    except ValueError as exc:  # longer than the interpreter's digit limit
+        raise DocumentError(
+            f"{len(text)} digits, more than this interpreter parses", context
+        ) from exc
+
+
 def decode_fraction(obj: Any, context: str) -> Fraction:
     _expect(obj, dict, context)
-    num = _expect(_get(obj, "num", context), str, f"{context}.num")
-    den = _expect(_get(obj, "den", context), str, f"{context}.den")
-    if not _INT_RE.match(num):
-        raise DocumentError("not a decimal integer", f"{context}.num")
-    if not _INT_RE.match(den):
-        raise DocumentError("not a decimal integer", f"{context}.den")
-    denominator = int(den)
+    numerator = _decode_int(_get(obj, "num", context), f"{context}.num")
+    denominator = _decode_int(_get(obj, "den", context), f"{context}.den")
     if denominator <= 0:
         raise DocumentError("denominator must be positive", f"{context}.den")
-    return Fraction(int(num), denominator)
+    return Fraction(numerator, denominator)
 
 
 def decode_coord(obj: Any, context: str) -> QSqrt3:
@@ -111,48 +118,37 @@ def _decode_points(obj: Any, context: str) -> list[Point]:
 # -- construction documents -------------------------------------------------
 
 
-@dataclass
-class ConstructionDoc:
-    """Parsed construction data, not yet verified geometrically."""
-
-    k: int
-    a: list[Point]
-    b: list[Point]
-    witness: list[tuple[int, int]]
-    eps_history: list[Fraction]
-
-
-def construction_to_document(doc: ConstructionDoc) -> dict[str, Any]:
+def construction_to_document(level: Level) -> dict[str, Any]:
     return {
         "version": FORMAT_VERSION,
         "kind": "construction",
         "metadata": {
-            "k": doc.k,
-            "eps_history": [encode_fraction(e) for e in doc.eps_history],
+            "k": level.k,
+            "eps_history": [encode_fraction(e) for e in level.eps_history],
             "counts": {
-                "a": len(doc.a),
-                "b": len(doc.b),
-                "witness": len(doc.witness),
+                "a": len(level.a),
+                "b": len(level.b),
+                "witness": len(level.witness),
             },
         },
         "objects": {
             "a_chain": {
                 "type": "chain",
-                "points": [encode_point(p) for p in doc.a],
+                "points": [encode_point(p) for p in level.a],
             },
             "b_chain": {
                 "type": "chain",
-                "points": [encode_point(p) for p in doc.b],
+                "points": [encode_point(p) for p in level.b],
             },
             "witness_pairs": {
                 "type": "index_pairs",
-                "pairs": [[i, j] for i, j in doc.witness],
+                "pairs": [[i, j] for i, j in level.witness],
             },
         },
     }
 
 
-def _decode_construction(document: dict[str, Any]) -> ConstructionDoc:
+def _decode_construction(document: dict[str, Any]) -> Level:
     meta = _expect(_get(document, "metadata", "document"), dict, "metadata")
     k = _expect(_get(meta, "k", "metadata"), int, "metadata.k")
     if isinstance(k, bool) or k < 1:
@@ -160,10 +156,10 @@ def _decode_construction(document: dict[str, Any]) -> ConstructionDoc:
     eps_raw = _expect(
         _get(meta, "eps_history", "metadata"), list, "metadata.eps_history"
     )
-    eps_history = [
+    eps_history = tuple(
         decode_fraction(item, f"metadata.eps_history[{t}]")
         for t, item in enumerate(eps_raw)
-    ]
+    )
     objects = _expect(_get(document, "objects", "document"), dict, "objects")
 
     def chain_points(name: str) -> list[Point]:
@@ -172,8 +168,7 @@ def _decode_construction(document: dict[str, Any]) -> ConstructionDoc:
             _get(entry, "points", f"objects.{name}"), f"objects.{name}.points"
         )
 
-    a = chain_points("a_chain")
-    b = chain_points("b_chain")
+    a, b = (tuple(chain_points(name)) for name in ("a_chain", "b_chain"))
     entry = _expect(
         _get(objects, "witness_pairs", "objects"), dict, "objects.witness_pairs"
     )
@@ -196,7 +191,7 @@ def _decode_construction(document: dict[str, Any]) -> ConstructionDoc:
         if not (0 <= i < len(a) and 0 <= j < len(b)):
             raise DocumentError("index out of range", context)
         witness.append((i, j))
-    return ConstructionDoc(k=k, a=a, b=b, witness=witness, eps_history=eps_history)
+    return Level(k=k, a=a, b=b, witness=tuple(witness), eps_history=eps_history)
 
 
 # -- point set documents ----------------------------------------------------
@@ -315,8 +310,8 @@ ParsedDocument = tuple[str, Any]
 def loads(text: str) -> ParsedDocument:
     """Parse any known document kind from text.
 
-    Returns (kind, payload) where payload is a ConstructionDoc, a list
-    of Points, or a (BipartiteGraph, placements-or-None) pair.
+    Returns (kind, payload) where payload is an unverified `Level`, a
+    list of Points, or a (BipartiteGraph, placements-or-None) pair.
     """
     try:
         document = json.loads(text)
@@ -324,6 +319,10 @@ def loads(text: str) -> ParsedDocument:
         raise DocumentError(
             f"invalid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer longer than the digit limit
+        raise DocumentError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("invalid JSON: nested too deeply") from exc
     _expect(document, dict, "document")
     version = _get(document, "version", "document")
     if version != FORMAT_VERSION:

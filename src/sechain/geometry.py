@@ -69,22 +69,32 @@ def slope(a: Point, b: Point) -> QSqrt3:
     return (b.y - a.y) / dx
 
 
-def is_south_east_chain(points: Sequence[Point]) -> bool:
-    """Decide the chain predicate exactly.
+def chain_defect(points: Sequence[Point]) -> str:
+    """Where `points` first fails to be a south-east chain; "" for a chain.
 
-    True iff both coordinates strictly increase along the sequence and
-    consecutive slopes strictly increase.  Sequences shorter than 2 are
-    rejected with an error: the predicate is about segments.
+    A chain has both coordinates strictly increasing and consecutive
+    slopes strictly increasing.  Coordinates are checked along the whole
+    sequence before any turn.  Fewer than 2 points is a defect: the
+    predicate is about segments.
     """
     if len(points) < 2:
-        raise ValueError("a chain needs at least 2 points")
-    for a, b in zip(points, points[1:]):
-        if (b.x - a.x).sign() <= 0 or (b.y - a.y).sign() <= 0:
-            return False
-    for a, b, c in zip(points, points[1:], points[2:]):
+        return "fewer than 2 points"
+    for t, (a, b) in enumerate(zip(points, points[1:])):
+        if (b.x - a.x).sign() <= 0:
+            return f"x does not strictly increase at indices {t},{t + 1}"
+        if (b.y - a.y).sign() <= 0:
+            return f"y does not strictly increase at indices {t},{t + 1}"
+    for t, (a, b, c) in enumerate(zip(points, points[1:], points[2:])):
         if cross(a, b, c).sign() <= 0:
-            return False
-    return True
+            return f"turn at indices {t},{t + 1},{t + 2} is not strictly left"
+    return ""
+
+
+def is_south_east_chain(points: Sequence[Point]) -> bool:
+    """Decide the chain predicate exactly; fewer than 2 points raise."""
+    if len(points) < 2:
+        raise ValueError("a chain needs at least 2 points")
+    return not chain_defect(points)
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
-from .geometry import Point, is_south_east_chain, midpoint, sort_key
+from .geometry import Point, chain_defect, midpoint, sort_key
 
 if TYPE_CHECKING:  # only for type annotations; no runtime cycle
     from .construction import Level
@@ -134,13 +134,6 @@ class BipartiteDrawing:
         return [midpoint(place[a], place[b]) for a, b in self.graph.edges]
 
 
-def _chain_or_trivial(points: list[Point]) -> bool:
-    """Chain predicate extended to sequences shorter than two segments."""
-    if len(points) < 2:
-        return True
-    return is_south_east_chain(points)
-
-
 def verify_drawing(drawing: BipartiteDrawing) -> bool:
     """Exactly re-check the three chain conditions of a drawing.
 
@@ -150,10 +143,15 @@ def verify_drawing(drawing: BipartiteDrawing) -> bool:
     rules them out.
     """
     place = drawing.placement
-    for part in (drawing.graph.u, drawing.graph.v):
-        if not _chain_or_trivial(sorted((place[x] for x in part), key=sort_key)):
-            return False
-    return _chain_or_trivial(sorted(drawing.edge_midpoints(), key=sort_key))
+    sequences = (
+        [place[x] for x in drawing.graph.u],
+        [place[x] for x in drawing.graph.v],
+        drawing.edge_midpoints(),
+    )
+    # Fewer than two points pass: there is no segment to test.
+    return all(
+        len(s) < 2 or not chain_defect(sorted(s, key=sort_key)) for s in sequences
+    )
 
 
 def drawing_from_level(level: Level) -> BipartiteDrawing:

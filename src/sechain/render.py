@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
-from .document import ConstructionDoc
-from .geometry import midpoint, midpoint_set
+from .construction import Level
+from .geometry import midpoint_set
 
 _WIDTH = 800.0
 _MARGIN = 40.0
@@ -34,13 +34,13 @@ def _fmt(value: float) -> str:
     return f"{value:.{_PRECISION}f}"
 
 
-def render_construction(doc: ConstructionDoc) -> str:
+def render_construction(level: Level) -> str:
     """Render both chains, the full midpoint set, and the witness chain."""
     mids = sorted(
-        midpoint_set(doc.a, doc.b), key=lambda p: (float(p.x), float(p.y))
+        midpoint_set(level.a, level.b), key=lambda p: (float(p.x), float(p.y))
     )
-    witness_pts = [midpoint(doc.a[i], doc.b[j]) for i, j in doc.witness]
-    everything = list(doc.a) + list(doc.b) + list(mids)
+    witness_pts = level.witness_midpoints()
+    everything = list(level.a) + list(level.b) + list(mids)
 
     xs = [float(p.x) for p in everything]
     ys = [float(p.y) for p in everything]
@@ -89,12 +89,12 @@ def render_construction(doc: ConstructionDoc) -> str:
             )
 
     dots(mids, "mid", 2.0)
-    polyline(doc.a, "chain-a")
-    polyline(doc.b, "chain-b")
+    polyline(level.a, "chain-a")
+    polyline(level.b, "chain-b")
     if len(witness_pts) >= 2:
         polyline(witness_pts, "witness")
-    dots(doc.a, "chain-a", 4.0)
-    dots(doc.b, "chain-b", 4.0)
+    dots(level.a, "chain-a", 4.0)
+    dots(level.b, "chain-b", 4.0)
     dots(witness_pts, "witness", 3.0)
 
     return (

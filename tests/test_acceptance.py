@@ -66,11 +66,11 @@ def test_criterion_1():
         mids = level.witness_midpoints()
         for (i, j), mid in zip(level.witness, mids):
             assert mid == midpoint(level.a[i], level.b[j])
-        assert is_south_east_chain(level.a.points)
-        assert is_south_east_chain(level.b.points)
+        assert is_south_east_chain(level.a)
+        assert is_south_east_chain(level.b)
         assert is_south_east_chain(mids)
-        assert is_convexly_independent(level.a.points)
-        assert is_convexly_independent(level.b.points)
+        assert is_convexly_independent(level.a)
+        assert is_convexly_independent(level.b)
         assert is_convexly_independent(mids)
         if k < 8:
             level = build(k + 1)
@@ -82,13 +82,13 @@ def test_criterion_1():
 def test_criterion_2(levels):
     for k in range(1, 5):
         lv = levels[k]
-        points = midpoint_set(lv.a.points, lv.b.points)
+        points = midpoint_set(lv.a, lv.b)
         bound = expected_witness_size(k)
         got = ci_dp(points).size
         assert got >= bound, f"k={k}: dp found {got} < {bound}"
 
     base = levels[1]
-    base_points = midpoint_set(base.a.points, base.b.points)
+    base_points = midpoint_set(base.a, base.b)
     assert len(base_points) == 4
     assert ci_dp(base_points).size == 4
     assert ci_bruteforce(base_points).size == 4
@@ -155,7 +155,7 @@ def test_criterion_4(levels):
     for k in range(1, 7):
         lv = levels[k]
         eps = find_epsilon(lv)
-        for points in (lv.a.points, lv.b.points, lv.witness_midpoints()):
+        for points in (lv.a, lv.b, lv.witness_midpoints()):
             flat, rot, mean = transform_chains(points, eps)
             assert is_south_east_chain(flat)
             assert is_south_east_chain(rot)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.metadata
 import json
 import shutil
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from sechain.cli import main
-from sechain.document import dumps, points_to_document
+from sechain.document import construction_to_document, dumps, points_to_document
 from sechain.geometry import pt
 from sechain.graphs import edge_list_text, family
 
@@ -19,6 +20,40 @@ def construction_file(tmp_path):
     path = tmp_path / "level2.json"
     assert main(["construct", "-k", "2", "-o", str(path)]) == 0
     return path
+
+
+def _run_cli(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so a crash shows as a traceback."""
+    return subprocess.run(
+        [sys.executable, "-m", "sechain.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        **kwargs,
+    )
+
+
+def _limit_address_space() -> None:
+    import resource  # POSIX only, like preexec_fn itself
+
+    limit = 2 * 1024**3
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def _hostile(name: str, text: str) -> str:
+    """A level-2 document edited to hit one interpreter limit."""
+    document = json.loads(text)
+    coord = document["objects"]["a_chain"]["points"][1]["x"]["p"]
+    long_digits = "7" * 5000  # beyond the default 4300-digit int() limit
+    if name == "num-digits":
+        coord["num"] = long_digits
+    elif name == "den-digits":
+        coord["den"] = long_digits
+    elif name == "json-int-digits":
+        return text.replace('"k": 2', '"k": ' + long_digits)
+    elif name == "json-depth":
+        return "[" * 100_000 + "]" * 100_000 + "\n"
+    return json.dumps(document)
 
 
 class TestConstruct:
@@ -112,6 +147,34 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "drawing-chains" in out and "all checks passed" in out
 
+    def test_huge_k_fails_counts_without_sizing_memory(self, tmp_path):
+        # metadata.k comes from the file; 2**k must never be computed
+        # from it.  The address-space limit and the timeout make a
+        # regression fail fast instead of exhausting the machine.
+        doc = tmp_path / "level3.json"
+        assert main(["construct", "-k", "3", "-o", str(doc)]) == 0
+        payload = json.loads(doc.read_text())
+        payload["metadata"]["k"] = 10**12
+        doc.write_text(json.dumps(payload))
+        proc = _run_cli("verify", str(doc), preexec_fn=_limit_address_space)
+        assert proc.returncode == 1
+        assert "FAIL  counts" in proc.stdout
+        assert proc.stderr == ""
+
+    def test_failed_check_detail_locates_failure(
+        self, construction_file, tmp_path, capsys
+    ):
+        payload = json.loads(construction_file.read_text())
+        points = payload["objects"]["b_chain"]["points"]
+        points[1], points[2] = points[2], points[1]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["verify", str(bad)]) == 1
+        assert (
+            "FAIL  chain-b  (x does not strictly increase at indices 1,2)"
+            in capsys.readouterr().out
+        )
+
     def test_corrupted_placement_fails(self, tmp_path, capsys):
         doc = tmp_path / "g2.json"
         assert main(["graph", "-k", "2", "--placements", "-o", str(doc)]) == 0
@@ -123,6 +186,21 @@ class TestVerify:
         bad.write_text(json.dumps(payload))
         assert main(["verify", str(bad)]) == 1
         assert "FAIL  drawing-chains" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["verify", "ci"])
+@pytest.mark.parametrize(
+    "case", ["num-digits", "den-digits", "json-int-digits", "json-depth"]
+)
+def test_hostile_document_is_rejected(construction_file, tmp_path, command, case):
+    doc = tmp_path / f"{case}.json"
+    doc.write_text(_hostile(case, construction_file.read_text()))
+    proc = _run_cli(command, str(doc))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    if case in ("num-digits", "den-digits"):
+        assert f"x.p.{case[:3]}: 5000 digits" in proc.stderr
 
 
 class TestCi:
@@ -201,6 +279,48 @@ class TestRender:
         svg = tmp_path / "out.svg"
         assert main(["render", str(doc), "-o", str(svg)]) == 2
         assert "construction" in capsys.readouterr().err
+
+
+# sha256 of the construction documents for k = 1..8, of
+# `graph -k 3 --placements` and of `render` on level 3.  Any change to
+# the encoding, the construction or the renderer shows up here.
+_PINNED_CONSTRUCTIONS = {
+    1: "83dedbd55db69635baf5a789cc744dd62b970257082072a09a9fa4b1cd678c81",
+    2: "ee802b869c5e1847f455919a811d616017ab8c2c95cb29e1d989c58248237316",
+    3: "278042a5832a54f30a7c1bfc980ee6d381a4946c46b3efa1f0660032e688d118",
+    4: "87aaea3f4135e66245d99c19c216ee926f52cd9bad8f5a01719eff82517bc50c",
+    5: "a8b5bd6d24401d6ffce8a2e2c6316fd0fcbf74d33030c854b2824cfbee8c129a",
+    6: "ceccd84451aebd7318738d9cf7741fc60c728743a1f3b87ce2f400c485dfb75e",
+    7: "c625fb4678ca68613aa11f3b4d33867985fdc0c6b4fdec6c9b580455c80f3e2f",
+    8: "475e3321ecdd5042586ddced30cae2396a2d1ec9825598f0ce8538df3d8e97c1",
+}
+_PINNED_GRAPH3 = "6fdf30b11f28c5426d50ec8896c6a06d9a3d9983686d53dd2b10ed0e3bf9a9ec"
+_PINNED_SVG3 = "a7205d48796ac2c170618b4ee613af6e5fd351d96f7ecbf0eb52d12e909bb928"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestPinnedBytes:
+    def test_construction_documents(self, levels):
+        digests = {
+            k: _sha256(dumps(construction_to_document(lv)).encode("utf-8"))
+            for k, lv in levels.items()
+        }
+        assert digests == _PINNED_CONSTRUCTIONS
+
+    def test_graph_placements(self, tmp_path):
+        doc = tmp_path / "graph3.json"
+        assert main(["graph", "-k", "3", "--placements", "-o", str(doc)]) == 0
+        assert _sha256(doc.read_bytes()) == _PINNED_GRAPH3
+
+    def test_render(self, tmp_path):
+        doc, svg = tmp_path / "level3.json", tmp_path / "level3.svg"
+        assert main(["construct", "-k", "3", "-o", str(doc)]) == 0
+        assert _sha256(doc.read_bytes()) == _PINNED_CONSTRUCTIONS[3]
+        assert main(["render", str(doc), "-o", str(svg)]) == 0
+        assert _sha256(svg.read_bytes()) == _PINNED_SVG3
 
 
 def _distribution_installed(name: str) -> bool:

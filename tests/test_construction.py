@@ -44,7 +44,6 @@ class TestBaseCase:
 class TestStepOffsets:
     def test_halving_identities(self):
         o = STEP_OFFSETS
-        o.validate()
         assert o.old_witness_block == midpoint(pt(0, 0), o.flat_b_in_b)
         assert o.matching_block == midpoint(pt(0, 0), o.rotated_a_in_b)
         assert o.rotated_witness_block == midpoint(o.rotated_a_in_b, o.rotated_b_in_a)
@@ -194,8 +193,8 @@ class TestBuild:
     def test_level_chains_and_witness(self, levels):
         for k, lv in levels.items():
             assert lv.k == k
-            assert is_south_east_chain(lv.a.points)
-            assert is_south_east_chain(lv.b.points)
+            assert is_south_east_chain(lv.a)
+            assert is_south_east_chain(lv.b)
             assert is_south_east_chain(lv.witness_midpoints())
 
     def test_witness_pairs_inherit_prefix(self, levels):
@@ -242,6 +241,11 @@ class TestLevelValidate:
         with pytest.raises(ValueError):
             bad.validate()
 
+    def test_validate_names_failed_check(self):
+        bad = self._tamper(witness=((0, 0), (1, 1), (1, 0)))
+        with pytest.raises(ValueError, match="witness-midpoint-chain failed: x"):
+            bad.validate()
+
     def test_translated_level_still_validates(self):
         # Validation is about shape, not absolute position: translating
         # both chains by the same offset keeps every invariant.
@@ -255,3 +259,62 @@ class TestLevelValidate:
             eps_history=lv.eps_history,
         )
         moved.validate()
+
+
+class TestLevelChecks:
+    def test_names_order_and_counts_detail(self):
+        checks = build(2).checks()
+        assert [name for name, _, _ in checks] == [
+            "counts",
+            "witness-pairs-distinct",
+            "chain-a",
+            "chain-b",
+            "witness-midpoint-chain",
+            "convex-independence",
+        ]
+        assert all(ok for _, ok, _ in checks)
+        assert checks[0][2] == "|a|=4 |b|=4 |witness|=8 expected 4/4/8"
+
+    def test_out_of_range_pairs_fail_without_raising(self):
+        lv = base_case()
+        for pair in ((1, 2), (-1, 0)):
+            bad = Level(
+                k=lv.k,
+                a=lv.a,
+                b=lv.b,
+                witness=lv.witness[:2] + (pair,),
+                eps_history=lv.eps_history,
+            )
+            verdicts = {name: (ok, detail) for name, ok, detail in bad.checks()}
+            assert verdicts["witness-pairs-distinct"] == (
+                False, f"pair 2 {pair} is out of range"
+            )
+            assert not verdicts["witness-midpoint-chain"][0]
+            assert not verdicts["convex-independence"][0]
+            assert verdicts["chain-a"] == verdicts["chain-b"] == (True, "")
+
+    def test_repeated_pair_is_located(self):
+        lv = base_case()
+        bad = Level(lv.k, lv.a, lv.b, ((0, 0), (1, 0), (0, 0)), lv.eps_history)
+        verdicts = {name: (ok, detail) for name, ok, detail in bad.checks()}
+        assert verdicts["witness-pairs-distinct"] == (
+            False, "pair 2 (0, 0) repeats pair 0"
+        )
+
+    def test_broken_chain_is_located(self, levels):
+        lv = levels[3]
+        a = list(lv.a)
+        a[4], a[5] = a[5], a[4]
+        bad = Level(lv.k, tuple(a), lv.b, lv.witness, lv.eps_history)
+        verdicts = {name: (ok, detail) for name, ok, detail in bad.checks()}
+        assert verdicts["chain-a"] == (
+            False, "x does not strictly increase at indices 4,5"
+        )
+        assert verdicts["chain-b"] == (True, "")
+
+    def test_short_chain_fails(self):
+        lv = base_case()
+        bad = Level(lv.k, lv.a[:1], lv.b, ((0, 0),), lv.eps_history)
+        verdicts = {name: (ok, detail) for name, ok, detail in bad.checks()}
+        assert verdicts["chain-a"] == (False, "fewer than 2 points")
+        assert verdicts["witness-midpoint-chain"] == (False, "fewer than 2 points")

@@ -49,7 +49,7 @@ class TestExamples:
 
     def test_base_midpoint_set(self):
         lv = base_case()
-        pts = midpoint_set(lv.a.points, lv.b.points)
+        pts = midpoint_set(lv.a, lv.b)
         brute, dp = both(pts)
         assert brute.size == dp.size == 4
         assert_sound(brute, pts)

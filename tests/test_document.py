@@ -6,7 +6,6 @@ import pytest
 from sechain.construction import base_case, build
 from sechain.document import (
     FORMAT_VERSION,
-    ConstructionDoc,
     DocumentError,
     construction_to_document,
     decode_fraction,
@@ -20,16 +19,6 @@ from sechain.document import (
 from sechain.geometry import Point, pt
 from sechain.graphs import drawing_from_level, family, g1
 from sechain.numbers import QSqrt3
-
-
-def construction_doc(level) -> ConstructionDoc:
-    return ConstructionDoc(
-        k=level.k,
-        a=list(level.a),
-        b=list(level.b),
-        witness=list(level.witness),
-        eps_history=list(level.eps_history),
-    )
 
 
 class TestFractionCodec:
@@ -61,35 +50,35 @@ class TestFractionCodec:
 
 class TestConstructionRoundTrip:
     def test_base_level(self):
-        doc = construction_doc(base_case())
-        kind, parsed = loads(dumps(construction_to_document(doc)))
+        level = base_case()
+        kind, parsed = loads(dumps(construction_to_document(level)))
         assert kind == "construction"
-        assert parsed == doc
+        assert parsed == level
 
     def test_level_three(self):
-        doc = construction_doc(build(3))
-        kind, parsed = loads(dumps(construction_to_document(doc)))
+        level = build(3)
+        kind, parsed = loads(dumps(construction_to_document(level)))
         assert kind == "construction"
-        assert parsed == doc
+        assert parsed == level
 
     def test_serialization_is_canonical(self):
-        doc = construction_doc(build(2))
-        text = dumps(construction_to_document(doc))
-        assert text == dumps(construction_to_document(doc))
+        level = build(2)
+        text = dumps(construction_to_document(level))
+        assert text == dumps(construction_to_document(level))
         assert text.endswith("\n")
         # Keys are sorted at every level.
         top = json.loads(text)
         assert list(top) == sorted(top)
 
     def test_coordinates_are_strings(self):
-        text = dumps(construction_to_document(construction_doc(base_case())))
+        text = dumps(construction_to_document(base_case()))
         payload = json.loads(text)
         point = payload["objects"]["a_chain"]["points"][0]
         assert point["x"]["p"] == {"num": "0", "den": "1"}
         assert isinstance(point["x"]["q"]["num"], str)
 
     def test_non_canonical_fractions_normalize(self):
-        document = construction_to_document(construction_doc(base_case()))
+        document = construction_to_document(base_case())
         point = document["objects"]["a_chain"]["points"][0]
         point["x"]["p"] = {"num": "2", "den": "4"}
         _, parsed = loads(dumps(document))
@@ -98,7 +87,7 @@ class TestConstructionRoundTrip:
 
 class TestConstructionValidation:
     def _document(self):
-        return construction_to_document(construction_doc(base_case()))
+        return construction_to_document(base_case())
 
     def _expect_error(self, document, fragment):
         with pytest.raises(DocumentError) as err:
@@ -218,10 +207,10 @@ class TestGraphDocuments:
 class TestLoadPath:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "doc.json"
-        doc = construction_doc(base_case())
-        path.write_text(dumps(construction_to_document(doc)))
+        level = base_case()
+        path.write_text(dumps(construction_to_document(level)))
         kind, parsed = load_path(str(path))
-        assert kind == "construction" and parsed == doc
+        assert kind == "construction" and parsed == level
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DocumentError):

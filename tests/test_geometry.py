@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sechain.geometry import (
     Chain,
     Point,
+    chain_defect,
     convex_hull,
     cross,
     flatten,
@@ -91,6 +92,36 @@ class TestSouthEastChain:
     @given(chains_st(min_len=3))
     def test_reversal_fails(self, chain):
         assert not is_south_east_chain(tuple(reversed(chain.points)))
+
+
+class TestChainDefect:
+    def test_chain_has_no_defect(self):
+        assert chain_defect([pt(0, 0), pt(2, 1), pt(3, 3)]) == ""
+
+    def test_locates_coordinate_failures(self):
+        assert chain_defect([pt(0, 0), pt(0, 1)]) == (
+            "x does not strictly increase at indices 0,1"
+        )
+        assert chain_defect([pt(0, 0), pt(1, 2), pt(2, 2)]) == (
+            "y does not strictly increase at indices 1,2"
+        )
+
+    def test_locates_turn_failure(self):
+        points = [pt(0, 0), pt(1, 1), pt(2, 3), pt(3, 4)]
+        assert chain_defect(points) == "turn at indices 1,2,3 is not strictly left"
+
+    def test_coordinates_are_checked_before_turns(self):
+        # The turn at 0,1,2 fails too, but y stalls between 2 and 3.
+        points = [pt(0, 0), pt(1, 2), pt(2, 3), pt(3, 3)]
+        assert chain_defect(points) == "y does not strictly increase at indices 2,3"
+
+    def test_short_sequences_are_defects(self):
+        assert chain_defect([]) == "fewer than 2 points"
+        assert chain_defect([pt(0, 0)]) == "fewer than 2 points"
+
+    @given(st.lists(points_st, min_size=2, max_size=6))
+    def test_agrees_with_predicate(self, points):
+        assert (chain_defect(points) == "") == is_south_east_chain(points)
 
 
 class TestChain:
