@@ -26,6 +26,7 @@ from .document import (
 from .geometry import midpoint_set
 from .graphs import (
     BipartiteDrawing,
+    drawing_defect,
     drawing_from_level,
     edge_list_text,
     family,
@@ -45,13 +46,17 @@ def _write_output(text: str, path: Optional[str]) -> None:
             handle.write(text)
 
 
+def _k_out_of_range(args: argparse.Namespace) -> bool:
+    """True, after an error line on stderr, when -k is outside [1, --max-k]."""
+    if 1 <= args.k <= args.max_k:
+        return False
+    print(f"error: k must be between 1 and {args.max_k} "
+          f"(raise --max-k to go higher)", file=sys.stderr)
+    return True
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
-    if args.k < 1 or args.k > args.max_k:
-        print(
-            f"error: k must be between 1 and {args.max_k} "
-            f"(raise --max-k to go higher)",
-            file=sys.stderr,
-        )
+    if _k_out_of_range(args):
         return 2
     try:
         level = build(args.k, max_eps_exponent=args.max_eps_exponent)
@@ -74,7 +79,9 @@ def _graph_checks(graph, placements) -> list[tuple[str, bool, str]]:
             return checks
         checks.append(("placements-complete", True, ""))
         drawing = BipartiteDrawing(graph=graph, placement=placements)
-        checks.append(("drawing-chains", verify_drawing(drawing), ""))
+        # A passing drawing costs one check; only a failure is located.
+        ok = verify_drawing(drawing)
+        checks.append(("drawing-chains", ok, "" if ok else drawing_defect(drawing)))
     return checks
 
 
@@ -138,12 +145,7 @@ def _cmd_ci(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    if args.k < 1 or args.k > args.max_k:
-        print(
-            f"error: k must be between 1 and {args.max_k} "
-            f"(raise --max-k to go higher)",
-            file=sys.stderr,
-        )
+    if _k_out_of_range(args):
         return 2
     graph = family(args.k)
     if args.placements:
@@ -163,7 +165,12 @@ def _cmd_render(args: argparse.Namespace) -> int:
     if kind != "construction":
         print("error: render needs a construction document", file=sys.stderr)
         return 2
-    _write_output(render_construction(payload), args.output)
+    try:
+        svg = render_construction(payload)
+    except OverflowError as exc:  # a coordinate beyond the float range
+        print(f"error: cannot render: {exc}", file=sys.stderr)
+        return 2
+    _write_output(svg, args.output)
     return 0
 
 
@@ -174,14 +181,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_construct = sub.add_parser(
-        "construct", help="build a level and write it as a document"
-    )
-    p_construct.add_argument("-k", type=int, required=True, help="level index")
-    p_construct.add_argument("-o", "--output", default=None, help="output path")
-    p_construct.add_argument("--max-k", type=int, default=_DEFAULT_MAX_K)
-    p_construct.add_argument(
+    # -k, -o and the two search caps, shared by construct and graph.
+    level_options = argparse.ArgumentParser(add_help=False)
+    level_options.add_argument("-k", type=int, required=True, help="level index")
+    level_options.add_argument("-o", "--output", default=None, help="output path")
+    level_options.add_argument("--max-k", type=int, default=_DEFAULT_MAX_K)
+    level_options.add_argument(
         "--max-eps-exponent", type=int, default=_DEFAULT_MAX_EPS_EXPONENT
+    )
+
+    p_construct = sub.add_parser(
+        "construct", parents=[level_options],
+        help="build a level and write it as a document",
     )
     p_construct.set_defaults(func=_cmd_construct)
 
@@ -198,17 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ci.add_argument("--json", action="store_true")
     p_ci.set_defaults(func=_cmd_ci)
 
-    p_graph = sub.add_parser("graph", help="emit a family graph")
-    p_graph.add_argument("-k", type=int, required=True, help="family index")
-    p_graph.add_argument("-o", "--output", default=None, help="output path")
+    p_graph = sub.add_parser(
+        "graph", parents=[level_options], help="emit a family graph"
+    )
     p_graph.add_argument(
         "--placements",
         action="store_true",
         help="JSON document with exact vertex placements (builds level k)",
-    )
-    p_graph.add_argument("--max-k", type=int, default=_DEFAULT_MAX_K)
-    p_graph.add_argument(
-        "--max-eps-exponent", type=int, default=_DEFAULT_MAX_EPS_EXPONENT
     )
     p_graph.set_defaults(func=_cmd_graph)
 

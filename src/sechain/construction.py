@@ -181,23 +181,20 @@ def step(level: Level, eps: Fraction) -> Optional[Level]:
     off = STEP_OFFSETS
     n = len(level.a)
 
-    a_flat, a_rot, _ = transform_chains(level.a, eps)
-    b_flat, b_rot, _ = transform_chains(level.b, eps)
+    a_flat, a_rot = transform_chains(level.a, eps)
+    b_flat, b_rot = transform_chains(level.b, eps)
 
     new_a = a_flat + [p + off.rotated_b_in_a for p in b_rot]
     new_b = [p + off.flat_b_in_b for p in b_flat]
     new_b += [p + off.rotated_a_in_b for p in a_rot]
+    if not (is_south_east_chain(new_a) and is_south_east_chain(new_b)):
+        return None
 
     new_witness: list[IndexPair] = list(level.witness)
     new_witness += [(i, n + i) for i in range(n)]
     new_witness += [(n + j, n + i) for i, j in level.witness]
-
     mids = [midpoint(new_a[i], new_b[j]) for i, j in new_witness]
-    if not (
-        is_south_east_chain(new_a)
-        and is_south_east_chain(new_b)
-        and is_south_east_chain(mids)
-    ):
+    if not is_south_east_chain(mids):
         return None
     return Level(
         k=level.k + 1,
@@ -212,38 +209,34 @@ class EpsilonSearchError(RuntimeError):
     """No acceptable power of two found below the exponent cap."""
 
 
-def find_epsilon(level: Level, max_exponent: int = 256) -> Fraction:
-    """Largest accepted flattening factor of the form 2**-m, m >= 1.
+def find_epsilon(level: Level, max_exponent: int = 256) -> Level:
+    """The next level, built with the largest accepted factor 2**-m, m >= 1.
 
-    Doubles the exponent until some power is accepted, then binary
-    searches for the smallest accepted exponent.  Every candidate is
-    decided by actually running `step`, so the returned value is always
-    a verified one; the refinement only relies on "smaller keeps
-    working" to claim largeness, never to skip verification.
+    The search starts at the previous doubling's exponent (1 at the base
+    case), clamped to [1, max_exponent].  If that is accepted it walks
+    down while m - 1 is accepted too, else up to the first accepted m.
+    Each candidate is decided by running `step`, and the level `step`
+    proved is returned; its factor is `eps_history[-1]`, and twice it was
+    run and rejected unless m = 1.  "Largest" rests on "smaller keeps
+    working": factors above a rejected one are not tried.
     """
-
-    def accepts(m: int) -> bool:
-        return step(level, Fraction(1, 2**m)) is not None
-
-    if accepts(1):
-        return Fraction(1, 2)
-    lo = 1  # largest known rejected exponent
-    hi = min(2, max_exponent)
-    while lo >= hi or not accepts(hi):
-        if hi >= max_exponent:
-            raise EpsilonSearchError(
-                f"no flattening factor down to 2**-{max_exponent} was "
-                f"accepted at level {level.k}"
-            )
-        lo = hi
-        hi = min(hi * 2, max_exponent)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if accepts(mid):
-            hi = mid
-        else:
-            lo = mid
-    return Fraction(1, 2**hi)
+    history = level.eps_history
+    m = history[-1].denominator.bit_length() - 1 if history else 1
+    m = max(1, min(m, max_exponent))
+    nxt = step(level, Fraction(1, 2**m))
+    if nxt is not None:
+        while m > 1 and (up := step(level, Fraction(1, 2 ** (m - 1)))) is not None:
+            nxt, m = up, m - 1
+        return nxt
+    while m < max_exponent:
+        m += 1
+        nxt = step(level, Fraction(1, 2**m))
+        if nxt is not None:
+            return nxt
+    raise EpsilonSearchError(
+        f"no flattening factor down to 2**-{max_exponent} was "
+        f"accepted at level {level.k}"
+    )
 
 
 def build(k: int, max_eps_exponent: int = 256) -> Level:
@@ -252,8 +245,5 @@ def build(k: int, max_eps_exponent: int = 256) -> Level:
         raise ValueError("level index must be at least 1")
     level = base_case()
     while level.k < k:
-        eps = find_epsilon(level, max_exponent=max_eps_exponent)
-        nxt = step(level, eps)
-        assert nxt is not None  # find_epsilon returned a verified factor
-        level = nxt
+        level = find_epsilon(level, max_exponent=max_eps_exponent)
     return level

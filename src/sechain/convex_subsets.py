@@ -29,6 +29,7 @@ from math import lcm
 from typing import Iterable
 
 from .geometry import Point, convex_hull, is_convexly_independent, sort_key
+from .numbers import sign2
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,19 +71,6 @@ def ci_bruteforce(points: Iterable[Point], max_points: int = 20) -> CiResult:
     return CiResult(2, (pts[0], pts[1]))
 
 
-def _sign2(a: int, b: int) -> int:
-    """Exact sign of a + b*sqrt(3) for integers a, b."""
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return (b > 0) - (b < 0)
-    sa = 1 if a > 0 else -1
-    sb = 1 if b > 0 else -1
-    if sa == sb:
-        return sa
-    return sa if a * a > 3 * b * b else sb
-
-
 def ci_dp(points: Iterable[Point], max_points: int = 2500) -> CiResult:
     """Largest convexly independent subset via the anchored DP."""
     pts = _prepare(points, max_points, "ci_dp")
@@ -118,7 +106,7 @@ def ci_dp(points: Iterable[Point], max_points: int = 2500) -> CiResult:
         vxb = xb[s] - xb[r]
         vya = ya[s] - ya[r]
         vyb = yb[s] - yb[r]
-        return _sign2(
+        return sign2(
             uxa * vya + 3 * uxb * vyb - uya * vxa - 3 * uyb * vxb,
             uxa * vyb + uxb * vya - uya * vxb - uyb * vxa,
         )
@@ -138,7 +126,7 @@ def ci_dp(points: Iterable[Point], max_points: int = 2500) -> CiResult:
 
         a1, b1 = parts(q1)
         a2, b2 = parts(q2)
-        return _sign2(a1 - a2, b1 - b2)
+        return sign2(a1 - a2, b1 - b2)
 
     # half[i][j]: 0 when dir(i->j) has angle in [0, pi), else 1.
     half = [[0] * n for _ in range(n)]
@@ -147,8 +135,8 @@ def ci_dp(points: Iterable[Point], max_points: int = 2500) -> CiResult:
         for j in range(n):
             if i == j:
                 continue
-            sy = _sign2(ya[j] - ya[i], yb[j] - yb[i])
-            if sy > 0 or (sy == 0 and _sign2(xa[j] - xa[i], xb[j] - xb[i]) > 0):
+            sy = sign2(ya[j] - ya[i], yb[j] - yb[i])
+            if sy > 0 or (sy == 0 and sign2(xa[j] - xa[i], xb[j] - xb[i]) > 0):
                 row[j] = 0
             else:
                 row[j] = 1

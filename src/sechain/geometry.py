@@ -156,17 +156,15 @@ def translate(chain: Chain, offset: Point) -> Chain:
 
 def transform_chains(
     chain: Sequence[Point], eps: Fraction
-) -> tuple[list[Point], list[Point], list[Point]]:
-    """Flattened, rotated-flattened, and averaged copies of a sequence.
+) -> tuple[list[Point], list[Point]]:
+    """Flattened and rotated-flattened copies of a sequence.
 
-    Returns raw point lists (flat, rotated, mean) where mean[i] is the
-    midpoint of flat[i] and rotated[i].  No validation happens here;
-    callers decide which of the copies must satisfy the chain predicate.
+    Returns raw point lists (flat, rotated) where rotated[i] is
+    flat[i] turned by 60 degrees.  No validation happens here; callers
+    decide which of the copies must satisfy the chain predicate.
     """
     flat = [flatten(p, eps) for p in chain]
-    rotated = [rotate60(p) for p in flat]
-    mean = [midpoint(f, r) for f, r in zip(flat, rotated)]
-    return flat, rotated, mean
+    return flat, [rotate60(p) for p in flat]
 
 
 # -- point sets ------------------------------------------------------------

@@ -12,7 +12,8 @@ vertex t of a part corresponds to point t of the matching chain of a
 built level, and edge t corresponds to witness pair t.  A
 `BipartiteDrawing` places vertices on the plane; `verify_drawing`
 re-checks, by exact predicates only, that both parts and the edge
-midpoints form south-east chains.
+midpoints form south-east chains, and `drawing_defect` says where they
+do not.
 """
 
 from __future__ import annotations
@@ -134,24 +135,31 @@ class BipartiteDrawing:
         return [midpoint(place[a], place[b]) for a, b in self.graph.edges]
 
 
-def verify_drawing(drawing: BipartiteDrawing) -> bool:
-    """Exactly re-check the three chain conditions of a drawing.
+def drawing_defect(drawing: BipartiteDrawing) -> str:
+    """Where a drawing first breaks its chain conditions; "" if nowhere.
 
-    True iff each part's placements, sorted by x, form a south-east
-    chain, and the edge midpoints, sorted by x, do as well.  Coincident
-    midpoints (or coincident part vertices) fail: strict x increase
-    rules them out.
+    Each part's placements and the edge midpoints, each sorted by (x, y),
+    must form a south-east chain; the detail names the sequence and counts
+    indices in that sorted order.  Coincident midpoints (or coincident
+    part vertices) fail: strict x increase rules them out.
     """
     place = drawing.placement
     sequences = (
-        [place[x] for x in drawing.graph.u],
-        [place[x] for x in drawing.graph.v],
-        drawing.edge_midpoints(),
+        ("part u", [place[x] for x in drawing.graph.u]),
+        ("part v", [place[x] for x in drawing.graph.v]),
+        ("edge midpoints", drawing.edge_midpoints()),
     )
-    # Fewer than two points pass: there is no segment to test.
-    return all(
-        len(s) < 2 or not chain_defect(sorted(s, key=sort_key)) for s in sequences
-    )
+    for name, points in sequences:
+        # Fewer than two points pass: there is no segment to test.
+        defect = len(points) >= 2 and chain_defect(sorted(points, key=sort_key))
+        if defect:
+            return f"{name}, sorted by (x, y): {defect}"
+    return ""
+
+
+def verify_drawing(drawing: BipartiteDrawing) -> bool:
+    """True iff all three chain conditions of `drawing_defect` hold."""
+    return not drawing_defect(drawing)
 
 
 def drawing_from_level(level: Level) -> BipartiteDrawing:

@@ -24,6 +24,21 @@ QSqrt3Like = Union[int, Fraction, "QSqrt3"]
 _SQRT3_FLOAT = sqrt(3.0)
 
 
+def sign2(a: int, b: int) -> int:
+    """Exact sign of a + b*sqrt(3) for integers a, b."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return (b > 0) - (b < 0)
+    sa = 1 if a > 0 else -1
+    sb = 1 if b > 0 else -1
+    if sa == sb:
+        return sa
+    # Mixed signs: |a| vs |b|*sqrt(3), i.e. a**2 vs 3*b**2.  Equality is
+    # impossible for nonzero integers, so the larger square wins.
+    return sa if a * a > 3 * b * b else sb
+
+
 @total_ordering
 class QSqrt3:
     """An element p + q*sqrt(3) of Q(sqrt(3)), immutable and hashable."""
@@ -121,19 +136,9 @@ class QSqrt3:
     # -- exact sign and order -----------------------------------------
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}, decided by rational arithmetic only."""
-        sp = (self._p > 0) - (self._p < 0)
-        sq = (self._q > 0) - (self._q < 0)
-        if sq == 0:
-            return sp
-        if sp == 0:
-            return sq
-        if sp == sq:
-            return sp
-        # Mixed signs: |p| vs |q|*sqrt(3), i.e. p**2 vs 3*q**2.  Equality
-        # is impossible for nonzero rationals, so the larger square wins.
-        diff = self._p * self._p - 3 * self._q * self._q
-        return sp if diff > 0 else sq
+        """Exact sign in {-1, 0, +1}: `sign2` of the integer-scaled parts."""
+        p, q = self._p, self._q
+        return sign2(p.numerator * q.denominator, q.numerator * p.denominator)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):

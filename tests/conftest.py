@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from sechain.construction import base_case, find_epsilon, step
+from sechain.construction import base_case, find_epsilon
 
 settings.register_profile(
     "sechain",
@@ -18,8 +18,7 @@ def levels():
     level = base_case()
     out = {1: level}
     while level.k < 8:
-        level = step(level, find_epsilon(level))
-        assert level is not None
+        level = find_epsilon(level)
         level.validate()
         out[level.k] = level
     return out

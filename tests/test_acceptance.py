@@ -147,16 +147,17 @@ def test_criterion_4(levels):
     for _ in range(100):
         chain = rand_chain(rng, rng.randint(2, 12), irrational=rng.random() < 0.4)
         eps = rand_dyadic(rng)
-        flat, _, _ = transform_chains(chain, eps)
+        flat, _ = transform_chains(chain, eps)
         factor = QSqrt3(eps)
         for t in range(len(chain) - 1):
             assert slope(flat[t], flat[t + 1]) == factor * slope(chain[t], chain[t + 1])
 
     for k in range(1, 7):
         lv = levels[k]
-        eps = find_epsilon(lv)
+        eps = find_epsilon(lv).eps_history[-1]
         for points in (lv.a, lv.b, lv.witness_midpoints()):
-            flat, rot, mean = transform_chains(points, eps)
+            flat, rot = transform_chains(points, eps)
+            mean = [midpoint(f, r) for f, r in zip(flat, rot)]
             assert is_south_east_chain(flat)
             assert is_south_east_chain(rot)
             assert is_south_east_chain(mean)

@@ -53,6 +53,8 @@ def _hostile(name: str, text: str) -> str:
         return text.replace('"k": 2', '"k": ' + long_digits)
     elif name == "json-depth":
         return "[" * 100_000 + "]" * 100_000 + "\n"
+    elif name == "float-overflow":
+        coord["num"] = "7" * 4000  # parses, but overflows a float
     return json.dumps(document)
 
 
@@ -185,7 +187,10 @@ class TestVerify:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         assert main(["verify", str(bad)]) == 1
-        assert "FAIL  drawing-chains" in capsys.readouterr().out
+        assert (
+            "FAIL  drawing-chains  (part u, sorted by (x, y): "
+            "y does not strictly increase at indices 2,3)"
+        ) in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["verify", "ci"])
@@ -201,6 +206,15 @@ def test_hostile_document_is_rejected(construction_file, tmp_path, command, case
     assert "Traceback" not in proc.stderr
     if case in ("num-digits", "den-digits"):
         assert f"x.p.{case[:3]}: 5000 digits" in proc.stderr
+
+
+def test_render_rejects_coordinate_beyond_float(construction_file, tmp_path):
+    doc = tmp_path / "float-overflow.json"
+    doc.write_text(_hostile("float-overflow", construction_file.read_text()))
+    proc = _run_cli("render", str(doc), "-o", str(tmp_path / "out.svg"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 class TestCi:

@@ -1,7 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import sechain.construction as construction
 from sechain.construction import (
     STEP_OFFSETS,
     EpsilonSearchError,
@@ -115,9 +117,8 @@ class TestStep:
         """The three witness-midpoint blocks are exact translates of the
         flattened, averaged, and rotated copies of the previous data."""
         for lv in (base_case(), build(2), build(3)):
-            eps = find_epsilon(lv)
-            new = step(lv, eps)
-            assert new is not None
+            new = find_epsilon(lv)
+            eps = new.eps_history[-1]
             n = len(lv.a)
             w = len(lv.witness)
             mids = new.witness_midpoints()
@@ -150,27 +151,56 @@ class TestStep:
 
 class TestFindEpsilon:
     def test_base_value_frozen(self):
-        assert find_epsilon(base_case()) == Fraction(1, 32)
+        assert find_epsilon(base_case()).eps_history == (Fraction(1, 32),)
 
     def test_result_is_dyadic_and_maximal(self):
         for lv in (base_case(), build(2), build(4)):
-            eps = find_epsilon(lv)
+            nxt = find_epsilon(lv)
+            eps = nxt.eps_history[-1]
             assert eps.numerator == 1
             m = eps.denominator.bit_length() - 1
             assert eps.denominator == 2**m
-            assert step(lv, eps) is not None
+            assert step(lv, eps) == nxt
             assert step(lv, 2 * eps) is None
 
     def test_smaller_dyadics_also_accepted(self):
         for lv in (base_case(), build(3)):
-            eps = find_epsilon(lv)
+            eps = find_epsilon(lv).eps_history[-1]
             assert step(lv, eps / 2) is not None
             assert step(lv, eps / 4) is not None
 
     def test_exponent_cap(self):
         with pytest.raises(EpsilonSearchError):
             find_epsilon(base_case(), max_exponent=4)
-        assert find_epsilon(base_case(), max_exponent=5) == Fraction(1, 32)
+        capped = find_epsilon(base_case(), max_exponent=5)
+        assert capped.eps_history == (Fraction(1, 32),)
+
+    def test_search_starts_at_previous_exponent(self):
+        # Level 2 was built with 2**-5 and level 3 needs 2**-4.  Starting
+        # the search at 2**-1 walks up to it, at 2**-40 walks down to it.
+        lv = build(2)
+        expected = find_epsilon(lv)
+        assert expected.eps_history[-1] == Fraction(1, 16)
+        for start in (Fraction(1, 2), Fraction(1, 2**40)):
+            nxt = find_epsilon(replace(lv, eps_history=(start,)))
+            assert nxt.eps_history == (start, Fraction(1, 16))
+            assert (nxt.a, nxt.b, nxt.witness) == (
+                expected.a, expected.b, expected.witness
+            )
+
+    def test_build_steps_each_candidate_once(self, monkeypatch):
+        calls = []
+        real_step = construction.step
+
+        def counting_step(level, eps):
+            calls.append((level.k, eps))
+            return real_step(level, eps)
+
+        monkeypatch.setattr(construction, "step", counting_step)
+        build(6)
+        # Exponents 1..5 at level 1, 5, 4, 3 at level 2, then 4, 3 per level.
+        assert len(calls) == 14
+        assert len(set(calls)) == len(calls)
 
 
 class TestBuild:

@@ -222,16 +222,15 @@ class TestTransformChains:
     def test_component_relations(self):
         chain = Chain((pt(0, 0), pt(2, 1)))
         eps = Fraction(1, 4)
-        flat, rot, mean = transform_chains(chain, eps)
-        assert len(flat) == len(rot) == len(mean) == 2
-        for f, r, m, orig in zip(flat, rot, mean, chain):
+        flat, rot = transform_chains(chain, eps)
+        assert len(flat) == len(rot) == 2
+        for f, r, orig in zip(flat, rot, chain):
             assert f == flatten(orig, eps)
             assert r == rotate60(f)
-            assert m == midpoint(f, r)
 
     @given(chains_st(), dyadic_st)
     def test_flat_sequence_is_chain(self, chain, eps):
-        flat, _, _ = transform_chains(chain, eps)
+        flat, _ = transform_chains(chain, eps)
         assert is_south_east_chain(flat)
 
 

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sechain.numbers import HALF, ONE, SQRT3, ZERO, QSqrt3, sign
+from sechain.numbers import HALF, ONE, SQRT3, ZERO, QSqrt3, sign, sign2
 
 from .helpers import interval_sign, nonzero_qsqrt3_st, qsqrt3_st
 
@@ -119,6 +120,38 @@ class TestSign:
     @given(qsqrt3_st)
     def test_negation_flips_sign(self, a):
         assert (-a).sign() == -a.sign()
+
+
+_ints = st.integers(min_value=-(10**15), max_value=10**15)
+# Mixed-sign pairs with |a| within 2 of |b|*sqrt(3): the pairs on which
+# sign2 has to compare a**2 with 3*b**2.
+_near_sqrt3 = st.builds(
+    lambda b, d, s: (s * (isqrt(3 * b * b) + d), -s * b),
+    st.integers(min_value=1, max_value=10**15),
+    st.integers(min_value=-2, max_value=2),
+    st.sampled_from((1, -1)),
+)
+
+
+class TestSign2:
+    # Below 10**15, |a + b*sqrt(3)| >= 1/|a - b*sqrt(3)| stays far above
+    # the 128-bit interval width, so the oracle is inconclusive only at 0.
+    @given(st.one_of(st.tuples(_ints, _ints), _near_sqrt3))
+    @example((97, -56))
+    @example((-97, 56))
+    @example((1351, -780))
+    @example((-1351, 780))
+    @example((18817, -10864))
+    @example((-18817, 10864))
+    @settings(max_examples=300)
+    def test_matches_interval_oracle(self, pair):
+        a, b = pair
+        expected = interval_sign(QSqrt3(a, b))
+        if expected is None:
+            assert a == b == 0
+            assert sign2(a, b) == 0
+        else:
+            assert sign2(a, b) == expected
 
 
 class TestOrdering:
