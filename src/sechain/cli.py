@@ -14,7 +14,7 @@ import sys
 from typing import Any, Optional, Sequence
 
 from .construction import EpsilonSearchError, build
-from .convex_subsets import ci_bruteforce, ci_dp
+from .convex_subsets import DP_MAX_POINTS, ci_bruteforce, ci_dp
 from .document import (
     DocumentError,
     construction_to_document,
@@ -23,7 +23,7 @@ from .document import (
     graph_to_document,
     load_path,
 )
-from .geometry import midpoint_set
+from .geometry import midpoint
 from .graphs import (
     BipartiteDrawing,
     drawing_defect,
@@ -118,7 +118,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_ci(args: argparse.Namespace) -> int:
     kind, payload = load_path(args.input)
     if kind == "construction":
-        points = midpoint_set(payload.a, payload.b)
+        # Past the larger solver cap either solver refuses: stop there.
+        points = set()
+        for p in payload.a:
+            points.update(midpoint(p, q) for q in payload.b)
+            if len(points) > DP_MAX_POINTS:
+                break
     elif kind == "points":
         points = payload
     else:
@@ -167,7 +172,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         return 2
     try:
         svg = render_construction(payload)
-    except OverflowError as exc:  # a coordinate beyond the float range
+    except (OverflowError, ValueError) as exc:  # beyond floats, or no points
         print(f"error: cannot render: {exc}", file=sys.stderr)
         return 2
     _write_output(svg, args.output)

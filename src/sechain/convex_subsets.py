@@ -1,10 +1,10 @@
 """Largest convexly independent subset of a planar point set.
 
-Two deliberately independent routes compute the same number:
+Two different algorithms compute the same number:
 
 * `ci_bruteforce` enumerates subsets by decreasing size and returns the
   first one that is convexly independent.  Exponential, only meant for
-  small inputs, and used as the oracle for the fast route.
+  small inputs, and used to cross-check the DP.
 
 * `ci_dp` runs the classical anchored dynamic program: for every point
   taken as the bottom-most vertex of a candidate polygon, the remaining
@@ -13,11 +13,10 @@ Two deliberately independent routes compute the same number:
   transitions overall thanks to a monotone pointer over pre-sorted
   direction lists.
 
-All orientation and distance decisions are exact.  Internally `ci_dp`
-rescales every coordinate by the common denominator, turning each one
-into an integer pair (a, b) standing for a + b*sqrt(3); signs of cross
-products are then decided in plain integer arithmetic, which is much
-faster than field arithmetic on Fractions and changes nothing else.
+Both are exact and take every orientation sign from the one kernel,
+`geometry.Scaled` (integers over a shared denominator), so they differ
+in algorithm, not in arithmetic.  The oracles independent of that
+kernel are in `tests/helpers.py` and `perfbench/exact.py`.
 """
 
 from __future__ import annotations
@@ -25,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import combinations
-from math import lcm
 from typing import Iterable
 
-from .geometry import Point, convex_hull, is_convexly_independent, sort_key
+from .geometry import Point, Scaled, convex_hull, is_convexly_independent, sort_key
 from .numbers import sign2
 
 
@@ -43,19 +41,20 @@ class CiResult:
     witness: tuple[Point, ...]
 
 
+DP_MAX_POINTS = 2500  # ci_dp's default cap, the larger of the two
+
+
 def _prepare(points: Iterable[Point], max_points: int, what: str) -> list[Point]:
     pts = sorted(set(points), key=sort_key)
     if not pts:
         raise ValueError("need at least one point")
     if len(pts) > max_points:
-        raise ValueError(
-            f"{what} refuses {len(pts)} points (limit {max_points})"
-        )
+        raise ValueError(f"{what} refuses more than {max_points} points")
     return pts
 
 
 def ci_bruteforce(points: Iterable[Point], max_points: int = 20) -> CiResult:
-    """Exact maximum by exhaustive search; oracle for the fast route.
+    """Exact maximum by exhaustive search; the cross-check for `ci_dp`.
 
     Among maximum-size subsets the lexicographically smallest one (by
     sorted point order) is returned, which makes results reproducible.
@@ -71,45 +70,18 @@ def ci_bruteforce(points: Iterable[Point], max_points: int = 20) -> CiResult:
     return CiResult(2, (pts[0], pts[1]))
 
 
-def ci_dp(points: Iterable[Point], max_points: int = 2500) -> CiResult:
+def ci_dp(points: Iterable[Point], max_points: int = DP_MAX_POINTS) -> CiResult:
     """Largest convexly independent subset via the anchored DP."""
     pts = _prepare(points, max_points, "ci_dp")
     n = len(pts)
     if n <= 2:
         return CiResult(n, tuple(pts))
 
-    # Integer pair coordinates (value = a + b*sqrt(3)); positive common
-    # rescaling preserves every orientation and distance comparison.
-    dens: set[int] = set()
-    for p in pts:
-        dens.update(
-            (
-                p.x.p.denominator,
-                p.x.q.denominator,
-                p.y.p.denominator,
-                p.y.q.denominator,
-            )
-        )
-    scale = lcm(*dens)
-    xa = [int(p.x.p * scale) for p in pts]
-    xb = [int(p.x.q * scale) for p in pts]
-    ya = [int(p.y.p * scale) for p in pts]
-    yb = [int(p.y.q * scale) for p in pts]
-
-    def cross_sign(p: int, q: int, r: int, s: int) -> int:
-        """Sign of dir(p->q) x dir(r->s)."""
-        uxa = xa[q] - xa[p]
-        uxb = xb[q] - xb[p]
-        uya = ya[q] - ya[p]
-        uyb = yb[q] - yb[p]
-        vxa = xa[s] - xa[r]
-        vxb = xb[s] - xb[r]
-        vya = ya[s] - ya[r]
-        vyb = yb[s] - yb[r]
-        return sign2(
-            uxa * vya + 3 * uxb * vyb - uya * vxa - 3 * uyb * vxb,
-            uxa * vyb + uxb * vya - uya * vxb - uyb * vxa,
-        )
+    # Every orientation sign comes from the shared kernel; its integer
+    # coordinates also give the exact squared-length comparison below.
+    kernel = Scaled(pts)
+    cross_sign = kernel.cross_sign
+    xa, xb, ya, yb = kernel.xa, kernel.xb, kernel.ya, kernel.yb
 
     def len2_cmp(p: int, q1: int, q2: int) -> int:
         """Compare |q1 - p|^2 with |q2 - p|^2."""
@@ -128,55 +100,33 @@ def ci_dp(points: Iterable[Point], max_points: int = 2500) -> CiResult:
         a2, b2 = parts(q2)
         return sign2(a1 - a2, b1 - b2)
 
-    # half[i][j]: 0 when dir(i->j) has angle in [0, pi), else 1.
-    half = [[0] * n for _ in range(n)]
-    for i in range(n):
-        row = half[i]
-        for j in range(n):
-            if i == j:
-                continue
-            sy = sign2(ya[j] - ya[i], yb[j] - yb[i])
-            if sy > 0 or (sy == 0 and sign2(xa[j] - xa[i], xb[j] - xb[i]) > 0):
-                row[j] = 0
-            else:
-                row[j] = 1
+    # half[i][j]: 0 when dir(i->j) has angle in [0, pi) or i == j, else 1.
+    half = [
+        [int((kernel.dy_sign(i, j) or kernel.dx_sign(i, j)) < 0) for j in range(n)]
+        for i in range(n)
+    ]
 
-    def make_out_cmp(i: int):
+    # Sort keys: half-plane, then turn, then distance or index.
+    def out_cmp(i: int):
         hrow = half[i]
+        return lambda j1, j2: (
+            hrow[j1] - hrow[j2] or -cross_sign(i, j1, i, j2) or len2_cmp(i, j1, j2)
+        )
 
-        def cmp(j1: int, j2: int) -> int:
-            if hrow[j1] != hrow[j2]:
-                return -1 if hrow[j1] < hrow[j2] else 1
-            c = cross_sign(i, j1, i, j2)
-            if c:
-                return -c
-            return len2_cmp(i, j1, j2)
-
-        return cmp
-
-    def make_in_cmp(j: int):
-        def cmp(h1: int, h2: int) -> int:
-            if half[h1][j] != half[h2][j]:
-                return -1 if half[h1][j] < half[h2][j] else 1
-            c = cross_sign(h1, j, h2, j)
-            if c:
-                return -c
-            return (h1 > h2) - (h1 < h2)
-
-        return cmp
+    def in_cmp(j: int):
+        return lambda h1, h2: (
+            half[h1][j] - half[h2][j] or -cross_sign(h1, j, h2, j) or h1 - h2
+        )
 
     others = [[j for j in range(n) if j != i] for i in range(n)]
-    out_sorted = [
-        sorted(others[i], key=cmp_to_key(make_out_cmp(i))) for i in range(n)
-    ]
-    in_sorted = [
-        sorted(others[j], key=cmp_to_key(make_in_cmp(j))) for j in range(n)
-    ]
+    out_sorted = [sorted(others[i], key=cmp_to_key(out_cmp(i))) for i in range(n)]
+    in_sorted = [sorted(others[j], key=cmp_to_key(in_cmp(j))) for j in range(n)]
 
     # Anchors in (y, x) order; a polygon is counted at its bottom-most,
     # then leftmost, vertex, so candidates are the points after the
     # anchor in this order.
-    order = sorted(range(n), key=lambda t: (pts[t].y, pts[t].x))
+    yx = cmp_to_key(lambda i, j: -(kernel.dy_sign(i, j) or kernel.dx_sign(i, j)))
+    order = sorted(range(n), key=yx)
     rank = [0] * n
     for r, t in enumerate(order):
         rank[t] = r
@@ -199,9 +149,7 @@ def ci_dp(points: Iterable[Point], max_points: int = 2500) -> CiResult:
         # O(1) test for the two-leg base chains.
         group = [0] * big
         for t in range(1, big):
-            group[t] = group[t - 1] + (
-                0 if cross_sign(a, cand[t - 1], a, cand[t]) == 0 else 1
-            )
+            group[t] = group[t - 1] + (cross_sign(a, cand[t - 1], a, cand[t]) != 0)
         g = [[0] * big for _ in range(big)]
         par = [[-2] * big for _ in range(big)]
         for ipos in range(big):

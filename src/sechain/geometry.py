@@ -7,6 +7,9 @@ is a corner of the hull), which is what the whole construction pipeline
 relies on.  All predicates here decide by exact sign computations; there
 is no epsilon anywhere.
 
+`Scaled` is the one orientation kernel: it rescales a point sequence to
+integers over a shared denominator, and `chain_defect`, `convex_hull`
+and `convex_subsets.ci_dp` take every coordinate and turn sign from it.
 Slope monotonicity is tested with cross products rather than divisions:
 for segments with positive dx, slope(a,b) < slope(b,c) holds exactly
 when the turn a -> b -> c is counterclockwise.
@@ -16,9 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .numbers import HALF, QSqrt3, QSqrt3Like
+from .numbers import HALF, QSqrt3, QSqrt3Like, sign2
 
 
 def _coord(value: QSqrt3Like) -> QSqrt3:
@@ -69,6 +74,44 @@ def slope(a: Point, b: Point) -> QSqrt3:
     return (b.y - a.y) / dx
 
 
+class Scaled:
+    """The orientation kernel: points as integers over one shared scale.
+
+    Point i has x = (xa[i] + xb[i]*sqrt(3)) / s and y = (ya[i] +
+    yb[i]*sqrt(3)) / s, where s is the lcm of every denominator.  A
+    positive common scale changes no sign, so each sign below is one
+    `sign2` on integers.  Methods take indices into the given sequence.
+    """
+
+    __slots__ = ("xa", "xb", "ya", "yb")
+
+    def __init__(self, points: Sequence[Point]) -> None:
+        parts = [(p.x.p, p.x.q, p.y.p, p.y.q) for p in points]
+        s = lcm(*{c.denominator for row in parts for c in row})
+        self.xa, self.xb, self.ya, self.yb = (
+            [row[c].numerator * (s // row[c].denominator) for row in parts]
+            for c in range(4)
+        )
+
+    def dx_sign(self, i: int, j: int) -> int:
+        """Sign of x[j] - x[i]."""
+        return sign2(self.xa[j] - self.xa[i], self.xb[j] - self.xb[i])
+
+    def dy_sign(self, i: int, j: int) -> int:
+        """Sign of y[j] - y[i]."""
+        return sign2(self.ya[j] - self.ya[i], self.yb[j] - self.yb[i])
+
+    def cross_sign(self, p: int, q: int, r: int, s: int) -> int:
+        """Sign of (q - p) x (s - r); positive means a left turn."""
+        xa, xb, ya, yb = self.xa, self.xb, self.ya, self.yb
+        uxa, uxb, uya, uyb = xa[q] - xa[p], xb[q] - xb[p], ya[q] - ya[p], yb[q] - yb[p]
+        vxa, vxb, vya, vyb = xa[s] - xa[r], xb[s] - xb[r], ya[s] - ya[r], yb[s] - yb[r]
+        return sign2(
+            uxa * vya + 3 * uxb * vyb - uya * vxa - 3 * uyb * vxb,
+            uxa * vyb + uxb * vya - uya * vxb - uyb * vxa,
+        )
+
+
 def chain_defect(points: Sequence[Point]) -> str:
     """Where `points` first fails to be a south-east chain; "" for a chain.
 
@@ -79,13 +122,14 @@ def chain_defect(points: Sequence[Point]) -> str:
     """
     if len(points) < 2:
         return "fewer than 2 points"
-    for t, (a, b) in enumerate(zip(points, points[1:])):
-        if (b.x - a.x).sign() <= 0:
+    k = Scaled(points)
+    for t in range(len(points) - 1):
+        if k.dx_sign(t, t + 1) <= 0:
             return f"x does not strictly increase at indices {t},{t + 1}"
-        if (b.y - a.y).sign() <= 0:
+        if k.dy_sign(t, t + 1) <= 0:
             return f"y does not strictly increase at indices {t},{t + 1}"
-    for t, (a, b, c) in enumerate(zip(points, points[1:], points[2:])):
-        if cross(a, b, c).sign() <= 0:
+    for t in range(len(points) - 2):
+        if k.cross_sign(t, t + 1, t + 1, t + 2) <= 0:
             return f"turn at indices {t},{t + 1},{t + 2} is not strictly left"
     return ""
 
@@ -188,20 +232,22 @@ def convex_hull(points: Iterable[Point]) -> list[Point]:
     Only corner points are kept: a point lying in the interior of a hull
     edge is not reported.  Input order and multiplicity are irrelevant.
     """
-    pts = sorted(set(points), key=sort_key)
-    if len(pts) <= 2:
+    pts = list(set(points))
+    if len(pts) < 2:
         return pts
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p).sign() <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p).sign() <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    k = Scaled(pts)
+    xy = cmp_to_key(lambda i, j: -(k.dx_sign(i, j) or k.dy_sign(i, j)))
+    order = sorted(range(len(pts)), key=xy)
+
+    def half_hull(indices: Iterable[int]) -> list[int]:
+        h: list[int] = []
+        for i in indices:
+            while len(h) >= 2 and k.cross_sign(h[-2], h[-1], h[-2], i) <= 0:
+                h.pop()
+            h.append(i)
+        return h[:-1]
+
+    return [pts[i] for i in half_hull(order) + half_hull(reversed(order))]
 
 
 def is_convexly_independent(points: Iterable[Point]) -> bool:
@@ -212,9 +258,6 @@ def is_convexly_independent(points: Iterable[Point]) -> bool:
     repeated point never does.
     """
     pts = list(points)
-    distinct = set(pts)
-    if len(distinct) != len(pts):
+    if len(set(pts)) != len(pts):
         return False
-    if len(pts) <= 2:
-        return True
     return len(convex_hull(pts)) == len(pts)

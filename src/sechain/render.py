@@ -36,6 +36,8 @@ def _fmt(value: float) -> str:
 
 def render_construction(level: Level) -> str:
     """Render both chains, the full midpoint set, and the witness chain."""
+    if not (level.a or level.b):
+        raise ValueError("both chains are empty")
     mids = sorted(
         midpoint_set(level.a, level.b), key=lambda p: (float(p.x), float(p.y))
     )

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from sechain import cli, geometry
 from sechain.cli import main
 from sechain.document import construction_to_document, dumps, points_to_document
 from sechain.geometry import pt
@@ -55,7 +56,18 @@ def _hostile(name: str, text: str) -> str:
         return "[" * 100_000 + "]" * 100_000 + "\n"
     elif name == "float-overflow":
         coord["num"] = "7" * 4000  # parses, but overflows a float
+    elif name == "empty-chains":  # well-formed, but there is nothing to draw
+        objects = document["objects"]
+        objects["a_chain"]["points"] = objects["b_chain"]["points"] = []
+        objects["witness_pairs"]["pairs"] = []
     return json.dumps(document)
+
+
+def _assert_rejected(proc: subprocess.CompletedProcess) -> None:
+    """Exit 2 with an `error:` line and no traceback."""
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 class TestConstruct:
@@ -201,9 +213,7 @@ def test_hostile_document_is_rejected(construction_file, tmp_path, command, case
     doc = tmp_path / f"{case}.json"
     doc.write_text(_hostile(case, construction_file.read_text()))
     proc = _run_cli(command, str(doc))
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: ")
-    assert "Traceback" not in proc.stderr
+    _assert_rejected(proc)
     if case in ("num-digits", "den-digits"):
         assert f"x.p.{case[:3]}: 5000 digits" in proc.stderr
 
@@ -211,9 +221,18 @@ def test_hostile_document_is_rejected(construction_file, tmp_path, command, case
 def test_render_rejects_coordinate_beyond_float(construction_file, tmp_path):
     doc = tmp_path / "float-overflow.json"
     doc.write_text(_hostile("float-overflow", construction_file.read_text()))
+    _assert_rejected(_run_cli("render", str(doc), "-o", str(tmp_path / "out.svg")))
+
+
+def test_empty_chains_keep_the_exit_contract(construction_file, tmp_path):
+    doc = tmp_path / "empty-chains.json"
+    doc.write_text(_hostile("empty-chains", construction_file.read_text()))
     proc = _run_cli("render", str(doc), "-o", str(tmp_path / "out.svg"))
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: ")
+    _assert_rejected(proc)
+    assert "both chains are empty" in proc.stderr
+    _assert_rejected(_run_cli("ci", str(doc)))
+    proc = _run_cli("verify", str(doc))
+    assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -247,6 +266,27 @@ class TestCi:
         assert main(["ci", "--algo", "brute", str(doc)]) == 2
         assert "error" in capsys.readouterr().err
         assert main(["ci", "--algo", "dp", str(doc)]) == 0
+
+    def test_oversized_midpoint_set_is_refused_early(
+        self, levels, tmp_path, monkeypatch, capsys
+    ):
+        doc = tmp_path / "level6.json"
+        doc.write_text(dumps(construction_to_document(levels[6])))
+        calls = 0
+        real_midpoint = geometry.midpoint
+
+        def counting_midpoint(p, q):
+            nonlocal calls
+            calls += 1
+            return real_midpoint(p, q)
+
+        monkeypatch.setattr(geometry, "midpoint", counting_midpoint)
+        monkeypatch.setattr(cli, "midpoint", counting_midpoint)
+        assert main(["ci", str(doc)]) == 2
+        assert "ci_dp refuses more than 2500 points" in capsys.readouterr().err
+        # 64 x 64 = 4096 distinct midpoints exist; at most one row of 64
+        # is built past the limit.
+        assert calls <= 2500 + 64
 
     def test_graph_input_rejected(self, tmp_path, capsys):
         doc = tmp_path / "g.json"

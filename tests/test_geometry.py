@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from sechain.geometry import (
     Chain,
     Point,
+    Scaled,
     chain_defect,
     convex_hull,
     cross,
@@ -29,6 +32,7 @@ from .helpers import (
     chains_st,
     convex_position_oracle,
     dyadic_st,
+    interval_sign,
     points_st,
     qsqrt3_st,
     rand_chain,
@@ -122,6 +126,72 @@ class TestChainDefect:
     @given(st.lists(points_st, min_size=2, max_size=6))
     def test_agrees_with_predicate(self, points):
         assert (chain_defect(points) == "") == is_south_east_chain(points)
+
+
+# Components over unrelated denominators, so `Scaled` has to bring every
+# coordinate to one shared scale.
+_dens = st.integers(min_value=1, max_value=60)
+_nums = st.integers(min_value=-1000, max_value=1000)
+_mixed_coord = st.builds(
+    lambda a, da, b, db: QSqrt3(Fraction(a, da), Fraction(b, db)),
+    _nums, _dens, _nums, _dens,
+)
+_mixed_points = st.builds(Point, _mixed_coord, _mixed_coord)
+
+
+@st.composite
+def _near_zero(draw):
+    """(a - b*sqrt(3)) / d, or its negative, with |a| within 2 of b*sqrt(3)."""
+    b = draw(st.integers(min_value=1, max_value=10**12))
+    a = isqrt(3 * b * b) + draw(st.integers(min_value=-2, max_value=2))
+    s, d = draw(st.sampled_from((1, -1))), draw(_dens)
+    return QSqrt3(Fraction(s * a, d), Fraction(-s * b, d))
+
+
+@st.composite
+def _kernel_points(draw):
+    """Four points: random, or p, p + (c, 0), r, r + (x, z) with z near 0.
+
+    In the second form dy between r and s, maybe dx too, and the turn
+    (q - p) x (s - r) = c*z have parts up to about 1e12 that cancel to
+    a few units: the case in which `sign2` has to compare squares.
+    """
+    if draw(st.booleans()):
+        return draw(st.lists(_mixed_points, min_size=4, max_size=4))
+    p, r, z = draw(_mixed_points), draw(_mixed_points), draw(_near_zero())
+    c = QSqrt3(Fraction(draw(st.integers(min_value=1, max_value=9)), draw(_dens)))
+    x = draw(st.one_of(_mixed_coord, _near_zero()))
+    return [p, Point(p.x + c, p.y), r, Point(r.x + x, r.y + z)]
+
+
+class TestScaled:
+    """The orientation kernel against field arithmetic and interval signs."""
+
+    @staticmethod
+    def _agree(kernel_sign, value):
+        # At these sizes 128-bit intervals are inconclusive only at 0.
+        expected = interval_sign(value)
+        assert kernel_sign == value.sign() == (expected or 0)
+
+    @given(_kernel_points())
+    @settings(max_examples=200)
+    def test_signs_match_oracles(self, pts):
+        k = Scaled(pts)
+        for i, j in permutations(range(4), 2):
+            self._agree(k.dx_sign(i, j), pts[j].x - pts[i].x)
+            self._agree(k.dy_sign(i, j), pts[j].y - pts[i].y)
+        for p, q, r, s in permutations(range(4)):
+            a, b, c, d = pts[p], pts[q], pts[r], pts[s]
+            turn = (b.x - a.x) * (d.y - c.y) - (b.y - a.y) * (d.x - c.x)
+            self._agree(k.cross_sign(p, q, r, s), turn)
+            self._agree(k.cross_sign(p, q, p, s), cross(a, b, d))
+
+    def test_near_zero_pair_examples(self):
+        # Convergents of sqrt(3): 18817 - 10864*sqrt(3) is about 2.7e-5.
+        x = QSqrt3(Fraction(18817, 7), Fraction(-10864, 7)) + Fraction(1, 3)
+        k = Scaled([pt(Fraction(1, 3), 0), Point(x, QSqrt3(0, Fraction(1, 5)))])
+        assert k.dx_sign(0, 1) == 1 and k.dx_sign(1, 0) == -1
+        assert k.dy_sign(0, 1) == 1 and k.dx_sign(0, 0) == 0
 
 
 class TestChain:
