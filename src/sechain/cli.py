@@ -3,7 +3,7 @@
 Subcommands: construct, verify, ci, graph, render.  Exit codes follow
 one contract everywhere: 0 on success (for verify: every check passed),
 1 when verification ran and failed, 2 for unusable input (bad flags,
-unreadable or malformed documents, guard violations).
+unwritable outputs, unreadable or malformed documents, guard violations).
 """
 
 from __future__ import annotations
@@ -246,6 +246,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except BrokenPipeError:
         return 0
+    except OSError as exc:  # an unwritable -o path
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

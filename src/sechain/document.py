@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .construction import Level
 from .geometry import Point
@@ -67,14 +67,43 @@ def _expect(obj: Any, kind: type, context: str) -> Any:
     return obj
 
 
-def _get(obj: dict[str, Any], key: str, context: str) -> Any:
+def _field(
+    obj: dict, key: str, kind: type, path: str = "", decode: Optional[Callable] = None
+) -> Any:
+    """`obj[key]` checked to be a `kind`, or `decode(obj[key], "path.key")`.
+
+    A missing key is reported at `path`, or at "document" when `path` is "";
+    a wrong type at `path.key`.  So `decode` gets a value of type `kind`."""
     if key not in obj:
-        raise DocumentError(f"missing field '{key}'", context)
-    return obj[key]
+        raise DocumentError(f"missing field '{key}'", path or "document")
+    value = obj[key]
+    context = f"{path}.{key}" if path else key
+    if not isinstance(value, kind):
+        raise DocumentError(f"expected {kind.__name__}", context)
+    return value if decode is None else decode(value, context)
 
 
-def _decode_int(obj: Any, context: str) -> int:
-    text = _expect(obj, str, context)
+def _items(
+    obj: dict, key: str, kind: type, path: str, decode: Optional[Callable] = None
+) -> Iterator:
+    """`_field` for each item of a list field, at "path.key[t]"."""
+    for t, item in enumerate(_field(obj, key, list, path)):
+        context = f"{path}.{key}[{t}]"
+        _expect(item, kind, context)
+        yield item if decode is None else decode(item, context)
+
+
+def _pair(item: list, context: str, kind: type = str) -> tuple[Any, Any]:
+    """A list of exactly two `kind`s; a JSON bool never passes for an int."""
+    if len(item) != 2:
+        raise DocumentError("expected a pair", context)
+    first, second = item
+    if kind is int and (isinstance(first, bool) or isinstance(second, bool)):
+        raise DocumentError("expected integers", context)
+    return _expect(first, kind, f"{context}[0]"), _expect(second, kind, f"{context}[1]")
+
+
+def _decode_int(text: str, context: str) -> int:
     if not _INT_RE.match(text):
         raise DocumentError("not a decimal integer", context)
     try:
@@ -85,34 +114,36 @@ def _decode_int(obj: Any, context: str) -> int:
         ) from exc
 
 
-def decode_fraction(obj: Any, context: str) -> Fraction:
-    _expect(obj, dict, context)
-    numerator = _decode_int(_get(obj, "num", context), f"{context}.num")
-    denominator = _decode_int(_get(obj, "den", context), f"{context}.den")
-    if denominator <= 0:
-        raise DocumentError("denominator must be positive", f"{context}.den")
-    return Fraction(numerator, denominator)
+def _decode_denominator(text: str, context: str) -> int:
+    value = _decode_int(text, context)
+    if value <= 0:
+        raise DocumentError("denominator must be positive", context)
+    return value
 
 
-def decode_coord(obj: Any, context: str) -> QSqrt3:
-    _expect(obj, dict, context)
+def decode_fraction(obj: dict, context: str) -> Fraction:
+    return Fraction(
+        _field(obj, "num", str, context, _decode_int),
+        _field(obj, "den", str, context, _decode_denominator),
+    )
+
+
+def decode_coord(obj: dict, context: str) -> QSqrt3:
     return QSqrt3(
-        decode_fraction(_get(obj, "p", context), f"{context}.p"),
-        decode_fraction(_get(obj, "q", context), f"{context}.q"),
+        _field(obj, "p", dict, context, decode_fraction),
+        _field(obj, "q", dict, context, decode_fraction),
     )
 
 
-def decode_point(obj: Any, context: str) -> Point:
-    _expect(obj, dict, context)
+def decode_point(obj: dict, context: str) -> Point:
     return Point(
-        decode_coord(_get(obj, "x", context), f"{context}.x"),
-        decode_coord(_get(obj, "y", context), f"{context}.y"),
+        _field(obj, "x", dict, context, decode_coord),
+        _field(obj, "y", dict, context, decode_coord),
     )
 
 
-def _decode_points(obj: Any, context: str) -> list[Point]:
-    _expect(obj, list, context)
-    return [decode_point(item, f"{context}[{t}]") for t, item in enumerate(obj)]
+def _decode_chain(entry: dict, context: str) -> tuple[Point, ...]:
+    return tuple(_items(entry, "points", dict, context, decode_point))
 
 
 # -- construction documents -------------------------------------------------
@@ -149,49 +180,24 @@ def construction_to_document(level: Level) -> dict[str, Any]:
 
 
 def _decode_construction(document: dict[str, Any]) -> Level:
-    meta = _expect(_get(document, "metadata", "document"), dict, "metadata")
-    k = _expect(_get(meta, "k", "metadata"), int, "metadata.k")
+    meta = _field(document, "metadata", dict)
+    k = _field(meta, "k", int, "metadata")
     if isinstance(k, bool) or k < 1:
         raise DocumentError("k must be an integer >= 1", "metadata.k")
-    eps_raw = _expect(
-        _get(meta, "eps_history", "metadata"), list, "metadata.eps_history"
-    )
-    eps_history = tuple(
-        decode_fraction(item, f"metadata.eps_history[{t}]")
-        for t, item in enumerate(eps_raw)
-    )
-    objects = _expect(_get(document, "objects", "document"), dict, "objects")
+    eps_history = tuple(_items(meta, "eps_history", dict, "metadata", decode_fraction))
+    objects = _field(document, "objects", dict)
+    a = _field(objects, "a_chain", dict, "objects", _decode_chain)
+    b = _field(objects, "b_chain", dict, "objects", _decode_chain)
 
-    def chain_points(name: str) -> list[Point]:
-        entry = _expect(_get(objects, name, "objects"), dict, f"objects.{name}")
-        return _decode_points(
-            _get(entry, "points", f"objects.{name}"), f"objects.{name}.points"
-        )
-
-    a, b = (tuple(chain_points(name)) for name in ("a_chain", "b_chain"))
-    entry = _expect(
-        _get(objects, "witness_pairs", "objects"), dict, "objects.witness_pairs"
-    )
-    pairs_raw = _expect(
-        _get(entry, "pairs", "objects.witness_pairs"),
-        list,
-        "objects.witness_pairs.pairs",
-    )
-    witness: list[tuple[int, int]] = []
-    for t, item in enumerate(pairs_raw):
-        context = f"objects.witness_pairs.pairs[{t}]"
-        _expect(item, list, context)
-        if len(item) != 2:
-            raise DocumentError("expected a pair", context)
-        i, j = item
-        if isinstance(i, bool) or isinstance(j, bool):
-            raise DocumentError("expected integers", context)
-        i = _expect(i, int, f"{context}[0]")
-        j = _expect(j, int, f"{context}[1]")
+    def index_pair(item: list, context: str) -> tuple[int, int]:
+        i, j = _pair(item, context, int)
         if not (0 <= i < len(a) and 0 <= j < len(b)):
             raise DocumentError("index out of range", context)
-        witness.append((i, j))
-    return Level(k=k, a=a, b=b, witness=tuple(witness), eps_history=eps_history)
+        return i, j
+
+    pairs = _field(objects, "witness_pairs", dict, "objects")
+    witness = tuple(_items(pairs, "pairs", list, "objects.witness_pairs", index_pair))
+    return Level(k=k, a=a, b=b, witness=witness, eps_history=eps_history)
 
 
 # -- point set documents ----------------------------------------------------
@@ -208,14 +214,6 @@ def points_to_document(points: list[Point]) -> dict[str, Any]:
             }
         },
     }
-
-
-def _decode_points_doc(document: dict[str, Any]) -> list[Point]:
-    objects = _expect(_get(document, "objects", "document"), dict, "objects")
-    entry = _expect(_get(objects, "points", "objects"), dict, "objects.points")
-    return _decode_points(
-        _get(entry, "points", "objects.points"), "objects.points.points"
-    )
 
 
 # -- graph documents --------------------------------------------------------
@@ -252,52 +250,21 @@ def graph_to_document(
 def _decode_graph(
     document: dict[str, Any]
 ) -> tuple[BipartiteGraph, Optional[dict[str, Point]]]:
-    objects = _expect(_get(document, "objects", "document"), dict, "objects")
-    entry = _expect(_get(objects, "graph", "objects"), dict, "objects.graph")
-
-    def names(key: str) -> tuple[str, ...]:
-        raw = _expect(
-            _get(entry, key, "objects.graph"), list, f"objects.graph.{key}"
-        )
-        out = []
-        for t, item in enumerate(raw):
-            out.append(_expect(item, str, f"objects.graph.{key}[{t}]"))
-        return tuple(out)
-
-    u, v = names("u"), names("v")
-    edges_raw = _expect(
-        _get(entry, "edges", "objects.graph"), list, "objects.graph.edges"
-    )
-    edges = []
-    for t, item in enumerate(edges_raw):
-        context = f"objects.graph.edges[{t}]"
-        _expect(item, list, context)
-        if len(item) != 2:
-            raise DocumentError("expected a pair", context)
-        edges.append(
-            (
-                _expect(item[0], str, f"{context}[0]"),
-                _expect(item[1], str, f"{context}[1]"),
-            )
-        )
+    objects = _field(document, "objects", dict)
+    entry = _field(objects, "graph", dict, "objects")
+    u, v = (tuple(_items(entry, key, str, "objects.graph")) for key in ("u", "v"))
+    edges = tuple(_items(entry, "edges", list, "objects.graph", _pair))
     try:
-        graph = BipartiteGraph(u=u, v=v, edges=tuple(edges))
+        graph = BipartiteGraph(u=u, v=v, edges=edges)
     except ValueError as exc:
         raise DocumentError(str(exc), "objects.graph") from exc
     placements: Optional[dict[str, Point]] = None
     if "placements" in objects:
-        entry = _expect(objects["placements"], dict, "objects.placements")
-        raw = _expect(
-            _get(entry, "points", "objects.placements"),
-            dict,
-            "objects.placements.points",
-        )
-        placements = {
-            _expect(name, str, "objects.placements.points"): decode_point(
-                item, f"objects.placements.points[{name}]"
-            )
-            for name, item in raw.items()
-        }
+        entry = _field(objects, "placements", dict, "objects")
+        placements = {}
+        for name, item in _field(entry, "points", dict, "objects.placements").items():
+            context = f"objects.placements.points[{name}]"
+            placements[name] = decode_point(_expect(item, dict, context), context)
     return graph, placements
 
 
@@ -324,17 +291,18 @@ def loads(text: str) -> ParsedDocument:
     except RecursionError as exc:
         raise DocumentError("invalid JSON: nested too deeply") from exc
     _expect(document, dict, "document")
-    version = _get(document, "version", "document")
+    version = _field(document, "version", object)
     if version != FORMAT_VERSION:
         raise DocumentError(
             f"unsupported version {version!r} (expected {FORMAT_VERSION!r})",
             "version",
         )
-    kind = _get(document, "kind", "document")
+    kind = _field(document, "kind", object)
     if kind == "construction":
         return kind, _decode_construction(document)
     if kind == "points":
-        return kind, _decode_points_doc(document)
+        objects = _field(document, "objects", dict)
+        return kind, list(_field(objects, "points", dict, "objects", _decode_chain))
     if kind == "graph":
         return kind, _decode_graph(document)
     raise DocumentError(f"unknown kind {kind!r}", "kind")
@@ -346,4 +314,6 @@ def load_path(path: str) -> ParsedDocument:
             text = handle.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"cannot read {path}: not UTF-8 ({exc.reason})") from exc
     return loads(text)

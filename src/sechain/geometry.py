@@ -193,11 +193,6 @@ def flatten(p: Point, eps: Fraction) -> Point:
     return Point(p.x * eps, p.y * (eps * eps))
 
 
-def translate(chain: Chain, offset: Point) -> Chain:
-    """Translate a chain; translation preserves the chain predicate."""
-    return Chain(tuple(p + offset for p in chain))
-
-
 def transform_chains(
     chain: Sequence[Point], eps: Fraction
 ) -> tuple[list[Point], list[Point]]:
@@ -212,12 +207,6 @@ def transform_chains(
 
 
 # -- point sets ------------------------------------------------------------
-
-
-def minkowski_sum(ps: Iterable[Point], qs: Iterable[Point]) -> frozenset[Point]:
-    """All pairwise sums; coincident sums merge into one point."""
-    qs = tuple(qs)
-    return frozenset(p + q for p in ps for q in qs)
 
 
 def midpoint_set(ps: Iterable[Point], qs: Iterable[Point]) -> frozenset[Point]:

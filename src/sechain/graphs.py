@@ -57,25 +57,6 @@ class BipartiteGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def is_connected(self) -> bool:
-        """Breadth-first reachability over the union of both parts."""
-        if self.vertex_count == 0:
-            return True
-        adjacency: dict[str, list[str]] = {x: [] for x in self.u + self.v}
-        for a, b in self.edges:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        start = (self.u + self.v)[0]
-        seen = {start}
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return len(seen) == self.vertex_count
-
 
 def g1() -> BipartiteGraph:
     """The seed graph: parts {u1, u2} and {v1, v2}, three edges."""
@@ -194,27 +175,3 @@ def edge_list_text(graph: BipartiteGraph) -> str:
     v_pos = {name: t for t, name in enumerate(graph.v)}
     lines = [f"u{u_pos[a]} v{v_pos[b]}" for a, b in graph.edges]
     return "\n".join(lines) + "\n"
-
-
-def parse_edge_list_text(text: str, u_size: int, v_size: int) -> list[tuple[int, int]]:
-    """Inverse of `edge_list_text` for given part sizes."""
-    pairs: list[tuple[int, int]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if (
-            len(parts) != 2
-            or not parts[0].startswith("u")
-            or not parts[1].startswith("v")
-        ):
-            raise ValueError(f"line {lineno}: expected 'u<i> v<j>'")
-        try:
-            i, j = int(parts[0][1:]), int(parts[1][1:])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad index") from exc
-        if not (0 <= i < u_size and 0 <= j < v_size):
-            raise ValueError(f"line {lineno}: index out of range")
-        pairs.append((i, j))
-    return pairs

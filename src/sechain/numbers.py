@@ -130,9 +130,6 @@ class QSqrt3:
     def __pos__(self) -> QSqrt3:
         return self
 
-    def __abs__(self) -> QSqrt3:
-        return -self if self.sign() < 0 else self
-
     # -- exact sign and order -----------------------------------------
 
     def sign(self) -> int:
@@ -161,10 +158,6 @@ class QSqrt3:
 
     # -- conversions ---------------------------------------------------
 
-    @property
-    def is_rational(self) -> bool:
-        return self._q == 0
-
     def __float__(self) -> float:
         """Approximate value; for display only, never for decisions."""
         return float(self._p) + float(self._q) * _SQRT3_FLOAT
@@ -185,10 +178,3 @@ ZERO = QSqrt3(0)
 ONE = QSqrt3(1)
 SQRT3 = QSqrt3(0, 1)
 HALF = Fraction(1, 2)
-
-
-def sign(value: QSqrt3Like) -> int:
-    """Exact sign of a field element (or of a plain rational)."""
-    if not isinstance(value, QSqrt3):
-        value = QSqrt3(value)
-    return value.sign()

@@ -17,6 +17,7 @@ from .geometry import midpoint_set
 _WIDTH = 800.0
 _MARGIN = 40.0
 _PRECISION = 6
+_MIDPOINT_CAP = 2**18  # |a|*|b| at level 9; level 10 runs out of memory
 
 _STYLE = """
     circle.chain-a { fill: #1f6fb4; }
@@ -38,6 +39,8 @@ def render_construction(level: Level) -> str:
     """Render both chains, the full midpoint set, and the witness chain."""
     if not (level.a or level.b):
         raise ValueError("both chains are empty")
+    if len(level.a) * len(level.b) > _MIDPOINT_CAP:
+        raise ValueError(f"{len(level.a)} x {len(level.b)} > {_MIDPOINT_CAP} midpoints")
     mids = sorted(
         midpoint_set(level.a, level.b), key=lambda p: (float(p.x), float(p.y))
     )

@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import importlib.metadata
 import json
@@ -11,7 +12,12 @@ import pytest
 
 from sechain import cli, geometry
 from sechain.cli import main
-from sechain.document import construction_to_document, dumps, points_to_document
+from sechain.document import (
+    construction_to_document,
+    dumps,
+    encode_point,
+    points_to_document,
+)
 from sechain.geometry import pt
 from sechain.graphs import edge_list_text, family
 
@@ -59,6 +65,13 @@ def _hostile(name: str, text: str) -> str:
     elif name == "empty-chains":  # well-formed, but there is nothing to draw
         objects = document["objects"]
         objects["a_chain"]["points"] = objects["b_chain"]["points"] = []
+        objects["witness_pairs"]["pairs"] = []
+    elif name == "oversized":  # well-formed, one midpoint row past level 9
+        objects = document["objects"]
+        for chain, size in (("a_chain", 513), ("b_chain", 512)):
+            objects[chain]["points"] = [
+                encode_point(pt(i, i * i)) for i in range(size)
+            ]
         objects["witness_pairs"]["pairs"] = []
     return json.dumps(document)
 
@@ -207,15 +220,23 @@ class TestVerify:
 
 @pytest.mark.parametrize("command", ["verify", "ci"])
 @pytest.mark.parametrize(
-    "case", ["num-digits", "den-digits", "json-int-digits", "json-depth"]
+    "case",
+    ["num-digits", "den-digits", "json-int-digits", "json-depth", "non-utf8"],
 )
 def test_hostile_document_is_rejected(construction_file, tmp_path, command, case):
     doc = tmp_path / f"{case}.json"
-    doc.write_text(_hostile(case, construction_file.read_text()))
+    if case == "non-utf8":  # UTF-16 with its byte-order mark: ff fe 7b 00 ...
+        doc.write_bytes(
+            codecs.BOM_UTF16_LE + construction_file.read_text().encode("utf-16-le")
+        )
+    else:
+        doc.write_text(_hostile(case, construction_file.read_text()))
     proc = _run_cli(command, str(doc))
     _assert_rejected(proc)
     if case in ("num-digits", "den-digits"):
         assert f"x.p.{case[:3]}: 5000 digits" in proc.stderr
+    if case == "non-utf8":
+        assert f"error: cannot read {doc}: not UTF-8" in proc.stderr
 
 
 def test_render_rejects_coordinate_beyond_float(construction_file, tmp_path):
@@ -234,6 +255,27 @@ def test_empty_chains_keep_the_exit_contract(construction_file, tmp_path):
     proc = _run_cli("verify", str(doc))
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_render_refuses_oversized_construction(construction_file, tmp_path):
+    doc = tmp_path / "oversized.json"
+    doc.write_text(_hostile("oversized", construction_file.read_text()))
+    out = tmp_path / "out.svg"
+    proc = _run_cli("render", str(doc), "-o", str(out))
+    _assert_rejected(proc)
+    assert "error: cannot render: 513 x 512 > 262144 midpoints" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["construct", "render"])
+def test_unwritable_output_is_rejected(construction_file, tmp_path, command):
+    out = tmp_path / "missing-dir" / "out"
+    if command == "construct":
+        proc = _run_cli("construct", "-k", "2", "-o", str(out))
+    else:
+        proc = _run_cli("render", str(construction_file), "-o", str(out))
+    _assert_rejected(proc)
+    assert f"error: cannot write {out}: " in proc.stderr
 
 
 class TestCi:

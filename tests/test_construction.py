@@ -20,7 +20,6 @@ from sechain.geometry import (
     midpoint,
     pt,
     rotate60,
-    translate,
 )
 from sechain.numbers import QSqrt3
 
@@ -283,8 +282,8 @@ class TestLevelValidate:
         off = pt(5, 7)
         moved = Level(
             k=lv.k,
-            a=translate(lv.a, off),
-            b=translate(lv.b, off),
+            a=tuple(p + off for p in lv.a),
+            b=tuple(p + off for p in lv.b),
             witness=lv.witness,
             eps_history=lv.eps_history,
         )

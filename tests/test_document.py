@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -215,3 +216,165 @@ class TestLoadPath:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DocumentError):
             load_path(str(tmp_path / "absent.json"))
+
+
+# -- decoder message sweep ------------------------------------------------
+#
+# Every field path of four documents (a level-2 construction, a points
+# document, and a level-2 graph with and without placements) is deleted
+# and, in turn, replaced by each value of _RETYPED.  The outcome of each
+# `loads` is one line: the parsed payload's digest, or the error class,
+# context and message.  The sorted lines are pinned by sha256, so any
+# change to a decoder message, its context or the order in which its
+# checks fire fails here.
+
+_RETYPED = (
+    None, True, False, 0, 1, -1, 2**40, 1.5, "", "x", "12", "-3", "0",
+    [], [0], [0, 0], ["u1", "v1"], {},
+)
+
+
+def _sweep_documents():
+    level = build(2)
+    drawing = drawing_from_level(level)
+    pts = [pt(0, 0), Point(QSqrt3(1, Fraction(1, 3)), QSqrt3(2))]
+    return {
+        "construction": construction_to_document(level),
+        "points": points_to_document(pts),
+        "graph": graph_to_document(drawing.graph, k=2),
+        "placed-graph": graph_to_document(
+            drawing.graph, placements=dict(drawing.placement), k=2
+        ),
+    }
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, path + (key,))
+    elif isinstance(node, list):
+        for t, child in enumerate(node):
+            yield from _paths(child, path + (t,))
+
+
+_DELETE = object()
+
+
+def _mutated(document, path, value):
+    """A copy of `document` with `path` deleted (`_DELETE`) or set to `value`."""
+    copy = json.loads(json.dumps(document))
+    if not path:
+        return value
+    parent = copy
+    for step in path[:-1]:
+        parent = parent[step]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return copy
+
+
+def _outcome(text):
+    try:
+        kind, payload = loads(text)
+    except DocumentError as exc:
+        return f"DocumentError {exc.context!r} {str(exc)!r}"
+    except Exception as exc:  # a crash is an outcome too; it must not change
+        return f"{type(exc).__name__} {exc!r}"
+    digest = hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()[:16]
+    return f"ok {kind} {digest}"
+
+
+def _sweep_lines():
+    lines = []
+    for name, document in _sweep_documents().items():
+        for path in _paths(document):
+            where = "/".join(map(str, path))
+            values = ((_DELETE, "delete"),) if path else ()
+            values += tuple((v, json.dumps(v)) for v in _RETYPED)
+            for value, label in values:
+                text = json.dumps(_mutated(document, path, value))
+                lines.append(f"{name}\t{where}\t{label}\t{_outcome(text)}")
+    return sorted(lines)
+
+
+# Recorded from the decoder before it moved to one field accessor.
+_SWEEP_COUNT = 7843
+_SWEEP_SHA256 = (
+    "b61a90991f3b3e94280ddec655d0307bc0f914078158e3ea1a2067be73ae97b1"
+)
+
+
+def _error(document):
+    with pytest.raises(DocumentError) as err:
+        loads(json.dumps(document))
+    context, text = err.value.context, str(err.value)
+    return context, text.removeprefix(f"{context}: ")
+
+
+class TestDecoderMessages:
+    def test_sweep_outcomes_are_pinned(self):
+        lines = _sweep_lines()
+        digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        assert (len(lines), digest) == (_SWEEP_COUNT, _SWEEP_SHA256)
+
+    def test_representative_messages(self):
+        docs = _sweep_documents()
+        level, graph = docs["construction"], docs["placed-graph"]
+        point = ("objects", "a_chain", "points", 0)
+        pair = ("objects", "witness_pairs", "pairs", 0)
+        edges = ("objects", "graph", "edges")
+        placed = ("objects", "placements", "points", "0:u1")
+        p0 = "objects.a_chain.points[0]"
+        pairs0 = "objects.witness_pairs.pairs[0]"
+        table = [
+            ([], (), ["x"], "document", "expected dict"),
+            (level, ("version",), _DELETE, "document", "missing field 'version'"),
+            (level, ("version",), "sechain/0", "version",
+             "unsupported version 'sechain/0' (expected 'sechain/1')"),
+            (level, ("kind",), "mystery", "kind", "unknown kind 'mystery'"),
+            (level, ("metadata",), _DELETE, "document", "missing field 'metadata'"),
+            (level, ("metadata", "k"), _DELETE, "metadata", "missing field 'k'"),
+            (level, ("metadata", "k"), "2", "metadata.k", "expected int"),
+            (level, ("metadata", "k"), True, "metadata.k",
+             "k must be an integer >= 1"),
+            (level, ("metadata", "eps_history", 0), 1, "metadata.eps_history[0]",
+             "expected dict"),
+            (level, point + ("x", "p", "den"), _DELETE, f"{p0}.x.p",
+             "missing field 'den'"),
+            (level, point + ("y",), [], f"{p0}.y", "expected dict"),
+            (level, point + ("x", "p", "num"), "1.5", f"{p0}.x.p.num",
+             "not a decimal integer"),
+            (level, point + ("x", "p", "num"), "7" * 5000, f"{p0}.x.p.num",
+             "5000 digits, more than this interpreter parses"),
+            (level, point + ("x", "p", "den"), "0", f"{p0}.x.p.den",
+             "denominator must be positive"),
+            (level, pair[:-1], _DELETE, "objects.witness_pairs",
+             "missing field 'pairs'"),
+            (level, pair, [0], pairs0, "expected a pair"),
+            (level, pair, [True, "x"], pairs0, "expected integers"),
+            (level, pair, [0, "1"], f"{pairs0}[1]", "expected int"),
+            (level, pair, [0, 9], pairs0, "index out of range"),
+            (docs["points"], ("objects", "points"), [], "objects.points",
+             "expected dict"),
+            (graph, edges + (0,), ["0:u1", 3], "objects.graph.edges[0][1]",
+             "expected str"),
+            (graph, edges + (1,), ["0:u1", "0:v1"], "objects.graph",
+             "duplicate edge"),
+            (graph, placed + ("x", "q"), _DELETE,
+             "objects.placements.points[0:u1].x", "missing field 'q'"),
+        ]
+        for document, path, value, context, message in table:
+            assert _error(_mutated(document, path, value)) == (context, message)
+
+    def test_checks_fire_in_field_order(self):
+        # p is decoded in full before q is looked up.
+        document = _sweep_documents()["construction"]
+        coord = document["objects"]["a_chain"]["points"][0]["x"]
+        coord["p"]["num"] = "x"
+        del coord["q"]
+        assert _error(document) == (
+            "objects.a_chain.points[0].x.p.num", "not a decimal integer"
+        )

@@ -19,12 +19,10 @@ from sechain.geometry import (
     is_south_east_chain,
     midpoint,
     midpoint_set,
-    minkowski_sum,
     pt,
     rotate60,
     slope,
     transform_chains,
-    translate,
 )
 from sechain.numbers import SQRT3, QSqrt3
 
@@ -205,17 +203,6 @@ class TestChain:
         assert c[1] == pt(2, 1)
         assert list(c) == [pt(0, 0), pt(2, 1)]
 
-    def test_translate(self):
-        c = Chain((pt(0, 0), pt(2, 1)))
-        moved = translate(c, pt(1, Fraction(5, 2)))
-        assert list(moved) == [pt(1, Fraction(5, 2)), pt(3, Fraction(7, 2))]
-
-    @given(chains_st(), points_st)
-    def test_translate_preserves_slopes(self, chain, offset):
-        moved = translate(chain, offset)
-        for a, b, c, d in zip(chain, chain.points[1:], moved, moved.points[1:]):
-            assert slope(a, b) == slope(c, d)
-
 
 class TestRotate60:
     def test_unit_x(self):
@@ -319,15 +306,12 @@ class TestMinkowski:
         pts = [pt(0, 0), pt(1, 1)]
         assert len(midpoint_set(pts, pts)) == 3
 
-    def test_sum_with_singleton_translates(self):
-        pts = [pt(0, 0), pt(2, 1), pt(5, 5)]
-        assert minkowski_sum(pts, [pt(1, 2)]) == {p + pt(1, 2) for p in pts}
-
     @given(st.lists(points_st, min_size=1, max_size=5),
            st.lists(points_st, min_size=1, max_size=5))
     def test_midpoint_set_is_half_the_sum(self, a, b):
         half = QSqrt3(Fraction(1, 2))
-        scaled = {Point(p.x * half, p.y * half) for p in minkowski_sum(a, b)}
+        sums = {u + v for u in a for v in b}
+        scaled = {Point(p.x * half, p.y * half) for p in sums}
         assert midpoint_set(a, b) == scaled
 
 
@@ -427,7 +411,7 @@ class TestRandomChainHelpers:
     def test_rand_point_irrational_parts(self):
         rng = random.Random(3)
         pts = [rand_point(rng, irrational=True) for _ in range(50)]
-        assert any(not p.x.is_rational or not p.y.is_rational for p in pts)
+        assert any(p.x.q != 0 or p.y.q != 0 for p in pts)
 
 
 @given(qsqrt3_st, qsqrt3_st)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,27 @@ from sechain.graphs import (
     edge_list_text,
     family,
     g1,
-    parse_edge_list_text,
     verify_drawing,
 )
 
 from .helpers import drawing_oracle, points_st
+
+
+def _is_connected(graph: BipartiteGraph) -> bool:
+    """Breadth-first reachability over both parts."""
+    vertices = graph.u + graph.v
+    adjacency: dict[str, list[str]] = {x: [] for x in vertices}
+    for a, b in graph.edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    seen = set(vertices[:1])
+    queue = list(seen)
+    while queue:
+        for y in adjacency[queue.pop()]:
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return len(seen) == len(vertices)
 
 
 class TestBipartiteGraph:
@@ -44,13 +61,6 @@ class TestBipartiteGraph:
     def test_rejects_duplicate_edges(self):
         with pytest.raises(ValueError):
             BipartiteGraph(u=("a",), v=("b",), edges=(("a", "b"), ("a", "b")))
-
-    def test_connectivity(self):
-        assert g1().is_connected()
-        split = BipartiteGraph(
-            u=("a", "c"), v=("b", "d"), edges=(("a", "b"), ("c", "d"))
-        )
-        assert not split.is_connected()
 
 
 class TestSeedGraph:
@@ -84,9 +94,15 @@ class TestDouble:
 
     def test_preserves_connectivity(self):
         g = g1()
+        assert _is_connected(g)
         for _ in range(5):
             g = double(g)
-            assert g.is_connected()
+            assert _is_connected(g)
+        # The check itself can fail: two disjoint edges are not connected.
+        split = BipartiteGraph(
+            u=("a", "c"), v=("b", "d"), edges=(("a", "b"), ("c", "d"))
+        )
+        assert not _is_connected(split)
 
 
 class TestFamily:
@@ -234,19 +250,12 @@ class TestEdgeListText:
 
     def test_round_trip(self):
         g = family(3)
-        pairs = parse_edge_list_text(edge_list_text(g), len(g.u), len(g.v))
+        lines = edge_list_text(g).splitlines()
+        matches = [re.fullmatch(r"u([0-9]+) v([0-9]+)", line) for line in lines]
+        pairs = [(int(m[1]), int(m[2])) for m in matches]
         u_pos = {name: t for t, name in enumerate(g.u)}
         v_pos = {name: t for t, name in enumerate(g.v)}
         assert pairs == [(u_pos[a], v_pos[b]) for a, b in g.edges]
-
-    def test_parse_rejects_garbage(self):
-        for bad in ("u0\n", "u0 v0 extra\n", "v0 u0\n", "ux v0\n", "u0 v9\n"):
-            with pytest.raises(ValueError):
-                parse_edge_list_text(bad, 2, 2)
-
-    def test_parse_skips_blank_lines(self):
-        pairs = parse_edge_list_text("\nu0 v0\n\nu1 v1\n", 2, 2)
-        assert pairs == [(0, 0), (1, 1)]
 
     def test_family_edges_follow_witness_order(self, levels):
         lv = levels[2]

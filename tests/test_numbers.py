@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sechain.numbers import HALF, ONE, SQRT3, ZERO, QSqrt3, sign, sign2
+from sechain.numbers import HALF, ONE, SQRT3, ZERO, QSqrt3, sign2
 
 from .helpers import interval_sign, nonzero_qsqrt3_st, qsqrt3_st
 
@@ -77,7 +77,7 @@ class TestArithmetic:
 class TestSign:
     def test_zero(self):
         assert ZERO.sign() == 0
-        assert sign(QSqrt3(0, 0)) == 0
+        assert QSqrt3(0, 0).sign() == 0
 
     def test_rational_and_pure_parts(self):
         assert QSqrt3(Fraction(-1, 7)).sign() == -1
@@ -190,14 +190,7 @@ class TestProtocols:
     def test_float_approximation(self):
         assert abs(float(SQRT3) - 3**0.5) < 1e-12
 
-    def test_is_rational(self):
-        assert QSqrt3(5).is_rational
-        assert not SQRT3.is_rational
-
     def test_repr_round_trips(self):
         a = QSqrt3(Fraction(1, 2), Fraction(-3, 7))
         assert eval(repr(a), {"QSqrt3": QSqrt3, "Fraction": Fraction}) == a
 
-    def test_abs(self):
-        assert abs(QSqrt3(-7, 4)) == QSqrt3(7, -4)
-        assert abs(QSqrt3(7, -4)) == QSqrt3(7, -4)
