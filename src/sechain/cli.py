@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .construction import EpsilonSearchError, build
 from .convex_subsets import DP_MAX_POINTS, ci_bruteforce, ci_dp
@@ -38,12 +39,26 @@ _DEFAULT_MAX_K = 10
 _DEFAULT_MAX_EPS_EXPONENT = 256
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
+def _write_output(make_text: Callable[[], str], path: Optional[str]) -> None:
+    """Write make_text() to path, or to stdout for None or "-".
+
+    The path is opened before make_text runs, so an unwritable one fails
+    before any work.  A file that this opening created is removed again
+    if make_text raises.
+    """
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        sys.stdout.write(make_text())
+        return
+    created = not os.path.lexists(path)
+    open(path, "a").close()
+    try:
+        text = make_text()
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
 
 
 def _k_out_of_range(args: argparse.Namespace) -> bool:
@@ -58,12 +73,12 @@ def _k_out_of_range(args: argparse.Namespace) -> bool:
 def _cmd_construct(args: argparse.Namespace) -> int:
     if _k_out_of_range(args):
         return 2
-    try:
+
+    def text() -> str:
         level = build(args.k, max_eps_exponent=args.max_eps_exponent)
-    except EpsilonSearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _write_output(dumps(construction_to_document(level)), args.output)
+        return dumps(construction_to_document(level))
+
+    _write_output(text, args.output)
     return 0
 
 
@@ -152,15 +167,17 @@ def _cmd_ci(args: argparse.Namespace) -> int:
 def _cmd_graph(args: argparse.Namespace) -> int:
     if _k_out_of_range(args):
         return 2
-    graph = family(args.k)
-    if args.placements:
+
+    def text() -> str:
+        graph = family(args.k)
+        if not args.placements:
+            return edge_list_text(graph)
         level = build(args.k, max_eps_exponent=args.max_eps_exponent)
         drawing = drawing_from_level(level)
-        text = dumps(
+        return dumps(
             graph_to_document(graph, placements=dict(drawing.placement), k=args.k)
         )
-    else:
-        text = edge_list_text(graph)
+
     _write_output(text, args.output)
     return 0
 
@@ -171,11 +188,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
         print("error: render needs a construction document", file=sys.stderr)
         return 2
     try:
-        svg = render_construction(payload)
+        _write_output(lambda: render_construction(payload), args.output)
     except (OverflowError, ValueError) as exc:  # beyond floats, or no points
         print(f"error: cannot render: {exc}", file=sys.stderr)
         return 2
-    _write_output(svg, args.output)
     return 0
 
 
@@ -241,7 +257,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except DocumentError as exc:
+    except (DocumentError, EpsilonSearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -27,16 +27,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Optional
 
 from .geometry import (
     Point,
+    Row,
+    Scaled,
     chain_defect,
     is_convexly_independent,
     is_south_east_chain,
     midpoint,
     pt,
-    transform_chains,
 )
 
 IndexPair = tuple[int, int]
@@ -92,8 +94,10 @@ class Level:
 
     def witness_midpoints(self) -> tuple[Point, ...]:
         """Midpoints of the witness pairs, in witness order."""
-        a, b = self.a, self.b
-        return tuple(midpoint(a[i], b[j]) for i, j in self.witness)
+        return tuple(self._scaled_midpoints().points())
+
+    def _scaled_midpoints(self) -> Scaled:
+        return Scaled(self.a + self.b).midpoints(len(self.a), self.witness)
 
     def checks(self) -> list[Check]:
         """Every level invariant as (name, passed, detail), in fixed order.
@@ -124,9 +128,9 @@ class Level:
             if seen.setdefault((i, j), t) != t:
                 pairs = pairs or f"pair {t} ({i}, {j}) repeats pair {seen[i, j]}"
         else:
-            mids = self.witness_midpoints()
+            mids = self._scaled_midpoints()
             mids_chain = chain_defect(mids)
-            sets = (("chain a", a), ("chain b", b), ("witness midpoints", mids))
+            sets = (("chain a", a), ("chain b", b), ("witness midpoints", mids.points()))
             independence = next(
                 (f"{name}: not convexly independent" for name, points in sets
                  if not is_convexly_independent(points)),
@@ -173,33 +177,54 @@ def step(level: Level, eps: Fraction) -> Optional[Level]:
     Returns the next level, or None when any of the three glued
     sequences fails the exact chain predicate (the factor was not small
     enough).  An eps <= 0 is a usage error, not a rejection.
+
+    The work is done on integers: both chains and the offsets go into
+    one `Scaled` over s, and with eps = p/q every new coordinate is an
+    integer over t = 2*s*q**2.  Flattening multiplies x by p*q and y by
+    p**2 (over s*q**2); rotation is then exact over t, and the flat copy
+    is doubled to meet it.  The values equal `transform_chains`'.
     """
     if not isinstance(eps, Fraction):
         eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("flattening factor must be positive")
     off = STEP_OFFSETS
-    n = len(level.a)
+    n, m = len(level.a), len(level.a) + len(level.b)
+    k = Scaled(level.a + level.b + (off.rotated_b_in_a, off.flat_b_in_b, off.rotated_a_in_b))
+    p, q = eps.numerator, eps.denominator
+    t, fx, fy = 2 * k.s * q * q, p * q, p * p
 
-    a_flat, a_rot = transform_chains(level.a, eps)
-    b_flat, b_rot = transform_chains(level.b, eps)
+    rows = k.rows()
+    flat, rot = [], []
+    for xa, xb, ya, yb in rows[:m]:
+        xa, xb, ya, yb = fx * xa, fx * xb, fy * ya, fy * yb
+        flat.append((2 * xa, 2 * xb, 2 * ya, 2 * yb))
+        rot.append((xa - 3 * yb, xb - ya, 3 * xb + ya, xa + yb))
 
-    new_a = a_flat + [p + off.rotated_b_in_a for p in b_rot]
-    new_b = [p + off.flat_b_in_b for p in b_flat]
-    new_b += [p + off.rotated_a_in_b for p in a_rot]
-    if not (is_south_east_chain(new_a) and is_south_east_chain(new_b)):
+    def shifted(block: list[Row], offset: Row) -> list[Row]:
+        o = tuple(2 * q * q * c for c in offset)  # over s -> over t
+        return [tuple(map(add, row, o)) for row in block]
+
+    in_a, in_b, rot_a_in_b = rows[m:]
+    new_a = flat[:n] + shifted(rot[n:], in_a)
+    new_b = shifted(flat[n:], in_b) + shifted(rot[:n], rot_a_in_b)
+    if not (
+        is_south_east_chain(Scaled.from_rows(new_a, t))
+        and is_south_east_chain(Scaled.from_rows(new_b, t))
+    ):
         return None
 
     new_witness: list[IndexPair] = list(level.witness)
     new_witness += [(i, n + i) for i in range(n)]
     new_witness += [(n + j, n + i) for i, j in level.witness]
-    mids = [midpoint(new_a[i], new_b[j]) for i, j in new_witness]
-    if not is_south_east_chain(mids):
+    both = Scaled.from_rows(new_a + new_b, t)
+    if not is_south_east_chain(both.midpoints(m, new_witness)):
         return None
+    points = both.points()
     return Level(
         k=level.k + 1,
-        a=tuple(new_a),
-        b=tuple(new_b),
+        a=tuple(points[:m]),
+        b=tuple(points[m:]),
         witness=tuple(new_witness),
         eps_history=level.eps_history + (eps,),
     )

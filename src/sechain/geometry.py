@@ -7,9 +7,13 @@ is a corner of the hull), which is what the whole construction pipeline
 relies on.  All predicates here decide by exact sign computations; there
 is no epsilon anywhere.
 
-`Scaled` is the one orientation kernel: it rescales a point sequence to
-integers over a shared denominator, and `chain_defect`, `convex_hull`
-and `convex_subsets.ci_dp` take every coordinate and turn sign from it.
+`Scaled` is the one orientation kernel: it holds a point sequence as
+integers over one shared scale.  `chain_defect`, `convex_hull` and
+`convex_subsets.ci_dp` take every coordinate and turn sign from it, and
+`construction.step`, `Level.witness_midpoints` and `render` compute in
+it.  The `Point` functions `flatten`, `rotate60`, `midpoint`,
+`transform_chains` and `midpoint_set` are the value forms those integer
+paths are tested against.
 Slope monotonicity is tested with cross products rather than divisions:
 for segments with positive dx, slope(a,b) < slope(b,c) holds exactly
 when the turn a -> b -> c is counterclockwise.
@@ -23,7 +27,9 @@ from functools import cmp_to_key
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .numbers import HALF, QSqrt3, QSqrt3Like, sign2
+from .numbers import _SQRT3_FLOAT, HALF, QSqrt3, QSqrt3Like, sign2
+
+Row = tuple[int, int, int, int]
 
 
 def _coord(value: QSqrt3Like) -> QSqrt3:
@@ -78,20 +84,71 @@ class Scaled:
     """The orientation kernel: points as integers over one shared scale.
 
     Point i has x = (xa[i] + xb[i]*sqrt(3)) / s and y = (ya[i] +
-    yb[i]*sqrt(3)) / s, where s is the lcm of every denominator.  A
-    positive common scale changes no sign, so each sign below is one
-    `sign2` on integers.  Methods take indices into the given sequence.
+    yb[i]*sqrt(3)) / s for one positive integer s.  `Scaled(points)`
+    takes s as the lcm of every denominator; `from_rows` takes integer
+    rows (xa, xb, ya, yb) as they are, which is how the construction
+    carries a level.  A positive common scale changes no sign, so each
+    sign below is one `sign2` on integers.  Methods take indices into
+    the sequence.
     """
 
-    __slots__ = ("xa", "xb", "ya", "yb")
+    __slots__ = ("xa", "xb", "ya", "yb", "s")
 
     def __init__(self, points: Sequence[Point]) -> None:
         parts = [(p.x.p, p.x.q, p.y.p, p.y.q) for p in points]
-        s = lcm(*{c.denominator for row in parts for c in row})
+        self.s = s = lcm(*{c.denominator for row in parts for c in row})
         self.xa, self.xb, self.ya, self.yb = (
             [row[c].numerator * (s // row[c].denominator) for row in parts]
             for c in range(4)
         )
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Row], s: int) -> Scaled:
+        """Integer rows (xa, xb, ya, yb) over the positive scale s."""
+        new = cls.__new__(cls)
+        new.xa, new.xb, new.ya, new.yb = ([row[c] for row in rows] for c in range(4))
+        new.s = s
+        return new
+
+    def __len__(self) -> int:
+        return len(self.xa)
+
+    def rows(self) -> list[Row]:
+        return list(zip(self.xa, self.xb, self.ya, self.yb))
+
+    def points(self) -> list[Point]:
+        """The exact points, each component reduced."""
+        s = self.s
+        return [
+            Point(QSqrt3(Fraction(xa, s), Fraction(xb, s)),
+                  QSqrt3(Fraction(ya, s), Fraction(yb, s)))
+            for xa, xb, ya, yb in zip(self.xa, self.xb, self.ya, self.yb)
+        ]
+
+    def floats(self) -> list[tuple[float, float]]:
+        """Approximate (x, y) of each point; for display only.
+
+        Each value rounds as `float(QSqrt3)` does on the reduced point:
+        integer true division is correctly rounded at any scale.
+        """
+        s, r3 = self.s, _SQRT3_FLOAT
+        return [
+            (xa / s + xb / s * r3, ya / s + yb / s * r3)
+            for xa, xb, ya, yb in zip(self.xa, self.xb, self.ya, self.yb)
+        ]
+
+    def midpoints(self, n: int, pairs: Iterable[tuple[int, int]]) -> Scaled:
+        """Midpoints of a[i] and b[j] for each pair (i, j), in order, where
+        a is the first n points and b the rest: row sums over twice the
+        scale."""
+        pairs = list(pairs)
+        new = Scaled.__new__(Scaled)
+        new.xa, new.xb, new.ya, new.yb = (
+            [a[i] + b[j] for i, j in pairs]
+            for a, b in ((c[:n], c[n:]) for c in (self.xa, self.xb, self.ya, self.yb))
+        )
+        new.s = 2 * self.s
+        return new
 
     def dx_sign(self, i: int, j: int) -> int:
         """Sign of x[j] - x[i]."""
@@ -112,17 +169,17 @@ class Scaled:
         )
 
 
-def chain_defect(points: Sequence[Point]) -> str:
+def chain_defect(points: Sequence[Point] | Scaled) -> str:
     """Where `points` first fails to be a south-east chain; "" for a chain.
 
     A chain has both coordinates strictly increasing and consecutive
     slopes strictly increasing.  Coordinates are checked along the whole
     sequence before any turn.  Fewer than 2 points is a defect: the
-    predicate is about segments.
+    predicate is about segments.  A `Scaled` sequence is used as it is.
     """
     if len(points) < 2:
         return "fewer than 2 points"
-    k = Scaled(points)
+    k = points if isinstance(points, Scaled) else Scaled(points)
     for t in range(len(points) - 1):
         if k.dx_sign(t, t + 1) <= 0:
             return f"x does not strictly increase at indices {t},{t + 1}"
@@ -134,7 +191,7 @@ def chain_defect(points: Sequence[Point]) -> str:
     return ""
 
 
-def is_south_east_chain(points: Sequence[Point]) -> bool:
+def is_south_east_chain(points: Sequence[Point] | Scaled) -> bool:
     """Decide the chain predicate exactly; fewer than 2 points raise."""
     if len(points) < 2:
         raise ValueError("a chain needs at least 2 points")

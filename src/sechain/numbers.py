@@ -46,10 +46,12 @@ class QSqrt3:
     __slots__ = ("_p", "_q")
 
     def __init__(self, p: RationalLike = 0, q: RationalLike = 0) -> None:
-        if not isinstance(p, (int, Fraction)) or not isinstance(q, (int, Fraction)):
-            raise TypeError("components must be int or Fraction, not float")
-        self._p = Fraction(p)
-        self._q = Fraction(q)
+        if type(p) is not Fraction or type(q) is not Fraction:  # else kept: immutable
+            if not isinstance(p, (int, Fraction)) or not isinstance(q, (int, Fraction)):
+                raise TypeError("components must be int or Fraction, not float")
+            p, q = Fraction(p), Fraction(q)
+        self._p = p
+        self._q = q
 
     @property
     def p(self) -> Fraction:

@@ -10,9 +10,10 @@ same document always renders to the same bytes.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from itertools import product
 
 from .construction import Level
-from .geometry import midpoint_set
+from .geometry import Scaled
 
 _WIDTH = 800.0
 _MARGIN = 40.0
@@ -41,26 +42,28 @@ def render_construction(level: Level) -> str:
         raise ValueError("both chains are empty")
     if len(level.a) * len(level.b) > _MIDPOINT_CAP:
         raise ValueError(f"{len(level.a)} x {len(level.b)} > {_MIDPOINT_CAP} midpoints")
-    mids = sorted(
-        midpoint_set(level.a, level.b), key=lambda p: (float(p.x), float(p.y))
-    )
-    witness_pts = level.witness_midpoints()
-    everything = list(level.a) + list(level.b) + list(mids)
+    # Exact integer rows: one scale for both chains, twice it for every
+    # midpoint, so equal midpoints have equal rows.  Floats are display only.
+    n = len(level.a)
+    k = Scaled(level.a + level.b)
+    every_mid = k.midpoints(n, product(range(n), range(len(level.b))))
+    mids = sorted(Scaled.from_rows(list(set(every_mid.rows())), every_mid.s).floats())
+    chain_xy = k.floats()
+    a_xy, b_xy = chain_xy[:n], chain_xy[n:]
+    witness_xy = k.midpoints(n, level.witness).floats()
+    everything = chain_xy + mids
 
-    xs = [float(p.x) for p in everything]
-    ys = [float(p.y) for p in everything]
+    xs = [x for x, _ in everything]
+    ys = [y for _, y in everything]
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     span = max(max_x - min_x, max_y - min_y, 1e-9)
     scale = (_WIDTH - 2 * _MARGIN) / span
     height = (max_y - min_y) * scale + 2 * _MARGIN
 
-    def place(p) -> tuple[float, float]:
+    def place(p: tuple[float, float]) -> tuple[float, float]:
         # Flip y: SVG grows downward.
-        return (
-            (float(p.x) - min_x) * scale + _MARGIN,
-            (max_y - float(p.y)) * scale + _MARGIN,
-        )
+        return (p[0] - min_x) * scale + _MARGIN, (max_y - p[1]) * scale + _MARGIN
 
     svg = ET.Element(
         "svg",
@@ -94,13 +97,13 @@ def render_construction(level: Level) -> str:
             )
 
     dots(mids, "mid", 2.0)
-    polyline(level.a, "chain-a")
-    polyline(level.b, "chain-b")
-    if len(witness_pts) >= 2:
-        polyline(witness_pts, "witness")
-    dots(level.a, "chain-a", 4.0)
-    dots(level.b, "chain-b", 4.0)
-    dots(witness_pts, "witness", 3.0)
+    polyline(a_xy, "chain-a")
+    polyline(b_xy, "chain-b")
+    if len(witness_xy) >= 2:
+        polyline(witness_xy, "witness")
+    dots(a_xy, "chain-a", 4.0)
+    dots(b_xy, "chain-b", 4.0)
+    dots(witness_xy, "witness", 3.0)
 
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'

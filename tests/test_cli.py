@@ -278,6 +278,31 @@ def test_unwritable_output_is_rejected(construction_file, tmp_path, command):
     assert f"error: cannot write {out}: " in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["construct", "-k", "8"],
+                                  ["graph", "-k", "7", "--placements"]])
+def test_unwritable_output_fails_before_building(tmp_path, monkeypatch, capsys, argv):
+    builds = []
+    monkeypatch.setattr(cli, "build", lambda *a, **kw: builds.append(a))
+    out = tmp_path / "missing-dir" / "out.json"
+    assert main([*argv, "-o", str(out)]) == 2
+    assert builds == []
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["construct", "graph"])
+def test_failed_search_leaves_no_new_file(tmp_path, capsys, command):
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("earlier output")
+    for out in (fresh, kept):
+        argv = [command, "-k", "3", "--max-eps-exponent", "3", "-o", str(out)]
+        if command == "graph":
+            argv.append("--placements")
+        assert main(argv) == 2
+        assert "error: no flattening factor down to 2**-3" in capsys.readouterr().err
+    assert not fresh.exists()
+    assert kept.read_text() == "earlier output"
+
+
 class TestCi:
     def test_construction_input(self, construction_file, capsys):
         assert main(["ci", str(construction_file)]) == 0
@@ -377,9 +402,9 @@ class TestRender:
         assert "construction" in capsys.readouterr().err
 
 
-# sha256 of the construction documents for k = 1..8, of
-# `graph -k 3 --placements` and of `render` on level 3.  Any change to
-# the encoding, the construction or the renderer shows up here.
+# sha256 of the construction documents for k = 1..12, of
+# `graph -k 3 --placements` and of `render` on levels 3, 7 and 8.  Any
+# change to the encoding, the construction or the renderer shows up here.
 _PINNED_CONSTRUCTIONS = {
     1: "83dedbd55db69635baf5a789cc744dd62b970257082072a09a9fa4b1cd678c81",
     2: "ee802b869c5e1847f455919a811d616017ab8c2c95cb29e1d989c58248237316",
@@ -389,9 +414,17 @@ _PINNED_CONSTRUCTIONS = {
     6: "ceccd84451aebd7318738d9cf7741fc60c728743a1f3b87ce2f400c485dfb75e",
     7: "c625fb4678ca68613aa11f3b4d33867985fdc0c6b4fdec6c9b580455c80f3e2f",
     8: "475e3321ecdd5042586ddced30cae2396a2d1ec9825598f0ce8538df3d8e97c1",
+    9: "3c09e60283adcc6c3b875531d5bdec108567ce49b3b98ea874f01e376f0208df",
+    10: "49a756154fd75faf073357811fbb562905657a4b562515166b58e6f07810501e",
+    11: "e7befe447f293f3ec1ffcd9739119d454fceb127798076b53caf067c7f58a5d3",
+    12: "1707b485419ebfe251bc384e9be0061f0e1bef36cf76001caea233b68f4e0b83",
 }
 _PINNED_GRAPH3 = "6fdf30b11f28c5426d50ec8896c6a06d9a3d9983686d53dd2b10ed0e3bf9a9ec"
-_PINNED_SVG3 = "a7205d48796ac2c170618b4ee613af6e5fd351d96f7ecbf0eb52d12e909bb928"
+_PINNED_SVGS = {
+    3: "a7205d48796ac2c170618b4ee613af6e5fd351d96f7ecbf0eb52d12e909bb928",
+    7: "084a87a24b95e923841f2802649a53cf2d7c49d0e596a3fb63de83180b29847b",
+    8: "f2f3c9fe07d2ee593bfbed3ffbf470470055acdde1963b3277ec694d7d27bf7b",
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -404,7 +437,13 @@ class TestPinnedBytes:
             k: _sha256(dumps(construction_to_document(lv)).encode("utf-8"))
             for k, lv in levels.items()
         }
-        assert digests == _PINNED_CONSTRUCTIONS
+        assert digests == {k: _PINNED_CONSTRUCTIONS[k] for k in range(1, 9)}
+
+    def test_construct_beyond_the_default_cap(self, tmp_path):
+        for k in range(9, 13):
+            doc = tmp_path / f"level{k}.json"
+            assert main(["construct", "-k", str(k), "--max-k", "12", "-o", str(doc)]) == 0
+            assert _sha256(doc.read_bytes()) == _PINNED_CONSTRUCTIONS[k], k
 
     def test_graph_placements(self, tmp_path):
         doc = tmp_path / "graph3.json"
@@ -416,7 +455,14 @@ class TestPinnedBytes:
         assert main(["construct", "-k", "3", "-o", str(doc)]) == 0
         assert _sha256(doc.read_bytes()) == _PINNED_CONSTRUCTIONS[3]
         assert main(["render", str(doc), "-o", str(svg)]) == 0
-        assert _sha256(svg.read_bytes()) == _PINNED_SVG3
+        assert _sha256(svg.read_bytes()) == _PINNED_SVGS[3]
+
+    def test_render_large_levels(self, levels, tmp_path):
+        for k in (7, 8):
+            doc, svg = tmp_path / f"level{k}.json", tmp_path / f"level{k}.svg"
+            doc.write_text(dumps(construction_to_document(levels[k])), encoding="utf-8")
+            assert main(["render", str(doc), "-o", str(svg)]) == 0
+            assert _sha256(svg.read_bytes()) == _PINNED_SVGS[k], k
 
 
 def _distribution_installed(name: str) -> bool:

@@ -1,7 +1,10 @@
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sechain.construction as construction
 from sechain.construction import (
@@ -20,8 +23,36 @@ from sechain.geometry import (
     midpoint,
     pt,
     rotate60,
+    transform_chains,
 )
 from sechain.numbers import QSqrt3
+
+
+def _reference_step(level, eps):
+    """The doubling on the `QSqrt3` value functions: the oracle for `step`."""
+    off = STEP_OFFSETS
+    n = len(level.a)
+    a_flat, a_rot = transform_chains(level.a, eps)
+    b_flat, b_rot = transform_chains(level.b, eps)
+    new_a = a_flat + [p + off.rotated_b_in_a for p in b_rot]
+    new_b = [p + off.flat_b_in_b for p in b_flat]
+    new_b += [p + off.rotated_a_in_b for p in a_rot]
+    witness = level.witness + tuple((i, n + i) for i in range(n))
+    witness += tuple((n + j, n + i) for i, j in level.witness)
+    mids = [midpoint(new_a[i], new_b[j]) for i, j in witness]
+    if not all(is_south_east_chain(seq) for seq in (new_a, new_b, mids)):
+        return None
+    return Level(level.k + 1, tuple(new_a), tuple(new_b), witness,
+                 level.eps_history + (eps,))
+
+
+# Dyadic factors as the search draws them, and others whose denominators
+# are not powers of two; both sides of every level's threshold occur.
+_factors = st.one_of(
+    st.integers(min_value=1, max_value=8).map(lambda m: Fraction(1, 2**m)),
+    st.builds(Fraction, st.integers(min_value=1, max_value=4),
+              st.integers(min_value=3, max_value=150)),
+)
 
 
 class TestBaseCase:
@@ -112,6 +143,43 @@ class TestStep:
         assert lv.a[2].x == QSqrt3(1, Fraction(-1, 1024))
         assert lv.a[2].y == QSqrt3(Fraction(1025, 1024))
 
+    def test_matches_reference_step(self):
+        # Levels 1..3 from the reference alone, so the oracle owes `step` nothing.
+        levels = {1: base_case()}
+        for k, eps in ((1, Fraction(1, 32)), (2, Fraction(1, 16))):
+            levels[k + 1] = _reference_step(levels[k], eps)
+        verdicts = set()
+
+        @given(k=st.integers(min_value=1, max_value=3), eps=_factors)
+        @example(k=1, eps=Fraction(1, 3))
+        @example(k=3, eps=Fraction(2, 97))
+        @settings(max_examples=40)
+        def agrees(k, eps):
+            got = step(levels[k], eps)
+            assert got == _reference_step(levels[k], eps)
+            verdicts.add(got is None)
+
+        agrees()
+        assert verdicts == {True, False}
+
+    def test_returned_level_passed_three_chain_checks(self, monkeypatch):
+        sizes = []
+        real = construction.is_south_east_chain
+
+        def recording(points):
+            sizes.append(len(points))
+            return real(points)
+
+        monkeypatch.setattr(construction, "is_south_east_chain", recording)
+        level = base_case()
+        for eps in (Fraction(1, 32),) + (Fraction(1, 16),) * 6:
+            sizes.clear()
+            level = step(level, eps)
+            # new_a, new_b, then the witness midpoints.
+            n = len(level.a)
+            assert sizes == [n, n, expected_witness_size(level.k)]
+        assert level.k == 8
+
     def test_block_translation_identities(self):
         """The three witness-midpoint blocks are exact translates of the
         flattened, averaged, and rotated copies of the previous data."""
@@ -196,9 +264,10 @@ class TestFindEpsilon:
             return real_step(level, eps)
 
         monkeypatch.setattr(construction, "step", counting_step)
-        build(6)
+        build(10)
         # Exponents 1..5 at level 1, 5, 4, 3 at level 2, then 4, 3 per level.
-        assert len(calls) == 14
+        per_level = Counter(k for k, _ in calls)
+        assert per_level == {1: 5, 2: 3, **{k: 2 for k in range(3, 10)}}
         assert len(set(calls)) == len(calls)
 
 
