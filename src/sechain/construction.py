@@ -192,7 +192,8 @@ def step(level: Level, eps: Fraction) -> Optional[Level]:
     n, m = len(level.a), len(level.a) + len(level.b)
     k = Scaled(level.a + level.b + (off.rotated_b_in_a, off.flat_b_in_b, off.rotated_a_in_b))
     p, q = eps.numerator, eps.denominator
-    t, fx, fy = 2 * k.s * q * q, p * q, p * p
+    up = 2 * q * q  # an integer over s is up times itself over t
+    t, fx, fy = up * k.s, p * q, p * p
 
     rows = k.rows()
     flat, rot = [], []
@@ -202,7 +203,7 @@ def step(level: Level, eps: Fraction) -> Optional[Level]:
         rot.append((xa - 3 * yb, xb - ya, 3 * xb + ya, xa + yb))
 
     def shifted(block: list[Row], offset: Row) -> list[Row]:
-        o = tuple(2 * q * q * c for c in offset)  # over s -> over t
+        o = tuple(up * c for c in offset)
         return [tuple(map(add, row, o)) for row in block]
 
     in_a, in_b, rot_a_in_b = rows[m:]

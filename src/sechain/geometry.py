@@ -114,6 +114,7 @@ class Scaled:
         return len(self.xa)
 
     def rows(self) -> list[Row]:
+        """Point i as the row (xa[i], xb[i], ya[i], yb[i])."""
         return list(zip(self.xa, self.xb, self.ya, self.yb))
 
     def points(self) -> list[Point]:
