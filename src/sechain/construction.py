@@ -130,7 +130,7 @@ class Level:
         else:
             mids = self._scaled_midpoints()
             mids_chain = chain_defect(mids)
-            sets = (("chain a", a), ("chain b", b), ("witness midpoints", mids.points()))
+            sets = (("chain a", a), ("chain b", b), ("witness midpoints", mids))
             independence = next(
                 (f"{name}: not convexly independent" for name, points in sets
                  if not is_convexly_independent(points)),

@@ -6,12 +6,14 @@ Two different algorithms compute the same number:
   first one that is convexly independent.  Exponential, only meant for
   small inputs, and used to cross-check the DP.
 
-* `ci_dp` runs the classical anchored dynamic program: for every point
-  taken as the bottom-most vertex of a candidate polygon, the remaining
-  points are sorted by angle around the anchor and the longest chain of
-  strict left turns that closes back to the anchor is computed.  O(n^3)
-  transitions overall thanks to a monotone pointer over pre-sorted
-  direction lists.
+* `ci_dp` runs the edge-sorted dynamic program (Eppstein, Overmars,
+  Rote and Woeginger, "Finding minimum area k-gons", 1992; Chvatal and
+  Klincsek, 1980).  The directed edges are sorted by angle once, in an
+  exact O(n^2 log n) sort; a convex polygon is then a path whose edge
+  angles strictly increase from its bottom-most vertex back to it.  One
+  integer-only relaxation over the sorted edges per anchor gives the
+  longest such path, O(n^3) in all.  Memory is O(n^2): the sorted
+  edges as two lists of vertex labels, one entry per directed edge.
 
 Both are exact and take every orientation sign from the one kernel,
 `geometry.Scaled` (integers over a shared denominator), so they differ
@@ -23,11 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable
 
 from .geometry import Point, Scaled, convex_hull, is_convexly_independent, sort_key
-from .numbers import sign2
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,136 +72,66 @@ def ci_bruteforce(points: Iterable[Point], max_points: int = 20) -> CiResult:
 
 
 def ci_dp(points: Iterable[Point], max_points: int = DP_MAX_POINTS) -> CiResult:
-    """Largest convexly independent subset via the anchored DP."""
+    """Largest convexly independent subset via the edge-sorted DP."""
     pts = _prepare(points, max_points, "ci_dp")
     n = len(pts)
     if n <= 2:
         return CiResult(n, tuple(pts))
 
-    # Every orientation sign comes from the shared kernel; its integer
-    # coordinates also give the exact squared-length comparison below.
-    kernel = Scaled(pts)
-    cross_sign = kernel.cross_sign
-    xa, xb, ya, yb = kernel.xa, kernel.xb, kernel.ya, kernel.yb
+    # Label the points by (y, x) rank: edge u -> v then has its angle in
+    # [0, pi) exactly when u < v, and its reverse v -> u the angle plus pi.
+    k = Scaled(pts)
+    yx = cmp_to_key(lambda i, j: -(k.dy_sign(i, j) or k.dx_sign(i, j)))
+    ranked = [pts[i] for i in sorted(range(n), key=yx)]
+    cross_sign = Scaled(ranked).cross_sign
 
-    def len2_cmp(p: int, q1: int, q2: int) -> int:
-        """Compare |q1 - p|^2 with |q2 - p|^2."""
+    # Sort the edges u -> v with u < v (code u*n + v) by angle, then
+    # again for their reverses.  Parallel edges go with the source of
+    # higher rank first, or of lower rank for the reverses: on one line
+    # that is the source furthest along the direction, so a path never
+    # takes two collinear edges in a row and its turns stay strict.
+    def by_angle(codes: list[int], reverse: bool) -> list[int]:
+        def cmp(c1: int, c2: int) -> int:
+            u1, v1 = divmod(c1, n)
+            u2, v2 = divmod(c2, n)
+            return -cross_sign(u1, v1, u2, v2) or (v1 - v2 if reverse else u2 - u1)
+        return sorted(codes, key=cmp_to_key(cmp))
 
-        def parts(q: int) -> tuple[int, int]:
-            dxa = xa[q] - xa[p]
-            dxb = xb[q] - xb[p]
-            dya = ya[q] - ya[p]
-            dyb = yb[q] - yb[p]
-            return (
-                dxa * dxa + 3 * dxb * dxb + dya * dya + 3 * dyb * dyb,
-                2 * (dxa * dxb + dya * dyb),
-            )
+    up = by_angle([u * n + v for u in range(n) for v in range(u + 1, n)], False)
+    down = by_angle(up, True)
+    label = list(range(n))  # one int object per label
+    src = [label[c // n] for c in up] + [label[c % n] for c in down]
+    dst = [label[c % n] for c in up] + [label[c // n] for c in down]
+    del up, down
 
-        a1, b1 = parts(q1)
-        a2, b2 = parts(q2)
-        return sign2(a1 - a2, b1 - b2)
-
-    # half[i][j]: 0 when dir(i->j) has angle in [0, pi) or i == j, else 1.
-    half = [
-        [int((kernel.dy_sign(i, j) or kernel.dx_sign(i, j)) < 0) for j in range(n)]
-        for i in range(n)
-    ]
-
-    # Sort keys: half-plane, then turn, then distance or index.
-    def out_cmp(i: int):
-        hrow = half[i]
-        return lambda j1, j2: (
-            hrow[j1] - hrow[j2] or -cross_sign(i, j1, i, j2) or len2_cmp(i, j1, j2)
-        )
-
-    def in_cmp(j: int):
-        return lambda h1, h2: (
-            half[h1][j] - half[h2][j] or -cross_sign(h1, j, h2, j) or h1 - h2
-        )
-
-    others = [[j for j in range(n) if j != i] for i in range(n)]
-    out_sorted = [sorted(others[i], key=cmp_to_key(out_cmp(i))) for i in range(n)]
-    in_sorted = [sorted(others[j], key=cmp_to_key(in_cmp(j))) for j in range(n)]
-
-    # Anchors in (y, x) order; a polygon is counted at its bottom-most,
-    # then leftmost, vertex, so candidates are the points after the
-    # anchor in this order.
-    yx = cmp_to_key(lambda i, j: -(kernel.dy_sign(i, j) or kernel.dx_sign(i, j)))
-    order = sorted(range(n), key=yx)
-    rank = [0] * n
-    for r, t in enumerate(order):
-        rank[t] = r
-
-    best_size = 2
-    best_poly = [pts[0], pts[1]]
-
-    pos_arr = [-1] * n
-    for a in order:
-        rank_a = rank[a]
-        cand = [j for j in out_sorted[a] if rank[j] > rank_a]
-        big = len(cand)
-        if big < 2:
-            continue
-        for t, j in enumerate(cand):
-            pos_arr[j] = t
-        # Points sharing a ray from the anchor get one group id; a valid
-        # polygon uses at most one point per group, which the strict
-        # turn conditions enforce on their own, but group ids give the
-        # O(1) test for the two-leg base chains.
-        group = [0] * big
-        for t in range(1, big):
-            group[t] = group[t - 1] + (cross_sign(a, cand[t - 1], a, cand[t]) != 0)
-        g = [[0] * big for _ in range(big)]
-        par = [[-2] * big for _ in range(big)]
-        for ipos in range(big):
-            i = cand[ipos]
-            out_el = [j for j in out_sorted[i] if pos_arr[j] > ipos]
-            if not out_el:
-                continue
-            in_el = [h for h in in_sorted[i] if -1 < pos_arr[h] < ipos]
-            n_in = len(in_el)
-            ptr = 0
-            run_best = 0
-            run_arg = -2
-            gi = g[ipos]
-            pi = par[ipos]
-            gival = group[ipos]
-            for j in out_el:
-                jpos = pos_arr[j]
-                while ptr < n_in:
-                    h = in_el[ptr]
-                    if cross_sign(h, i, i, j) > 0:
-                        val = g[pos_arr[h]][ipos]
-                        if val > run_best:
-                            run_best = val
-                            run_arg = pos_arr[h]
-                        ptr += 1
-                    else:
-                        break
-                if group[jpos] != gival:
-                    length = 3
-                    parent = -1
-                else:
-                    length = 0
-                    parent = -2
-                if run_best and run_best + 1 > length:
-                    length = run_best + 1
-                    parent = run_arg
-                if not length:
-                    continue
-                gi[jpos] = length
-                pi[jpos] = parent
-                if length > best_size and cross_sign(i, j, j, a) > 0:
-                    best_size = length
-                    seq = [jpos, ipos]
-                    wi, wj = ipos, jpos
-                    while par[wi][wj] >= 0:
-                        wh = par[wi][wj]
-                        seq.append(wh)
-                        wi, wj = wh, wi
-                    best_poly = [pts[a]]
-                    best_poly += [pts[cand[t]] for t in reversed(seq)]
-        for j in cand:
-            pos_arr[j] = -1
-
-    return CiResult(best_size, tuple(best_poly))
+    # For anchor a, the bottom-most then leftmost vertex of the polygon,
+    # length[v] is the longest path a -> v over the edges so far, in
+    # angle order, through points ranked from a on: no edge may enter a
+    # point ranked below a, so none leaves one either, and edges that
+    # touch one are dropped once they are half the list.  Every edge out
+    # of a comes before every edge into a, so length[a] - 1 ends as the
+    # largest polygon with anchor a.  path[v] is its persistent (vertex,
+    # rest) list, which a later, longer path to u cannot rewrite.
+    best = [pts[0], pts[1]]
+    for a in range(n):
+        if n - a <= len(best):
+            break
+        if 2 * (n - a) ** 2 < len(src):
+            keep = [u >= a and v >= a for u, v in zip(src, dst)]
+            src, dst = list(compress(src, keep)), list(compress(dst, keep))
+        length = [0] * n
+        length[a] = 1
+        path: list = [None] * n
+        path[a] = (a, None)
+        for u, v in zip(src, dst):
+            lu = length[u]
+            if lu and lu >= length[v] and v >= a:
+                length[v] = lu + 1
+                path[v] = (v, path[u])
+        if length[a] - 1 > len(best):
+            ring, node = [], path[a][1]
+            while node:
+                v, node = node
+                ring.append(ranked[v])
+            best = ring[::-1]
+    return CiResult(len(best), tuple(best))

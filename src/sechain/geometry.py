@@ -273,18 +273,12 @@ def midpoint_set(ps: Iterable[Point], qs: Iterable[Point]) -> frozenset[Point]:
     return frozenset(midpoint(p, q) for p in ps for q in qs)
 
 
-def convex_hull(points: Iterable[Point]) -> list[Point]:
-    """Strict convex hull, counterclockwise, via the monotone chain scan.
-
-    Only corner points are kept: a point lying in the interior of a hull
-    edge is not reported.  Input order and multiplicity are irrelevant.
-    """
-    pts = list(set(points))
-    if len(pts) < 2:
-        return pts
-    k = Scaled(pts)
+def _hull(k: Scaled) -> list[int]:
+    """Indices of the strict hull corners of distinct points, counterclockwise."""
+    if len(k) < 2:
+        return list(range(len(k)))
     xy = cmp_to_key(lambda i, j: -(k.dx_sign(i, j) or k.dy_sign(i, j)))
-    order = sorted(range(len(pts)), key=xy)
+    order = sorted(range(len(k)), key=xy)
 
     def half_hull(indices: Iterable[int]) -> list[int]:
         h: list[int] = []
@@ -294,17 +288,25 @@ def convex_hull(points: Iterable[Point]) -> list[Point]:
             h.append(i)
         return h[:-1]
 
-    return [pts[i] for i in half_hull(order) + half_hull(reversed(order))]
+    return half_hull(order) + half_hull(reversed(order))
 
 
-def is_convexly_independent(points: Iterable[Point]) -> bool:
+def convex_hull(points: Iterable[Point]) -> list[Point]:
+    """Strict convex hull, counterclockwise, via the monotone chain scan.
+
+    Only corner points are kept: a point lying in the interior of a hull
+    edge is not reported.  Input order and multiplicity are irrelevant.
+    """
+    pts = list(set(points))
+    return [pts[i] for i in _hull(Scaled(pts))]
+
+
+def is_convexly_independent(points: Iterable[Point] | Scaled) -> bool:
     """True iff the points are pairwise distinct and every one of them is
     a corner of their convex hull.
 
     Zero, one, or two distinct points count as convexly independent; a
-    repeated point never does.
+    repeated point never does.  A `Scaled` sequence is used as it is.
     """
-    pts = list(points)
-    if len(set(pts)) != len(pts):
-        return False
-    return len(convex_hull(pts)) == len(pts)
+    k = points if isinstance(points, Scaled) else Scaled(list(points))
+    return len(set(k.rows())) == len(k) == len(_hull(k))

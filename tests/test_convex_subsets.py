@@ -7,6 +7,7 @@ from sechain.construction import base_case
 from sechain.convex_subsets import CiResult, ci_bruteforce, ci_dp
 from sechain.geometry import (
     Point,
+    Scaled,
     convex_hull,
     is_convexly_independent,
     midpoint_set,
@@ -27,6 +28,18 @@ def assert_sound(result: CiResult, points) -> None:
     assert set(result.witness) <= pool
     assert is_convexly_independent(result.witness)
     assert set(convex_hull(result.witness)) == set(result.witness)
+    assert_strictly_ccw(result.witness)
+
+
+def assert_strictly_ccw(witness) -> None:
+    """Every cyclic triple of the witness is a strict left turn."""
+    m = len(witness)
+    if m < 3:
+        return
+    k = Scaled(list(witness))
+    for t in range(m):
+        u, v = (t + 1) % m, (t + 2) % m
+        assert k.cross_sign(t, u, u, v) > 0, (t, witness)
 
 
 class TestExamples:
@@ -75,6 +88,24 @@ class TestExamples:
         brute, dp = both(grid)
         assert brute.size == dp.size == 6
         assert_sound(dp, grid)
+
+    def test_witness_is_strictly_counterclockwise(self):
+        rng = random.Random("ccw")
+        for _ in range(20):
+            pts = [rand_point(rng, irrational=rng.random() < 0.5) for _ in range(9)]
+            for solver in (ci_bruteforce, ci_dp):
+                res = solver(pts)
+                assert res.size >= 3
+                assert_strictly_ccw(res.witness)
+
+    def test_level_midpoint_set_sizes(self, levels):
+        # The exact maxima for levels 1..4; criterion 2 only checks the
+        # lower bound (k + 2) * 2**(k - 1).
+        for k, size in {1: 4, 2: 10, 3: 22, 4: 51}.items():
+            pts = midpoint_set(levels[k].a, levels[k].b)
+            res = ci_dp(pts)
+            assert res.size == size
+            assert_sound(res, pts)
 
     def test_irrational_coordinates(self):
         s = QSqrt3(0, 1)
@@ -126,10 +157,15 @@ class TestAgreement:
         if flavor == "grid":
             w, h = rng.randint(2, 3), rng.randint(2, 4)
             return [pt(x, y) for x in range(w) for y in range(h)]
+        if flavor == "lattice":
+            # Parallel edges on distinct lines, and collinear runs.
+            w, h = rng.randint(2, 5), rng.randint(2, 4)
+            cells = [pt(x, y) for x in range(w) for y in range(h)]
+            return rng.sample(cells, min(len(cells), rng.randint(5, 12)))
         raise AssertionError(flavor)
 
     @pytest.mark.parametrize(
-        "flavor", ["random", "irrational", "collinear", "duplicates", "grid"]
+        "flavor", ["random", "irrational", "collinear", "duplicates", "grid", "lattice"]
     )
     def test_dp_matches_bruteforce(self, flavor):
         rng = random.Random(f"agree-{flavor}")

@@ -395,6 +395,16 @@ class TestConvexIndependence:
     def test_matches_quartic_oracle(self, pts):
         assert is_convexly_independent(pts) == convex_position_oracle(pts)
 
+    @given(st.lists(points_st, min_size=1, max_size=7))
+    @settings(max_examples=80)
+    def test_scaled_input_matches_quartic_oracle(self, pts):
+        assert is_convexly_independent(Scaled(pts)) == convex_position_oracle(pts)
+
+    def test_scaled_repeated_row_breaks_independence(self):
+        rows = [(0, 0, 0, 0), (2, 0, 0, 0), (0, 0, 2, 0)]
+        assert is_convexly_independent(Scaled.from_rows(rows, 2))
+        assert not is_convexly_independent(Scaled.from_rows(rows + rows[1:2], 2))
+
     @given(chains_st(min_len=2, max_len=7))
     def test_chains_are_convexly_independent(self, chain):
         assert is_convexly_independent(chain.points)
