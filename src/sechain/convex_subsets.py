@@ -80,9 +80,7 @@ def ci_dp(points: Iterable[Point], max_points: int = DP_MAX_POINTS) -> CiResult:
 
     # Label the points by (y, x) rank: edge u -> v then has its angle in
     # [0, pi) exactly when u < v, and its reverse v -> u the angle plus pi.
-    k = Scaled(pts)
-    yx = cmp_to_key(lambda i, j: -(k.dy_sign(i, j) or k.dx_sign(i, j)))
-    ranked = [pts[i] for i in sorted(range(n), key=yx)]
+    ranked = sorted(pts, key=lambda p: (p.y, p.x))
     cross_sign = Scaled(ranked).cross_sign
 
     # Sort the edges u -> v with u < v (code u*n + v) by angle, then
@@ -110,8 +108,9 @@ def ci_dp(points: Iterable[Point], max_points: int = DP_MAX_POINTS) -> CiResult:
     # point ranked below a, so none leaves one either, and edges that
     # touch one are dropped once they are half the list.  Every edge out
     # of a comes before every edge into a, so length[a] - 1 ends as the
-    # largest polygon with anchor a.  path[v] is its persistent (vertex,
-    # rest) list, which a later, longer path to u cannot rewrite.
+    # largest polygon with anchor a.  path[v] holds the path to v as
+    # persistent (vertex, rest) tuples: a parent array would let a later,
+    # longer path to u rewrite a path already extended through u.
     best = [pts[0], pts[1]]
     for a in range(n):
         if n - a <= len(best):

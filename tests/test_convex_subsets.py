@@ -89,15 +89,6 @@ class TestExamples:
         assert brute.size == dp.size == 6
         assert_sound(dp, grid)
 
-    def test_witness_is_strictly_counterclockwise(self):
-        rng = random.Random("ccw")
-        for _ in range(20):
-            pts = [rand_point(rng, irrational=rng.random() < 0.5) for _ in range(9)]
-            for solver in (ci_bruteforce, ci_dp):
-                res = solver(pts)
-                assert res.size >= 3
-                assert_strictly_ccw(res.witness)
-
     def test_level_midpoint_set_sizes(self, levels):
         # The exact maxima for levels 1..4; criterion 2 only checks the
         # lower bound (k + 2) * 2**(k - 1).

@@ -388,7 +388,9 @@ class TestConvexIndependence:
         assert convex_position_oracle(pts)
 
     def test_duplicate_breaks_independence(self):
-        assert not is_convexly_independent([pt(0, 0), pt(1, 0), pt(1, 0), pt(0, 1)])
+        pts = [pt(0, 0), pt(1, 0), pt(1, 0), pt(0, 1)]
+        assert not is_convexly_independent(pts)
+        assert not is_convexly_independent(Scaled(pts))
 
     @given(st.lists(points_st, min_size=1, max_size=7))
     @settings(max_examples=80)
@@ -399,11 +401,6 @@ class TestConvexIndependence:
     @settings(max_examples=80)
     def test_scaled_input_matches_quartic_oracle(self, pts):
         assert is_convexly_independent(Scaled(pts)) == convex_position_oracle(pts)
-
-    def test_scaled_repeated_row_breaks_independence(self):
-        rows = [(0, 0, 0, 0), (2, 0, 0, 0), (0, 0, 2, 0)]
-        assert is_convexly_independent(Scaled.from_rows(rows, 2))
-        assert not is_convexly_independent(Scaled.from_rows(rows + rows[1:2], 2))
 
     @given(chains_st(min_len=2, max_len=7))
     def test_chains_are_convexly_independent(self, chain):
