@@ -88,16 +88,16 @@ def ci_dp(points: Iterable[Point], max_points: int = DP_MAX_POINTS) -> CiResult:
     # higher rank first, or of lower rank for the reverses: on one line
     # that is the source furthest along the direction, so a path never
     # takes two collinear edges in a row and its turns stay strict.
-    def by_angle(codes: list[int], reverse: bool) -> list[int]:
+    def by_angle(codes: list[int], reverses: bool) -> list[int]:
         def cmp(c1: int, c2: int) -> int:
             u1, v1 = divmod(c1, n)
             u2, v2 = divmod(c2, n)
-            return -cross_sign(u1, v1, u2, v2) or (v1 - v2 if reverse else u2 - u1)
+            return -cross_sign(u1, v1, u2, v2) or (v1 - v2 if reverses else u2 - u1)
         return sorted(codes, key=cmp_to_key(cmp))
 
     up = by_angle([u * n + v for u in range(n) for v in range(u + 1, n)], False)
     down = by_angle(up, True)
-    label = list(range(n))  # one int object per label
+    label = list(range(n))  # shared int objects: ints past 256 are not cached
     src = [label[c // n] for c in up] + [label[c % n] for c in down]
     dst = [label[c % n] for c in up] + [label[c // n] for c in down]
     del up, down

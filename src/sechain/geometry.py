@@ -8,10 +8,11 @@ relies on.  All predicates here decide by exact sign computations; there
 is no epsilon anywhere.
 
 `Scaled` is the one orientation kernel: it holds a point sequence as
-integers over one shared scale.  `chain_defect`, `convex_hull` and
-`convex_subsets.ci_dp` take every coordinate and turn sign from it, and
-`construction.step`, `Level.witness_midpoints` and `render` compute in
-it.  The `Point` functions `flatten`, `rotate60`, `midpoint`,
+integers over one shared scale.  `chain_defect`, `convex_hull`,
+`is_convexly_independent` and `convex_subsets.ci_dp` take every
+coordinate and turn sign from it, and `construction.step`,
+`Level.witness_midpoints`, `Level.checks` and `render` compute in it.
+The `Point` functions `flatten`, `rotate60`, `midpoint`,
 `transform_chains` and `midpoint_set` are the value forms those integer
 paths are tested against.
 Slope monotonicity is tested with cross products rather than divisions:
