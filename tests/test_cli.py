@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,12 @@ def _hostile(name: str, text: str) -> str:
         return "[" * 100_000 + "]" * 100_000 + "\n"
     elif name == "float-overflow":
         coord["num"] = "7" * 4000  # parses, but overflows a float
+    elif name == "extent-overflow":  # each x fits a float, their distance does not
+        objects = document["objects"]
+        objects["a_chain"]["points"] = [
+            encode_point(pt(-(10**308), 0)), encode_point(pt(10**308, 1))
+        ]
+        objects["witness_pairs"]["pairs"] = []
     elif name == "empty-chains":  # well-formed, but there is nothing to draw
         objects = document["objects"]
         objects["a_chain"]["points"] = objects["b_chain"]["points"] = []
@@ -239,10 +246,13 @@ def test_hostile_document_is_rejected(construction_file, tmp_path, command, case
         assert f"error: cannot read {doc}: not UTF-8" in proc.stderr
 
 
-def test_render_rejects_coordinate_beyond_float(construction_file, tmp_path):
-    doc = tmp_path / "float-overflow.json"
-    doc.write_text(_hostile("float-overflow", construction_file.read_text()))
-    _assert_rejected(_run_cli("render", str(doc), "-o", str(tmp_path / "out.svg")))
+@pytest.mark.parametrize("case", ["float-overflow", "extent-overflow"])
+def test_render_rejects_coordinate_beyond_float(construction_file, tmp_path, case):
+    doc = tmp_path / f"{case}.json"
+    doc.write_text(_hostile(case, construction_file.read_text()))
+    proc = _run_cli("render", str(doc), "-o", str(tmp_path / "out.svg"))
+    _assert_rejected(proc)
+    assert proc.stderr.startswith("error: cannot render: ")
 
 
 def test_empty_chains_keep_the_exit_contract(construction_file, tmp_path):
@@ -393,6 +403,21 @@ class TestRender:
         assert text.count('<circle class="chain-b"') == 2
         assert text.count('<circle class="witness"') == 3
         assert text.count('<circle class="mid"') == 4
+        # The SVG is written as text, so check that it parses as XML.
+        root = ET.fromstring(svg.read_bytes())
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+        assert len(root) == 2 + 11 + 3  # style, rect, circles, polylines
+
+    def test_single_witness_pair_draws_no_witness_line(self, construction_file, tmp_path):
+        document = json.loads(construction_file.read_text())
+        del document["objects"]["witness_pairs"]["pairs"][1:]
+        doc, svg = tmp_path / "one-pair.json", tmp_path / "out.svg"
+        doc.write_text(json.dumps(document))
+        assert main(["render", str(doc), "-o", str(svg)]) == 0
+        text = svg.read_text()
+        assert text.count('<circle class="witness"') == 1
+        assert '<polyline class="witness"' not in text
+        assert text.count('<polyline class="chain-') == 2
 
     def test_rejects_non_construction(self, tmp_path, capsys):
         doc = tmp_path / "pts.json"
