@@ -24,7 +24,7 @@ from .document import (
     graph_to_document,
     load_path,
 )
-from .geometry import midpoint
+from .geometry import Scaled
 from .graphs import (
     BipartiteDrawing,
     drawing_defect,
@@ -133,14 +133,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_ci(args: argparse.Namespace) -> int:
     kind, payload = load_path(args.input)
     if kind == "construction":
-        # Past the larger solver cap either solver refuses: stop there.
-        points = set()
-        for p in payload.a:
-            points.update(midpoint(p, q) for q in payload.b)
-            if len(points) > DP_MAX_POINTS:
+        # The midpoints as integer rows, one chain-a point at a time; past
+        # the larger solver cap either solver refuses: stop there.
+        n, m = len(payload.a), len(payload.b)
+        chains = Scaled(payload.a + payload.b)
+        rows = set()
+        for i in range(n):
+            rows.update(chains.midpoints(n, ((i, j) for j in range(m))).rows())
+            if len(rows) > DP_MAX_POINTS:
                 break
+        points = Scaled.from_rows(list(rows), 2 * chains.s)
+        distinct = len(rows)
     elif kind == "points":
-        points = payload
+        points, distinct = payload, len(set(payload))
     else:
         print("error: ci needs a construction or points document",
               file=sys.stderr)
@@ -160,7 +165,7 @@ def _cmd_ci(args: argparse.Namespace) -> int:
         sys.stdout.write(json.dumps(payload_out, sort_keys=True, indent=2) + "\n")
     else:
         print(f"largest convexly independent subset: {result.size} "
-              f"(algo={args.algo}, input={len(set(points))} points)")
+              f"(algo={args.algo}, input={distinct} points)")
     return 0
 
 

@@ -15,10 +15,17 @@ Two different algorithms compute the same number:
   longest such path, O(n^3) in all.  Memory is O(n^2): the sorted
   edges as two lists of vertex labels, one entry per directed edge.
 
-Both are exact and take every orientation sign from the one kernel,
-`geometry.Scaled` (integers over a shared denominator), so they differ
-in algorithm, not in arithmetic.  The oracles independent of that
-kernel are in `tests/helpers.py` and `perfbench/exact.py`.
+  The sort is native: each edge gets one exact integer key, the floor
+  of 2**64 * cot(angle), which never decreases as the angle grows, and
+  only edges whose keys are equal (exactly parallel edges, or angles
+  closer than the key resolves) are ordered by the orientation sign.
+
+Both take the points as `Point`s or as a `Scaled`, remove duplicates on
+integer rows and check their cap before any sort.  Both are exact and
+take every sign from the one kernel, `geometry.Scaled` (integers over a
+shared denominator), so they differ in algorithm, not in arithmetic.
+The oracles independent of that kernel are in `tests/helpers.py` and
+`perfbench/exact.py`.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from functools import cmp_to_key
 from itertools import combinations, compress
 from typing import Iterable
 
-from .geometry import Point, Scaled, convex_hull, is_convexly_independent, sort_key
+from .geometry import Point, Scaled, convex_hull, is_convexly_independent
+from .numbers import floor2
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,24 +51,42 @@ class CiResult:
 
 
 DP_MAX_POINTS = 2500  # ci_dp's default cap, the larger of the two
+_KEY_BITS = 64  # edge keys resolve cot(angle) to 2**-64
 
 
-def _prepare(points: Iterable[Point], max_points: int, what: str) -> list[Point]:
-    pts = sorted(set(points), key=sort_key)
-    if not pts:
+def _prepare(points: Iterable[Point] | Scaled, max_points: int, what: str) -> Scaled:
+    """The distinct points, refused past `max_points` before any sort."""
+    if isinstance(points, Scaled):
+        k = Scaled.from_rows(list(set(points.rows())), points.s)
+    else:
+        k = Scaled(list(set(points)))
+    if not len(k):
         raise ValueError("need at least one point")
-    if len(pts) > max_points:
+    if len(k) > max_points:
         raise ValueError(f"{what} refuses more than {max_points} points")
-    return pts
+    return k
 
 
-def ci_bruteforce(points: Iterable[Point], max_points: int = 20) -> CiResult:
+def _sorted(k: Scaled, y_first: bool) -> Scaled:
+    """The points of k in exact (y, x) order, or (x, y) order."""
+    first, second = (k.dy_sign, k.dx_sign) if y_first else (k.dx_sign, k.dy_sign)
+    order = sorted(range(len(k)), key=cmp_to_key(lambda i, j: -(first(i, j) or second(i, j))))
+    rows = k.rows()
+    return Scaled.from_rows([rows[i] for i in order], k.s)
+
+
+def _points(k: Scaled, indices: Iterable[int]) -> tuple[Point, ...]:
+    rows = k.rows()
+    return tuple(Scaled.from_rows([rows[i] for i in indices], k.s).points())
+
+
+def ci_bruteforce(points: Iterable[Point] | Scaled, max_points: int = 20) -> CiResult:
     """Exact maximum by exhaustive search; the cross-check for `ci_dp`.
 
     Among maximum-size subsets the lexicographically smallest one (by
     sorted point order) is returned, which makes results reproducible.
     """
-    pts = _prepare(points, max_points, "ci_bruteforce")
+    pts = _sorted(_prepare(points, max_points, "ci_bruteforce"), y_first=False).points()
     n = len(pts)
     if n <= 2:
         return CiResult(n, tuple(pts))
@@ -71,36 +97,74 @@ def ci_bruteforce(points: Iterable[Point], max_points: int = 20) -> CiResult:
     return CiResult(2, (pts[0], pts[1]))
 
 
-def ci_dp(points: Iterable[Point], max_points: int = DP_MAX_POINTS) -> CiResult:
-    """Largest convexly independent subset via the edge-sorted DP."""
-    pts = _prepare(points, max_points, "ci_dp")
-    n = len(pts)
-    if n <= 2:
-        return CiResult(n, tuple(pts))
+def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
+    """Sources and targets of the directed edges of k, whose points are
+    ranked by (y, x), in order of angle.
 
-    # Label the points by (y, x) rank: edge u -> v then has its angle in
-    # [0, pi) exactly when u < v, and its reverse v -> u the angle plus pi.
-    ranked = sorted(pts, key=lambda p: (p.y, p.x))
-    cross_sign = Scaled(ranked).cross_sign
+    Edge u -> v has its angle in [0, pi) exactly when u < v, and its
+    reverse v -> u the angle plus pi, so the edges u -> v with u < v
+    come first, then their reverses.  Parallel edges go with the source
+    of higher rank first, or of lower rank for the reverses: on one line
+    that is the source furthest along the direction, so a path never
+    takes two collinear edges in a row and its turns stay strict.
+    """
+    n = len(k)
+    xa, xb, ya, yb, cross_sign = k.xa, k.xb, k.ya, k.yb, k.cross_sign
 
-    # Sort the edges u -> v with u < v (code u*n + v) by angle, then
-    # again for their reverses.  Parallel edges go with the source of
-    # higher rank first, or of lower rank for the reverses: on one line
-    # that is the source furthest along the direction, so a path never
-    # takes two collinear edges in a row and its turns stay strict.
-    def by_angle(codes: list[int], reverses: bool) -> list[int]:
+    # Horizontal edges (angle 0) come first.  Every other edge u -> v
+    # has dy > 0 and the key floor(2**64 * -dx/dy), with -dx/dy = (p +
+    # q*sqrt(3)) / d after multiplying by the conjugate of dy; it is
+    # packed above the edge code u*n + v, which is the input order, so
+    # one native sort of the packed ints is a stable sort by key.
+    shift = (n * n).bit_length()
+    flat, packed = [], []
+    for u in range(n):
+        for v in range(u + 1, n):
+            dya, dyb = ya[v] - ya[u], yb[v] - yb[u]
+            if not (dya or dyb):
+                flat.append(u * n + v)
+                continue
+            dxa, dxb = xa[v] - xa[u], xb[v] - xb[u]
+            p, q, d = 3 * dxb * dyb - dxa * dya, dxa * dyb - dxb * dya, dya * dya - 3 * dyb * dyb
+            packed.append(floor2(p << _KEY_BITS, q << _KEY_BITS, d) << shift | (u * n + v))
+    packed.sort()
+    edges, m, mask = flat + packed, len(flat), (1 << shift) - 1
+    del flat, packed
+
+    # Runs [i, j) of more than one edge with one key, the horizontal
+    # edges included, are sorted by the exact comparator, stably, so the
+    # whole order is that of one comparator sort of the edge codes.
+    runs = [[0, m]] if m > 1 else []
+    for i in range(m + 1, len(edges)):
+        if edges[i] >> shift == edges[i - 1] >> shift:
+            if runs and runs[-1][1] == i:
+                runs[-1][1] = i + 1
+            else:
+                runs.append([i - 1, i + 1])
+
+    def by_angle(reverses: bool) -> None:
         def cmp(c1: int, c2: int) -> int:
-            u1, v1 = divmod(c1, n)
-            u2, v2 = divmod(c2, n)
+            u1, v1 = divmod(c1 & mask, n)
+            u2, v2 = divmod(c2 & mask, n)
             return -cross_sign(u1, v1, u2, v2) or (v1 - v2 if reverses else u2 - u1)
-        return sorted(codes, key=cmp_to_key(cmp))
+        for i, j in runs:
+            edges[i:j] = sorted(edges[i:j], key=cmp_to_key(cmp))
 
-    up = by_angle([u * n + v for u in range(n) for v in range(u + 1, n)], False)
-    down = by_angle(up, True)
     label = list(range(n))  # shared int objects: ints past 256 are not cached
-    src = [label[c // n] for c in up] + [label[c % n] for c in down]
-    dst = [label[c % n] for c in up] + [label[c // n] for c in down]
-    del up, down
+    by_angle(False)
+    up_src, up_dst = [label[(c & mask) // n] for c in edges], [label[(c & mask) % n] for c in edges]
+    by_angle(True)
+    down_src, down_dst = [label[(c & mask) % n] for c in edges], [label[(c & mask) // n] for c in edges]
+    del edges
+    return up_src + down_src, up_dst + down_dst
+
+
+def ci_dp(points: Iterable[Point] | Scaled, max_points: int = DP_MAX_POINTS) -> CiResult:
+    """Largest convexly independent subset via the edge-sorted DP."""
+    k = _prepare(points, max_points, "ci_dp")
+    n = len(k)
+    ranked = _sorted(k, y_first=True)
+    src, dst = _angle_sorted_edges(ranked)
 
     # For anchor a, the bottom-most then leftmost vertex of the polygon,
     # length[v] is the longest path a -> v over the edges so far, in
@@ -111,9 +175,9 @@ def ci_dp(points: Iterable[Point], max_points: int = DP_MAX_POINTS) -> CiResult:
     # largest polygon with anchor a.  path[v] holds the path to v as
     # persistent (vertex, rest) tuples: a parent array would let a later,
     # longer path to u rewrite a path already extended through u.
-    best = [pts[0], pts[1]]
+    best: list[int] = []  # the largest polygon so far, once it has 3 points
     for a in range(n):
-        if n - a <= len(best):
+        if n - a <= max(len(best), 2):
             break
         if 2 * (n - a) ** 2 < len(src):
             keep = [u >= a and v >= a for u, v in zip(src, dst)]
@@ -127,10 +191,12 @@ def ci_dp(points: Iterable[Point], max_points: int = DP_MAX_POINTS) -> CiResult:
             if lu and lu >= length[v] and v >= a:
                 length[v] = lu + 1
                 path[v] = (v, path[u])
-        if length[a] - 1 > len(best):
+        if length[a] - 1 > max(len(best), 2):
             ring, node = [], path[a][1]
             while node:
                 v, node = node
-                ring.append(ranked[v])
+                ring.append(v)
             best = ring[::-1]
-    return CiResult(len(best), tuple(best))
+    if not best:  # at most two points, or all on one line: the first two by (x, y)
+        return CiResult(min(n, 2), _points(_sorted(k, y_first=False), range(min(n, 2))))
+    return CiResult(len(best), _points(ranked, best))

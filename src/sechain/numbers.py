@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from math import sqrt
+from math import isqrt, sqrt
 from typing import Union
 
 RationalLike = Union[int, Fraction]
@@ -37,6 +37,16 @@ def sign2(a: int, b: int) -> int:
     # Mixed signs: |a| vs |b|*sqrt(3), i.e. a**2 vs 3*b**2.  Equality is
     # impossible for nonzero integers, so the larger square wins.
     return sa if a * a > 3 * b * b else sb
+
+
+def floor2(a: int, b: int, d: int) -> int:
+    """Exact floor of (a + b*sqrt(3)) / d for integers a, b and d != 0."""
+    if d < 0:
+        a, b, d = -a, -b, -d
+    # For b != 0, |b|*sqrt(3) is irrational, so it lies strictly between
+    # r and r + 1; and floor(y / d) = floor(floor(y) / d) for any real y.
+    r = isqrt(3 * b * b)
+    return (a + (r if b >= 0 else -r - 1)) // d
 
 
 @total_ordering

@@ -349,21 +349,21 @@ class TestCi:
     ):
         doc = tmp_path / "level6.json"
         doc.write_text(dumps(construction_to_document(levels[6])))
-        calls = 0
-        real_midpoint = geometry.midpoint
+        built = 0
+        real_midpoints = geometry.Scaled.midpoints
 
-        def counting_midpoint(p, q):
-            nonlocal calls
-            calls += 1
-            return real_midpoint(p, q)
+        def counting_midpoints(self, n, pairs):
+            nonlocal built
+            mids = real_midpoints(self, n, pairs)
+            built += len(mids)
+            return mids
 
-        monkeypatch.setattr(geometry, "midpoint", counting_midpoint)
-        monkeypatch.setattr(cli, "midpoint", counting_midpoint)
+        monkeypatch.setattr(geometry.Scaled, "midpoints", counting_midpoints)
         assert main(["ci", str(doc)]) == 2
         assert "ci_dp refuses more than 2500 points" in capsys.readouterr().err
         # 64 x 64 = 4096 distinct midpoints exist; at most one row of 64
         # is built past the limit.
-        assert calls <= 2500 + 64
+        assert 2500 < built <= 2500 + 64
 
     def test_graph_input_rejected(self, tmp_path, capsys):
         doc = tmp_path / "g.json"
@@ -450,6 +450,12 @@ _PINNED_SVGS = {
     7: "084a87a24b95e923841f2802649a53cf2d7c49d0e596a3fb63de83180b29847b",
     8: "f2f3c9fe07d2ee593bfbed3ffbf470470055acdde1963b3277ec694d7d27bf7b",
 }
+# sha256 of `ci --json` on levels 2, 3 and 4: the size and the witness.
+_PINNED_CI = {
+    2: "74880e4e169566c55ef774a6493f7fd4aefe95bdbd124f53caee1a6ba9250e17",
+    3: "3bd47ea5820234968f6d85713405484c9a535e4b419e2f7e6d2724ff8e53677e",
+    4: "fa38150b29399ee659956273ac58b0e127929ac8fe188f89c3ab2d08dad116f1",
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -488,6 +494,13 @@ class TestPinnedBytes:
             doc.write_text(dumps(construction_to_document(levels[k])), encoding="utf-8")
             assert main(["render", str(doc), "-o", str(svg)]) == 0
             assert _sha256(svg.read_bytes()) == _PINNED_SVGS[k], k
+
+    def test_ci_json(self, levels, tmp_path, capsys):
+        for k in (2, 3, 4):
+            doc = tmp_path / f"level{k}.json"
+            doc.write_text(dumps(construction_to_document(levels[k])), encoding="utf-8")
+            assert main(["ci", "--json", str(doc)]) == 0
+            assert _sha256(capsys.readouterr().out.encode("utf-8")) == _PINNED_CI[k], k
 
 
 def _distribution_installed(name: str) -> bool:

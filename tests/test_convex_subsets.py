@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from functools import cmp_to_key
+from math import floor
 
 import pytest
 
+from sechain import convex_subsets
 from sechain.construction import base_case
-from sechain.convex_subsets import CiResult, ci_bruteforce, ci_dp
+from sechain.convex_subsets import DP_MAX_POINTS, CiResult, ci_bruteforce, ci_dp
 from sechain.geometry import (
     Point,
     Scaled,
@@ -59,6 +62,7 @@ class TestExamples:
         pts = [pt(0, 0), pt(0, 0), pt(1, 0), pt(0, 1)]
         for solver in (ci_bruteforce, ci_dp):
             assert solver(pts).size == 3
+            assert solver(Scaled(pts)) == solver(pts)
 
     def test_base_midpoint_set(self):
         lv = base_case()
@@ -128,6 +132,17 @@ class TestGuards:
         pts = [pt(i, 0) for i in range(2501)]
         with pytest.raises(ValueError):
             ci_dp(pts)
+
+    def test_one_point_over_the_cap_is_refused_before_any_sort(self, monkeypatch):
+        def no_sort(cmp):
+            raise AssertionError("sorted a point set over the cap")
+
+        monkeypatch.setattr(convex_subsets, "cmp_to_key", no_sort)
+        for solver, cap in ((ci_dp, DP_MAX_POINTS), (ci_bruteforce, 20)):
+            pts = [pt(i, i * i) for i in range(cap + 1)] + [pt(0, 0)]
+            for given in (pts, Scaled(pts)):
+                with pytest.raises(ValueError, match=f"refuses more than {cap} points"):
+                    solver(given)
 
 
 class TestAgreement:
@@ -199,3 +214,79 @@ class TestInvariances:
         rng.shuffle(shuffled)
         third = ci_dp(shuffled)
         assert first == again == third
+
+
+def by_angle(k: Scaled) -> tuple[list[int], list[int]]:
+    """The edge order `ci_dp` must reproduce: one stable comparator sort
+    of the upward edge codes u*n + v by angle, then of their reverses,
+    parallel edges ordered by source rank."""
+    n, cross_sign = len(k), k.cross_sign
+
+    def sort(codes: list[int], reverses: bool) -> list[int]:
+        def cmp(c1: int, c2: int) -> int:
+            u1, v1 = divmod(c1, n)
+            u2, v2 = divmod(c2, n)
+            return -cross_sign(u1, v1, u2, v2) or (v1 - v2 if reverses else u2 - u1)
+        return sorted(codes, key=cmp_to_key(cmp))
+
+    up = sort([u * n + v for u in range(n) for v in range(u + 1, n)], False)
+    down = sort(up, True)
+    return ([c // n for c in up] + [c % n for c in down],
+            [c % n for c in up] + [c // n for c in down])
+
+
+class TestEdgeOrder:
+    """The keyed edge sort gives exactly the comparator order."""
+
+    @staticmethod
+    def assert_comparator_order(points) -> None:
+        ranked = sorted(set(points), key=lambda p: (p.y, p.x))
+        k = Scaled(ranked)
+        assert convex_subsets._sorted(Scaled(list(points)), y_first=True).points() == ranked
+        assert convex_subsets._angle_sorted_edges(k) == by_angle(k)
+
+    def test_lattice_with_parallel_and_horizontal_edges(self):
+        grid = [pt(x, y) for x in range(6) for y in range(5)]
+        self.assert_comparator_order(grid)
+        rng = random.Random("lattice-order")
+        for _ in range(10):
+            self.assert_comparator_order(rng.sample(grid, rng.randint(3, 20)))
+
+    def test_negative_sqrt3_parts(self):
+        rng = random.Random("sqrt3-order")
+        for _ in range(10):
+            pts = [
+                Point(QSqrt3(rng.randint(-9, 9), -rng.randint(0, 4)),
+                      QSqrt3(Fraction(rng.randint(-9, 9), 4), rng.randint(-4, 4)))
+                for _ in range(rng.randint(3, 25))
+            ]
+            self.assert_comparator_order(pts)
+
+    def test_level_midpoint_sets(self, levels):
+        for k in (2, 3):
+            self.assert_comparator_order(midpoint_set(levels[k].a, levels[k].b))
+
+    def test_directions_closer_than_the_key_resolves(self):
+        # From (0, 0), the edges to (1, 2**70) and (2, 2**70) have cot
+        # 2**-70 and 2**-69: one key, floor(2**64 * -cot) = -1, but not
+        # parallel; (-1, 2**70) and the vertical (0, 2**70) share key 0.
+        tall = 2**70
+        assert floor(2**64 * Fraction(-1, tall)) == floor(2**64 * Fraction(-2, tall)) == -1
+        assert floor(2**64 * Fraction(1, tall)) == floor(2**64 * Fraction(0, tall)) == 0
+        pts = [pt(0, 0), pt(1, tall), pt(2, tall), pt(-1, tall), pt(0, tall),
+               pt(3, 2 * tall), pt(-2, 2 * tall + 1), Point(QSqrt3(1), QSqrt3(0, tall))]
+        self.assert_comparator_order(pts)
+        brute, dp = both(pts)
+        assert brute.size == dp.size
+
+    def test_coordinates_near_the_digit_limit(self):
+        big = 10**4200
+        rng = random.Random("digits-order")
+        pts = [
+            pt(big + rng.randint(-5, 5), Fraction(rng.randint(-5, 5), big + 1))
+            for _ in range(6)
+        ] + [pt(Fraction(big - i, 7), big * i) for i in range(3)]
+        self.assert_comparator_order(pts)
+        brute, dp = ci_bruteforce(pts), ci_dp(pts)
+        assert brute.size == dp.size
+        assert_sound(dp, pts)
