@@ -137,19 +137,19 @@ def _cmd_ci(args: argparse.Namespace) -> int:
         # the larger solver cap either solver refuses: stop there.
         n, m = len(payload.a), len(payload.b)
         chains = Scaled(payload.a + payload.b)
-        rows = set()
+        rows, s = set(), 2 * chains.s
         for i in range(n):
             rows.update(chains.midpoints(n, ((i, j) for j in range(m))).rows())
             if len(rows) > DP_MAX_POINTS:
                 break
-        points = Scaled.from_rows(list(rows), 2 * chains.s)
-        distinct = len(rows)
     elif kind == "points":
-        points, distinct = payload, len(set(payload))
+        given = Scaled(payload)  # distinct on integer rows: no Point is hashed
+        rows, s = set(given.rows()), given.s
     else:
         print("error: ci needs a construction or points document",
               file=sys.stderr)
         return 2
+    points, distinct = Scaled.from_rows(list(rows), s), len(rows)
     solver = ci_dp if args.algo == "dp" else ci_bruteforce
     try:
         result = solver(points)

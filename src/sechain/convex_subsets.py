@@ -20,6 +20,11 @@ Two different algorithms compute the same number:
   only edges whose keys are equal (exactly parallel edges, or angles
   closer than the key resolves) are ordered by the orientation sign.
 
+  The anchor loop ends once a bound proves its answer.  Cut the sorted
+  edges, as a cycle, in two halves: a polygon's edges in each form one
+  path, so with L the points on a half's longest path among those ranked
+  a on, a polygon anchored from a on has at most L1 + L2 - 2 points.
+
 Both take the points as `Point`s or as a `Scaled`, remove duplicates on
 integer rows and check their cap before any sort.  Both are exact and
 take every sign from the one kernel, `geometry.Scaled` (integers over a
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from typing import Iterable
 
 from .geometry import Point, Scaled, convex_hull, is_convexly_independent
@@ -52,6 +57,7 @@ class CiResult:
 
 DP_MAX_POINTS = 2500  # ci_dp's default cap, the larger of the two
 _KEY_BITS = 64  # edge keys resolve cot(angle) to 2**-64
+_CUTS = 1  # cuts per bound: each more costs random sets ~5 % of ci_dp
 
 
 def _prepare(points: Iterable[Point] | Scaled, max_points: int, what: str) -> Scaled:
@@ -159,6 +165,26 @@ def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
     return up_src + down_src, up_dst + down_dst
 
 
+def _relax(edges: Iterable[tuple[int, int]], n: int, a: int) -> int:
+    """Points on the longest path over `edges`, in order, among those ranked a on."""
+    length = [1] * n
+    for u, v in edges:
+        if u >= a and v >= a and length[u] >= length[v]:
+            length[v] = length[u] + 1
+    return max(length)
+
+
+def _tail_bound(src: list[int], dst: list[int], n: int, a: int) -> int:
+    """At least the size of each convex polygon of 2+ points ranked a on, over `_CUTS` cuts."""
+    half, bounds = len(src) // 2, []
+    for i in (c * half // _CUTS for c in range(_CUTS)):
+        j = i + half
+        first = _relax(zip(src[i:j], dst[i:j]), n, a)
+        second = _relax(chain(zip(src[j:], dst[j:]), zip(src[:i], dst[:i])), n, a)
+        bounds.append(first + second - 2)
+    return min(bounds)
+
+
 def ci_dp(points: Iterable[Point] | Scaled, max_points: int = DP_MAX_POINTS) -> CiResult:
     """Largest convexly independent subset via the edge-sorted DP."""
     k = _prepare(points, max_points, "ci_dp")
@@ -174,14 +200,18 @@ def ci_dp(points: Iterable[Point] | Scaled, max_points: int = DP_MAX_POINTS) -> 
     # of a comes before every edge into a, so length[a] - 1 ends as the
     # largest polygon with anchor a.  path[v] holds the path to v as
     # persistent (vertex, rest) tuples: a parent array would let a later,
-    # longer path to u rewrite a path already extended through u.
+    # longer path to u rewrite a path already extended through u.  The
+    # tail bound only ends the loop, so `best` is the full loop's result.
     best: list[int] = []  # the largest polygon so far, once it has 3 points
     for a in range(n):
         if n - a <= max(len(best), 2):
             break
-        if 2 * (n - a) ** 2 < len(src):
+        compact = 2 * (n - a) ** 2 < len(src)
+        if compact:
             keep = [u >= a and v >= a for u, v in zip(src, dst)]
             src, dst = list(compress(src, keep)), list(compress(dst, keep))
+        if best and (compact or not a & (a - 1)) and _tail_bound(src, dst, n, a) <= len(best):
+            break
         length = [0] * n
         length[a] = 1
         path: list = [None] * n

@@ -450,11 +450,14 @@ _PINNED_SVGS = {
     7: "084a87a24b95e923841f2802649a53cf2d7c49d0e596a3fb63de83180b29847b",
     8: "f2f3c9fe07d2ee593bfbed3ffbf470470055acdde1963b3277ec694d7d27bf7b",
 }
-# sha256 of `ci --json` on levels 2, 3 and 4: the size and the witness.
+# sha256 of `ci --json` on levels 2 to 5: the size and the witness.  The
+# level-5 digest was taken from the full anchor loop, before the tail
+# bound could end it early.
 _PINNED_CI = {
     2: "74880e4e169566c55ef774a6493f7fd4aefe95bdbd124f53caee1a6ba9250e17",
     3: "3bd47ea5820234968f6d85713405484c9a535e4b419e2f7e6d2724ff8e53677e",
     4: "fa38150b29399ee659956273ac58b0e127929ac8fe188f89c3ab2d08dad116f1",
+    5: "88e033ce619b60267d1df582ddc738398893ee7a1b67178ec45fa89442772a4e",
 }
 
 
@@ -501,6 +504,15 @@ class TestPinnedBytes:
             doc.write_text(dumps(construction_to_document(levels[k])), encoding="utf-8")
             assert main(["ci", "--json", str(doc)]) == 0
             assert _sha256(capsys.readouterr().out.encode("utf-8")) == _PINNED_CI[k], k
+
+    def test_ci_json_level5(self, levels, tmp_path, capsys):
+        # 1024 midpoints; the exact optimum is 117 against the witness 112.
+        doc = tmp_path / "level5.json"
+        doc.write_text(dumps(construction_to_document(levels[5])), encoding="utf-8")
+        assert main(["ci", "--json", str(doc)]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["size"] == 117
+        assert _sha256(out.encode("utf-8")) == _PINNED_CI[5]
 
 
 def _distribution_installed(name: str) -> bool:

@@ -4,6 +4,8 @@ from functools import cmp_to_key
 from math import floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sechain import convex_subsets
 from sechain.construction import base_case
@@ -18,7 +20,7 @@ from sechain.geometry import (
 )
 from sechain.numbers import QSqrt3
 
-from .helpers import rand_point
+from .helpers import points_st, rand_point
 
 
 def both(points):
@@ -290,3 +292,78 @@ class TestEdgeOrder:
         brute, dp = ci_bruteforce(pts), ci_dp(pts)
         assert brute.size == dp.size
         assert_sound(dp, pts)
+
+
+def tail_bounds(points, a: int) -> tuple[Scaled, list[int]]:
+    """The points ranked by (y, x), and `ci_dp`'s tail bound at rank a on
+    the whole sorted edge list and on the list kept for ranks a on."""
+    ranked = convex_subsets._sorted(convex_subsets._prepare(points, 10**4, "test"), y_first=True)
+    n = len(ranked)
+    src, dst = convex_subsets._angle_sorted_edges(ranked)
+    kept = [(u, v) for u, v in zip(src, dst) if u >= a and v >= a]
+    return ranked, [
+        convex_subsets._tail_bound(src, dst, n, a),
+        convex_subsets._tail_bound([u for u, _ in kept], [v for _, v in kept], n, a),
+    ]
+
+
+def tail(ranked: Scaled, a: int) -> Scaled:
+    return Scaled.from_rows(ranked.rows()[a:], ranked.s)
+
+
+_lattice_st = st.builds(pt, st.integers(0, 4), st.integers(0, 3))
+
+
+@st.composite
+def _collinear_st(draw):
+    base = draw(points_st)
+    dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1), (1, -2)]))
+    line = [base + pt(dx * i, dy * i) for i in range(draw(st.integers(3, 6)))]
+    return line + draw(st.lists(points_st, max_size=4))
+
+
+class TestTailBound:
+    """The two-arc tail bound that ends `ci_dp`'s anchor loop is never
+    below the largest convex polygon of the points ranked a on."""
+
+    @given(
+        st.one_of(
+            st.lists(points_st, min_size=2, max_size=10),
+            st.lists(_lattice_st, min_size=2, max_size=10),
+            _collinear_st(),
+        ),
+        st.integers(min_value=0),
+    )
+    def test_at_least_bruteforce(self, points, draw_a):
+        n = len(set(points))
+        for a in {0, draw_a % max(n - 1, 1)}:
+            ranked, bounds = tail_bounds(points, a)
+            if n - a >= 2:
+                assert min(bounds) >= ci_bruteforce(tail(ranked, a)).size, (points, a)
+
+    @settings(max_examples=12)
+    @given(st.integers(30, 120), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_at_least_dp(self, size, lattice, seed):
+        rng = random.Random(seed)
+        if lattice:
+            cells = [pt(x, y) for x in range(12) for y in range(12)]
+            points = rng.sample(cells, size)
+        else:
+            points = [rand_point(rng, irrational=rng.random() < 0.5) for _ in range(size)]
+        a = rng.randrange(len(set(points)) - 1)
+        for at in (0, a):
+            ranked, bounds = tail_bounds(points, at)
+            assert min(bounds) >= ci_dp(tail(ranked, at)).size, (points, at)
+
+    def test_ends_the_level4_loop_early(self, levels, monkeypatch):
+        # The first anchor already finds the optimum, 51, of 256 points;
+        # the bound must prove it within the first few checks.
+        checked, bound = [], convex_subsets._tail_bound
+
+        def spy(src, dst, n, a):
+            checked.append((a, bound(src, dst, n, a)))
+            return checked[-1][1]
+
+        monkeypatch.setattr(convex_subsets, "_tail_bound", spy)
+        assert ci_dp(midpoint_set(levels[4].a, levels[4].b)).size == 51
+        assert checked[-1][1] <= 51 and checked[-1][0] <= 16, checked
