@@ -1,87 +1,45 @@
-"""Exact south-east chains, midpoint-set witnesses, and their graphs."""
+"""Exact south-east chains, midpoint-set witnesses, and their graphs.
 
-from .construction import (
-    EpsilonSearchError,
-    Level,
-    STEP_OFFSETS,
-    StepOffsets,
-    base_case,
-    build,
-    expected_witness_size,
-    find_epsilon,
-    step,
-)
-from .convex_subsets import CiResult, ci_bruteforce, ci_dp
-from .document import DocumentError
-from .geometry import (
-    Chain,
-    Point,
-    chain_defect,
-    convex_hull,
-    cross,
-    flatten,
-    is_convexly_independent,
-    is_south_east_chain,
-    midpoint,
-    midpoint_set,
-    pt,
-    rotate60,
-    slope,
-    transform_chains,
-)
-from .graphs import (
-    BipartiteDrawing,
-    BipartiteGraph,
-    double,
-    drawing_from_level,
-    edge_list_text,
-    family,
-    g1,
-    verify_drawing,
-)
-from .numbers import HALF, ONE, SQRT3, ZERO, QSqrt3
+Every public name is listed once in `_EXPORTS`, with the submodule that
+defines it, and `__all__` is that table's keys.  A name is imported on
+first access (PEP 562 `__getattr__`), so `import sechain` loads no
+submodule and a CLI op loads only the modules it runs.  The submodules
+themselves (`sechain.geometry`, ...) resolve the same way.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BipartiteDrawing",
-    "BipartiteGraph",
-    "Chain",
-    "CiResult",
-    "DocumentError",
-    "EpsilonSearchError",
-    "HALF",
-    "Level",
-    "ONE",
-    "Point",
-    "QSqrt3",
-    "SQRT3",
-    "STEP_OFFSETS",
-    "StepOffsets",
-    "ZERO",
-    "base_case",
-    "build",
-    "chain_defect",
-    "ci_bruteforce",
-    "ci_dp",
-    "convex_hull",
-    "cross",
-    "double",
-    "drawing_from_level",
-    "edge_list_text",
-    "expected_witness_size",
-    "family",
-    "find_epsilon",
-    "flatten",
-    "g1",
-    "is_convexly_independent",
-    "is_south_east_chain",
-    "midpoint",
-    "midpoint_set",
-    "pt",
-    "rotate60",
-    "slope",
-    "step",
-    "transform_chains",
-    "verify_drawing",
-]
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("construction", ("EpsilonSearchError", "Level", "STEP_OFFSETS", "StepOffsets",
+                          "base_case", "build", "expected_witness_size", "find_epsilon",
+                          "step")),
+        ("convex_subsets", ("CiResult", "ci_bruteforce", "ci_dp")),
+        ("document", ("DocumentError",)),
+        ("geometry", ("Chain", "Point", "chain_defect", "convex_hull", "cross", "flatten",
+                      "is_convexly_independent", "is_south_east_chain", "midpoint",
+                      "midpoint_set", "pt", "rotate60", "slope", "transform_chains")),
+        ("graphs", ("BipartiteDrawing", "BipartiteGraph", "double", "drawing_from_level",
+                    "edge_list_text", "family", "g1", "verify_drawing")),
+        ("numbers", ("HALF", "ONE", "SQRT3", "ZERO", "QSqrt3")),
+    )
+    for name in names
+}
+_SUBMODULES = frozenset(_EXPORTS.values())
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    if name in _EXPORTS:
+        return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -4,6 +4,10 @@ Subcommands: construct, verify, ci, graph, render.  Exit codes follow
 one contract everywhere: 0 on success (for verify: every check passed),
 1 when verification ran and failed, 2 for unusable input (bad flags,
 unwritable outputs, unreadable or malformed documents, guard violations).
+
+Each handler imports the modules it runs, so an op loads, and without a
+bytecode cache compiles, only those: `ci` of a points document never
+loads the construction, and `--help` loads no other package module.
 """
 
 from __future__ import annotations
@@ -14,28 +18,10 @@ import os
 import sys
 from typing import Any, Callable, Optional, Sequence
 
-from .construction import EpsilonSearchError, build
-from .convex_subsets import DP_MAX_POINTS, ci_bruteforce, ci_dp
-from .document import (
-    DocumentError,
-    construction_to_document,
-    dumps,
-    encode_point,
-    graph_to_document,
-    load_path,
-)
-from .geometry import Scaled
-from .graphs import (
-    BipartiteDrawing,
-    drawing_defect,
-    drawing_from_level,
-    edge_list_text,
-    family,
-    verify_drawing,
-)
-from .render import render_construction
-
-_DEFAULT_MAX_K = 10
+# construct -k 12 takes about 1 s at 84 MB peak RSS (a 6.4 MB document)
+# and runs to exit 0 under a 192 MB RLIMIT_AS; each level beyond about
+# doubles both.
+_DEFAULT_MAX_K = 12
 _DEFAULT_MAX_EPS_EXPONENT = 256
 
 
@@ -71,6 +57,9 @@ def _k_out_of_range(args: argparse.Namespace) -> bool:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    from .construction import build
+    from .document import construction_to_document, dumps
+
     if _k_out_of_range(args):
         return 2
 
@@ -83,6 +72,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _graph_checks(graph, placements) -> list[tuple[str, bool, str]]:
+    from .graphs import BipartiteDrawing, drawing_defect, verify_drawing
+
     checks: list[tuple[str, bool, str]] = [
         ("graph-structure", True, f"{graph.vertex_count} vertices, "
          f"{graph.edge_count} edges")
@@ -120,6 +111,8 @@ def _report(checks: list[tuple[str, bool, str]], as_json: bool) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .document import load_path
+
     kind, payload = load_path(args.input)
     if kind == "construction":
         return _report(payload.checks(), args.json)
@@ -131,6 +124,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_ci(args: argparse.Namespace) -> int:
+    from .convex_subsets import DP_MAX_POINTS, ci_bruteforce, ci_dp
+    from .document import encode_point, load_path
+    from .geometry import Scaled
+
     kind, payload = load_path(args.input)
     if kind == "construction":
         # The midpoints as integer rows, one chain-a point at a time; past
@@ -170,6 +167,8 @@ def _cmd_ci(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
+    from .graphs import edge_list_text, family
+
     if _k_out_of_range(args):
         return 2
 
@@ -177,6 +176,10 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         graph = family(args.k)
         if not args.placements:
             return edge_list_text(graph)
+        from .construction import build
+        from .document import dumps, graph_to_document
+        from .graphs import drawing_from_level
+
         level = build(args.k, max_eps_exponent=args.max_eps_exponent)
         drawing = drawing_from_level(level)
         return dumps(
@@ -188,6 +191,9 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .document import load_path
+    from .render import render_construction
+
     kind, payload = load_path(args.input)
     if kind != "construction":
         print("error: render needs a construction document", file=sys.stderr)
@@ -253,6 +259,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_error(exc: Exception) -> bool:
+    """True for a malformed document or a failed epsilon search: exit 2.
+
+    Their classes are looked up among the loaded modules, not imported:
+    an op that never loaded a module cannot have raised its error.
+    """
+    for module, name in (("document", "DocumentError"),
+                         ("construction", "EpsilonSearchError")):
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None and isinstance(exc, getattr(loaded, name)):
+            return True
+    return False
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -262,7 +282,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (DocumentError, EpsilonSearchError) as exc:
+    except (ValueError, RuntimeError) as exc:
+        if not _input_error(exc):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -25,7 +25,6 @@ about "sufficiently small" beyond what is verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Optional
@@ -40,22 +39,29 @@ from .geometry import (
     midpoint,
     pt,
 )
+from .numbers import Record
 
 IndexPair = tuple[int, int]
 Check = tuple[str, bool, str]
 
 
-@dataclass(frozen=True, slots=True)
-class StepOffsets:
+class StepOffsets(Record):
     """Translations that place the chain blocks of a doubled level.
 
     The three fields anchor the chain copies.  The witness-block anchors
     are forced by linearity to be half sums of them, so they are derived.
     """
 
+    __slots__ = ("rotated_b_in_a", "flat_b_in_b", "rotated_a_in_b")
     rotated_b_in_a: Point  # added to rot(flat(b)) inside new_a
     flat_b_in_b: Point  # added to flat(b) inside new_b
     rotated_a_in_b: Point  # added to rot(flat(a)) inside new_b
+
+    def __init__(self, rotated_b_in_a: Point, flat_b_in_b: Point,
+                 rotated_a_in_b: Point) -> None:
+        object.__setattr__(self, "rotated_b_in_a", rotated_b_in_a)
+        object.__setattr__(self, "flat_b_in_b", flat_b_in_b)
+        object.__setattr__(self, "rotated_a_in_b", rotated_a_in_b)
 
     @property
     def old_witness_block(self) -> Point:  # the flat-copy witness midpoints
@@ -77,8 +83,7 @@ STEP_OFFSETS = StepOffsets(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Level:
+class Level(Record):
     """A stage of the construction: two chains and a witness, as tuples.
 
     Constructing a Level proves nothing.  `base_case`, `step` and
@@ -86,11 +91,20 @@ class Level:
     until `checks()` or `validate()` has re-proved it.
     """
 
+    __slots__ = ("k", "a", "b", "witness", "eps_history")
     k: int
     a: tuple[Point, ...]
     b: tuple[Point, ...]
     witness: tuple[IndexPair, ...]
     eps_history: tuple[Fraction, ...]
+
+    def __init__(self, k: int, a: tuple[Point, ...], b: tuple[Point, ...],
+                 witness: tuple[IndexPair, ...], eps_history: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "eps_history", eps_history)
 
     def witness_midpoints(self) -> tuple[Point, ...]:
         """Midpoints of the witness pairs, in witness order."""

@@ -35,24 +35,27 @@ The oracles independent of that kernel are in `tests/helpers.py` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import chain, combinations, compress
 from typing import Iterable
 
 from .geometry import Point, Scaled, convex_hull, is_convexly_independent
-from .numbers import floor2
+from .numbers import Record, floor2
 
 
-@dataclass(frozen=True, slots=True)
-class CiResult:
+class CiResult(Record):
     """Size of a largest convexly independent subset, plus one witness.
 
     The witness lists the subset in counterclockwise convex position.
     """
 
+    __slots__ = ("size", "witness")
     size: int
     witness: tuple[Point, ...]
+
+    def __init__(self, size: int, witness: tuple[Point, ...]) -> None:
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "witness", witness)
 
 
 DP_MAX_POINTS = 2500  # ci_dp's default cap, the larger of the two

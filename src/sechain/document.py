@@ -18,12 +18,14 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
-from .construction import Level
 from .geometry import Point
-from .graphs import BipartiteGraph
 from .numbers import QSqrt3
+
+if TYPE_CHECKING:  # the decoders import these when they decode one
+    from .construction import Level
+    from .graphs import BipartiteGraph
 
 FORMAT_VERSION = "sechain/1"
 
@@ -180,6 +182,8 @@ def construction_to_document(level: Level) -> dict[str, Any]:
 
 
 def _decode_construction(document: dict[str, Any]) -> Level:
+    from .construction import Level
+
     meta = _field(document, "metadata", dict)
     k = _field(meta, "k", int, "metadata")
     if isinstance(k, bool) or k < 1:
@@ -250,6 +254,8 @@ def graph_to_document(
 def _decode_graph(
     document: dict[str, Any]
 ) -> tuple[BipartiteGraph, Optional[dict[str, Point]]]:
+    from .graphs import BipartiteGraph
+
     objects = _field(document, "objects", dict)
     entry = _field(objects, "graph", dict, "objects")
     u, v = (tuple(_items(entry, key, str, "objects.graph")) for key in ("u", "v"))

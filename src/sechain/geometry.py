@@ -22,13 +22,12 @@ when the turn a -> b -> c is counterclockwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .numbers import _SQRT3_FLOAT, HALF, QSqrt3, QSqrt3Like, sign2
+from .numbers import _SQRT3_FLOAT, HALF, QSqrt3, QSqrt3Like, Record, sign2
 
 Row = tuple[int, int, int, int]
 
@@ -37,12 +36,25 @@ def _coord(value: QSqrt3Like) -> QSqrt3:
     return value if isinstance(value, QSqrt3) else QSqrt3(value)
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
+class Point(Record):
     """An exact point of the plane."""
 
+    __slots__ = ("x", "y")
     x: QSqrt3
     y: QSqrt3
+
+    def __init__(self, x: QSqrt3, y: QSqrt3) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    # Points are built, hashed and compared in bulk: no generic field loop.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.x, self.y) == (other.x, other.y)  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
 
     def __add__(self, other: Point) -> Point:
         return Point(self.x + other.x, self.y + other.y)
@@ -200,14 +212,14 @@ def is_south_east_chain(points: Sequence[Point] | Scaled) -> bool:
     return not chain_defect(points)
 
 
-@dataclass(frozen=True, slots=True)
-class Chain:
+class Chain(Record):
     """A validated south-east chain; construction fails otherwise."""
 
+    __slots__ = ("points",)
     points: tuple[Point, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
+    def __init__(self, points: Iterable[Point]) -> None:
+        object.__setattr__(self, "points", tuple(points))
         if not is_south_east_chain(self.points):
             raise ValueError("points do not form a south-east chain")
 

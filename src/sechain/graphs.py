@@ -18,10 +18,10 @@ do not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from .geometry import Point, chain_defect, midpoint, sort_key
+from .numbers import Record
 
 if TYPE_CHECKING:  # only for type annotations; no runtime cycle
     from .construction import Level
@@ -29,23 +29,27 @@ if TYPE_CHECKING:  # only for type annotations; no runtime cycle
 Edge = tuple[str, str]
 
 
-@dataclass(frozen=True, slots=True)
-class BipartiteGraph:
+class BipartiteGraph(Record):
     """Bipartite graph with ordered parts and an ordered edge list."""
 
+    __slots__ = ("u", "v", "edges")
     u: tuple[str, ...]
     v: tuple[str, ...]
     edges: tuple[Edge, ...]
 
-    def __post_init__(self) -> None:
-        u_set, v_set = set(self.u), set(self.v)
-        if len(u_set) != len(self.u) or len(v_set) != len(self.v):
+    def __init__(self, u: tuple[str, ...], v: tuple[str, ...],
+                 edges: tuple[Edge, ...]) -> None:
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "edges", edges)
+        u_set, v_set = set(u), set(v)
+        if len(u_set) != len(u) or len(v_set) != len(v):
             raise ValueError("duplicate vertex name inside a part")
         if u_set & v_set:
             raise ValueError("parts must be disjoint")
-        if len(set(self.edges)) != len(self.edges):
+        if len(set(edges)) != len(edges):
             raise ValueError("duplicate edge")
-        for a, b in self.edges:
+        for a, b in edges:
             if a not in u_set or b not in v_set:
                 raise ValueError(f"edge ({a}, {b}) does not match the parts")
 
@@ -99,17 +103,26 @@ def family(k: int) -> BipartiteGraph:
     return graph
 
 
-@dataclass(frozen=True, slots=True)
-class BipartiteDrawing:
-    """A graph together with exact vertex positions."""
+class BipartiteDrawing(Record):
+    """A graph together with exact vertex positions.
 
+    `==` compares the placement too; `hash` covers only the graph, as a
+    placement mapping need not be hashable.
+    """
+
+    __slots__ = ("graph", "placement")
     graph: BipartiteGraph
-    placement: Mapping[str, Point] = field(hash=False)
+    placement: Mapping[str, Point]
 
-    def __post_init__(self) -> None:
-        missing = (set(self.graph.u) | set(self.graph.v)) - set(self.placement)
+    def __init__(self, graph: BipartiteGraph, placement: Mapping[str, Point]) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "placement", placement)
+        missing = (set(graph.u) | set(graph.v)) - set(placement)
         if missing:
             raise ValueError(f"placement missing vertices: {sorted(missing)}")
+
+    def __hash__(self) -> int:
+        return hash((self.graph,))
 
     def edge_midpoints(self) -> list[Point]:
         place = self.placement

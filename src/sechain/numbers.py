@@ -9,6 +9,15 @@ comparison of p**2 against 3*q**2 tells which term dominates.
 Rational components are `fractions.Fraction` instances, which already
 guarantee the canonical form (reduced, positive denominator) and
 arbitrary precision.
+
+`Record` is the base of the package's value records (`Point`, `Chain`,
+`Level`, ...).  A record names its fields in `__slots__` and sets each
+once in its own `__init__`, which also validates; the base makes it
+immutable and gives it value `==`, `hash`, a `Name(field=value, ...)`
+repr, and copy and pickle.  Records are plain classes rather than
+dataclasses, whose import (with `inspect`) and per-class code generation
+cost every CLI process several milliseconds, and rather than named
+tuples, which are iterable and equal any tuple of the same values.
 """
 
 from __future__ import annotations
@@ -47,6 +56,42 @@ def floor2(a: int, b: int, d: int) -> int:
     # r and r + 1; and floor(y / d) = floor(floor(y) / d) for any real y.
     r = isqrt(3 * b * b)
     return (a + (r if b >= 0 else -r - 1)) // d
+
+
+class Record:
+    """An immutable value record over `__slots__`; subclasses are final.
+
+    `==` holds between records of one class with equal fields, `hash` is
+    the hash of the field tuple, and copy and pickle rebuild a record by
+    calling its class with its fields, so its validation runs again.
+    Setting or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
 
 
 @total_ordering

@@ -1,4 +1,5 @@
 import codecs
+import functools
 import hashlib
 import importlib.metadata
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from sechain import cli, geometry
+from sechain import construction, geometry
 from sechain.cli import main
 from sechain.document import (
     construction_to_document,
@@ -41,10 +42,10 @@ def _run_cli(*argv: str, **kwargs) -> subprocess.CompletedProcess:
     )
 
 
-def _limit_address_space() -> None:
+def _limit_address_space(mib: int = 2048) -> None:
     import resource  # POSIX only, like preexec_fn itself
 
-    limit = 2 * 1024**3
+    limit = mib * 1024**2
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
@@ -111,7 +112,7 @@ class TestConstruct:
     def test_k_out_of_range(self, capsys):
         assert main(["construct", "-k", "0"]) == 2
         assert main(["construct", "-k", "99"]) == 2
-        assert "between 1 and 10" in capsys.readouterr().err
+        assert "between 1 and 12" in capsys.readouterr().err
 
     def test_max_k_override(self, tmp_path):
         out = tmp_path / "x.json"
@@ -292,7 +293,7 @@ def test_unwritable_output_is_rejected(construction_file, tmp_path, command):
                                   ["graph", "-k", "7", "--placements"]])
 def test_unwritable_output_fails_before_building(tmp_path, monkeypatch, capsys, argv):
     builds = []
-    monkeypatch.setattr(cli, "build", lambda *a, **kw: builds.append(a))
+    monkeypatch.setattr(construction, "build", lambda *a, **kw: builds.append(a))
     out = tmp_path / "missing-dir" / "out.json"
     assert main([*argv, "-o", str(out)]) == 2
     assert builds == []
@@ -379,7 +380,7 @@ class TestGraph:
 
     def test_k_out_of_range(self, capsys):
         assert main(["graph", "-k", "0"]) == 2
-        assert main(["graph", "-k", "11"]) == 2
+        assert main(["graph", "-k", "13"]) == 2
 
     def test_placements_document(self, tmp_path):
         doc = tmp_path / "g1.json"
@@ -478,6 +479,15 @@ class TestPinnedBytes:
             doc = tmp_path / f"level{k}.json"
             assert main(["construct", "-k", str(k), "--max-k", "12", "-o", str(doc)]) == 0
             assert _sha256(doc.read_bytes()) == _PINNED_CONSTRUCTIONS[k], k
+
+    def test_default_cap_level_in_192_mib(self, tmp_path):
+        # The default --max-k is 12: that level (about 84 MB peak RSS)
+        # must build in a fresh interpreter under a 192 MiB address space.
+        doc = tmp_path / "level12.json"
+        proc = _run_cli("construct", "-k", "12", "-o", str(doc),
+                        preexec_fn=functools.partial(_limit_address_space, 192))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert _sha256(doc.read_bytes()) == _PINNED_CONSTRUCTIONS[12]
 
     def test_graph_placements(self, tmp_path):
         doc = tmp_path / "graph3.json"

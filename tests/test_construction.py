@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -249,7 +248,7 @@ class TestFindEpsilon:
         expected = find_epsilon(lv)
         assert expected.eps_history[-1] == Fraction(1, 16)
         for start in (Fraction(1, 2), Fraction(1, 2**40)):
-            nxt = find_epsilon(replace(lv, eps_history=(start,)))
+            nxt = find_epsilon(Level(lv.k, lv.a, lv.b, lv.witness, (start,)))
             assert nxt.eps_history == (start, Fraction(1, 16))
             assert (nxt.a, nxt.b, nxt.witness) == (
                 expected.a, expected.b, expected.witness

@@ -1,0 +1,87 @@
+"""What `import sechain` and each CLI op load.
+
+Every op runs in a fresh interpreter, so the modules it imports (and,
+without a bytecode cache, compiles) are part of its time.  Each check
+runs in a subprocess that records the modules new since its start.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+from sechain.cli import main
+from sechain.document import dumps, points_to_document
+from sechain.geometry import pt
+
+_CHILD = """
+import json, runpy, sys
+before, code = set(sys.modules), None
+sys.argv = ["sechain", *json.loads(sys.argv[1])]
+try:
+    runpy.run_module("sechain.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+
+
+def _loaded(argv: list[str]) -> tuple[int, set[str]]:
+    """Exit code of `python -m sechain.cli ARGV` and the modules it loaded."""
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argv)],
+                          capture_output=True, text=True, timeout=60)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
+def test_import_sechain_loads_no_submodule():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sechain; print(sorted(m for m in sys.modules if m.startswith('sechain.')))"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+@pytest.fixture(scope="module")
+def docs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("docs")
+    paths = {name: base / f"{name}.json" for name in ("level", "graph", "points", "bad")}
+    assert main(["construct", "-k", "2", "-o", str(paths["level"])]) == 0
+    assert main(["graph", "-k", "2", "--placements", "-o", str(paths["graph"])]) == 0
+    points = [pt(0, 0), pt(1, 3), pt(2, 1), pt(3, 4)]
+    paths["points"].write_text(dumps(points_to_document(points)), encoding="utf-8")
+    paths["bad"].write_text('{"version": "sechain/1"}', encoding="utf-8")
+    return {name: str(path) for name, path in paths.items()}
+
+
+# The benchmarked ops, their exit code and exactly the package modules
+# each loads.  Among them: `ci` of a points document loads neither the
+# construction, the graphs nor the renderer; `verify` never loads
+# convex_subsets or render; `construct` loads none of convex_subsets,
+# graphs and render.
+_BASE = {"sechain", "sechain.document", "sechain.geometry", "sechain.numbers"}
+_OPS = [
+    (["--help"], 0, {"sechain"}),
+    (["construct", "-k", "3", "-o", "{out}"], 0, _BASE | {"sechain.construction"}),
+    (["graph", "-k", "2", "--placements", "-o", "{out}"], 0,
+     _BASE | {"sechain.construction", "sechain.graphs"}),
+    (["verify", "{level}"], 0, _BASE | {"sechain.construction"}),
+    (["verify", "--json", "{graph}"], 0, _BASE | {"sechain.graphs"}),
+    (["verify", "{bad}"], 2, _BASE),
+    (["render", "{level}", "-o", "{out}"], 0,
+     _BASE | {"sechain.construction", "sechain.render"}),
+    (["ci", "{level}"], 0, _BASE | {"sechain.construction", "sechain.convex_subsets"}),
+    (["ci", "--json", "{points}"], 0, _BASE | {"sechain.convex_subsets"}),
+    (["ci", "--algo", "brute", "--json", "{points}"], 0, _BASE | {"sechain.convex_subsets"}),
+]
+
+
+@pytest.mark.parametrize("argv, code, package", _OPS, ids=[" ".join(op[0]) for op in _OPS])
+def test_op_loads_only_what_it_runs(docs, tmp_path, argv, code, package):
+    argv = [arg.format(out=tmp_path / "out", **docs) for arg in argv]
+    got_code, loaded = _loaded(argv)
+    assert got_code == code
+    assert {m for m in loaded if m.split(".")[0] == "sechain"} == package
+    assert not loaded & {"dataclasses", "inspect"}

@@ -1,11 +1,46 @@
 import contextlib
+import copy
+import importlib
 import io
+import pickle
 import re
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import sechain
+from sechain import (
+    BipartiteDrawing,
+    BipartiteGraph,
+    Chain,
+    CiResult,
+    Level,
+    Point,
+    QSqrt3,
+    StepOffsets,
+    base_case,
+    g1,
+    pt,
+)
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
+
+# The public surface: each exported name and the submodule defining it.
+_SURFACE = {
+    "construction": ("EpsilonSearchError", "Level", "STEP_OFFSETS", "StepOffsets",
+                     "base_case", "build", "expected_witness_size", "find_epsilon", "step"),
+    "convex_subsets": ("CiResult", "ci_bruteforce", "ci_dp"),
+    "document": ("DocumentError",),
+    "geometry": ("Chain", "Point", "chain_defect", "convex_hull", "cross", "flatten",
+                 "is_convexly_independent", "is_south_east_chain", "midpoint",
+                 "midpoint_set", "pt", "rotate60", "slope", "transform_chains"),
+    "graphs": ("BipartiteDrawing", "BipartiteGraph", "double", "drawing_from_level",
+               "edge_list_text", "family", "g1", "verify_drawing"),
+    "numbers": ("HALF", "ONE", "QSqrt3", "SQRT3", "ZERO"),
+}
 
 
 def test_public_surface_and_readme_session():
@@ -13,6 +48,27 @@ def test_public_surface_and_readme_session():
     missing = [name for name in sechain.__all__ if not hasattr(sechain, name)]
     assert missing == []
     assert len(set(sechain.__all__)) == len(sechain.__all__)
+    assert sorted(sechain.__all__) == sorted(n for names in _SURFACE.values() for n in names)
+    assert set(sechain.__all__) <= set(dir(sechain))
+    for module, names in _SURFACE.items():
+        owner = importlib.import_module(f"sechain.{module}")
+        for name in names:
+            assert getattr(sechain, name) is getattr(owner, name), name
+    star: dict = {}
+    exec("from sechain import *", star)
+    assert {name: star[name] for name in sechain.__all__} == {
+        name: getattr(sechain, name) for name in sechain.__all__
+    }
+    with pytest.raises(AttributeError):
+        sechain.no_such_name  # noqa: B018
+    # In a fresh interpreter, the submodules resolve as package attributes.
+    modules = ", ".join(repr(m) for m in _SURFACE)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sechain; print([getattr(sechain, m).__name__ for m in ({modules})])"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stdout == f"{[f'sechain.{m}' for m in _SURFACE]}\n", proc.stderr
 
     # The README "quick session" runs, and prints what its comments say.
     text = _README.read_text(encoding="utf-8")
@@ -33,3 +89,77 @@ def test_public_surface_and_readme_session():
             assert got == comment
     level = namespace["level"]
     assert len(level.a) == len(level.b) == 8 and len(level.witness) == 20
+
+
+def _records():
+    """(class, fields, invalid fields or None) for each value record."""
+    graph = g1()
+    place = {name: pt(t, t * t) for t, name in enumerate(graph.u + graph.v)}
+    level = base_case()
+    return [
+        (Point, {"x": QSqrt3(1), "y": QSqrt3(Fraction(1, 2), 3)}, None),
+        (Chain, {"points": (pt(0, 0), pt(1, 1), pt(2, 3))},
+         {"points": (pt(0, 0), pt(0, 1))}),
+        (StepOffsets, {"rotated_b_in_a": pt(1, 1), "flat_b_in_b": pt(0, 2),
+                       "rotated_a_in_b": pt(1, Fraction(5, 2))}, None),
+        (Level, {"k": level.k, "a": level.a, "b": level.b, "witness": level.witness,
+                 "eps_history": level.eps_history}, None),
+        (BipartiteGraph, {"u": graph.u, "v": graph.v, "edges": graph.edges},
+         {"u": ("a", "a"), "v": ("b",), "edges": ()}),
+        (BipartiteDrawing, {"graph": graph, "placement": place},
+         {"graph": graph, "placement": {"u1": pt(0, 0)}}),
+        (CiResult, {"size": 2, "witness": (pt(0, 0), pt(1, 1))}, None),
+    ]
+
+
+_RECORDS = _records()
+
+
+@pytest.mark.parametrize("cls, fields, invalid", _RECORDS,
+                         ids=[case[0].__name__ for case in _RECORDS])
+def test_record_behaviour(cls, fields, invalid):
+    values = tuple(fields.values())
+    record = cls(*values)
+    assert record == cls(**fields) and hash(record) == hash(cls(**fields))
+    assert record != values and record != object()
+    assert repr(record) == f"{cls.__qualname__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in fields.items()) + ")"
+
+    name = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(record, name, values[0])
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.__dict__  # noqa: B018
+    assert getattr(record, name) is values[0]
+
+    for clone in (copy.copy(record), copy.deepcopy(record),
+                  pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls and clone == record and hash(clone) == hash(record)
+
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    with pytest.raises(TypeError):
+        cls(**fields, extra=1)
+    if invalid is not None:
+        with pytest.raises(ValueError):
+            cls(**invalid)
+
+
+def test_records_of_different_classes_never_equal():
+    a, b = pt(0, 0), pt(1, 1)
+    assert Point(a.x, a.y) != CiResult(a.x, a.y)
+    assert CiResult(2, (a, b)) != Chain((a, b))
+    with pytest.raises(TypeError):
+        iter(Point(a.x, a.y))
+
+
+def test_drawing_hash_ignores_the_placement():
+    graph = g1()
+    names = graph.u + graph.v
+    first = BipartiteDrawing(graph, {name: pt(t, t) for t, name in enumerate(names)})
+    second = BipartiteDrawing(graph, {name: pt(t, 2 * t) for t, name in enumerate(names)})
+    assert first != second and hash(first) == hash(second) == hash((graph,))
