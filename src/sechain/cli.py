@@ -130,23 +130,14 @@ def _cmd_ci(args: argparse.Namespace) -> int:
 
     kind, payload = load_path(args.input)
     if kind == "construction":
-        # The midpoints as integer rows, one chain-a point at a time; past
-        # the larger solver cap either solver refuses: stop there.
-        n, m = len(payload.a), len(payload.b)
-        chains = Scaled(payload.a + payload.b)
-        rows, s = set(), 2 * chains.s
-        for i in range(n):
-            rows.update(chains.midpoints(n, ((i, j) for j in range(m))).rows())
-            if len(rows) > DP_MAX_POINTS:
-                break
+        # Past the larger solver cap either solver refuses: stop there.
+        points = Scaled(payload.a + payload.b).midpoint_set(len(payload.a), DP_MAX_POINTS)
     elif kind == "points":
-        given = Scaled(payload)  # distinct on integer rows: no Point is hashed
-        rows, s = set(given.rows()), given.s
+        points = Scaled(payload).distinct()  # on integer rows: no Point is hashed
     else:
         print("error: ci needs a construction or points document",
               file=sys.stderr)
         return 2
-    points, distinct = Scaled.from_rows(list(rows), s), len(rows)
     solver = ci_dp if args.algo == "dp" else ci_bruteforce
     try:
         result = solver(points)
@@ -162,7 +153,7 @@ def _cmd_ci(args: argparse.Namespace) -> int:
         sys.stdout.write(json.dumps(payload_out, sort_keys=True, indent=2) + "\n")
     else:
         print(f"largest convexly independent subset: {result.size} "
-              f"(algo={args.algo}, input={distinct} points)")
+              f"(algo={args.algo}, input={len(points)} points)")
     return 0
 
 

@@ -108,10 +108,7 @@ class Level(Record):
 
     def witness_midpoints(self) -> tuple[Point, ...]:
         """Midpoints of the witness pairs, in witness order."""
-        return tuple(self._scaled_midpoints().points())
-
-    def _scaled_midpoints(self) -> Scaled:
-        return Scaled(self.a + self.b).midpoints(len(self.a), self.witness)
+        return tuple(Scaled(self.a + self.b).midpoints(len(self.a), self.witness).points())
 
     def checks(self) -> list[Check]:
         """Every level invariant as (name, passed, detail), in fixed order.
@@ -133,6 +130,8 @@ class Level(Record):
             counts += f"; |eps_history|={len(eps)} expected {k - 1}, all positive"
             counts_ok = False
 
+        n, both = len(a), Scaled(a + b)
+        ka, kb = both.take(range(n)), both.take(range(n, len(both)))
         pairs, seen = "", {}
         mids_chain = independence = "witness pairs out of range"
         for t, (i, j) in enumerate(witness):
@@ -142,15 +141,15 @@ class Level(Record):
             if seen.setdefault((i, j), t) != t:
                 pairs = pairs or f"pair {t} ({i}, {j}) repeats pair {seen[i, j]}"
         else:
-            mids = self._scaled_midpoints()
+            mids = both.midpoints(n, witness)
             mids_chain = chain_defect(mids)
-            sets = (("chain a", a), ("chain b", b), ("witness midpoints", mids))
+            sets = (("chain a", ka), ("chain b", kb), ("witness midpoints", mids))
             independence = next(
                 (f"{name}: not convexly independent" for name, points in sets
                  if not is_convexly_independent(points)),
                 "",
             )
-        chain_a, chain_b = chain_defect(a), chain_defect(b)
+        chain_a, chain_b = chain_defect(ka), chain_defect(kb)
         return [
             ("counts", counts_ok, counts),
             ("witness-pairs-distinct", not pairs, pairs),

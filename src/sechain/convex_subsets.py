@@ -25,10 +25,13 @@ Two different algorithms compute the same number:
   path, so with L the points on a half's longest path among those ranked
   a on, a polygon anchored from a on has at most L1 + L2 - 2 points.
 
-Both take the points as `Point`s or as a `Scaled`, remove duplicates on
-integer rows and check their cap before any sort.  Both are exact and
-take every sign from the one kernel, `geometry.Scaled` (integers over a
-shared denominator), so they differ in algorithm, not in arithmetic.
+Both take the points as `Point`s or as a `Scaled`, keep each point once
+(`Scaled.distinct`, on integer rows) and check their cap before any
+sort.  Then `ci_bruteforce` works on the points in (x, y) order and
+`ci_dp` on them in (y, x) order, both from `Scaled.sorted`.  Both are
+exact and take every sign from the one kernel, `geometry.Scaled`
+(integers over a shared denominator), so they differ in algorithm, not
+in arithmetic.
 The oracles independent of that kernel are in `tests/helpers.py` and
 `perfbench/exact.py`.
 """
@@ -36,10 +39,10 @@ The oracles independent of that kernel are in `tests/helpers.py` and
 from __future__ import annotations
 
 from functools import cmp_to_key
-from itertools import chain, combinations, compress
+from itertools import combinations, compress
 from typing import Iterable
 
-from .geometry import Point, Scaled, convex_hull, is_convexly_independent
+from .geometry import Point, Scaled, _hull
 from .numbers import Record, floor2
 
 
@@ -60,15 +63,11 @@ class CiResult(Record):
 
 DP_MAX_POINTS = 2500  # ci_dp's default cap, the larger of the two
 _KEY_BITS = 64  # edge keys resolve cot(angle) to 2**-64
-_CUTS = 1  # cuts per bound: each more costs random sets ~5 % of ci_dp
 
 
 def _prepare(points: Iterable[Point] | Scaled, max_points: int, what: str) -> Scaled:
     """The distinct points, refused past `max_points` before any sort."""
-    if isinstance(points, Scaled):
-        k = Scaled.from_rows(list(set(points.rows())), points.s)
-    else:
-        k = Scaled(list(set(points)))
+    k = (points if isinstance(points, Scaled) else Scaled(list(points))).distinct()
     if not len(k):
         raise ValueError("need at least one point")
     if len(k) > max_points:
@@ -76,34 +75,22 @@ def _prepare(points: Iterable[Point] | Scaled, max_points: int, what: str) -> Sc
     return k
 
 
-def _sorted(k: Scaled, y_first: bool) -> Scaled:
-    """The points of k in exact (y, x) order, or (x, y) order."""
-    first, second = (k.dy_sign, k.dx_sign) if y_first else (k.dx_sign, k.dy_sign)
-    order = sorted(range(len(k)), key=cmp_to_key(lambda i, j: -(first(i, j) or second(i, j))))
-    rows = k.rows()
-    return Scaled.from_rows([rows[i] for i in order], k.s)
-
-
-def _points(k: Scaled, indices: Iterable[int]) -> tuple[Point, ...]:
-    rows = k.rows()
-    return tuple(Scaled.from_rows([rows[i] for i in indices], k.s).points())
-
-
 def ci_bruteforce(points: Iterable[Point] | Scaled, max_points: int = 20) -> CiResult:
     """Exact maximum by exhaustive search; the cross-check for `ci_dp`.
 
     Among maximum-size subsets the lexicographically smallest one (by
     sorted point order) is returned, which makes results reproducible.
+    Index subsets of the points in (x, y) order keep it, as `_hull` needs.
     """
-    pts = _sorted(_prepare(points, max_points, "ci_bruteforce"), y_first=False).points()
-    n = len(pts)
-    if n <= 2:
-        return CiResult(n, tuple(pts))
+    k = _prepare(points, max_points, "ci_bruteforce").sorted()
+    n = len(k)
     for size in range(n, 2, -1):
-        for combo in combinations(pts, size):
-            if is_convexly_independent(combo):
-                return CiResult(size, tuple(convex_hull(combo)))
-    return CiResult(2, (pts[0], pts[1]))
+        for combo in combinations(range(n), size):
+            subset = k.take(combo)
+            hull = _hull(subset)
+            if len(hull) == size:
+                return CiResult(size, tuple(subset.take(hull).points()))
+    return CiResult(min(n, 2), tuple(k.take(range(min(n, 2))).points()))
 
 
 def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
@@ -178,21 +165,18 @@ def _relax(edges: Iterable[tuple[int, int]], n: int, a: int) -> int:
 
 
 def _tail_bound(src: list[int], dst: list[int], n: int, a: int) -> int:
-    """At least the size of each convex polygon of 2+ points ranked a on, over `_CUTS` cuts."""
-    half, bounds = len(src) // 2, []
-    for i in (c * half // _CUTS for c in range(_CUTS)):
-        j = i + half
-        first = _relax(zip(src[i:j], dst[i:j]), n, a)
-        second = _relax(chain(zip(src[j:], dst[j:]), zip(src[:i], dst[:i])), n, a)
-        bounds.append(first + second - 2)
-    return min(bounds)
+    """At least the size of each convex polygon of 2+ points ranked a on:
+    the edges cut at the up/down split."""
+    half = len(src) // 2
+    up = _relax(zip(src[:half], dst[:half]), n, a)
+    return up + _relax(zip(src[half:], dst[half:]), n, a) - 2
 
 
 def ci_dp(points: Iterable[Point] | Scaled, max_points: int = DP_MAX_POINTS) -> CiResult:
     """Largest convexly independent subset via the edge-sorted DP."""
     k = _prepare(points, max_points, "ci_dp")
     n = len(k)
-    ranked = _sorted(k, y_first=True)
+    ranked = k.sorted(y_first=True)
     src, dst = _angle_sorted_edges(ranked)
 
     # For anchor a, the bottom-most then leftmost vertex of the polygon,
@@ -231,5 +215,5 @@ def ci_dp(points: Iterable[Point] | Scaled, max_points: int = DP_MAX_POINTS) -> 
                 ring.append(v)
             best = ring[::-1]
     if not best:  # at most two points, or all on one line: the first two by (x, y)
-        return CiResult(min(n, 2), _points(_sorted(k, y_first=False), range(min(n, 2))))
-    return CiResult(len(best), _points(ranked, best))
+        return CiResult(min(n, 2), tuple(k.sorted().take(range(min(n, 2))).points()))
+    return CiResult(len(best), tuple(ranked.take(best).points()))

@@ -7,14 +7,15 @@ is a corner of the hull), which is what the whole construction pipeline
 relies on.  All predicates here decide by exact sign computations; there
 is no epsilon anywhere.
 
-`Scaled` is the one orientation kernel: it holds a point sequence as
-integers over one shared scale.  `chain_defect`, `convex_hull`,
-`is_convexly_independent` and `convex_subsets.ci_dp` take every
-coordinate and turn sign from it, and `construction.step`,
-`Level.witness_midpoints`, `Level.checks` and `render` compute in it.
+`Scaled` is the one integer point-set kernel: a point sequence as
+integers over one shared scale.  It gives every coordinate and turn
+sign, and subsets (`take`), dedupes (`distinct`), orders (`sorted`) and
+forms midpoints (`midpoints`, `midpoint_set`) on integer rows.  The
+predicates here, both `convex_subsets` solvers, the construction,
+`Level.checks`, the drawing checks, `render` and `ci` compute in it.
 The `Point` functions `flatten`, `rotate60`, `midpoint`,
-`transform_chains` and `midpoint_set` are the value forms those integer
-paths are tested against.
+`transform_chains`, `midpoint_set`, `cross` and `slope` are the value
+forms those integer paths are tested against.
 Slope monotonicity is tested with cross products rather than divisions:
 for segments with positive dx, slope(a,b) < slope(b,c) holds exactly
 when the turn a -> b -> c is counterclockwise.
@@ -73,11 +74,6 @@ def pt(x: QSqrt3Like, y: QSqrt3Like) -> Point:
 
 def midpoint(a: Point, b: Point) -> Point:
     return Point((a.x + b.x) * HALF, (a.y + b.y) * HALF)
-
-
-def sort_key(p: Point) -> tuple[QSqrt3, QSqrt3]:
-    """Lexicographic (x, y) key; QSqrt3 ordering is exact."""
-    return (p.x, p.y)
 
 
 def cross(o: Point, a: Point, b: Point) -> QSqrt3:
@@ -151,6 +147,22 @@ class Scaled:
             for xa, xb, ya, yb in zip(self.xa, self.xb, self.ya, self.yb)
         ]
 
+    def take(self, indices: Iterable[int]) -> Scaled:
+        """The points at `indices`, in that order, over the same scale."""
+        rows = self.rows()
+        return Scaled.from_rows([rows[i] for i in indices], self.s)
+
+    def distinct(self) -> Scaled:
+        """Each point once, compared on integer rows, in first-seen order."""
+        return Scaled.from_rows(list(dict.fromkeys(self.rows())), self.s)
+
+    def sorted(self, y_first: bool = False) -> Scaled:
+        """The points in exact (x, y) order, or (y, x) order; equal points
+        keep their order."""
+        first, second = (self.dy_sign, self.dx_sign) if y_first else (self.dx_sign, self.dy_sign)
+        order = cmp_to_key(lambda i, j: -(first(i, j) or second(i, j)))
+        return self.take(sorted(range(len(self)), key=order))
+
     def midpoints(self, n: int, pairs: Iterable[tuple[int, int]]) -> Scaled:
         """Midpoints of a[i] and b[j] for each pair (i, j), in order, where
         a is the first n points and b the rest: row sums over twice the
@@ -163,6 +175,16 @@ class Scaled:
         )
         new.s = 2 * self.s
         return new
+
+    def midpoint_set(self, n: int, limit: int) -> Scaled:
+        """The distinct midpoints of all pairs a[i], b[j] as in `midpoints`, in no
+        fixed order, formed one a[i] at a time until there are more than `limit`."""
+        b, rows = range(len(self) - n), set()
+        for i in range(n):
+            rows.update(self.midpoints(n, ((i, j) for j in b)).rows())
+            if len(rows) > limit:
+                break
+        return Scaled.from_rows(list(rows), 2 * self.s)
 
     def dx_sign(self, i: int, j: int) -> int:
         """Sign of x[j] - x[i]."""
@@ -287,11 +309,9 @@ def midpoint_set(ps: Iterable[Point], qs: Iterable[Point]) -> frozenset[Point]:
 
 
 def _hull(k: Scaled) -> list[int]:
-    """Indices of the strict hull corners of distinct points, counterclockwise."""
+    """Indices of the strict hull corners of distinct points in (x, y) order, counterclockwise."""
     if len(k) < 2:
         return list(range(len(k)))
-    xy = cmp_to_key(lambda i, j: -(k.dx_sign(i, j) or k.dy_sign(i, j)))
-    order = sorted(range(len(k)), key=xy)
 
     def half_hull(indices: Iterable[int]) -> list[int]:
         h: list[int] = []
@@ -301,7 +321,7 @@ def _hull(k: Scaled) -> list[int]:
             h.append(i)
         return h[:-1]
 
-    return half_hull(order) + half_hull(reversed(order))
+    return half_hull(range(len(k))) + half_hull(reversed(range(len(k))))
 
 
 def convex_hull(points: Iterable[Point]) -> list[Point]:
@@ -310,8 +330,8 @@ def convex_hull(points: Iterable[Point]) -> list[Point]:
     Only corner points are kept: a point lying in the interior of a hull
     edge is not reported.  Input order and multiplicity are irrelevant.
     """
-    pts = list(set(points))
-    return [pts[i] for i in _hull(Scaled(pts))]
+    k = Scaled(list(points)).distinct().sorted()
+    return k.take(_hull(k)).points()
 
 
 def is_convexly_independent(points: Iterable[Point] | Scaled) -> bool:
@@ -322,4 +342,4 @@ def is_convexly_independent(points: Iterable[Point] | Scaled) -> bool:
     repeated point never does.  A `Scaled` sequence is used as it is.
     """
     k = points if isinstance(points, Scaled) else Scaled(list(points))
-    return len(set(k.rows())) == len(k) == len(_hull(k))
+    return len(k.distinct()) == len(k) == len(_hull(k.sorted()))

@@ -13,14 +13,15 @@ built level, and edge t corresponds to witness pair t.  A
 `BipartiteDrawing` places vertices on the plane; `verify_drawing`
 re-checks, by exact predicates only, that both parts and the edge
 midpoints form south-east chains, and `drawing_defect` says where they
-do not.
+do not.  Both parts' placements go into one `geometry.Scaled`, and the
+edge midpoints are its row sums over `BipartiteGraph.index_pairs()`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping
 
-from .geometry import Point, chain_defect, midpoint, sort_key
+from .geometry import Point, Scaled, chain_defect
 from .numbers import Record
 
 if TYPE_CHECKING:  # only for type annotations; no runtime cycle
@@ -52,6 +53,12 @@ class BipartiteGraph(Record):
         for a, b in edges:
             if a not in u_set or b not in v_set:
                 raise ValueError(f"edge ({a}, {b}) does not match the parts")
+
+    def index_pairs(self) -> list[tuple[int, int]]:
+        """Each edge as (position in u, position in v), in edge order."""
+        u_pos = {name: t for t, name in enumerate(self.u)}
+        v_pos = {name: t for t, name in enumerate(self.v)}
+        return [(u_pos[a], v_pos[b]) for a, b in self.edges]
 
     @property
     def vertex_count(self) -> int:
@@ -124,9 +131,13 @@ class BipartiteDrawing(Record):
     def __hash__(self) -> int:
         return hash((self.graph,))
 
+    def _scaled(self) -> Scaled:
+        """Part u's placements, then part v's, over one scale."""
+        return Scaled([self.placement[x] for x in self.graph.u + self.graph.v])
+
     def edge_midpoints(self) -> list[Point]:
-        place = self.placement
-        return [midpoint(place[a], place[b]) for a, b in self.graph.edges]
+        graph = self.graph
+        return self._scaled().midpoints(len(graph.u), graph.index_pairs()).points()
 
 
 def drawing_defect(drawing: BipartiteDrawing) -> str:
@@ -137,15 +148,16 @@ def drawing_defect(drawing: BipartiteDrawing) -> str:
     indices in that sorted order.  Coincident midpoints (or coincident
     part vertices) fail: strict x increase rules them out.
     """
-    place = drawing.placement
+    graph, k = drawing.graph, drawing._scaled()
+    n = len(graph.u)
     sequences = (
-        ("part u", [place[x] for x in drawing.graph.u]),
-        ("part v", [place[x] for x in drawing.graph.v]),
-        ("edge midpoints", drawing.edge_midpoints()),
+        ("part u", k.take(range(n))),
+        ("part v", k.take(range(n, len(k)))),
+        ("edge midpoints", k.midpoints(n, graph.index_pairs())),
     )
     for name, points in sequences:
         # Fewer than two points pass: there is no segment to test.
-        defect = len(points) >= 2 and chain_defect(sorted(points, key=sort_key))
+        defect = len(points) >= 2 and chain_defect(points.sorted())
         if defect:
             return f"{name}, sorted by (x, y): {defect}"
     return ""
@@ -167,24 +179,16 @@ def drawing_from_level(level: Level) -> BipartiteDrawing:
     graph = family(level.k)
     if len(graph.u) != len(level.a) or len(graph.v) != len(level.b):
         raise ValueError("level chains do not match the family part sizes")
-    u_pos = {name: t for t, name in enumerate(graph.u)}
-    v_pos = {name: t for t, name in enumerate(graph.v)}
-    for t, (a_name, b_name) in enumerate(graph.edges):
-        if (u_pos[a_name], v_pos[b_name]) != level.witness[t]:
+    for t, pair in enumerate(graph.index_pairs()):
+        if pair != level.witness[t]:
             raise ValueError(
                 f"edge {t} disagrees with witness pair {level.witness[t]}"
             )
-    placement: dict[str, Point] = {}
-    for name, point in zip(graph.u, level.a):
-        placement[name] = point
-    for name, point in zip(graph.v, level.b):
-        placement[name] = point
+    placement = dict(zip(graph.u + graph.v, level.a + level.b))
     return BipartiteDrawing(graph=graph, placement=placement)
 
 
 def edge_list_text(graph: BipartiteGraph) -> str:
     """Positional edge list, one `u<i> v<j>` line per edge (0-based)."""
-    u_pos = {name: t for t, name in enumerate(graph.u)}
-    v_pos = {name: t for t, name in enumerate(graph.v)}
-    lines = [f"u{u_pos[a]} v{v_pos[b]}" for a, b in graph.edges]
+    lines = [f"u{i} v{j}" for i, j in graph.index_pairs()]
     return "\n".join(lines) + "\n"

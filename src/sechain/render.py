@@ -10,7 +10,6 @@ same document always renders to the same bytes.
 from __future__ import annotations
 
 import math
-from itertools import product
 
 from .construction import Level
 from .geometry import Scaled
@@ -18,9 +17,10 @@ from .geometry import Scaled
 _WIDTH = 800.0
 _MARGIN = 40.0
 _PRECISION = 6
-# |a|*|b| at level 9, which renders in about 2.2 s at 200 MB peak RSS
-# (2 cores, Python 3.11); level 10, four times the midpoints, took 12 s
-# and 710 MB for a 71 MB SVG.
+# |a|*|b| at level 9, which renders in about 2.7 s at 160 MB peak RSS
+# (2 cores, Python 3.11) and runs to exit 0 under a 192 MiB RLIMIT_AS;
+# level 10, four times the midpoints, takes about 10 s and 550 MB for a
+# 70 MB SVG.
 _MIDPOINT_CAP = 2**18
 
 _STYLE = """
@@ -49,8 +49,7 @@ def render_construction(level: Level) -> str:
     # midpoint, so equal midpoints have equal rows.  Floats are display only.
     n = len(level.a)
     k = Scaled(level.a + level.b)
-    every_mid = k.midpoints(n, product(range(n), range(len(level.b))))
-    mids = sorted(Scaled.from_rows(list(set(every_mid.rows())), every_mid.s).floats())
+    mids = sorted(k.midpoint_set(n, _MIDPOINT_CAP).floats())
     chain_xy = k.floats()
     a_xy, b_xy = chain_xy[:n], chain_xy[n:]
     witness_xy = k.midpoints(n, level.witness).floats()

@@ -1,7 +1,10 @@
 import codecs
+import contextlib
+import copy
 import functools
 import hashlib
 import importlib.metadata
+import io
 import json
 import shutil
 import subprocess
@@ -11,6 +14,8 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sechain import construction, geometry
 from sechain.cli import main
@@ -18,10 +23,12 @@ from sechain.document import (
     construction_to_document,
     dumps,
     encode_point,
+    graph_to_document,
     points_to_document,
 )
-from sechain.geometry import pt
-from sechain.graphs import edge_list_text, family
+from sechain.geometry import Point, pt
+from sechain.graphs import drawing_from_level, edge_list_text, family
+from sechain.numbers import QSqrt3
 
 
 @pytest.fixture
@@ -225,6 +232,24 @@ class TestVerify:
             "y does not strictly increase at indices 2,3)"
         ) in capsys.readouterr().out
 
+    @pytest.mark.parametrize("case, detail", [
+        ("part-v", "part v, sorted by (x, y): turn at indices 1,2,3 is not strictly left"),
+        ("coincident-midpoints",
+         "edge midpoints, sorted by (x, y): x does not strictly increase at indices 4,5"),
+    ])
+    def test_drawing_failure_detail(self, tmp_path, capsys, case, detail):
+        level = construction.build(2)
+        graph, a, b = family(2), level.a, level.b
+        placement = dict(drawing_from_level(level).placement)
+        if case == "part-v":  # v3 moved right, to x = 1000
+            placement[graph.v[3]] = Point(QSqrt3(1000), b[3].y)
+        else:  # v2 moved so that edge (u0, v2) has the midpoint of edge (u2, v3)
+            placement[graph.v[2]] = a[2] + b[3] - a[0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(dumps(graph_to_document(graph, placements=placement, k=2)))
+        assert main(["verify", str(bad)]) == 1
+        assert f"FAIL  drawing-chains  ({detail})" in capsys.readouterr().out
+
 
 @pytest.mark.parametrize("command", ["verify", "ci"])
 @pytest.mark.parametrize(
@@ -312,6 +337,71 @@ def test_failed_search_leaves_no_new_file(tmp_path, capsys, command):
         assert "error: no flattening factor down to 2**-3" in capsys.readouterr().err
     assert not fresh.exists()
     assert kept.read_text() == "earlier output"
+
+
+def _paths(node, path=()):
+    """Every path into a JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, path + (key,))
+
+
+_BIG = "9" * 4000  # under the 4300-digit limit, far beyond a float
+
+
+@st.composite
+def _mutated(draw, documents):
+    """A valid document with one to three structured edits."""
+    document = copy.deepcopy(draw(st.sampled_from(documents)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(document))))
+        *parents, key = path
+        holder = functools.reduce(lambda node, k: node[k], parents, document)
+        edit = draw(st.sampled_from(["drop", "retype", "duplicate", "number"]))
+        if edit == "drop":
+            del holder[key]
+        elif edit == "retype":
+            holder[key] = draw(st.sampled_from([None, True, 7, -1.5, "x", [], {}]))
+        elif edit == "duplicate":  # a sibling's value, or a list item twice
+            siblings = list(holder) if isinstance(holder, dict) else range(len(holder))
+            other = holder[draw(st.sampled_from(siblings))]
+            if isinstance(holder, list):
+                holder.insert(key, copy.deepcopy(other))
+            else:
+                holder[key] = copy.deepcopy(other)
+        else:
+            number = draw(st.sampled_from([0, -1, -(10**30), 10**30, 2**64]))
+            as_text = draw(st.sampled_from([str(number), _BIG, "-" + _BIG]))
+            holder[key] = as_text if isinstance(holder[key], str) else number
+    return document
+
+
+def _valid_documents() -> list[dict]:
+    level = construction.build(2)
+    drawing = drawing_from_level(level)
+    return [
+        construction_to_document(level),
+        graph_to_document(drawing.graph, placements=dict(drawing.placement), k=2),
+    ]
+
+
+@settings(max_examples=40, deadline=2000)
+@given(document=_mutated(_valid_documents()))
+def test_mutated_documents_keep_the_exit_contract(document, tmp_path_factory):
+    # Each mutation goes through every reading op in process: an escaping
+    # exception is a traceback, and the exit code must be 0, 1 or 2.
+    folder = tmp_path_factory.getbasetemp()
+    doc = folder / "mutated.json"
+    doc.write_text(json.dumps(document))
+    for argv in (["verify", str(doc)], ["verify", "--json", str(doc)], ["ci", str(doc)],
+                 ["render", str(doc), "-o", str(folder / "mutated.svg")]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestCi:
@@ -429,7 +519,7 @@ class TestRender:
 
 
 # sha256 of the construction documents for k = 1..12, of
-# `graph -k 3 --placements` and of `render` on levels 3, 7 and 8.  Any
+# `graph -k 3 --placements` and of `render` on levels 3, 7, 8 and 9.  Any
 # change to the encoding, the construction or the renderer shows up here.
 _PINNED_CONSTRUCTIONS = {
     1: "83dedbd55db69635baf5a789cc744dd62b970257082072a09a9fa4b1cd678c81",
@@ -450,6 +540,7 @@ _PINNED_SVGS = {
     3: "a7205d48796ac2c170618b4ee613af6e5fd351d96f7ecbf0eb52d12e909bb928",
     7: "084a87a24b95e923841f2802649a53cf2d7c49d0e596a3fb63de83180b29847b",
     8: "f2f3c9fe07d2ee593bfbed3ffbf470470055acdde1963b3277ec694d7d27bf7b",
+    9: "ad0d0dcf15346144b26e6e23092a0dfca9a13e315de5be69ad2b1a8f3407c7c4",
 }
 # sha256 of `ci --json` on levels 2 to 5: the size and the witness.  The
 # level-5 digest was taken from the full anchor loop, before the tail
@@ -507,6 +598,17 @@ class TestPinnedBytes:
             doc.write_text(dumps(construction_to_document(levels[k])), encoding="utf-8")
             assert main(["render", str(doc), "-o", str(svg)]) == 0
             assert _sha256(svg.read_bytes()) == _PINNED_SVGS[k], k
+
+    def test_render_at_the_cap_in_192_mib(self, tmp_path):
+        # Level 9 has 2**18 midpoints, render's cap, and renders at about
+        # 160 MB peak RSS: it must do so in a fresh interpreter under a
+        # 192 MiB address space.
+        doc, svg = tmp_path / "level9.json", tmp_path / "level9.svg"
+        assert main(["construct", "-k", "9", "-o", str(doc)]) == 0
+        proc = _run_cli("render", str(doc), "-o", str(svg),
+                        preexec_fn=functools.partial(_limit_address_space, 192))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert _sha256(svg.read_bytes()) == _PINNED_SVGS[9]
 
     def test_ci_json(self, levels, tmp_path, capsys):
         for k in (2, 3, 4):

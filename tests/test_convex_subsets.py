@@ -244,7 +244,7 @@ class TestEdgeOrder:
     def assert_comparator_order(points) -> None:
         ranked = sorted(set(points), key=lambda p: (p.y, p.x))
         k = Scaled(ranked)
-        assert convex_subsets._sorted(Scaled(list(points)), y_first=True).points() == ranked
+        assert Scaled(list(points)).sorted(y_first=True).points() == ranked
         assert convex_subsets._angle_sorted_edges(k) == by_angle(k)
 
     def test_lattice_with_parallel_and_horizontal_edges(self):
@@ -297,7 +297,7 @@ class TestEdgeOrder:
 def tail_bounds(points, a: int) -> tuple[Scaled, list[int]]:
     """The points ranked by (y, x), and `ci_dp`'s tail bound at rank a on
     the whole sorted edge list and on the list kept for ranks a on."""
-    ranked = convex_subsets._sorted(convex_subsets._prepare(points, 10**4, "test"), y_first=True)
+    ranked = convex_subsets._prepare(points, 10**4, "test").sorted(y_first=True)
     n = len(ranked)
     src, dst = convex_subsets._angle_sorted_edges(ranked)
     kept = [(u, v) for u, v in zip(src, dst) if u >= a and v >= a]

@@ -162,6 +162,14 @@ def _kernel_points(draw):
     return [p, Point(p.x + c, p.y), r, Point(r.x + x, r.y + z)]
 
 
+@st.composite
+def _points_with_ties(draw):
+    """Mixed-sign points that repeat and share x or y values."""
+    xs = draw(st.lists(_mixed_coord, min_size=1, max_size=4))
+    ys = draw(st.lists(_mixed_coord, min_size=1, max_size=4))
+    return draw(st.lists(st.builds(Point, st.sampled_from(xs), st.sampled_from(ys)), max_size=14))
+
+
 class TestScaled:
     """The orientation kernel against field arithmetic and interval signs."""
 
@@ -183,6 +191,23 @@ class TestScaled:
             turn = (b.x - a.x) * (d.y - c.y) - (b.y - a.y) * (d.x - c.x)
             self._agree(k.cross_sign(p, q, r, s), turn)
             self._agree(k.cross_sign(p, q, p, s), cross(a, b, d))
+
+    @given(_points_with_ties())
+    def test_order_and_subsets_match_the_point_forms(self, pts):
+        k = Scaled(pts)
+        assert k.sorted().points() == sorted(pts, key=lambda p: (p.x, p.y))
+        assert k.sorted(y_first=True).points() == sorted(pts, key=lambda p: (p.y, p.x))
+        assert k.distinct().points() == list(dict.fromkeys(pts))
+        assert k.take(range(len(pts) - 1, -1, -1)).points() == pts[::-1]
+
+    @given(_points_with_ties(), _points_with_ties(), st.integers(0, 60))
+    def test_midpoint_set_matches_the_value_form(self, a, b, limit):
+        # Rows of a are added whole, until the set holds more than limit.
+        last = next((i for i in range(len(a)) if len(midpoint_set(a[:i + 1], b)) > limit),
+                    len(a))
+        got = Scaled(a + b).midpoint_set(len(a), limit).points()
+        assert len(got) == len(set(got))
+        assert set(got) == midpoint_set(a[:last + 1], b)
 
     def test_near_zero_pair_examples(self):
         # Convergents of sqrt(3): 18817 - 10864*sqrt(3) is about 2.7e-5.
