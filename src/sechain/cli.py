@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 # construct -k 12 takes about 1.1 s at 84 MB peak RSS (a 6.4 MB document,
 # 2 cores, Python 3.11) and runs to exit 0 under a 192 MiB RLIMIT_AS; each
@@ -94,13 +94,8 @@ def _graph_checks(graph, placements) -> list[tuple[str, bool, str]]:
 def _report(checks: list[tuple[str, bool, str]], as_json: bool) -> int:
     all_pass = all(ok for _, ok, _ in checks)
     if as_json:
-        payload = {
-            "all_pass": all_pass,
-            "checks": [
-                {"name": name, "pass": ok, "detail": detail}
-                for name, ok, detail in checks
-            ],
-        }
+        rows = [{"name": name, "pass": ok, "detail": detail} for name, ok, detail in checks]
+        payload = {"all_pass": all_pass, "checks": rows}
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
         for name, ok, detail in checks:
@@ -145,11 +140,8 @@ def _cmd_ci(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        payload_out: dict[str, Any] = {
-            "algo": args.algo,
-            "size": result.size,
-            "witness": [encode_point(p) for p in result.witness],
-        }
+        witness = [encode_point(p) for p in result.witness]
+        payload_out = {"algo": args.algo, "size": result.size, "witness": witness}
         sys.stdout.write(json.dumps(payload_out, sort_keys=True, indent=2) + "\n")
     else:
         print(f"largest convexly independent subset: {result.size} "

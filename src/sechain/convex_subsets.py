@@ -2,9 +2,9 @@
 
 Two different algorithms compute the same number:
 
-* `ci_bruteforce` enumerates subsets by decreasing size and returns the
-  first one that is convexly independent.  Exponential, only meant for
-  small inputs, and used to cross-check the DP.
+* `ci_bruteforce` searches the subsets that are convexly independent,
+  growing each only while it can still beat the largest so far.
+  Exponential, only meant for small inputs, and used to cross-check the DP.
 
 * `ci_dp` runs the edge-sorted dynamic program (Eppstein, Overmars,
   Rote and Woeginger, "Finding minimum area k-gons", 1992; Chvatal and
@@ -20,10 +20,11 @@ Two different algorithms compute the same number:
   only edges whose keys are equal (exactly parallel edges, or angles
   closer than the key resolves) are ordered by the orientation sign.
 
-  The anchor loop ends once a bound proves its answer.  Cut the sorted
-  edges, as a cycle, in two halves: a polygon's edges in each form one
-  path, so with L the points on a half's longest path among those ranked
-  a on, a polygon anchored from a on has at most L1 + L2 - 2 points.
+  Each anchor gets its own bound from two integer passes: a polygon
+  anchored at a is one path from a over the up half of the sorted edges
+  (u -> v, u < v) and one back to a over the down half, so with U and D
+  the points on the longest such paths it has at most U + D - 2 points.
+  An anchor whose bound cannot beat the best polygon so far is skipped.
 
 Both take the points as `Point`s or as a `Scaled`, keep each point once
 (`Scaled.distinct`, on integer rows) and check their cap before any
@@ -38,8 +39,8 @@ The oracles independent of that kernel are in `tests/helpers.py` and
 
 from __future__ import annotations
 
-from functools import cmp_to_key
-from itertools import combinations, compress
+from functools import cache, cmp_to_key
+from itertools import compress
 from typing import Iterable
 
 from .geometry import Point, Scaled, _hull
@@ -78,19 +79,24 @@ def _prepare(points: Iterable[Point] | Scaled, max_points: int, what: str) -> Sc
 def ci_bruteforce(points: Iterable[Point] | Scaled, max_points: int = 20) -> CiResult:
     """Exact maximum by exhaustive search; the cross-check for `ci_dp`.
 
-    Among maximum-size subsets the lexicographically smallest one (by
-    sorted point order) is returned, which makes results reproducible.
-    Index subsets of the points in (x, y) order keep it, as `_hull` needs.
-    """
+    It returns the lexicographically smallest largest subset of the points
+    in (x, y) order, growing index subsets in that order only while convex
+    (so is every subset of a convex set) and able to beat the best so far.
+    Each turn's sign is computed once: on big coordinates it is most of the time."""
     k = _prepare(points, max_points, "ci_bruteforce").sorted()
-    n = len(k)
-    for size in range(n, 2, -1):
-        for combo in combinations(range(n), size):
-            subset = k.take(combo)
-            hull = _hull(subset)
-            if len(hull) == size:
-                return CiResult(size, tuple(subset.take(hull).points()))
-    return CiResult(min(n, 2), tuple(k.take(range(min(n, 2))).points()))
+    n, best, turn = len(k), (), cache(k.turn)
+
+    def grow(combo: tuple[int, ...]) -> None:
+        nonlocal best
+        best = max(best, combo, key=len)
+        for i in range(combo[-1] + 1 if combo else 0, n):
+            if len(combo) + n - i <= len(best):
+                break
+            if len(_hull(combo + (i,), turn)) == len(combo) + 1:
+                grow(combo + (i,))
+
+    grow(())
+    return CiResult(len(best), tuple(k.take(_hull(best, turn)).points()))
 
 
 def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
@@ -155,21 +161,21 @@ def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
     return up_src + down_src, up_dst + down_dst
 
 
-def _relax(edges: Iterable[tuple[int, int]], n: int, a: int) -> int:
-    """Points on the longest path over `edges`, in order, among those ranked a on."""
-    length = [1] * n
-    for u, v in edges:
-        if u >= a and v >= a and length[u] >= length[v]:
-            length[v] = length[u] + 1
-    return max(length)
-
-
-def _tail_bound(src: list[int], dst: list[int], n: int, a: int) -> int:
-    """At least the size of each convex polygon of 2+ points ranked a on:
-    the edges cut at the up/down split."""
+def _anchor_bounds(src: list[int], dst: list[int], n: int) -> list[int]:
+    """For each rank a, at least the size of each convex polygon anchored
+    at a: the points on the longest path from a over the up half of the
+    edges, in order, plus those on the longest path back to a over the
+    down half, less 2.  Up edges climb in rank and down edges descend, so
+    both paths keep to the points ranked a on."""
     half = len(src) // 2
-    up = _relax(zip(src[:half], dst[:half]), n, a)
-    return up + _relax(zip(src[half:], dst[half:]), n, a) - 2
+    up, down = [1] * n, [1] * n
+    for u, v in zip(reversed(src[:half]), reversed(dst[:half])):
+        if up[u] <= up[v]:
+            up[u] = up[v] + 1
+    for u, v in zip(src[half:], dst[half:]):
+        if down[v] <= down[u]:
+            down[v] = down[u] + 1
+    return [x + y - 2 for x, y in zip(up, down)]
 
 
 def ci_dp(points: Iterable[Point] | Scaled, max_points: int = DP_MAX_POINTS) -> CiResult:
@@ -187,22 +193,19 @@ def ci_dp(points: Iterable[Point] | Scaled, max_points: int = DP_MAX_POINTS) -> 
     # of a comes before every edge into a, so length[a] - 1 ends as the
     # largest polygon with anchor a.  path[v] holds the path to v as
     # persistent (vertex, rest) tuples: a parent array would let a later,
-    # longer path to u rewrite a path already extended through u.  The
-    # tail bound only ends the loop, so `best` is the full loop's result.
+    # longer path to u rewrite a path already extended through u.  An
+    # anchor whose bound cannot beat `best` is skipped, and `best` changes
+    # only on a strict gain, so it is the full loop's result.
+    bound = _anchor_bounds(src, dst, n)
     best: list[int] = []  # the largest polygon so far, once it has 3 points
     for a in range(n):
-        if n - a <= max(len(best), 2):
-            break
-        compact = 2 * (n - a) ** 2 < len(src)
-        if compact:
+        if bound[a] <= max(len(best), 2):
+            continue
+        if 2 * (n - a) ** 2 < len(src):
             keep = [u >= a and v >= a for u, v in zip(src, dst)]
             src, dst = list(compress(src, keep)), list(compress(dst, keep))
-        if best and (compact or not a & (a - 1)) and _tail_bound(src, dst, n, a) <= len(best):
-            break
-        length = [0] * n
-        length[a] = 1
-        path: list = [None] * n
-        path[a] = (a, None)
+        length, path = [0] * n, [None] * n
+        length[a], path[a] = 1, (a, None)
         for u, v in zip(src, dst):
             lu = length[u]
             if lu and lu >= length[v] and v >= a:

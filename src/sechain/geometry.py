@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .numbers import _SQRT3_FLOAT, HALF, QSqrt3, QSqrt3Like, Record, sign2
 
@@ -194,6 +194,10 @@ class Scaled:
         """Sign of y[j] - y[i]."""
         return sign2(self.ya[j] - self.ya[i], self.yb[j] - self.yb[i])
 
+    def turn(self, p: int, q: int, r: int) -> int:
+        """Sign of the turn p -> q -> r; positive means left."""
+        return self.cross_sign(p, q, p, r)
+
     def cross_sign(self, p: int, q: int, r: int, s: int) -> int:
         """Sign of (q - p) x (s - r); positive means a left turn."""
         xa, xb, ya, yb = self.xa, self.xb, self.ya, self.yb
@@ -308,20 +312,21 @@ def midpoint_set(ps: Iterable[Point], qs: Iterable[Point]) -> frozenset[Point]:
     return frozenset(midpoint(p, q) for p in ps for q in qs)
 
 
-def _hull(k: Scaled) -> list[int]:
-    """Indices of the strict hull corners of distinct points in (x, y) order, counterclockwise."""
-    if len(k) < 2:
-        return list(range(len(k)))
+def _hull(indices: Sequence[int], turn: Callable[[int, int, int], int]) -> list[int]:
+    """The strict hull corners among `indices`, counterclockwise, of distinct
+    points indexed in (x, y) order; turn(p, q, r) signs the turn p -> q -> r."""
+    if len(indices) < 2:
+        return list(indices)
 
-    def half_hull(indices: Iterable[int]) -> list[int]:
+    def half_hull(order: Iterable[int]) -> list[int]:
         h: list[int] = []
-        for i in indices:
-            while len(h) >= 2 and k.cross_sign(h[-2], h[-1], h[-2], i) <= 0:
+        for i in order:
+            while len(h) >= 2 and turn(h[-2], h[-1], i) <= 0:
                 h.pop()
             h.append(i)
         return h[:-1]
 
-    return half_hull(range(len(k))) + half_hull(reversed(range(len(k))))
+    return half_hull(indices) + half_hull(reversed(indices))
 
 
 def convex_hull(points: Iterable[Point]) -> list[Point]:
@@ -331,7 +336,7 @@ def convex_hull(points: Iterable[Point]) -> list[Point]:
     edge is not reported.  Input order and multiplicity are irrelevant.
     """
     k = Scaled(list(points)).distinct().sorted()
-    return k.take(_hull(k)).points()
+    return k.take(_hull(range(len(k)), k.turn)).points()
 
 
 def is_convexly_independent(points: Iterable[Point] | Scaled) -> bool:
@@ -342,4 +347,4 @@ def is_convexly_independent(points: Iterable[Point] | Scaled) -> bool:
     repeated point never does.  A `Scaled` sequence is used as it is.
     """
     k = points if isinstance(points, Scaled) else Scaled(list(points))
-    return len(k.distinct()) == len(k) == len(_hull(k.sorted()))
+    return len(k.distinct()) == len(k) == len(_hull(range(len(k)), k.sorted().turn))

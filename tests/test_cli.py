@@ -11,6 +11,7 @@ import subprocess
 import sys
 import sysconfig
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -384,6 +385,8 @@ def _valid_documents() -> list[dict]:
     return [
         construction_to_document(level),
         graph_to_document(drawing.graph, placements=dict(drawing.placement), k=2),
+        points_to_document([pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2), pt(1, 1),
+                            Point(QSqrt3(1, 1), QSqrt3(Fraction(-1, 3), 2))]),
     ]
 
 
@@ -396,6 +399,7 @@ def test_mutated_documents_keep_the_exit_contract(document, tmp_path_factory):
     doc = folder / "mutated.json"
     doc.write_text(json.dumps(document))
     for argv in (["verify", str(doc)], ["verify", "--json", str(doc)], ["ci", str(doc)],
+                 ["ci", "--algo", "brute", "--json", str(doc)],
                  ["render", str(doc), "-o", str(folder / "mutated.svg")]):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import combinations
 from math import floor
 
 import pytest
@@ -13,6 +14,7 @@ from sechain.convex_subsets import DP_MAX_POINTS, CiResult, ci_bruteforce, ci_dp
 from sechain.geometry import (
     Point,
     Scaled,
+    _hull,
     convex_hull,
     is_convexly_independent,
     midpoint_set,
@@ -129,6 +131,23 @@ class TestGuards:
         with pytest.raises(ValueError):
             ci_bruteforce(pts)
         assert ci_bruteforce(pts, max_points=21).size == 21
+
+    def test_bruteforce_signs_each_turn_once(self, monkeypatch):
+        # A sign on 4000-digit coordinates is costly, so the search, however
+        # many subsets it grows, signs each ordered turn of the points once.
+        rng, big = random.Random("turns"), 10**4000
+        pts = [pt(rng.randint(-9, 9) * (big if i % 5 == 0 else 1), rng.randint(-9, 9))
+               for i in range(16)]
+        calls, cross_sign = [], Scaled.cross_sign
+
+        def counting(self, *args):
+            calls.append(args)
+            return cross_sign(self, *args)
+
+        monkeypatch.setattr(Scaled, "cross_sign", counting)
+        ci_bruteforce(pts)
+        n = len(set(pts))
+        assert len(calls) == len(set(calls)) <= n * (n - 1) * (n - 2) // 3
 
     def test_dp_cap(self):
         pts = [pt(i, 0) for i in range(2501)]
@@ -294,21 +313,22 @@ class TestEdgeOrder:
         assert_sound(dp, pts)
 
 
-def tail_bounds(points, a: int) -> tuple[Scaled, list[int]]:
-    """The points ranked by (y, x), and `ci_dp`'s tail bound at rank a on
-    the whole sorted edge list and on the list kept for ranks a on."""
+def anchor_bounds(points) -> tuple[Scaled, list[int]]:
+    """The points ranked by (y, x), and `ci_dp`'s bound for each rank."""
     ranked = convex_subsets._prepare(points, 10**4, "test").sorted(y_first=True)
-    n = len(ranked)
     src, dst = convex_subsets._angle_sorted_edges(ranked)
-    kept = [(u, v) for u, v in zip(src, dst) if u >= a and v >= a]
-    return ranked, [
-        convex_subsets._tail_bound(src, dst, n, a),
-        convex_subsets._tail_bound([u for u, _ in kept], [v for _, v in kept], n, a),
-    ]
+    return ranked, convex_subsets._anchor_bounds(src, dst, len(ranked))
 
 
-def tail(ranked: Scaled, a: int) -> Scaled:
-    return Scaled.from_rows(ranked.rows()[a:], ranked.s)
+def largest_by_anchor(ranked: Scaled) -> list[int]:
+    """For each rank, the largest convex subset of 2+ points whose lowest
+    point by (y, x) it is, by brute force over index subsets."""
+    n, best = len(ranked), [0] * len(ranked)
+    for size in range(2, n + 1):
+        for combo in combinations(range(n), size):
+            if len(_hull(range(size), ranked.take(combo).sorted().turn)) == size:
+                best[combo[0]] = size
+    return best
 
 
 _lattice_st = st.builds(pt, st.integers(0, 4), st.integers(0, 3))
@@ -322,24 +342,21 @@ def _collinear_st(draw):
     return line + draw(st.lists(points_st, max_size=4))
 
 
-class TestTailBound:
-    """The two-arc tail bound that ends `ci_dp`'s anchor loop is never
-    below the largest convex polygon of the points ranked a on."""
+class TestAnchorBound:
+    """The per-anchor bound that lets `ci_dp` skip an anchor is never below
+    the largest convex polygon anchored there."""
 
     @given(
         st.one_of(
-            st.lists(points_st, min_size=2, max_size=10),
-            st.lists(_lattice_st, min_size=2, max_size=10),
+            st.lists(points_st, min_size=2, max_size=9),
+            st.lists(_lattice_st, min_size=2, max_size=9),
             _collinear_st(),
-        ),
-        st.integers(min_value=0),
+        )
     )
-    def test_at_least_bruteforce(self, points, draw_a):
-        n = len(set(points))
-        for a in {0, draw_a % max(n - 1, 1)}:
-            ranked, bounds = tail_bounds(points, a)
-            if n - a >= 2:
-                assert min(bounds) >= ci_bruteforce(tail(ranked, a)).size, (points, a)
+    def test_at_least_bruteforce_per_anchor(self, points):
+        ranked, bounds = anchor_bounds(points)
+        for a, size in enumerate(largest_by_anchor(ranked)):
+            assert bounds[a] >= size, (points, a)
 
     @settings(max_examples=12)
     @given(st.integers(30, 120), st.booleans(), st.integers(0, 2**32 - 1))
@@ -350,20 +367,15 @@ class TestTailBound:
             points = rng.sample(cells, size)
         else:
             points = [rand_point(rng, irrational=rng.random() < 0.5) for _ in range(size)]
-        a = rng.randrange(len(set(points)) - 1)
-        for at in (0, a):
-            ranked, bounds = tail_bounds(points, at)
-            assert min(bounds) >= ci_dp(tail(ranked, at)).size, (points, at)
+        assert max(anchor_bounds(points)[1]) >= ci_dp(points).size, points
 
-    def test_ends_the_level4_loop_early(self, levels, monkeypatch):
-        # The first anchor already finds the optimum, 51, of 256 points;
-        # the bound must prove it within the first few checks.
-        checked, bound = [], convex_subsets._tail_bound
+    def test_level4_runs_two_anchors(self, levels):
+        # The first anchor already finds the optimum, 51, of 256 points,
+        # and only ranks 0 and 1 have a bound that could beat it.
+        _, bounds = anchor_bounds(midpoint_set(levels[4].a, levels[4].b))
+        assert [a for a, bound in enumerate(bounds) if bound > 51] == [0, 1]
 
-        def spy(src, dst, n, a):
-            checked.append((a, bound(src, dst, n, a)))
-            return checked[-1][1]
-
-        monkeypatch.setattr(convex_subsets, "_tail_bound", spy)
-        assert ci_dp(midpoint_set(levels[4].a, levels[4].b)).size == 51
-        assert checked[-1][1] <= 51 and checked[-1][0] <= 16, checked
+    def test_whole_set_bound_by_level(self, levels):
+        # The README's research table: k, then the largest bound.
+        for k, bound in {1: 4, 2: 10, 3: 23, 4: 52}.items():
+            assert max(anchor_bounds(midpoint_set(levels[k].a, levels[k].b))[1]) == bound
