@@ -19,12 +19,12 @@ _EXPORTS = {
                           "step")),
         ("convex_subsets", ("CiResult", "ci_bruteforce", "ci_dp")),
         ("document", ("DocumentError",)),
-        ("geometry", ("Chain", "Point", "chain_defect", "convex_hull", "cross", "flatten",
-                      "is_convexly_independent", "is_south_east_chain", "midpoint",
-                      "midpoint_set", "pt", "rotate60", "slope", "transform_chains")),
+        ("geometry", ("Point", "chain_defect", "convex_hull", "cross",
+                      "is_convexly_independent", "is_south_east_chain", "midpoint_set",
+                      "pt", "transform_chains")),
         ("graphs", ("BipartiteDrawing", "BipartiteGraph", "double", "drawing_from_level",
                     "edge_list_text", "family", "g1", "verify_drawing")),
-        ("numbers", ("HALF", "ONE", "SQRT3", "ZERO", "QSqrt3")),
+        ("numbers", ("QSqrt3",)),
     )
     for name in names
 }

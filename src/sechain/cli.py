@@ -47,12 +47,16 @@ def _write_output(make_text: Callable[[], str], path: Optional[str]) -> None:
         handle.write(text)
 
 
-def _k_out_of_range(args: argparse.Namespace) -> bool:
-    """True, after an error line on stderr, when -k is outside [1, --max-k]."""
-    if 1 <= args.k <= args.max_k:
+def _level_options_refused(args: argparse.Namespace) -> bool:
+    """True, after an error line on stderr, when -k is outside [1, --max-k]
+    or --max-eps-exponent leaves no flattening factor to try."""
+    if not 1 <= args.k <= args.max_k:
+        message = f"k must be between 1 and {args.max_k} (raise --max-k to go higher)"
+    elif args.max_eps_exponent < 1:
+        message = f"--max-eps-exponent must be at least 1, not {args.max_eps_exponent}"
+    else:
         return False
-    print(f"error: k must be between 1 and {args.max_k} "
-          f"(raise --max-k to go higher)", file=sys.stderr)
+    print(f"error: {message}", file=sys.stderr)
     return True
 
 
@@ -60,7 +64,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     from .construction import build
     from .document import construction_to_document, dumps
 
-    if _k_out_of_range(args):
+    if _level_options_refused(args):
         return 2
 
     def text() -> str:
@@ -152,7 +156,7 @@ def _cmd_ci(args: argparse.Namespace) -> int:
 def _cmd_graph(args: argparse.Namespace) -> int:
     from .graphs import edge_list_text, family
 
-    if _k_out_of_range(args):
+    if _level_options_refused(args):
         return 2
 
     def text() -> str:

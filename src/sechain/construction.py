@@ -36,7 +36,6 @@ from .geometry import (
     chain_defect,
     is_convexly_independent,
     is_south_east_chain,
-    midpoint,
     pt,
 )
 from .numbers import Record
@@ -48,8 +47,8 @@ Check = tuple[str, bool, str]
 class StepOffsets(Record):
     """Translations that place the chain blocks of a doubled level.
 
-    The three fields anchor the chain copies.  The witness-block anchors
-    are forced by linearity to be half sums of them, so they are derived.
+    The three fields anchor the chain copies; by linearity the witness
+    blocks of the new level sit at half sums of them.
     """
 
     __slots__ = ("rotated_b_in_a", "flat_b_in_b", "rotated_a_in_b")
@@ -62,18 +61,6 @@ class StepOffsets(Record):
         object.__setattr__(self, "rotated_b_in_a", rotated_b_in_a)
         object.__setattr__(self, "flat_b_in_b", flat_b_in_b)
         object.__setattr__(self, "rotated_a_in_b", rotated_a_in_b)
-
-    @property
-    def old_witness_block(self) -> Point:  # the flat-copy witness midpoints
-        return midpoint(pt(0, 0), self.flat_b_in_b)
-
-    @property
-    def matching_block(self) -> Point:  # the flat/rotated pairing midpoints
-        return midpoint(pt(0, 0), self.rotated_a_in_b)
-
-    @property
-    def rotated_witness_block(self) -> Point:  # the rotated-copy witness midpoints
-        return midpoint(self.rotated_a_in_b, self.rotated_b_in_a)
 
 
 STEP_OFFSETS = StepOffsets(
@@ -192,34 +179,24 @@ def step(level: Level, eps: Fraction) -> Optional[Level]:
     enough).  An eps <= 0 is a usage error, not a rejection.
 
     The work is done on integers: both chains and the offsets go into
-    one `Scaled` over s, and with eps = p/q every new coordinate is an
-    integer over t = 2*s*q**2.  Flattening multiplies x by p*q and y by
-    p**2 (over s*q**2); rotation is then exact over t, and the flat copy
-    is doubled to meet it.  The values equal `transform_chains`'.
+    one `Scaled` over s, and `Scaled.flattened`, the map that
+    `transform_chains` uses too, gives the flat and rotated copies over
+    t = 2*s*q**2 for eps = p/q.  The offsets, integers over s, are
+    scaled up to t to meet them.
     """
-    if not isinstance(eps, Fraction):
-        eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("flattening factor must be positive")
+    eps = Fraction(eps)
     off = STEP_OFFSETS
     n, m = len(level.a), len(level.a) + len(level.b)
     k = Scaled(level.a + level.b + (off.rotated_b_in_a, off.flat_b_in_b, off.rotated_a_in_b))
-    p, q = eps.numerator, eps.denominator
-    up = 2 * q * q  # an integer over s is up times itself over t
-    t, fx, fy = up * k.s, p * q, p * p
-
-    rows = k.rows()
-    flat, rot = [], []
-    for xa, xb, ya, yb in rows[:m]:
-        xa, xb, ya, yb = fx * xa, fx * xb, fy * ya, fy * yb
-        flat.append((2 * xa, 2 * xb, 2 * ya, 2 * yb))
-        rot.append((xa - 3 * yb, xb - ya, 3 * xb + ya, xa + yb))
+    flat, rot = k.flattened(eps)
+    t, up = flat.s, flat.s // k.s  # an integer over s is up times itself over t
+    flat, rot = flat.rows()[:m], rot.rows()[:m]
 
     def shifted(block: list[Row], offset: Row) -> list[Row]:
         o = tuple(up * c for c in offset)
         return [tuple(map(add, row, o)) for row in block]
 
-    in_a, in_b, rot_a_in_b = rows[m:]
+    in_a, in_b, rot_a_in_b = k.rows()[m:]
     new_a = flat[:n] + shifted(rot[n:], in_a)
     new_b = shifted(flat[n:], in_b) + shifted(rot[:n], rot_a_in_b)
     if not (
@@ -257,8 +234,11 @@ def find_epsilon(level: Level, max_exponent: int = 256) -> Level:
     Each candidate is decided by running `step`, and the level `step`
     proved is returned; its factor is `eps_history[-1]`, and twice it was
     run and rejected unless m = 1.  "Largest" rests on "smaller keeps
-    working": factors above a rejected one are not tried.
+    working": factors above a rejected one are not tried.  A cap below 1
+    leaves no factor to try and raises ValueError.
     """
+    if max_exponent < 1:
+        raise ValueError(f"the exponent cap must be at least 1, not {max_exponent}")
     history = level.eps_history
     m = history[-1].denominator.bit_length() - 1 if history else 1
     m = max(1, min(m, max_exponent))

@@ -9,13 +9,13 @@ is no epsilon anywhere.
 
 `Scaled` is the one integer point-set kernel: a point sequence as
 integers over one shared scale.  It gives every coordinate and turn
-sign, and subsets (`take`), dedupes (`distinct`), orders (`sorted`) and
-forms midpoints (`midpoints`, `midpoint_set`) on integer rows.  The
-predicates here, both `convex_subsets` solvers, the construction,
-`Level.checks`, the drawing checks, `render` and `ci` compute in it.
-The `Point` functions `flatten`, `rotate60`, `midpoint`,
-`transform_chains`, `midpoint_set`, `cross` and `slope` are the value
-forms those integer paths are tested against.
+sign, and subsets (`take`), dedupes (`distinct`), orders (`sorted`),
+forms midpoints (`midpoints`, `midpoint_set`) and flattens and rotates
+(`flattened`, which `construction.step` and `transform_chains` share)
+on integer rows.  The predicates here, both `convex_subsets` solvers,
+the construction, `Level.checks`, the drawing checks, `render` and `ci`
+compute in it.  The `Point` value forms these paths are tested against
+(flattening, rotation, midpoints, slopes) live in `tests/helpers.py`.
 Slope monotonicity is tested with cross products rather than divisions:
 for segments with positive dx, slope(a,b) < slope(b,c) holds exactly
 when the turn a -> b -> c is counterclockwise.
@@ -26,9 +26,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .numbers import _SQRT3_FLOAT, HALF, QSqrt3, QSqrt3Like, Record, sign2
+from .numbers import _SQRT3_FLOAT, QSqrt3, QSqrt3Like, Record, sign2
 
 Row = tuple[int, int, int, int]
 
@@ -72,21 +72,9 @@ def pt(x: QSqrt3Like, y: QSqrt3Like) -> Point:
     return Point(_coord(x), _coord(y))
 
 
-def midpoint(a: Point, b: Point) -> Point:
-    return Point((a.x + b.x) * HALF, (a.y + b.y) * HALF)
-
-
 def cross(o: Point, a: Point, b: Point) -> QSqrt3:
     """2x2 determinant of (a - o, b - o); positive means a left turn."""
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-
-
-def slope(a: Point, b: Point) -> QSqrt3:
-    """Exact slope of the segment from a to b; requires a.x < b.x."""
-    dx = b.x - a.x
-    if dx.sign() <= 0:
-        raise ValueError("slope requires strictly increasing x")
-    return (b.y - a.y) / dx
 
 
 class Scaled:
@@ -186,6 +174,26 @@ class Scaled:
                 break
         return Scaled.from_rows(list(rows), 2 * self.s)
 
+    def flattened(self, eps: Fraction) -> tuple[Scaled, Scaled]:
+        """The points flattened, (x, y) -> (eps*x, eps**2*y), and those turned
+        60 degrees counterclockwise, both over t = 2*s*q**2 for eps = p/q > 0.
+
+        Flattening multiplies x by p*q and y by p**2 (over s*q**2) and scales
+        every slope by eps.  Rotation, ((x - sqrt(3)*y) / 2, (sqrt(3)*x + y) / 2),
+        is then exact over t, and the flat copy is doubled to meet it.
+        """
+        if eps <= 0:
+            raise ValueError("flattening factor must be positive")
+        p, q = eps.numerator, eps.denominator
+        fx, fy = p * q, p * p
+        flat, rot = [], []
+        for xa, xb, ya, yb in zip(self.xa, self.xb, self.ya, self.yb):
+            xa, xb, ya, yb = fx * xa, fx * xb, fy * ya, fy * yb
+            flat.append((2 * xa, 2 * xb, 2 * ya, 2 * yb))
+            rot.append((xa - 3 * yb, xb - ya, 3 * xb + ya, xa + yb))
+        t = 2 * q * q * self.s
+        return Scaled.from_rows(flat, t), Scaled.from_rows(rot, t)
+
     def dx_sign(self, i: int, j: int) -> int:
         """Sign of x[j] - x[i]."""
         return sign2(self.xa[j] - self.xa[i], self.xb[j] - self.xb[i])
@@ -238,69 +246,18 @@ def is_south_east_chain(points: Sequence[Point] | Scaled) -> bool:
     return not chain_defect(points)
 
 
-class Chain(Record):
-    """A validated south-east chain; construction fails otherwise."""
-
-    __slots__ = ("points",)
-    points: tuple[Point, ...]
-
-    def __init__(self, points: Iterable[Point]) -> None:
-        object.__setattr__(self, "points", tuple(points))
-        if not is_south_east_chain(self.points):
-            raise ValueError("points do not form a south-east chain")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self) -> Iterator[Point]:
-        return iter(self.points)
-
-    def __getitem__(self, index: int) -> Point:
-        return self.points[index]
-
-
-# -- linear transforms ----------------------------------------------------
-
-# Rotation by 60 degrees counterclockwise: (x, y) maps to
-# ((x - sqrt(3) y) / 2, (sqrt(3) x + y) / 2).
-_ROT_XX = QSqrt3(Fraction(1, 2))
-_ROT_XY = QSqrt3(0, Fraction(-1, 2))
-_ROT_YX = QSqrt3(0, Fraction(1, 2))
-_ROT_YY = QSqrt3(Fraction(1, 2))
-
-
-def rotate60(p: Point) -> Point:
-    """Rotate a point by 60 degrees counterclockwise about the origin."""
-    return Point(
-        _ROT_XX * p.x + _ROT_XY * p.y,
-        _ROT_YX * p.x + _ROT_YY * p.y,
-    )
-
-
-def flatten(p: Point, eps: Fraction) -> Point:
-    """Apply the flattening map (x, y) -> (eps*x, eps**2*y), eps > 0.
-
-    Flattening scales every slope by exactly eps, so it shrinks all
-    slopes of a chain toward zero while preserving their strict order.
-    """
-    if not isinstance(eps, Fraction):
-        eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("flattening factor must be positive")
-    return Point(p.x * eps, p.y * (eps * eps))
-
-
 def transform_chains(
     chain: Sequence[Point], eps: Fraction
 ) -> tuple[list[Point], list[Point]]:
     """Flattened and rotated-flattened copies of a sequence.
 
     Returns raw point lists (flat, rotated) where rotated[i] is
-    flat[i] turned by 60 degrees.  No validation happens here; callers
-    decide which of the copies must satisfy the chain predicate.
+    flat[i] turned by 60 degrees; eps <= 0 raises ValueError.  No
+    validation happens here; callers decide which of the copies must
+    satisfy the chain predicate.
     """
-    flat = [flatten(p, eps) for p in chain]
-    return flat, [rotate60(p) for p in flat]
+    flat, rotated = Scaled(chain).flattened(eps)
+    return flat.points(), rotated.points()
 
 
 # -- point sets ------------------------------------------------------------
@@ -308,8 +265,8 @@ def transform_chains(
 
 def midpoint_set(ps: Iterable[Point], qs: Iterable[Point]) -> frozenset[Point]:
     """All pairwise midpoints, i.e. the Minkowski sum scaled by one half."""
-    qs = tuple(qs)
-    return frozenset(midpoint(p, q) for p in ps for q in qs)
+    ps, qs = list(ps), list(qs)
+    return frozenset(Scaled(ps + qs).midpoint_set(len(ps), len(ps) * len(qs)).points())
 
 
 def _hull(indices: Sequence[int], turn: Callable[[int, int, int], int]) -> list[int]:

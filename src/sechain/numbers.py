@@ -10,8 +10,8 @@ Rational components are `fractions.Fraction` instances, which already
 guarantee the canonical form (reduced, positive denominator) and
 arbitrary precision.
 
-`Record` is the base of the package's value records (`Point`, `Chain`,
-`Level`, ...).  A record names its fields in `__slots__` and sets each
+`Record` is the base of the package's value records (`Point`, `Level`,
+...).  A record names its fields in `__slots__` and sets each
 once in its own `__init__`, which also validates; the base makes it
 immutable and gives it value `==`, `hash`, a `Name(field=value, ...)`
 repr, and copy and pickle.  Records are plain classes rather than
@@ -160,27 +160,6 @@ class QSqrt3:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: QSqrt3Like) -> QSqrt3:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # Multiply by the conjugate; the norm p**2 - 3 q**2 vanishes only
-        # for zero because sqrt(3) is irrational.
-        norm = other._p * other._p - 3 * other._q * other._q
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(3))")
-        inv = Fraction(1) / norm
-        return QSqrt3(
-            (self._p * other._p - 3 * self._q * other._q) * inv,
-            (self._q * other._p - self._p * other._q) * inv,
-        )
-
-    def __rtruediv__(self, other: QSqrt3Like) -> QSqrt3:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def __neg__(self) -> QSqrt3:
         return QSqrt3(-self._p, -self._q)
 
@@ -229,9 +208,3 @@ class QSqrt3:
             return f"{self._q}*sqrt(3)"
         op = "+" if self._q > 0 else "-"
         return f"{self._p} {op} {abs(self._q)}*sqrt(3)"
-
-
-ZERO = QSqrt3(0)
-ONE = QSqrt3(1)
-SQRT3 = QSqrt3(0, 1)
-HALF = Fraction(1, 2)

@@ -3,7 +3,9 @@
 The sign oracle, the point-in-triangle oracle and the drawing oracle are
 written directly against the definitions, independently of the library
 internals, so the exact-arithmetic code has something external to agree
-with.
+with.  So is the value reference for the construction's maps: exact
+division, `slope`, `midpoint`, `rotate60` and `flatten`, on `QSqrt3`
+arithmetic alone and never through `geometry.Scaled`.
 """
 
 import functools
@@ -13,10 +15,48 @@ from fractions import Fraction
 from hypothesis import strategies as st
 from mpmath import iv
 
-from sechain.geometry import Chain, Point, pt
+from sechain.geometry import Point, pt
 from sechain.numbers import QSqrt3
 
 iv.prec = 128
+
+HALF = Fraction(1, 2)
+SQRT3 = QSqrt3(0, 1)
+
+
+def div(a: QSqrt3, b: QSqrt3) -> QSqrt3:
+    """Exact quotient a / b: 1 / (p + q*sqrt(3)) is (p - q*sqrt(3)) / (p**2 - 3*q**2),
+    and that norm vanishes only for zero because sqrt(3) is irrational."""
+    norm = b.p * b.p - 3 * b.q * b.q
+    if norm == 0:
+        raise ZeroDivisionError("division by zero in Q(sqrt(3))")
+    return a * QSqrt3(b.p / norm, -b.q / norm)
+
+
+def slope(a: Point, b: Point) -> QSqrt3:
+    """Exact slope of the segment from a to b; requires a.x < b.x."""
+    dx = b.x - a.x
+    if dx.sign() <= 0:
+        raise ValueError("slope requires strictly increasing x")
+    return div(b.y - a.y, dx)
+
+
+def midpoint(a: Point, b: Point) -> Point:
+    return Point((a.x + b.x) * HALF, (a.y + b.y) * HALF)
+
+
+def rotate60(p: Point) -> Point:
+    """Rotate a point by 60 degrees counterclockwise about the origin:
+    (x, y) maps to ((x - sqrt(3)*y) / 2, (sqrt(3)*x + y) / 2)."""
+    return Point((p.x - SQRT3 * p.y) * HALF, (SQRT3 * p.x + p.y) * HALF)
+
+
+def flatten(p: Point, eps: Fraction) -> Point:
+    """The flattening map (x, y) -> (eps*x, eps**2*y), eps > 0; it scales
+    every slope by exactly eps."""
+    if eps <= 0:
+        raise ValueError("flattening factor must be positive")
+    return Point(p.x * eps, p.y * (eps * eps))
 
 
 def interval_sign(value: QSqrt3):
@@ -119,11 +159,7 @@ def drawing_oracle(drawing) -> bool:
     from the drawing.
     """
     place = drawing.placement
-    half = Fraction(1, 2)
-    midpoints = [
-        Point((place[a].x + place[b].x) * half, (place[a].y + place[b].y) * half)
-        for a, b in drawing.graph.edges
-    ]
+    midpoints = [midpoint(place[a], place[b]) for a, b in drawing.graph.edges]
     return all(
         south_east_chain_oracle(points)
         for points in (
@@ -152,7 +188,7 @@ def rand_chain(
     length: int,
     irrational: bool = False,
     max_slope: Fraction | None = None,
-) -> Chain:
+) -> tuple[Point, ...]:
     """Random chain built from increasing x and strictly increasing slopes."""
     slopes: list[QSqrt3] = []
     s = QSqrt3(Fraction(rng.randint(1, 4), rng.randint(5, 40)))
@@ -164,7 +200,7 @@ def rand_chain(
         else:
             s = s + QSqrt3(bump)
     if max_slope is not None and slopes and slopes[-1] >= QSqrt3(max_slope):
-        scale = QSqrt3(max_slope) / (slopes[-1] * 2)
+        scale = div(QSqrt3(max_slope), slopes[-1] * 2)
         slopes = [t * scale for t in slopes]
     cur = rand_point(rng, irrational)
     points = [cur]
@@ -172,7 +208,7 @@ def rand_chain(
         dx = QSqrt3(Fraction(rng.randint(1, 8), rng.randint(1, 4)))
         cur = Point(cur.x + dx, cur.y + s * dx)
         points.append(cur)
-    return Chain(tuple(points))
+    return tuple(points)
 
 
 def rand_dyadic(rng: random.Random, lo: int = 1, hi: int = 10) -> Fraction:

@@ -24,16 +24,22 @@ from sechain.geometry import (
     convex_hull,
     is_convexly_independent,
     is_south_east_chain,
-    midpoint,
     midpoint_set,
-    rotate60,
-    slope,
     transform_chains,
 )
 from sechain.graphs import BipartiteDrawing, drawing_from_level, family, verify_drawing
-from sechain.numbers import SQRT3, QSqrt3
+from sechain.numbers import QSqrt3
 
-from .helpers import drawing_oracle, rand_chain, rand_dyadic, rand_point
+from .helpers import (
+    SQRT3,
+    div,
+    drawing_oracle,
+    midpoint,
+    rand_chain,
+    rand_dyadic,
+    rand_point,
+    slope,
+)
 
 
 def criterion(number: int, label: str):
@@ -133,12 +139,13 @@ def test_criterion_3():
     for _ in range(500):
         a, b = _random_shallow_pair(rng)
         dx, dy = b.x - a.x, b.y - a.y
-        rotated = slope(rotate60(a), rotate60(b))
-        assert rotated == (SQRT3 * dx + dy) / (dx - SQRT3 * dy)
-        ma = midpoint(a, rotate60(a))
-        mb = midpoint(b, rotate60(b))
-        assert slope(ma, mb) == (dx + SQRT3 * dy) / (SQRT3 * dx - dy)
-        assert ma == Point((a.x + rotate60(a).x) * half, (a.y + rotate60(a).y) * half)
+        ra, rb = transform_chains([a, b], Fraction(1))[1]  # the shipped rotation
+        rotated = slope(ra, rb)
+        assert rotated == div(SQRT3 * dx + dy, dx - SQRT3 * dy)
+        ma = midpoint(a, ra)
+        mb = midpoint(b, rb)
+        assert slope(ma, mb) == div(dx + SQRT3 * dy, SQRT3 * dx - dy)
+        assert ma == Point((a.x + ra.x) * half, (a.y + ra.y) * half)
 
 
 @criterion(4, "flattening scales slopes and keeps accepted chains valid")
@@ -169,10 +176,10 @@ def test_criterion_5():
     for _ in range(500):
         length = rng.randint(2, 50)
         chain = rand_chain(rng, length, irrational=rng.random() < 0.3)
-        hull = convex_hull(chain.points)
+        hull = convex_hull(chain)
         assert len(hull) == length
-        assert set(hull) == set(chain.points)
-        assert is_convexly_independent(chain.points)
+        assert set(hull) == set(chain)
+        assert is_convexly_independent(chain)
 
 
 # Single-coordinate unit corruptions that leave a valid drawing, found

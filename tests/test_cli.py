@@ -6,6 +6,7 @@ import hashlib
 import importlib.metadata
 import io
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -340,6 +341,18 @@ def test_failed_search_leaves_no_new_file(tmp_path, capsys, command):
     assert kept.read_text() == "earlier output"
 
 
+@pytest.mark.parametrize("command", ["construct", "graph"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_eps_exponent_cap_below_one_is_refused(tmp_path, command, cap):
+    # Refused before the output is opened, so before any build.
+    out = tmp_path / "out.json"
+    argv = [command, "-k", "3", "--max-eps-exponent", cap, "-o", str(out)]
+    proc = _run_cli(*argv, *(["--placements"] if command == "graph" else []))
+    _assert_rejected(proc)
+    assert proc.stderr.splitlines() == [f"error: --max-eps-exponent must be at least 1, not {cap}"]
+    assert not out.exists()
+
+
 def _paths(node, path=()):
     """Every path into a JSON document, the root excluded."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
@@ -350,6 +363,17 @@ def _paths(node, path=()):
 
 
 _BIG = "9" * 4000  # under the 4300-digit limit, far beyond a float
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def _at(document, path):
+    return functools.reduce(lambda node, k: node[k], path, document)
+
+
+def _shiftable(value) -> bool:
+    if isinstance(value, str):
+        return _INT_RE.fullmatch(value) is not None
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @st.composite
@@ -357,11 +381,22 @@ def _mutated(draw, documents):
     """A valid document with one to three structured edits."""
     document = copy.deepcopy(draw(st.sampled_from(documents)))
     for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from(list(_paths(document))))
-        *parents, key = path
-        holder = functools.reduce(lambda node, k: node[k], parents, document)
-        edit = draw(st.sampled_from(["drop", "retype", "duplicate", "number"]))
-        if edit == "drop":
+        edit = draw(st.sampled_from(["drop", "retype", "duplicate", "number", "swap", "shift"]))
+        paths = list(_paths(document))
+        if edit == "shift":  # only integers and integer strings shift
+            paths = [path for path in paths if _shiftable(_at(document, path))]
+            if not paths:
+                continue
+        *parents, key = draw(st.sampled_from(paths))
+        holder = _at(document, parents)
+        if edit == "shift":  # a wrong-by-one k, count, index or coordinate
+            delta, value = draw(st.sampled_from([-1, 1])), holder[key]
+            holder[key] = value + delta if isinstance(value, int) else str(int(value) + delta)
+        elif edit == "swap":  # exchange the values of two siblings
+            siblings = list(holder) if isinstance(holder, dict) else range(len(holder))
+            other = draw(st.sampled_from(siblings))
+            holder[key], holder[other] = holder[other], holder[key]
+        elif edit == "drop":
             del holder[key]
         elif edit == "retype":
             holder[key] = draw(st.sampled_from([None, True, 7, -1.5, "x", [], {}]))

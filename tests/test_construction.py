@@ -16,23 +16,24 @@ from sechain.construction import (
     find_epsilon,
     step,
 )
-from sechain.geometry import (
-    flatten,
-    is_south_east_chain,
-    midpoint,
-    pt,
-    rotate60,
-    transform_chains,
-)
+from sechain.geometry import is_south_east_chain, pt
 from sechain.numbers import QSqrt3
+
+from .helpers import flatten, midpoint, rotate60
+
+
+def _transformed(points, eps):
+    flat = [flatten(p, eps) for p in points]
+    return flat, [rotate60(p) for p in flat]
 
 
 def _reference_step(level, eps):
-    """The doubling on the `QSqrt3` value functions: the oracle for `step`."""
+    """The doubling on the `QSqrt3` value functions of `tests/helpers.py`:
+    the oracle for `step`."""
     off = STEP_OFFSETS
     n = len(level.a)
-    a_flat, a_rot = transform_chains(level.a, eps)
-    b_flat, b_rot = transform_chains(level.b, eps)
+    a_flat, a_rot = _transformed(level.a, eps)
+    b_flat, b_rot = _transformed(level.b, eps)
     new_a = a_flat + [p + off.rotated_b_in_a for p in b_rot]
     new_b = [p + off.flat_b_in_b for p in b_flat]
     new_b += [p + off.rotated_a_in_b for p in a_rot]
@@ -73,20 +74,11 @@ class TestBaseCase:
 
 
 class TestStepOffsets:
-    def test_halving_identities(self):
-        o = STEP_OFFSETS
-        assert o.old_witness_block == midpoint(pt(0, 0), o.flat_b_in_b)
-        assert o.matching_block == midpoint(pt(0, 0), o.rotated_a_in_b)
-        assert o.rotated_witness_block == midpoint(o.rotated_a_in_b, o.rotated_b_in_a)
-
     def test_exact_values(self):
         o = STEP_OFFSETS
         assert o.rotated_b_in_a == pt(1, 1)
         assert o.flat_b_in_b == pt(0, 2)
         assert o.rotated_a_in_b == pt(1, Fraction(5, 2))
-        assert o.old_witness_block == pt(0, 1)
-        assert o.matching_block == pt(Fraction(1, 2), Fraction(5, 4))
-        assert o.rotated_witness_block == pt(1, Fraction(7, 4))
 
 
 class TestWitnessSize:
@@ -190,29 +182,32 @@ class TestStep:
             mids = new.witness_midpoints()
             old_mids = lv.witness_midpoints()
 
-            flat_c = [flatten(p, eps) for p in old_mids]
-            rot_c = [rotate60(p) for p in flat_c]
-            mean_a = [
-                midpoint(flatten(p, eps), rotate60(flatten(p, eps)))
-                for p in lv.a
-            ]
-            o = STEP_OFFSETS
-            assert list(mids[:w]) == [o.old_witness_block + p for p in flat_c]
-            assert list(mids[w:w + n]) == [o.matching_block + p for p in mean_a]
-            assert list(mids[w + n:]) == [o.rotated_witness_block + p for p in rot_c]
+            flat_c, rot_c = _transformed(old_mids, eps)
+            mean_a = [midpoint(f, r) for f, r in zip(*_transformed(lv.a, eps))]
+            # By linearity each block sits at a half sum of the offsets.
+            o, origin = STEP_OFFSETS, pt(0, 0)
+            old_witness_block = midpoint(origin, o.flat_b_in_b)
+            matching_block = midpoint(origin, o.rotated_a_in_b)
+            rotated_witness_block = midpoint(o.rotated_a_in_b, o.rotated_b_in_a)
+            assert (old_witness_block, matching_block, rotated_witness_block) == (
+                pt(0, 1), pt(Fraction(1, 2), Fraction(5, 4)), pt(1, Fraction(7, 4))
+            )
+            assert list(mids[:w]) == [old_witness_block + p for p in flat_c]
+            assert list(mids[w:w + n]) == [matching_block + p for p in mean_a]
+            assert list(mids[w + n:]) == [rotated_witness_block + p for p in rot_c]
 
     def test_chain_blocks_are_translates(self):
         lv = base_case()
         eps = Fraction(1, 32)
         new = step(lv, eps)
         n = len(lv.a)
-        flat_a = [flatten(p, eps) for p in lv.a]
-        flat_b = [flatten(p, eps) for p in lv.b]
+        flat_a, rot_a = _transformed(lv.a, eps)
+        flat_b, rot_b = _transformed(lv.b, eps)
         o = STEP_OFFSETS
         assert list(new.a[:n]) == flat_a
-        assert list(new.a[n:]) == [o.rotated_b_in_a + rotate60(p) for p in flat_b]
+        assert list(new.a[n:]) == [o.rotated_b_in_a + p for p in rot_b]
         assert list(new.b[:n]) == [o.flat_b_in_b + p for p in flat_b]
-        assert list(new.b[n:]) == [o.rotated_a_in_b + rotate60(p) for p in flat_a]
+        assert list(new.b[n:]) == [o.rotated_a_in_b + p for p in rot_a]
 
 
 class TestFindEpsilon:
@@ -240,6 +235,14 @@ class TestFindEpsilon:
             find_epsilon(base_case(), max_exponent=4)
         capped = find_epsilon(base_case(), max_exponent=5)
         assert capped.eps_history == (Fraction(1, 32),)
+
+    def test_cap_below_one_is_refused_before_any_step(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(construction, "step", lambda *args: calls.append(args))
+        for cap in (0, -5):
+            with pytest.raises(ValueError, match=f"at least 1, not {cap}"):
+                find_epsilon(base_case(), max_exponent=cap)
+        assert calls == []
 
     def test_search_starts_at_previous_exponent(self):
         # Level 2 was built with 2**-5 and level 3 needs 2**-4.  Starting

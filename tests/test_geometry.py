@@ -8,36 +8,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sechain.geometry import (
-    Chain,
     Point,
     Scaled,
     chain_defect,
     convex_hull,
     cross,
-    flatten,
     is_convexly_independent,
     is_south_east_chain,
-    midpoint,
     midpoint_set,
     pt,
-    rotate60,
-    slope,
     transform_chains,
 )
-from sechain.numbers import SQRT3, QSqrt3
+from sechain.numbers import QSqrt3
 
 from .helpers import (
+    SQRT3,
     chains_st,
     convex_position_oracle,
+    div,
     dyadic_st,
+    flatten,
     interval_sign,
+    midpoint,
     points_st,
     qsqrt3_st,
     rand_chain,
     rand_point,
+    rotate60,
+    slope,
 )
 
 
+# `TestSlope`, `TestRotate60` and `TestFlatten` check the value reference
+# in tests/helpers.py that the shipped integer maps are tested against.
 class TestSlope:
     def test_examples(self):
         assert slope(pt(0, 0), pt(2, 1)) == QSqrt3(Fraction(1, 2))
@@ -53,7 +56,7 @@ class TestSlope:
     @given(points_st, points_st)
     def test_antisymmetry_is_ruled_out(self, a, b):
         if (b.x - a.x).sign() == 1:
-            assert slope(a, b) == (b.y - a.y) / (b.x - a.x)
+            assert slope(a, b) * (b.x - a.x) == b.y - a.y
 
 
 class TestCross:
@@ -89,11 +92,11 @@ class TestSouthEastChain:
 
     @given(chains_st())
     def test_generated_chains_pass(self, chain):
-        assert is_south_east_chain(chain.points)
+        assert is_south_east_chain(chain)
 
     @given(chains_st(min_len=3))
     def test_reversal_fails(self, chain):
-        assert not is_south_east_chain(tuple(reversed(chain.points)))
+        assert not is_south_east_chain(tuple(reversed(chain)))
 
 
 class TestChainDefect:
@@ -203,11 +206,13 @@ class TestScaled:
     @given(_points_with_ties(), _points_with_ties(), st.integers(0, 60))
     def test_midpoint_set_matches_the_value_form(self, a, b, limit):
         # Rows of a are added whole, until the set holds more than limit.
-        last = next((i for i in range(len(a)) if len(midpoint_set(a[:i + 1], b)) > limit),
-                    len(a))
+        def reference(ps):
+            return {midpoint(p, q) for p in ps for q in b}
+
+        last = next((i for i in range(len(a)) if len(reference(a[:i + 1])) > limit), len(a))
         got = Scaled(a + b).midpoint_set(len(a), limit).points()
         assert len(got) == len(set(got))
-        assert set(got) == midpoint_set(a[:last + 1], b)
+        assert set(got) == reference(a[:last + 1])
 
     def test_near_zero_pair_examples(self):
         # Convergents of sqrt(3): 18817 - 10864*sqrt(3) is about 2.7e-5.
@@ -215,18 +220,6 @@ class TestScaled:
         k = Scaled([pt(Fraction(1, 3), 0), Point(x, QSqrt3(0, Fraction(1, 5)))])
         assert k.dx_sign(0, 1) == 1 and k.dx_sign(1, 0) == -1
         assert k.dy_sign(0, 1) == 1 and k.dx_sign(0, 0) == 0
-
-
-class TestChain:
-    def test_validates_on_construction(self):
-        with pytest.raises(ValueError):
-            Chain((pt(0, 0), pt(1, 2), pt(2, 3)))
-
-    def test_sequence_protocol(self):
-        c = Chain((pt(0, 0), pt(2, 1)))
-        assert len(c) == 2
-        assert c[1] == pt(2, 1)
-        assert list(c) == [pt(0, 0), pt(2, 1)]
 
 
 class TestRotate60:
@@ -264,7 +257,7 @@ class TestRotate60:
         if (dx - SQRT3 * dy).sign() != 1:  # slope >= 1/sqrt(3)
             return
         lhs = slope(rotate60(a), rotate60(b))
-        assert lhs == (SQRT3 * dx + dy) / (dx - SQRT3 * dy)
+        assert lhs == div(SQRT3 * dx + dy, dx - SQRT3 * dy)
 
     @given(points_st, points_st)
     def test_midpoint_with_image_slope_formula(self, a, b):
@@ -277,7 +270,7 @@ class TestRotate60:
             return
         ma = midpoint(a, rotate60(a))
         mb = midpoint(b, rotate60(b))
-        assert slope(ma, mb) == (dx + SQRT3 * dy) / (SQRT3 * dx - dy)
+        assert slope(ma, mb) == div(dx + SQRT3 * dy, SQRT3 * dx - dy)
 
 
 class TestFlatten:
@@ -302,18 +295,28 @@ class TestFlatten:
 
 class TestTransformChains:
     def test_component_relations(self):
-        chain = Chain((pt(0, 0), pt(2, 1)))
+        chain = (pt(0, 0), pt(2, 1))
         eps = Fraction(1, 4)
         flat, rot = transform_chains(chain, eps)
         assert len(flat) == len(rot) == 2
         for f, r, orig in zip(flat, rot, chain):
             assert f == flatten(orig, eps)
             assert r == rotate60(f)
+        for eps in (Fraction(0), Fraction(-1, 2)):
+            with pytest.raises(ValueError):
+                transform_chains(chain, eps)
 
     @given(chains_st(), dyadic_st)
     def test_flat_sequence_is_chain(self, chain, eps):
         flat, _ = transform_chains(chain, eps)
         assert is_south_east_chain(flat)
+
+    @given(chains_st(), dyadic_st)
+    def test_shipped_maps_match_the_reference(self, chain, eps):
+        flat = [flatten(p, eps) for p in chain]
+        rot = [rotate60(p) for p in flat]
+        assert transform_chains(chain, eps) == (flat, rot)
+        assert midpoint_set(chain, rot) == {midpoint(p, q) for p in chain for q in rot}
 
 
 class TestMinkowski:
@@ -429,7 +432,7 @@ class TestConvexIndependence:
 
     @given(chains_st(min_len=2, max_len=7))
     def test_chains_are_convexly_independent(self, chain):
-        assert is_convexly_independent(chain.points)
+        assert is_convexly_independent(chain)
 
 
 class TestRandomChainHelpers:

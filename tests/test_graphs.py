@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sechain.construction import Level, base_case, build, expected_witness_size
-from sechain.geometry import midpoint, pt
+from sechain.geometry import pt
 from sechain.graphs import (
     BipartiteDrawing,
     BipartiteGraph,
@@ -18,7 +18,7 @@ from sechain.graphs import (
     verify_drawing,
 )
 
-from .helpers import drawing_oracle, points_st
+from .helpers import drawing_oracle, midpoint, points_st
 
 
 def _is_connected(graph: BipartiteGraph) -> bool:

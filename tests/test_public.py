@@ -15,7 +15,6 @@ import sechain
 from sechain import (
     BipartiteDrawing,
     BipartiteGraph,
-    Chain,
     CiResult,
     Level,
     Point,
@@ -34,12 +33,11 @@ _SURFACE = {
                      "base_case", "build", "expected_witness_size", "find_epsilon", "step"),
     "convex_subsets": ("CiResult", "ci_bruteforce", "ci_dp"),
     "document": ("DocumentError",),
-    "geometry": ("Chain", "Point", "chain_defect", "convex_hull", "cross", "flatten",
-                 "is_convexly_independent", "is_south_east_chain", "midpoint",
-                 "midpoint_set", "pt", "rotate60", "slope", "transform_chains"),
+    "geometry": ("Point", "chain_defect", "convex_hull", "cross", "is_convexly_independent",
+                 "is_south_east_chain", "midpoint_set", "pt", "transform_chains"),
     "graphs": ("BipartiteDrawing", "BipartiteGraph", "double", "drawing_from_level",
                "edge_list_text", "family", "g1", "verify_drawing"),
-    "numbers": ("HALF", "ONE", "QSqrt3", "SQRT3", "ZERO"),
+    "numbers": ("QSqrt3",),
 }
 
 
@@ -98,8 +96,6 @@ def _records():
     level = base_case()
     return [
         (Point, {"x": QSqrt3(1), "y": QSqrt3(Fraction(1, 2), 3)}, None),
-        (Chain, {"points": (pt(0, 0), pt(1, 1), pt(2, 3))},
-         {"points": (pt(0, 0), pt(0, 1))}),
         (StepOffsets, {"rotated_b_in_a": pt(1, 1), "flat_b_in_b": pt(0, 2),
                        "rotated_a_in_b": pt(1, Fraction(5, 2))}, None),
         (Level, {"k": level.k, "a": level.a, "b": level.b, "witness": level.witness,
@@ -152,7 +148,7 @@ def test_record_behaviour(cls, fields, invalid):
 def test_records_of_different_classes_never_equal():
     a, b = pt(0, 0), pt(1, 1)
     assert Point(a.x, a.y) != CiResult(a.x, a.y)
-    assert CiResult(2, (a, b)) != Chain((a, b))
+    assert CiResult(2, (a, b)) != StepOffsets(a, b, a)
     with pytest.raises(TypeError):
         iter(Point(a.x, a.y))
 
