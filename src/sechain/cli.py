@@ -13,12 +13,11 @@ loads the construction, and `--help` loads no other package module.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Callable, Optional, Sequence
 
-# construct -k 12 takes about 1.1 s at 84 MB peak RSS (a 6.4 MB document,
+# construct -k 12 takes about 1.5 s at 77 MB peak RSS (a 6.4 MB document,
 # 2 cores, Python 3.11) and runs to exit 0 under a 192 MiB RLIMIT_AS; each
 # further level about doubles both.
 _DEFAULT_MAX_K = 12
@@ -98,9 +97,11 @@ def _graph_checks(graph, placements) -> list[tuple[str, bool, str]]:
 def _report(checks: list[tuple[str, bool, str]], as_json: bool) -> int:
     all_pass = all(ok for _, ok, _ in checks)
     if as_json:
+        from .document import dumps
+
         rows = [{"name": name, "pass": ok, "detail": detail} for name, ok, detail in checks]
         payload = {"all_pass": all_pass, "checks": rows}
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(dumps(payload))
     else:
         for name, ok, detail in checks:
             suffix = f"  ({detail})" if detail else ""
@@ -124,13 +125,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_ci(args: argparse.Namespace) -> int:
     from .convex_subsets import DP_MAX_POINTS, ci_bruteforce, ci_dp
-    from .document import encode_point, load_path
+    from .document import dumps, encode_point, load_path
     from .geometry import Scaled
 
     kind, payload = load_path(args.input)
     if kind == "construction":
         # Past the larger solver cap either solver refuses: stop there.
-        points = Scaled(payload.a + payload.b).midpoint_set(len(payload.a), DP_MAX_POINTS)
+        points = payload.chains.midpoint_set(payload.n, DP_MAX_POINTS)
     elif kind == "points":
         points = Scaled(payload).distinct()  # on integer rows: no Point is hashed
     else:
@@ -146,7 +147,7 @@ def _cmd_ci(args: argparse.Namespace) -> int:
     if args.json:
         witness = [encode_point(p) for p in result.witness]
         payload_out = {"algo": args.algo, "size": result.size, "witness": witness}
-        sys.stdout.write(json.dumps(payload_out, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(dumps(payload_out))
     else:
         print(f"largest convexly independent subset: {result.size} "
               f"(algo={args.algo}, input={len(points)} points)")
@@ -220,9 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_ci = sub.add_parser(
-        "ci", help="largest convexly independent subset of a document"
-    )
+    p_ci = sub.add_parser("ci", help="largest convexly independent subset of a document")
     p_ci.add_argument("input")
     p_ci.add_argument("--algo", choices=("dp", "brute"), default="dp")
     p_ci.add_argument("--json", action="store_true")

@@ -20,24 +20,19 @@ Counts follow len(witness_k) = (k + 2) * 2**(k - 1).
 
 Every candidate flattening factor is accepted or rejected by running the
 exact chain predicate on all three glued sequences; nothing is assumed
-about "sufficiently small" beyond what is verified.
+about "sufficiently small" beyond what is verified.  A level carries its
+chains from step to step as integer rows over one scale (`Level.chains`);
+`Point`s are built only when `Level.a` or `.b` is read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Optional
+from typing import Optional, Sequence
 
-from .geometry import (
-    Point,
-    Row,
-    Scaled,
-    chain_defect,
-    is_convexly_independent,
-    is_south_east_chain,
-    pt,
-)
+from .geometry import (Point, Row, Scaled, chain_defect, is_convexly_independent,
+                       is_south_east_chain, pt)
 from .numbers import Record
 
 IndexPair = tuple[int, int]
@@ -58,44 +53,54 @@ class StepOffsets(Record):
 
     def __init__(self, rotated_b_in_a: Point, flat_b_in_b: Point,
                  rotated_a_in_b: Point) -> None:
-        object.__setattr__(self, "rotated_b_in_a", rotated_b_in_a)
-        object.__setattr__(self, "flat_b_in_b", flat_b_in_b)
-        object.__setattr__(self, "rotated_a_in_b", rotated_a_in_b)
+        self._set(rotated_b_in_a, flat_b_in_b, rotated_a_in_b)
 
 
-STEP_OFFSETS = StepOffsets(
-    rotated_b_in_a=pt(1, 1),
-    flat_b_in_b=pt(0, 2),
-    rotated_a_in_b=pt(1, Fraction(5, 2)),
-)
+STEP_OFFSETS = StepOffsets(rotated_b_in_a=pt(1, 1), flat_b_in_b=pt(0, 2),
+                           rotated_a_in_b=pt(1, Fraction(5, 2)))
 
 
 class Level(Record):
-    """A stage of the construction: two chains and a witness, as tuples.
+    """A stage of the construction: two chains and a witness.
 
-    Constructing a Level proves nothing.  `base_case`, `step` and
-    `build` return proved levels; a decoded document is unverified
-    until `checks()` or `validate()` has re-proved it.
+    It takes chains a and b as `Point`s and holds them as integer rows:
+    `chains` has a's n points, then b's, over their least scale, so equal
+    rows are equal points.  Constructing a Level proves nothing:
+    `base_case`, `step` and `build` return proved levels; a decoded
+    document is unverified until `checks()` or `validate()` re-proves it.
     """
 
-    __slots__ = ("k", "a", "b", "witness", "eps_history")
+    __slots__ = ("k", "chains", "n", "witness", "eps_history")
     k: int
-    a: tuple[Point, ...]
-    b: tuple[Point, ...]
+    chains: Scaled
+    n: int
     witness: tuple[IndexPair, ...]
     eps_history: tuple[Fraction, ...]
 
-    def __init__(self, k: int, a: tuple[Point, ...], b: tuple[Point, ...],
+    def __init__(self, k: int, a: Sequence[Point], b: Sequence[Point],
                  witness: tuple[IndexPair, ...], eps_history: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "eps_history", eps_history)
+        self._set(k, Scaled([*a, *b]), len(a), witness, eps_history)
+
+    @classmethod
+    def from_rows(cls, k: int, chains: Scaled, n: int, witness: tuple[IndexPair, ...],
+                  eps_history: tuple[Fraction, ...]) -> Level:
+        """The level of chain a = the first n rows of `chains`, b = the rest."""
+        level = cls.__new__(cls)
+        level._set(k, chains.reduced(), n, witness, eps_history)
+        return level
+
+    a = property(lambda self: tuple(self.chains.take(range(self.n)).points()))
+    b = property(lambda self: tuple(self.chains.take(range(self.n, len(self.chains))).points()))
+
+    def _values(self) -> tuple:  # for == and hash: rows over the least scale are points
+        return self.k, self.n, self.chains.s, tuple(self.chains.rows()), self.witness, self.eps_history
+
+    def _fields(self) -> dict[str, object]:
+        return dict(k=self.k, a=self.a, b=self.b, witness=self.witness, eps_history=self.eps_history)
 
     def witness_midpoints(self) -> tuple[Point, ...]:
         """Midpoints of the witness pairs, in witness order."""
-        return tuple(Scaled(self.a + self.b).midpoints(len(self.a), self.witness).points())
+        return tuple(self.chains.midpoints(self.n, self.witness).points())
 
     def checks(self) -> list[Check]:
         """Every level invariant as (name, passed, detail), in fixed order.
@@ -104,25 +109,25 @@ class Level(Record):
         trusted: `k` is bounded by the chain length before 2**k is
         computed, and an out-of-range witness pair fails a check.
         """
-        k, a, b, witness, eps = self.k, self.a, self.b, self.witness, self.eps_history
-        counts = f"|a|={len(a)} |b|={len(b)} |witness|={len(witness)} expected "
-        counts_ok = 1 <= k <= len(a).bit_length()
+        k, both, n, witness, eps = self.k, self.chains, self.n, self.witness, self.eps_history
+        n_b = len(both) - n
+        counts = f"|a|={n} |b|={n_b} |witness|={len(witness)} expected "
+        counts_ok = 1 <= k <= n.bit_length()
         if counts_ok:
-            n, size = 2**k, expected_witness_size(k)
-            counts += f"{n}/{n}/{size}"
-            counts_ok = len(a) == n == len(b) and len(witness) == size
+            size = expected_witness_size(k)
+            counts += f"{2**k}/{2**k}/{size}"
+            counts_ok = n == 2**k == n_b and len(witness) == size
         else:
             counts += f"2**k points per chain with k={k}"
         if len(eps) != k - 1 or any(e <= 0 for e in eps):
             counts += f"; |eps_history|={len(eps)} expected {k - 1}, all positive"
             counts_ok = False
 
-        n, both = len(a), Scaled(a + b)
         ka, kb = both.take(range(n)), both.take(range(n, len(both)))
         pairs, seen = "", {}
         mids_chain = independence = "witness pairs out of range"
         for t, (i, j) in enumerate(witness):
-            if not (0 <= i < len(a) and 0 <= j < len(b)):
+            if not (0 <= i < n and 0 <= j < n_b):
                 pairs = f"pair {t} ({i}, {j}) is out of range"
                 break
             if seen.setdefault((i, j), t) != t:
@@ -160,13 +165,8 @@ def expected_witness_size(k: int) -> int:
 
 def base_case() -> Level:
     """Level 1: two 2-point chains and a 3-midpoint witness."""
-    level = Level(
-        k=1,
-        a=(pt(0, 0), pt(2, 1)),
-        b=(pt(0, 2), pt(2, 4)),
-        witness=((0, 0), (1, 0), (1, 1)),
-        eps_history=(),
-    )
+    level = Level(k=1, a=(pt(0, 0), pt(2, 1)), b=(pt(0, 2), pt(2, 4)),
+                  witness=((0, 0), (1, 0), (1, 1)), eps_history=())
     level.validate()
     return level
 
@@ -178,25 +178,26 @@ def step(level: Level, eps: Fraction) -> Optional[Level]:
     sequences fails the exact chain predicate (the factor was not small
     enough).  An eps <= 0 is a usage error, not a rejection.
 
-    The work is done on integers: both chains and the offsets go into
-    one `Scaled` over s, and `Scaled.flattened`, the map that
+    The work is done on the level's integer rows over its scale s, and
+    no `Point` is built: `Scaled.flattened`, the map that
     `transform_chains` uses too, gives the flat and rotated copies over
-    t = 2*s*q**2 for eps = p/q.  The offsets, integers over s, are
-    scaled up to t to meet them.
+    t = 2*s*q**2 for eps = p/q.  The offsets, integers over 2, are
+    scaled up to t to meet them, and the new level is kept over its
+    least scale.
     """
     eps = Fraction(eps)
     off = STEP_OFFSETS
-    n, m = len(level.a), len(level.a) + len(level.b)
-    k = Scaled(level.a + level.b + (off.rotated_b_in_a, off.flat_b_in_b, off.rotated_a_in_b))
-    flat, rot = k.flattened(eps)
-    t, up = flat.s, flat.s // k.s  # an integer over s is up times itself over t
-    flat, rot = flat.rows()[:m], rot.rows()[:m]
+    n, m = level.n, len(level.chains)
+    offsets = Scaled([off.rotated_b_in_a, off.flat_b_in_b, off.rotated_a_in_b])
+    flat, rot = level.chains.flattened(eps)
+    t, up = flat.s, flat.s // offsets.s  # an integer over 2 is up times itself over t
+    flat, rot = flat.rows(), rot.rows()
 
     def shifted(block: list[Row], offset: Row) -> list[Row]:
         o = tuple(up * c for c in offset)
         return [tuple(map(add, row, o)) for row in block]
 
-    in_a, in_b, rot_a_in_b = k.rows()[m:]
+    in_a, in_b, rot_a_in_b = offsets.rows()
     new_a = flat[:n] + shifted(rot[n:], in_a)
     new_b = shifted(flat[n:], in_b) + shifted(rot[:n], rot_a_in_b)
     if not (
@@ -211,14 +212,8 @@ def step(level: Level, eps: Fraction) -> Optional[Level]:
     both = Scaled.from_rows(new_a + new_b, t)
     if not is_south_east_chain(both.midpoints(m, new_witness)):
         return None
-    points = both.points()
-    return Level(
-        k=level.k + 1,
-        a=tuple(points[:m]),
-        b=tuple(points[m:]),
-        witness=tuple(new_witness),
-        eps_history=level.eps_history + (eps,),
-    )
+    return Level.from_rows(level.k + 1, both, m, tuple(new_witness),
+                           level.eps_history + (eps,))
 
 
 class EpsilonSearchError(RuntimeError):

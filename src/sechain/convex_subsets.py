@@ -58,8 +58,7 @@ class CiResult(Record):
     witness: tuple[Point, ...]
 
     def __init__(self, size: int, witness: tuple[Point, ...]) -> None:
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "witness", witness)
+        self._set(size, witness)
 
 
 DP_MAX_POINTS = 2500  # ci_dp's default cap, the larger of the two

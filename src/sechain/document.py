@@ -3,7 +3,9 @@
 Every coordinate travels as four decimal strings (numerator and
 denominator of the rational part and of the sqrt(3) coefficient), so
 files are loss-free and reruns are byte-identical.  All documents carry
-the format tag "sechain/1".
+the format tag "sechain/1".  A construction is encoded from its
+integer rows, one gcd per component, and `dumps` writes the canonical
+text (sorted keys, two-space indent) itself.
 
 Parsing is strict about structure (types, integer syntax, positive
 denominators, index ranges) and raises `DocumentError` with a dotted
@@ -18,9 +20,11 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
-from .geometry import Point
+from .geometry import Point, Scaled
 from .numbers import QSqrt3
 
 if TYPE_CHECKING:  # the decoders import these when they decode one
@@ -47,17 +51,67 @@ def encode_fraction(value: Fraction) -> dict[str, str]:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
-def encode_coord(value: QSqrt3) -> dict[str, Any]:
-    return {"p": encode_fraction(value.p), "q": encode_fraction(value.q)}
+def _encode_xy(xp: dict, xq: dict, yp: dict, yq: dict) -> dict[str, Any]:
+    """A point from its encoded components x.p, x.q, y.p and y.q."""
+    return {"x": {"p": xp, "q": xq}, "y": {"p": yp, "q": yq}}
 
 
 def encode_point(point: Point) -> dict[str, Any]:
-    return {"x": encode_coord(point.x), "y": encode_coord(point.y)}
+    return _encode_xy(*map(encode_fraction, (point.x.p, point.x.q, point.y.p, point.y.q)))
 
 
-def dumps(document: dict[str, Any]) -> str:
-    """Canonical text form: sorted keys, two-space indent, newline end."""
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+def _encode_rows(chains: Scaled) -> list[dict[str, Any]]:
+    """Each point of `chains` as `encode_point` writes it, one gcd per component."""
+    s = chains.s
+
+    def part(c: int) -> dict[str, str]:
+        g = gcd(c, s)
+        return {"num": str(c // g), "den": str(s // g)}
+
+    return [_encode_xy(part(xa), part(xb), part(ya), part(yb))
+            for xa, xb, ya, yb in chains.rows()]
+
+
+def dumps(document: Any) -> str:
+    """Canonical text form: sorted keys, two-space indent, newline end.
+
+    The bytes of `json.dumps(document, sort_keys=True, indent=2) + "\\n"`,
+    whose indented encode CPython runs in pure Python.  Only str-keyed
+    dicts, lists, strs, ints, bools and None are written; anything else
+    raises TypeError.
+    """
+    chunks: list[str] = []
+    put = chunks.append
+
+    def write(value: Any, indent: str) -> None:
+        kind = type(value)
+        if kind is str:
+            put(encode_basestring_ascii(value))
+        elif kind is dict or kind is list:
+            if not value:
+                put("{}" if kind is dict else "[]")
+                return
+            inner, sep = indent + "  ", "{" if kind is dict else "["
+            for key in sorted(value) if kind is dict else range(len(value)):
+                if kind is list:
+                    put(sep + inner)
+                elif type(key) is str:
+                    put(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+                else:
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                write(value[key], inner)
+                sep = ","
+            put(indent + ("}" if kind is dict else "]"))
+        elif value is None or kind is bool:
+            put("null" if value is None else "true" if value else "false")
+        elif kind is int:
+            put(str(value))
+        else:
+            raise TypeError(f"cannot write a {kind.__name__}")
+
+    write(document, "\n")
+    put("\n")
+    return "".join(chunks)
 
 
 # -- decoding helpers -------------------------------------------------------
@@ -152,31 +206,19 @@ def _decode_chain(entry: dict, context: str) -> tuple[Point, ...]:
 
 
 def construction_to_document(level: Level) -> dict[str, Any]:
+    points, n, witness = _encode_rows(level.chains), level.n, level.witness
     return {
         "version": FORMAT_VERSION,
         "kind": "construction",
         "metadata": {
             "k": level.k,
             "eps_history": [encode_fraction(e) for e in level.eps_history],
-            "counts": {
-                "a": len(level.a),
-                "b": len(level.b),
-                "witness": len(level.witness),
-            },
+            "counts": {"a": n, "b": len(points) - n, "witness": len(witness)},
         },
         "objects": {
-            "a_chain": {
-                "type": "chain",
-                "points": [encode_point(p) for p in level.a],
-            },
-            "b_chain": {
-                "type": "chain",
-                "points": [encode_point(p) for p in level.b],
-            },
-            "witness_pairs": {
-                "type": "index_pairs",
-                "pairs": [[i, j] for i, j in level.witness],
-            },
+            "a_chain": {"type": "chain", "points": points[:n]},
+            "b_chain": {"type": "chain", "points": points[n:]},
+            "witness_pairs": {"type": "index_pairs", "pairs": [[i, j] for i, j in witness]},
         },
     }
 
@@ -212,10 +254,7 @@ def points_to_document(points: list[Point]) -> dict[str, Any]:
         "version": FORMAT_VERSION,
         "kind": "points",
         "objects": {
-            "points": {
-                "type": "point_set",
-                "points": [encode_point(p) for p in points],
-            }
+            "points": {"type": "point_set", "points": [encode_point(p) for p in points]}
         },
     }
 
@@ -244,9 +283,7 @@ def graph_to_document(
     if placements is not None:
         document["objects"]["placements"] = {
             "type": "placement",
-            "points": {
-                name: encode_point(point) for name, point in placements.items()
-            },
+            "points": {name: encode_point(point) for name, point in placements.items()},
         }
     return document
 

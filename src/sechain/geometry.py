@@ -12,9 +12,10 @@ integers over one shared scale.  It gives every coordinate and turn
 sign, and subsets (`take`), dedupes (`distinct`), orders (`sorted`),
 forms midpoints (`midpoints`, `midpoint_set`) and flattens and rotates
 (`flattened`, which `construction.step` and `transform_chains` share)
-on integer rows.  The predicates here, both `convex_subsets` solvers,
-the construction, `Level.checks`, the drawing checks, `render` and `ci`
-compute in it.  The `Point` value forms these paths are tested against
+on integer rows.  A `construction.Level` holds its chains as one
+`Scaled` over the least scale (`reduced`).  The predicates here, both
+`convex_subsets` solvers, the construction, `Level.checks`, the drawing
+checks, `render` and `ci` compute in it.  The `Point` value forms these paths are tested against
 (flattening, rotation, midpoints, slopes) live in `tests/helpers.py`.
 Slope monotonicity is tested with cross products rather than divisions:
 for segments with positive dx, slope(a,b) < slope(b,c) holds exactly
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .numbers import _SQRT3_FLOAT, QSqrt3, QSqrt3Like, Record, sign2
@@ -82,9 +83,10 @@ class Scaled:
 
     Point i has x = (xa[i] + xb[i]*sqrt(3)) / s and y = (ya[i] +
     yb[i]*sqrt(3)) / s for one positive integer s.  `Scaled(points)`
-    takes s as the lcm of every denominator; `from_rows` takes integer
-    rows (xa, xb, ya, yb) as they are, which is how the construction
-    carries a level.  A positive common scale changes no sign, so each
+    takes s as the lcm of every reduced denominator, the least scale;
+    `from_rows` takes integer rows (xa, xb, ya, yb) as they are, and
+    `reduced` brings them to the least scale, where equal rows are equal
+    points.  A positive common scale changes no sign, so each
     sign below is one `sign2` on integers.  Methods take indices into
     the sequence.
     """
@@ -134,6 +136,11 @@ class Scaled:
             (xa / s + xb / s * r3, ya / s + yb / s * r3)
             for xa, xb, ya, yb in zip(self.xa, self.xb, self.ya, self.yb)
         ]
+
+    def reduced(self) -> Scaled:
+        """The same points over the least scale: all divided by their gcd."""
+        g = gcd(self.s, *self.xa, *self.xb, *self.ya, *self.yb)
+        return Scaled.from_rows([[c // g for c in row] for row in self.rows()], self.s // g)
 
     def take(self, indices: Iterable[int]) -> Scaled:
         """The points at `indices`, in that order, over the same scale."""
@@ -246,9 +253,7 @@ def is_south_east_chain(points: Sequence[Point] | Scaled) -> bool:
     return not chain_defect(points)
 
 
-def transform_chains(
-    chain: Sequence[Point], eps: Fraction
-) -> tuple[list[Point], list[Point]]:
+def transform_chains(chain: Sequence[Point], eps: Fraction) -> tuple[list[Point], list[Point]]:
     """Flattened and rotated-flattened copies of a sequence.
 
     Returns raw point lists (flat, rotated) where rotated[i] is

@@ -40,9 +40,7 @@ class BipartiteGraph(Record):
 
     def __init__(self, u: tuple[str, ...], v: tuple[str, ...],
                  edges: tuple[Edge, ...]) -> None:
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "edges", edges)
+        self._set(u, v, edges)
         u_set, v_set = set(u), set(v)
         if len(u_set) != len(u) or len(v_set) != len(v):
             raise ValueError("duplicate vertex name inside a part")
@@ -122,8 +120,7 @@ class BipartiteDrawing(Record):
     placement: Mapping[str, Point]
 
     def __init__(self, graph: BipartiteGraph, placement: Mapping[str, Point]) -> None:
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "placement", placement)
+        self._set(graph, placement)
         missing = (set(graph.u) | set(graph.v)) - set(placement)
         if missing:
             raise ValueError(f"placement missing vertices: {sorted(missing)}")
@@ -177,14 +174,14 @@ def drawing_from_level(level: Level) -> BipartiteDrawing:
     and it is re-checked here rather than trusted.
     """
     graph = family(level.k)
-    if len(graph.u) != len(level.a) or len(graph.v) != len(level.b):
+    if len(graph.u) != level.n or len(graph.v) != len(level.chains) - level.n:
         raise ValueError("level chains do not match the family part sizes")
     for t, pair in enumerate(graph.index_pairs()):
         if pair != level.witness[t]:
             raise ValueError(
                 f"edge {t} disagrees with witness pair {level.witness[t]}"
             )
-    placement = dict(zip(graph.u + graph.v, level.a + level.b))
+    placement = dict(zip(graph.u + graph.v, level.chains.points()))
     return BipartiteDrawing(graph=graph, placement=placement)
 
 

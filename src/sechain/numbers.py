@@ -69,8 +69,17 @@ class Record:
 
     __slots__ = ()
 
+    def _set(self, *values: object) -> None:
+        """Set the fields in `__slots__` order; for `__init__`."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
+
+    def _fields(self) -> dict[str, object]:
+        """The arguments the class is called with, by name."""
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field '{name}'")
@@ -87,11 +96,11 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
-        return self.__class__, self._values()
+        return self.__class__, tuple(self._fields().values())
 
 
 @total_ordering

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 from .construction import Level
-from .geometry import Scaled
 
 _WIDTH = 800.0
 _MARGIN = 40.0
@@ -41,14 +40,13 @@ def _fmt(value: float) -> str:
 
 def render_construction(level: Level) -> str:
     """Render both chains, the full midpoint set, and the witness chain."""
-    if not (level.a or level.b):
+    k, n = level.chains, level.n
+    if not len(k):
         raise ValueError("both chains are empty")
-    if len(level.a) * len(level.b) > _MIDPOINT_CAP:
-        raise ValueError(f"{len(level.a)} x {len(level.b)} > {_MIDPOINT_CAP} midpoints")
+    if n * (len(k) - n) > _MIDPOINT_CAP:
+        raise ValueError(f"{n} x {len(k) - n} > {_MIDPOINT_CAP} midpoints")
     # Exact integer rows: one scale for both chains, twice it for every
     # midpoint, so equal midpoints have equal rows.  Floats are display only.
-    n = len(level.a)
-    k = Scaled(level.a + level.b)
     mids = sorted(k.midpoint_set(n, _MIDPOINT_CAP).floats())
     chain_xy = k.floats()
     a_xy, b_xy = chain_xy[:n], chain_xy[n:]

@@ -69,14 +69,14 @@ def test_criterion_1():
             raise AssertionError(f"expected level {k}, got {level.k}")
         assert len(level.a) == len(level.b) == 2**k
         assert len(level.witness) == expected_sizes[k - 1] == expected_witness_size(k)
-        mids = level.witness_midpoints()
+        a, b, mids = level.a, level.b, level.witness_midpoints()
         for (i, j), mid in zip(level.witness, mids):
-            assert mid == midpoint(level.a[i], level.b[j])
-        assert is_south_east_chain(level.a)
-        assert is_south_east_chain(level.b)
+            assert mid == midpoint(a[i], b[j])
+        assert is_south_east_chain(a)
+        assert is_south_east_chain(b)
         assert is_south_east_chain(mids)
-        assert is_convexly_independent(level.a)
-        assert is_convexly_independent(level.b)
+        assert is_convexly_independent(a)
+        assert is_convexly_independent(b)
         assert is_convexly_independent(mids)
         if k < 8:
             level = build(k + 1)

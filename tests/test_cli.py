@@ -558,7 +558,8 @@ class TestRender:
 
 
 # sha256 of the construction documents for k = 1..12, of
-# `graph -k 3 --placements` and of `render` on levels 3, 7, 8 and 9.  Any
+# `graph -k 3 --placements` and `-k 7` (the benchmark's graph op) and of
+# `render` on levels 3, 7, 8 and 9.  Any
 # change to the encoding, the construction or the renderer shows up here.
 _PINNED_CONSTRUCTIONS = {
     1: "83dedbd55db69635baf5a789cc744dd62b970257082072a09a9fa4b1cd678c81",
@@ -574,7 +575,10 @@ _PINNED_CONSTRUCTIONS = {
     11: "e7befe447f293f3ec1ffcd9739119d454fceb127798076b53caf067c7f58a5d3",
     12: "1707b485419ebfe251bc384e9be0061f0e1bef36cf76001caea233b68f4e0b83",
 }
-_PINNED_GRAPH3 = "6fdf30b11f28c5426d50ec8896c6a06d9a3d9983686d53dd2b10ed0e3bf9a9ec"
+_PINNED_GRAPHS = {
+    3: "6fdf30b11f28c5426d50ec8896c6a06d9a3d9983686d53dd2b10ed0e3bf9a9ec",
+    7: "31f472a16a7f26a3e940e437821bf8d9700b006ed133a0be6fc28da3e0ea524f",
+}
 _PINNED_SVGS = {
     3: "a7205d48796ac2c170618b4ee613af6e5fd351d96f7ecbf0eb52d12e909bb928",
     7: "084a87a24b95e923841f2802649a53cf2d7c49d0e596a3fb63de83180b29847b",
@@ -611,7 +615,7 @@ class TestPinnedBytes:
             assert _sha256(doc.read_bytes()) == _PINNED_CONSTRUCTIONS[k], k
 
     def test_default_cap_level_in_192_mib(self, tmp_path):
-        # The default --max-k is 12: that level (about 84 MB peak RSS)
+        # The default --max-k is 12: that level (about 77 MB peak RSS)
         # must build in a fresh interpreter under a 192 MiB address space.
         doc = tmp_path / "level12.json"
         proc = _run_cli("construct", "-k", "12", "-o", str(doc),
@@ -620,9 +624,10 @@ class TestPinnedBytes:
         assert _sha256(doc.read_bytes()) == _PINNED_CONSTRUCTIONS[12]
 
     def test_graph_placements(self, tmp_path):
-        doc = tmp_path / "graph3.json"
-        assert main(["graph", "-k", "3", "--placements", "-o", str(doc)]) == 0
-        assert _sha256(doc.read_bytes()) == _PINNED_GRAPH3
+        for k, digest in _PINNED_GRAPHS.items():
+            doc = tmp_path / f"graph{k}.json"
+            assert main(["graph", "-k", str(k), "--placements", "-o", str(doc)]) == 0
+            assert _sha256(doc.read_bytes()) == digest, k
 
     def test_render(self, tmp_path):
         doc, svg = tmp_path / "level3.json", tmp_path / "level3.svg"

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from sechain.construction import (
     find_epsilon,
     step,
 )
+from sechain.document import construction_to_document, dumps, loads
 from sechain.geometry import is_south_east_chain, pt
 from sechain.numbers import QSqrt3
 
@@ -27,23 +30,31 @@ def _transformed(points, eps):
     return flat, [rotate60(p) for p in flat]
 
 
-def _reference_step(level, eps):
-    """The doubling on the `QSqrt3` value functions of `tests/helpers.py`:
-    the oracle for `step`."""
+def _reference_chains(a, b, witness, eps):
+    """The doubling of the chains a, b and the witness on the `QSqrt3`
+    value functions of `tests/helpers.py`, or None where a glued sequence
+    is not a chain."""
     off = STEP_OFFSETS
-    n = len(level.a)
-    a_flat, a_rot = _transformed(level.a, eps)
-    b_flat, b_rot = _transformed(level.b, eps)
+    n = len(a)
+    a_flat, a_rot = _transformed(a, eps)
+    b_flat, b_rot = _transformed(b, eps)
     new_a = a_flat + [p + off.rotated_b_in_a for p in b_rot]
     new_b = [p + off.flat_b_in_b for p in b_flat]
     new_b += [p + off.rotated_a_in_b for p in a_rot]
-    witness = level.witness + tuple((i, n + i) for i in range(n))
-    witness += tuple((n + j, n + i) for i, j in level.witness)
-    mids = [midpoint(new_a[i], new_b[j]) for i, j in witness]
+    new_witness = witness + tuple((i, n + i) for i in range(n))
+    new_witness += tuple((n + j, n + i) for i, j in witness)
+    mids = [midpoint(new_a[i], new_b[j]) for i, j in new_witness]
     if not all(is_south_east_chain(seq) for seq in (new_a, new_b, mids)):
         return None
-    return Level(level.k + 1, tuple(new_a), tuple(new_b), witness,
-                 level.eps_history + (eps,))
+    return tuple(new_a), tuple(new_b), new_witness
+
+
+def _reference_step(level, eps):
+    """`_reference_chains` on a level: the oracle for `step`."""
+    chains = _reference_chains(level.a, level.b, level.witness, eps)
+    if chains is None:
+        return None
+    return Level(level.k + 1, *chains, level.eps_history + (eps,))
 
 
 # Dyadic factors as the search draws them, and others whose denominators
@@ -301,6 +312,43 @@ class TestBuild:
         for k in range(1, 8):
             prev, cur = levels[k], levels[k + 1]
             assert cur.witness[: len(prev.witness)] == prev.witness
+
+
+class TestLevelRows:
+    """A level holds its chains as integer rows over their least scale."""
+
+    def test_equals_and_hashes_like_its_decoded_document(self):
+        level = build(5)
+        _, parsed = loads(dumps(construction_to_document(level)))
+        assert parsed == level and hash(parsed) == hash(level)
+
+    def test_equals_and_hashes_like_a_level_of_its_points(self):
+        level = build(5)
+        again = Level(level.k, level.a, level.b, level.witness, level.eps_history)
+        assert again == level and hash(again) == hash(level)
+        assert again.chains.s == level.chains.s
+
+    def test_copy_and_pickle_round_trip(self):
+        level = build(5)
+        for clone in (copy.copy(level), pickle.loads(pickle.dumps(level))):
+            assert type(clone) is Level
+            assert clone == level and hash(clone) == hash(level)
+
+    def test_points_equal_the_reference_on_level_5(self):
+        level = build(5)
+        a, b, witness = (pt(0, 0), pt(2, 1)), (pt(0, 2), pt(2, 4)), ((0, 0), (1, 0), (1, 1))
+        for eps in level.eps_history:
+            a, b, witness = _reference_chains(a, b, witness, eps)
+        assert (level.a, level.b, level.witness) == (a, b, witness)
+
+    def test_a_different_point_or_split_differs(self):
+        level = build(3)
+        moved = Level(level.k, level.a[:-1] + (pt(100, 100),), level.b,
+                      level.witness, level.eps_history)
+        assert moved != level
+        points = level.a + level.b
+        split = Level(level.k, points[:7], points[7:], level.witness, level.eps_history)
+        assert split != level and split.chains.rows() == level.chains.rows()
 
 
 class TestLevelValidate:

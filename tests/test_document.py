@@ -3,6 +3,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sechain.construction import base_case, build
 from sechain.document import (
@@ -216,6 +218,37 @@ class TestLoadPath:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DocumentError):
             load_path(str(tmp_path / "absent.json"))
+
+
+# The writer against its oracle, `json.dumps(..., sort_keys=True, indent=2)`:
+# strings with quotes, backslashes, control, non-ASCII, astral and lone
+# surrogate characters, ints of thousands of digits of either sign, and
+# empty containers.
+_text = st.one_of(
+    st.text(),
+    st.text(st.sampled_from('"\\/\x00\x08\x1f\x7f\x80 aZ\u00e9\u2028\ud800\uffff\U0001f600')),
+)
+_big_ints = st.builds(lambda digits, sign: sign * (10**digits - 7),
+                      st.integers(1, 4000), st.sampled_from((1, -1)))
+_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | _big_ints | _text,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_text, inner, max_size=5),
+    max_leaves=30,
+)
+_unwritable = st.sampled_from((1.5, 0.0, float("nan"), (), ("a",), {1: "a"},
+                               {None: 1}, {True: 1}, {("a",): 1}, b"x", {"a"}))
+
+
+class TestCanonicalWriter:
+    @given(_trees)
+    def test_matches_json_dumps(self, tree):
+        assert dumps(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+    @given(_trees, _unwritable)
+    def test_refuses_what_json_has_no_canonical_form_for(self, tree, bad):
+        for document in (bad, [tree, bad], {"a": tree, "b": [bad]}):
+            with pytest.raises(TypeError):
+                dumps(document)
 
 
 # -- decoder message sweep ------------------------------------------------
