@@ -161,18 +161,15 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         return 2
 
     def text() -> str:
-        graph = family(args.k)
         if not args.placements:
-            return edge_list_text(graph)
+            return edge_list_text(family(args.k))
         from .construction import build
         from .document import dumps, graph_to_document
         from .graphs import drawing_from_level
 
-        level = build(args.k, max_eps_exponent=args.max_eps_exponent)
-        drawing = drawing_from_level(level)
-        return dumps(
-            graph_to_document(graph, placements=dict(drawing.placement), k=args.k)
-        )
+        # The drawing carries family(k), checked against the level's witness.
+        drawing = drawing_from_level(build(args.k, max_eps_exponent=args.max_eps_exponent))
+        return dumps(graph_to_document(drawing.graph, dict(drawing.placement), k=args.k))
 
     _write_output(text, args.output)
     return 0

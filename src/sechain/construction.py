@@ -93,10 +93,11 @@ class Level(Record):
     b = property(lambda self: tuple(self.chains.take(range(self.n, len(self.chains))).points()))
 
     def _values(self) -> tuple:  # for == and hash: rows over the least scale are points
-        return self.k, self.n, self.chains.s, tuple(self.chains.rows()), self.witness, self.eps_history
+        return self.k, self.n, self.witness, self.eps_history, self.chains.s, *self.chains.rows()
 
     def _fields(self) -> dict[str, object]:
-        return dict(k=self.k, a=self.a, b=self.b, witness=self.witness, eps_history=self.eps_history)
+        return dict(k=self.k, a=self.a, b=self.b, witness=self.witness,
+                    eps_history=self.eps_history)
 
     def witness_midpoints(self) -> tuple[Point, ...]:
         """Midpoints of the witness pairs, in witness order."""

@@ -15,8 +15,9 @@ forms midpoints (`midpoints`, `midpoint_set`) and flattens and rotates
 on integer rows.  A `construction.Level` holds its chains as one
 `Scaled` over the least scale (`reduced`).  The predicates here, both
 `convex_subsets` solvers, the construction, `Level.checks`, the drawing
-checks, `render` and `ci` compute in it.  The `Point` value forms these paths are tested against
-(flattening, rotation, midpoints, slopes) live in `tests/helpers.py`.
+checks, `render` and `ci` compute in it.  The `Point` value forms these
+paths are tested against (flattening, rotation, midpoints, slopes) live
+in `tests/helpers.py`.
 Slope monotonicity is tested with cross products rather than divisions:
 for segments with positive dx, slope(a,b) < slope(b,c) holds exactly
 when the turn a -> b -> c is counterclockwise.
@@ -140,6 +141,8 @@ class Scaled:
     def reduced(self) -> Scaled:
         """The same points over the least scale: all divided by their gcd."""
         g = gcd(self.s, *self.xa, *self.xb, *self.ya, *self.yb)
+        if g == 1:
+            return self
         return Scaled.from_rows([[c // g for c in row] for row in self.rows()], self.s // g)
 
     def take(self, indices: Iterable[int]) -> Scaled:

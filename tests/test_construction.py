@@ -317,38 +317,33 @@ class TestBuild:
 class TestLevelRows:
     """A level holds its chains as integer rows over their least scale."""
 
-    def test_equals_and_hashes_like_its_decoded_document(self):
-        level = build(5)
-        _, parsed = loads(dumps(construction_to_document(level)))
-        assert parsed == level and hash(parsed) == hash(level)
+    def test_equals_and_hashes_like_its_decoded_document(self, levels):
+        _, parsed = loads(dumps(construction_to_document(levels[5])))
+        assert parsed == levels[5] and hash(parsed) == hash(levels[5])
 
-    def test_equals_and_hashes_like_a_level_of_its_points(self):
-        level = build(5)
-        again = Level(level.k, level.a, level.b, level.witness, level.eps_history)
-        assert again == level and hash(again) == hash(level)
-        assert again.chains.s == level.chains.s
+    def test_equals_and_hashes_like_a_level_of_its_points(self, levels):
+        lv = levels[5]
+        again = Level(lv.k, lv.a, lv.b, lv.witness, lv.eps_history)
+        assert again == lv and hash(again) == hash(lv)
 
-    def test_copy_and_pickle_round_trip(self):
-        level = build(5)
-        for clone in (copy.copy(level), pickle.loads(pickle.dumps(level))):
+    def test_copy_and_pickle_round_trip(self, levels):
+        for clone in (copy.copy(levels[5]), pickle.loads(pickle.dumps(levels[5]))):
             assert type(clone) is Level
-            assert clone == level and hash(clone) == hash(level)
+            assert clone == levels[5] and hash(clone) == hash(levels[5])
 
-    def test_points_equal_the_reference_on_level_5(self):
-        level = build(5)
+    def test_points_equal_the_reference_on_level_5(self, levels):
         a, b, witness = (pt(0, 0), pt(2, 1)), (pt(0, 2), pt(2, 4)), ((0, 0), (1, 0), (1, 1))
-        for eps in level.eps_history:
+        for eps in levels[5].eps_history:
             a, b, witness = _reference_chains(a, b, witness, eps)
-        assert (level.a, level.b, level.witness) == (a, b, witness)
+        assert (levels[5].a, levels[5].b, levels[5].witness) == (a, b, witness)
 
-    def test_a_different_point_or_split_differs(self):
-        level = build(3)
-        moved = Level(level.k, level.a[:-1] + (pt(100, 100),), level.b,
-                      level.witness, level.eps_history)
-        assert moved != level
-        points = level.a + level.b
-        split = Level(level.k, points[:7], points[7:], level.witness, level.eps_history)
-        assert split != level and split.chains.rows() == level.chains.rows()
+    def test_a_different_point_or_split_differs(self, levels):
+        lv = levels[3]
+        moved = Level(lv.k, lv.a[:-1] + (pt(100, 100),), lv.b, lv.witness, lv.eps_history)
+        assert moved != lv
+        points = lv.a + lv.b
+        split = Level(lv.k, points[:7], points[7:], lv.witness, lv.eps_history)
+        assert split != lv and split.chains.rows() == lv.chains.rows()
 
 
 class TestLevelValidate:
