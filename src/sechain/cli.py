@@ -17,7 +17,7 @@ import os
 import sys
 from typing import Callable, Optional, Sequence
 
-# construct -k 12 takes about 1.5 s at 77 MB peak RSS (a 6.4 MB document,
+# construct -k 12 takes about 1.1 s at 78 MB peak RSS (a 6.4 MB document,
 # 2 cores, Python 3.11) and runs to exit 0 under a 192 MiB RLIMIT_AS; each
 # further level about doubles both.
 _DEFAULT_MAX_K = 12

@@ -615,7 +615,7 @@ class TestPinnedBytes:
             assert _sha256(doc.read_bytes()) == _PINNED_CONSTRUCTIONS[k], k
 
     def test_default_cap_level_in_192_mib(self, tmp_path):
-        # The default --max-k is 12: that level (about 77 MB peak RSS)
+        # The default --max-k is 12: that level (about 78 MB peak RSS)
         # must build in a fresh interpreter under a 192 MiB address space.
         doc = tmp_path / "level12.json"
         proc = _run_cli("construct", "-k", "12", "-o", str(doc),
