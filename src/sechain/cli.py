@@ -7,7 +7,9 @@ unwritable outputs, unreadable or malformed documents, guard violations).
 
 Each handler imports the modules it runs, so an op loads, and without a
 bytecode cache compiles, only those: `ci` of a points document never
-loads the construction, and `--help` loads no other package module.
+loads the construction, `--help` loads no other package module, and a
+malformed document is refused having loaded only `document`, which
+imports the geometry kernel once a document is well-formed.
 """
 
 from __future__ import annotations

@@ -201,17 +201,24 @@ def step(level: Level, eps: Fraction) -> Optional[Level]:
     in_a, in_b, rot_a_in_b = offsets.rows()
     new_a = flat[:n] + shifted(rot[n:], in_a)
     new_b = shifted(flat[n:], in_b) + shifted(rot[:n], rot_a_in_b)
-    if not (
-        is_south_east_chain(Scaled.from_rows(new_a, t))
-        and is_south_east_chain(Scaled.from_rows(new_b, t))
-    ):
-        return None
-
+    w = len(level.witness)
     new_witness: list[IndexPair] = list(level.witness)
     new_witness += [(i, n + i) for i in range(n)]
     new_witness += [(n + j, n + i) for i, j in level.witness]
-    both = Scaled.from_rows(new_a + new_b, t)
-    if not is_south_east_chain(both.midpoints(m, new_witness)):
+    rows = new_a + new_b
+    both = Scaled.from_rows(rows, t)
+    # Where a factor is too large, a junction of two blocks fails first:
+    # the four points around each (indices n and 3n of both, |W| and |W| + n
+    # of the witness midpoints) reject it before the three full proofs.
+    junctions = [Scaled.from_rows(rows[j - 2:j + 2], t) for j in (n, 3 * n)]
+    junctions += [both.midpoints(m, new_witness[j - 2:j + 2]) for j in (w, w + n)]
+    if any(map(chain_defect, junctions)):
+        return None
+    if not (
+        is_south_east_chain(Scaled.from_rows(new_a, t))
+        and is_south_east_chain(Scaled.from_rows(new_b, t))
+        and is_south_east_chain(both.midpoints(m, new_witness))
+    ):
         return None
     return Level.from_rows(level.k + 1, both, m, tuple(new_witness),
                            level.eps_history + (eps,))

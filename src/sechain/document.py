@@ -9,26 +9,31 @@ text (sorted keys, two-space indent) itself.
 
 Parsing is strict about structure (types, integer syntax, positive
 denominators, index ranges) and raises `DocumentError` with a dotted
-path to the offending field.  Parsing does NOT re-prove the geometric
-invariants: a well-formed file whose chains are broken parses fine and
-is rejected later by verification, which keeps "unreadable input" and
-"readable but wrong" distinguishable.
+path to the offending field.  Every coordinate is checked as plain ints,
+a numerator and a positive denominator, and only a well-formed document
+imports the geometry kernel, once, to build its payload: a construction
+becomes integer rows over the lcm of its denominators (`Level.from_rows`
+brings them to the least scale), and point sets and placements become
+`Point`s.  So a malformed file is refused having loaded no other package
+module.  Parsing does NOT re-prove the geometric invariants: a
+well-formed file whose chains are broken parses fine and is rejected
+later by verification, which keeps "unreadable input" and "readable but
+wrong" distinguishable.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import gcd
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
-from .geometry import Point, Scaled
-from .numbers import QSqrt3
+if TYPE_CHECKING:  # the decoders import these once a document is well-formed
+    from fractions import Fraction
 
-if TYPE_CHECKING:  # the decoders import these when they decode one
     from .construction import Level
+    from .geometry import Point, Scaled
     from .graphs import BipartiteGraph
 
 FORMAT_VERSION = "sechain/1"
@@ -177,29 +182,48 @@ def _decode_denominator(text: str, context: str) -> int:
     return value
 
 
-def decode_fraction(obj: dict, context: str) -> Fraction:
-    return Fraction(
+Ratio = tuple[int, int]  # a numerator and a positive denominator, as written
+Decoded = tuple[int, ...]  # x.p, x.q, y.p and y.q as Ratios: eight ints
+
+
+def _decode_ratio(obj: dict, context: str) -> Ratio:
+    return (
         _field(obj, "num", str, context, _decode_int),
         _field(obj, "den", str, context, _decode_denominator),
     )
 
 
-def decode_coord(obj: dict, context: str) -> QSqrt3:
-    return QSqrt3(
-        _field(obj, "p", dict, context, decode_fraction),
-        _field(obj, "q", dict, context, decode_fraction),
-    )
+def decode_fraction(obj: dict, context: str) -> Fraction:
+    from fractions import Fraction
+
+    return Fraction(*_decode_ratio(obj, context))
 
 
-def decode_point(obj: dict, context: str) -> Point:
-    return Point(
-        _field(obj, "x", dict, context, decode_coord),
-        _field(obj, "y", dict, context, decode_coord),
-    )
+def _decode_coord(obj: dict, context: str) -> tuple[int, int, int, int]:
+    return (*_field(obj, "p", dict, context, _decode_ratio),
+            *_field(obj, "q", dict, context, _decode_ratio))
 
 
-def _decode_chain(entry: dict, context: str) -> tuple[Point, ...]:
-    return tuple(_items(entry, "points", dict, context, decode_point))
+def _decode_point(obj: dict, context: str) -> Decoded:
+    return (*_field(obj, "x", dict, context, _decode_coord),
+            *_field(obj, "y", dict, context, _decode_coord))
+
+
+def _decode_chain(entry: dict, context: str) -> list[Decoded]:
+    return list(_items(entry, "points", dict, context, _decode_point))
+
+
+def _points(decoded: list[Decoded]) -> list[Point]:
+    """The `Point`s of a well-formed document's decoded points."""
+    from fractions import Fraction
+
+    from .geometry import Point
+    from .numbers import QSqrt3
+
+    return [
+        Point(QSqrt3(Fraction(a, b), Fraction(c, d)), QSqrt3(Fraction(e, f), Fraction(g, h)))
+        for a, b, c, d, e, f, g, h in decoded
+    ]
 
 
 # -- construction documents -------------------------------------------------
@@ -224,13 +248,11 @@ def construction_to_document(level: Level) -> dict[str, Any]:
 
 
 def _decode_construction(document: dict[str, Any]) -> Level:
-    from .construction import Level
-
     meta = _field(document, "metadata", dict)
     k = _field(meta, "k", int, "metadata")
     if isinstance(k, bool) or k < 1:
         raise DocumentError("k must be an integer >= 1", "metadata.k")
-    eps_history = tuple(_items(meta, "eps_history", dict, "metadata", decode_fraction))
+    eps_history = list(_items(meta, "eps_history", dict, "metadata", _decode_ratio))
     objects = _field(document, "objects", dict)
     a = _field(objects, "a_chain", dict, "objects", _decode_chain)
     b = _field(objects, "b_chain", dict, "objects", _decode_chain)
@@ -243,7 +265,21 @@ def _decode_construction(document: dict[str, Any]) -> Level:
 
     pairs = _field(objects, "witness_pairs", dict, "objects")
     witness = tuple(_items(pairs, "pairs", list, "objects.witness_pairs", index_pair))
-    return Level(k=k, a=a, b=b, witness=witness, eps_history=eps_history)
+
+    # Well-formed: the chains become rows over the lcm of their denominators.
+    from fractions import Fraction
+
+    from .construction import Level
+    from .geometry import Scaled
+
+    points = a + b
+    dens = {d for point in points for d in point[1::2]}
+    s = lcm(*dens)
+    up = {d: s // d for d in dens}
+    rows = [(xp * up[xpd], xq * up[xqd], yp * up[ypd], yq * up[yqd])
+            for xp, xpd, xq, xqd, yp, ypd, yq, yqd in points]
+    return Level.from_rows(k, Scaled.from_rows(rows, s), len(a), witness,
+                           tuple(Fraction(num, den) for num, den in eps_history))
 
 
 # -- point set documents ----------------------------------------------------
@@ -291,24 +327,24 @@ def graph_to_document(
 def _decode_graph(
     document: dict[str, Any]
 ) -> tuple[BipartiteGraph, Optional[dict[str, Point]]]:
-    from .graphs import BipartiteGraph
-
     objects = _field(document, "objects", dict)
     entry = _field(objects, "graph", dict, "objects")
     u, v = (tuple(_items(entry, key, str, "objects.graph")) for key in ("u", "v"))
     edges = tuple(_items(entry, "edges", list, "objects.graph", _pair))
+    from .graphs import BipartiteGraph  # which checks the structure
+
     try:
         graph = BipartiteGraph(u=u, v=v, edges=edges)
     except ValueError as exc:
         raise DocumentError(str(exc), "objects.graph") from exc
-    placements: Optional[dict[str, Point]] = None
-    if "placements" in objects:
-        entry = _field(objects, "placements", dict, "objects")
-        placements = {}
-        for name, item in _field(entry, "points", dict, "objects.placements").items():
-            context = f"objects.placements.points[{name}]"
-            placements[name] = decode_point(_expect(item, dict, context), context)
-    return graph, placements
+    if "placements" not in objects:
+        return graph, None
+    entry = _field(objects, "placements", dict, "objects")
+    placed = {}
+    for name, item in _field(entry, "points", dict, "objects.placements").items():
+        context = f"objects.placements.points[{name}]"
+        placed[name] = _decode_point(_expect(item, dict, context), context)
+    return graph, dict(zip(placed, _points(list(placed.values()))))
 
 
 # -- entry points ------------------------------------------------------------
@@ -345,7 +381,7 @@ def loads(text: str) -> ParsedDocument:
         return kind, _decode_construction(document)
     if kind == "points":
         objects = _field(document, "objects", dict)
-        return kind, list(_field(objects, "points", dict, "objects", _decode_chain))
+        return kind, _points(_field(objects, "points", dict, "objects", _decode_chain))
     if kind == "graph":
         return kind, _decode_graph(document)
     raise DocumentError(f"unknown kind {kind!r}", "kind")

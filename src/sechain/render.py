@@ -15,7 +15,7 @@ from .construction import Level
 
 _WIDTH = 800.0
 _MARGIN = 40.0
-_PRECISION = 6
+_NUMBER = "%.6f"  # every written number: fixed, six decimals
 # |a|*|b| at level 9, which renders in about 2.7 s at 160 MB peak RSS
 # (2 cores, Python 3.11) and runs to exit 0 under a 192 MiB RLIMIT_AS;
 # level 10, four times the midpoints, takes about 10 s and 550 MB for a
@@ -32,10 +32,6 @@ _STYLE = """
     polyline.chain-b { stroke: #c23b22; stroke-width: 1; }
     polyline.witness { stroke: #2e8540; stroke-width: 1.5; }
 """
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.{_PRECISION}f}"
 
 
 def render_construction(level: Level) -> str:
@@ -64,22 +60,20 @@ def render_construction(level: Level) -> str:
     scale = (_WIDTH - 2 * _MARGIN) / span
     height = extent_y * scale + 2 * _MARGIN
 
-    def place(p: tuple[float, float]) -> tuple[float, float]:
-        # Flip y: SVG grows downward.
-        return (p[0] - min_x) * scale + _MARGIN, (max_y - p[1]) * scale + _MARGIN
+    def placed(points, template: str) -> list[str]:
+        # Each point, y flipped because SVG grows downward, in one format.
+        return [template % ((x - min_x) * scale + _MARGIN, (max_y - y) * scale + _MARGIN)
+                for x, y in points]
 
-    # Every interpolated value is a constant class name or a `_fmt` number,
-    # so the text needs no XML escaping.
+    # Every interpolated value is a constant class name or a `_NUMBER`
+    # number, so the text needs no XML escaping.
     def polyline(points, cls: str) -> str:
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in map(place, points))
+        coords = " ".join(placed(points, f"{_NUMBER},{_NUMBER}"))
         return f'<polyline class="{cls}" points="{coords}" />'
 
     def dots(points, cls: str, radius: float) -> list[str]:
-        r = _fmt(radius)
-        return [
-            f'<circle class="{cls}" cx="{_fmt(x)}" cy="{_fmt(y)}" r="{r}" />'
-            for x, y in map(place, points)
-        ]
+        return placed(points, f'<circle class="{cls}" cx="{_NUMBER}" cy="{_NUMBER}"'
+                              f' r="{_NUMBER % radius}" />')
 
     marks = dots(mids, "mid", 2.0)
     marks.append(polyline(a_xy, "chain-a"))
@@ -90,7 +84,7 @@ def render_construction(level: Level) -> str:
     marks += dots(b_xy, "chain-b", 4.0)
     marks += dots(witness_xy, "witness", 3.0)
 
-    w, h = _fmt(_WIDTH), _fmt(height)
+    w, h = _NUMBER % _WIDTH, _NUMBER % height
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}"'

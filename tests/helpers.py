@@ -5,7 +5,9 @@ written directly against the definitions, independently of the library
 internals, so the exact-arithmetic code has something external to agree
 with.  So is the value reference for the construction's maps: exact
 division, `slope`, `midpoint`, `rotate60` and `flatten`, on `QSqrt3`
-arithmetic alone and never through `geometry.Scaled`.
+arithmetic alone and never through `geometry.Scaled`, and
+`reference_level`, a construction document read into `Fraction` and
+`QSqrt3` points.
 """
 
 import functools
@@ -15,6 +17,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 from mpmath import iv
 
+from sechain.construction import Level
 from sechain.geometry import Point, pt
 from sechain.numbers import QSqrt3
 
@@ -57,6 +60,22 @@ def flatten(p: Point, eps: Fraction) -> Point:
     if eps <= 0:
         raise ValueError("flattening factor must be positive")
     return Point(p.x * eps, p.y * (eps * eps))
+
+
+def reference_level(document: dict) -> Level:
+    """The `Level` of a construction document, built from `Fraction` and
+    `QSqrt3` points; the reference for the decoder, which builds none."""
+
+    def fraction(entry: dict) -> Fraction:
+        return Fraction(int(entry["num"]), int(entry["den"]))
+
+    def point(entry: dict) -> Point:
+        return Point(*(QSqrt3(fraction(entry[c]["p"]), fraction(entry[c]["q"])) for c in "xy"))
+
+    meta, objects = document["metadata"], document["objects"]
+    a, b = ([point(p) for p in objects[f"{c}_chain"]["points"]] for c in "ab")
+    witness = tuple(tuple(pair) for pair in objects["witness_pairs"]["pairs"])
+    return Level(meta["k"], a, b, witness, tuple(map(fraction, meta["eps_history"])))
 
 
 def interval_sign(value: QSqrt3):

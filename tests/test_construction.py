@@ -164,6 +164,20 @@ class TestStep:
         agrees()
         assert verdicts == {True, False}
 
+    def test_junction_check_agrees_with_reference_step(self):
+        # The quick reject at the block junctions turns away no factor
+        # that the three full proofs accept, on both sides of every
+        # threshold from level 1 to 6.
+        level, verdicts = base_case(), Counter()
+        for k in range(1, 7):
+            for m in range(1, 7):
+                eps = Fraction(1, 2**m)
+                got = step(level, eps)
+                assert got == _reference_step(level, eps), (k, m)
+                verdicts[got is None] += 1
+            level = find_epsilon(level)
+        assert verdicts[True] and verdicts[False]
+
     def test_returned_level_passed_three_chain_checks(self, monkeypatch):
         sizes = []
         real = construction.is_south_east_chain

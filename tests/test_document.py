@@ -1,9 +1,11 @@
+import functools
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sechain.construction import base_case, build
@@ -22,6 +24,8 @@ from sechain.document import (
 from sechain.geometry import Point, pt
 from sechain.graphs import drawing_from_level, family, g1
 from sechain.numbers import QSqrt3
+
+from .helpers import reference_level
 
 
 class TestFractionCodec:
@@ -156,6 +160,39 @@ class TestConstructionValidation:
     def test_top_level_not_object(self):
         with pytest.raises(DocumentError):
             loads("[1, 2, 3]\n")
+
+
+@functools.lru_cache(maxsize=None)
+def _level_text(k):
+    return dumps(construction_to_document(build(k)))
+
+
+def _fractions(node):
+    """Every {"num", "den"} entry of a document, in a fixed order."""
+    if isinstance(node, dict):
+        if set(node) == {"num", "den"}:
+            yield node
+        for key in sorted(node):
+            yield from _fractions(node[key])
+    elif isinstance(node, list):
+        for child in node:
+            yield from _fractions(child)
+
+
+class TestRowDecoder:
+    @given(k=st.integers(min_value=1, max_value=5), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_non_canonical_fractions_decode_to_the_reference_level(self, k, seed):
+        # Each fraction's num and den times its own factor, up to 60 bits.
+        rng, document = random.Random(seed), json.loads(_level_text(k))
+        for entry in _fractions(document):
+            factor = rng.randint(1, 2 ** rng.randint(1, 60))
+            entry.update(num=str(int(entry["num"]) * factor),
+                         den=str(int(entry["den"]) * factor))
+        kind, level = loads(json.dumps(document))
+        assert kind == "construction"
+        assert level == reference_level(document) == build(k)
+        assert dumps(construction_to_document(level)) == _level_text(k)
 
 
 class TestPointsDocuments:

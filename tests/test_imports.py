@@ -47,12 +47,22 @@ def test_import_sechain_loads_no_submodule():
 @pytest.fixture(scope="module")
 def docs(tmp_path_factory):
     base = tmp_path_factory.mktemp("docs")
-    paths = {name: base / f"{name}.json" for name in ("level", "graph", "points", "bad")}
+    names = ("level", "graph", "points", "bad", "zero_den", "bad_pair")
+    paths = {name: base / f"{name}.json" for name in names}
     assert main(["construct", "-k", "2", "-o", str(paths["level"])]) == 0
     assert main(["graph", "-k", "2", "--placements", "-o", str(paths["graph"])]) == 0
     points = [pt(0, 0), pt(1, 3), pt(2, 1), pt(3, 4)]
     paths["points"].write_text(dumps(points_to_document(points)), encoding="utf-8")
     paths["bad"].write_text('{"version": "sechain/1"}', encoding="utf-8")
+    # Malformed only past both chains: the last coordinate of chain b, and
+    # the last witness pair.
+    for name, edit in (
+        ("zero_den", lambda o: o["b_chain"]["points"][-1]["y"]["q"].update(den="0")),
+        ("bad_pair", lambda o: o["witness_pairs"]["pairs"][-1].__setitem__(1, 4)),
+    ):
+        document = json.loads(paths["level"].read_text(encoding="utf-8"))
+        edit(document["objects"])
+        paths[name].write_text(json.dumps(document), encoding="utf-8")
     return {name: str(path) for name, path in paths.items()}
 
 
@@ -60,8 +70,10 @@ def docs(tmp_path_factory):
 # each loads.  Among them: `ci` of a points document loads neither the
 # construction, the graphs nor the renderer; `verify` never loads
 # convex_subsets or render; `construct` loads none of convex_subsets,
-# graphs and render.
+# graphs and render; and a malformed document is refused before the
+# decoder imports the geometry kernel.
 _BASE = {"sechain", "sechain.document", "sechain.geometry", "sechain.numbers"}
+_REFUSED = {"sechain", "sechain.document"}
 _OPS = [
     (["--help"], 0, {"sechain"}),
     (["construct", "-k", "3", "-o", "{out}"], 0, _BASE | {"sechain.construction"}),
@@ -69,7 +81,9 @@ _OPS = [
      _BASE | {"sechain.construction", "sechain.graphs"}),
     (["verify", "{level}"], 0, _BASE | {"sechain.construction"}),
     (["verify", "--json", "{graph}"], 0, _BASE | {"sechain.graphs"}),
-    (["verify", "{bad}"], 2, _BASE),
+    (["verify", "{bad}"], 2, _REFUSED),
+    (["verify", "{zero_den}"], 2, _REFUSED),
+    (["verify", "--json", "{bad_pair}"], 2, _REFUSED),
     (["render", "{level}", "-o", "{out}"], 0,
      _BASE | {"sechain.construction", "sechain.render"}),
     (["ci", "{level}"], 0, _BASE | {"sechain.construction", "sechain.convex_subsets"}),
@@ -85,3 +99,5 @@ def test_op_loads_only_what_it_runs(docs, tmp_path, argv, code, package):
     assert got_code == code
     assert {m for m in loaded if m.split(".")[0] == "sechain"} == package
     assert not loaded & {"dataclasses", "inspect"}
+    if package == _REFUSED:
+        assert "fractions" not in loaded
