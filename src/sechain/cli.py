@@ -127,7 +127,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_ci(args: argparse.Namespace) -> int:
     from .convex_subsets import DP_MAX_POINTS, ci_bruteforce, ci_dp
-    from .document import dumps, encode_point, load_path
+    from .document import dumps, encode_points, load_path
     from .geometry import Scaled
 
     kind, payload = load_path(args.input)
@@ -147,7 +147,7 @@ def _cmd_ci(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        witness = [encode_point(p) for p in result.witness]
+        witness = encode_points(Scaled(result.witness))
         payload_out = {"algo": args.algo, "size": result.size, "witness": witness}
         sys.stdout.write(dumps(payload_out))
     else:
@@ -167,11 +167,11 @@ def _cmd_graph(args: argparse.Namespace) -> int:
             return edge_list_text(family(args.k))
         from .construction import build
         from .document import dumps, graph_to_document
-        from .graphs import drawing_from_level
+        from .graphs import level_graph
 
-        # The drawing carries family(k), checked against the level's witness.
-        drawing = drawing_from_level(build(args.k, max_eps_exponent=args.max_eps_exponent))
-        return dumps(graph_to_document(drawing.graph, dict(drawing.placement), k=args.k))
+        # family(k), checked against the level's witness, placed on its rows.
+        level = build(args.k, max_eps_exponent=args.max_eps_exponent)
+        return dumps(graph_to_document(level_graph(level), level.chains, k=args.k))
 
     _write_output(text, args.output)
     return 0

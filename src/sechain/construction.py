@@ -93,7 +93,7 @@ class Level(Record):
     b = property(lambda self: tuple(self.chains.take(range(self.n, len(self.chains))).points()))
 
     def _values(self) -> tuple:  # for == and hash: rows over the least scale are points
-        return self.k, self.n, self.witness, self.eps_history, self.chains.s, *self.chains.rows()
+        return self.k, self.n, self.witness, self.eps_history, self.chains.s, *self.chains.rows
 
     def _fields(self) -> dict[str, object]:
         return dict(k=self.k, a=self.a, b=self.b, witness=self.witness,
@@ -192,13 +192,13 @@ def step(level: Level, eps: Fraction) -> Optional[Level]:
     offsets = Scaled([off.rotated_b_in_a, off.flat_b_in_b, off.rotated_a_in_b])
     flat, rot = level.chains.flattened(eps)
     t, up = flat.s, flat.s // offsets.s  # an integer over 2 is up times itself over t
-    flat, rot = flat.rows(), rot.rows()
+    flat, rot = flat.rows, rot.rows
 
     def shifted(block: list[Row], offset: Row) -> list[Row]:
         o = tuple(up * c for c in offset)
         return [tuple(map(add, row, o)) for row in block]
 
-    in_a, in_b, rot_a_in_b = offsets.rows()
+    in_a, in_b, rot_a_in_b = offsets.rows
     new_a = flat[:n] + shifted(rot[n:], in_a)
     new_b = shifted(flat[n:], in_b) + shifted(rot[:n], rot_a_in_b)
     w = len(level.witness)

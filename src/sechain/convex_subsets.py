@@ -110,7 +110,7 @@ def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
     takes two collinear edges in a row and its turns stay strict.
     """
     n = len(k)
-    xa, xb, ya, yb, cross_sign = k.xa, k.xb, k.ya, k.yb, k.cross_sign
+    rows, cross_sign = k.rows, k.cross_sign
 
     # Horizontal edges (angle 0) come first.  Every other edge u -> v
     # has dy > 0 and the key floor(2**64 * -dx/dy), with -dx/dy = (p +
@@ -120,12 +120,14 @@ def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
     shift = (n * n).bit_length()
     flat, packed = [], []
     for u in range(n):
+        uxa, uxb, uya, uyb = rows[u]
         for v in range(u + 1, n):
-            dya, dyb = ya[v] - ya[u], yb[v] - yb[u]
+            vxa, vxb, vya, vyb = rows[v]
+            dya, dyb = vya - uya, vyb - uyb
             if not (dya or dyb):
                 flat.append(u * n + v)
                 continue
-            dxa, dxb = xa[v] - xa[u], xb[v] - xb[u]
+            dxa, dxb = vxa - uxa, vxb - uxb
             p, q, d = 3 * dxb * dyb - dxa * dya, dxa * dyb - dxb * dya, dya * dya - 3 * dyb * dyb
             packed.append(floor2(p << _KEY_BITS, q << _KEY_BITS, d) << shift | (u * n + v))
     packed.sort()

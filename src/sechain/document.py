@@ -3,22 +3,25 @@
 Every coordinate travels as four decimal strings (numerator and
 denominator of the rational part and of the sqrt(3) coefficient), so
 files are loss-free and reruns are byte-identical.  All documents carry
-the format tag "sechain/1".  A construction is encoded from its
-integer rows, one gcd per component, and `dumps` writes the canonical
-text (sorted keys, two-space indent) itself.
+the format tag "sechain/1".  There is one coordinate codec, on
+`geometry.Scaled` rows: `encode_points` writes every point of a
+construction, a point set, a graph's placements and `ci --json`'s
+witness, one gcd per component, and `_scaled` decodes every document
+kind into rows over the lcm of its denominators.  `dumps` writes the
+canonical text (sorted keys, two-space indent) itself.
 
 Parsing is strict about structure (types, integer syntax, positive
 denominators, index ranges) and raises `DocumentError` with a dotted
 path to the offending field.  Every coordinate is checked as plain ints,
 a numerator and a positive denominator, and only a well-formed document
-imports the geometry kernel, once, to build its payload: a construction
-becomes integer rows over the lcm of its denominators (`Level.from_rows`
-brings them to the least scale), and point sets and placements become
-`Point`s.  So a malformed file is refused having loaded no other package
-module.  Parsing does NOT re-prove the geometric invariants: a
-well-formed file whose chains are broken parses fine and is rejected
-later by verification, which keeps "unreadable input" and "readable but
-wrong" distinguishable.
+imports the geometry kernel, once, to turn its coordinates into rows: a
+construction keeps them (`Level.from_rows` brings them to the least
+scale), and point sets and placements become their `Point`s
+(`Scaled.points`).  So a malformed file is refused having loaded no
+other package module.  Parsing does NOT re-prove the geometric
+invariants: a well-formed file whose chains are broken parses fine and
+is rejected later by verification, which keeps "unreadable input" and
+"readable but wrong" distinguishable.
 """
 
 from __future__ import annotations
@@ -56,25 +59,17 @@ def encode_fraction(value: Fraction) -> dict[str, str]:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
-def _encode_xy(xp: dict, xq: dict, yp: dict, yq: dict) -> dict[str, Any]:
-    """A point from its encoded components x.p, x.q, y.p and y.q."""
-    return {"x": {"p": xp, "q": xq}, "y": {"p": yp, "q": yq}}
-
-
-def encode_point(point: Point) -> dict[str, Any]:
-    return _encode_xy(*map(encode_fraction, (point.x.p, point.x.q, point.y.p, point.y.q)))
-
-
-def _encode_rows(chains: Scaled) -> list[dict[str, Any]]:
-    """Each point of `chains` as `encode_point` writes it, one gcd per component."""
-    s = chains.s
+def encode_points(points: Scaled) -> list[dict[str, Any]]:
+    """Each point as its four components, x.p, x.q, y.p and y.q, each a
+    reduced fraction: one gcd with the scale per component."""
+    s = points.s
 
     def part(c: int) -> dict[str, str]:
         g = gcd(c, s)
         return {"num": str(c // g), "den": str(s // g)}
 
-    return [_encode_xy(part(xa), part(xb), part(ya), part(yb))
-            for xa, xb, ya, yb in chains.rows()]
+    return [{"x": {"p": part(xa), "q": part(xb)}, "y": {"p": part(ya), "q": part(yb)}}
+            for xa, xb, ya, yb in points.rows]
 
 
 def dumps(document: Any) -> str:
@@ -193,12 +188,6 @@ def _decode_ratio(obj: dict, context: str) -> Ratio:
     )
 
 
-def decode_fraction(obj: dict, context: str) -> Fraction:
-    from fractions import Fraction
-
-    return Fraction(*_decode_ratio(obj, context))
-
-
 def _decode_coord(obj: dict, context: str) -> tuple[int, int, int, int]:
     return (*_field(obj, "p", dict, context, _decode_ratio),
             *_field(obj, "q", dict, context, _decode_ratio))
@@ -213,24 +202,23 @@ def _decode_chain(entry: dict, context: str) -> list[Decoded]:
     return list(_items(entry, "points", dict, context, _decode_point))
 
 
-def _points(decoded: list[Decoded]) -> list[Point]:
-    """The `Point`s of a well-formed document's decoded points."""
-    from fractions import Fraction
+def _scaled(decoded: list[Decoded]) -> Scaled:
+    """A well-formed document's decoded points as integer rows over the
+    lcm of their denominators."""
+    from .geometry import Scaled
 
-    from .geometry import Point
-    from .numbers import QSqrt3
-
-    return [
-        Point(QSqrt3(Fraction(a, b), Fraction(c, d)), QSqrt3(Fraction(e, f), Fraction(g, h)))
-        for a, b, c, d, e, f, g, h in decoded
-    ]
+    dens = {d for point in decoded for d in point[1::2]}
+    s = lcm(*dens)
+    up = {d: s // d for d in dens}
+    return Scaled.from_rows([(xp * up[xpd], xq * up[xqd], yp * up[ypd], yq * up[yqd])
+                             for xp, xpd, xq, xqd, yp, ypd, yq, yqd in decoded], s)
 
 
 # -- construction documents -------------------------------------------------
 
 
 def construction_to_document(level: Level) -> dict[str, Any]:
-    points, n, witness = _encode_rows(level.chains), level.n, level.witness
+    points, n, witness = encode_points(level.chains), level.n, level.witness
     return {
         "version": FORMAT_VERSION,
         "kind": "construction",
@@ -266,19 +254,11 @@ def _decode_construction(document: dict[str, Any]) -> Level:
     pairs = _field(objects, "witness_pairs", dict, "objects")
     witness = tuple(_items(pairs, "pairs", list, "objects.witness_pairs", index_pair))
 
-    # Well-formed: the chains become rows over the lcm of their denominators.
     from fractions import Fraction
 
     from .construction import Level
-    from .geometry import Scaled
 
-    points = a + b
-    dens = {d for point in points for d in point[1::2]}
-    s = lcm(*dens)
-    up = {d: s // d for d in dens}
-    rows = [(xp * up[xpd], xq * up[xqd], yp * up[ypd], yq * up[yqd])
-            for xp, xpd, xq, xqd, yp, ypd, yq, yqd in points]
-    return Level.from_rows(k, Scaled.from_rows(rows, s), len(a), witness,
+    return Level.from_rows(k, _scaled(a + b), len(a), witness,
                            tuple(Fraction(num, den) for num, den in eps_history))
 
 
@@ -286,11 +266,13 @@ def _decode_construction(document: dict[str, Any]) -> Level:
 
 
 def points_to_document(points: list[Point]) -> dict[str, Any]:
+    from .geometry import Scaled
+
     return {
         "version": FORMAT_VERSION,
         "kind": "points",
         "objects": {
-            "points": {"type": "point_set", "points": [encode_point(p) for p in points]}
+            "points": {"type": "point_set", "points": encode_points(Scaled(points))}
         },
     }
 
@@ -300,9 +282,11 @@ def points_to_document(points: list[Point]) -> dict[str, Any]:
 
 def graph_to_document(
     graph: BipartiteGraph,
-    placements: Optional[dict[str, Point]] = None,
+    placements: Optional[Scaled] = None,
     k: Optional[int] = None,
 ) -> dict[str, Any]:
+    """The graph, and the placements of its vertices in `graph.u + graph.v`
+    order if given."""
     document: dict[str, Any] = {
         "version": FORMAT_VERSION,
         "kind": "graph",
@@ -317,9 +301,12 @@ def graph_to_document(
         },
     }
     if placements is not None:
+        names = graph.u + graph.v
+        if len(placements) != len(names):
+            raise ValueError(f"{len(placements)} placements for {len(names)} vertices")
         document["objects"]["placements"] = {
             "type": "placement",
-            "points": {name: encode_point(point) for name, point in placements.items()},
+            "points": dict(zip(names, encode_points(placements))),
         }
     return document
 
@@ -344,7 +331,7 @@ def _decode_graph(
     for name, item in _field(entry, "points", dict, "objects.placements").items():
         context = f"objects.placements.points[{name}]"
         placed[name] = _decode_point(_expect(item, dict, context), context)
-    return graph, dict(zip(placed, _points(list(placed.values()))))
+    return graph, dict(zip(placed, _scaled(list(placed.values())).points()))
 
 
 # -- entry points ------------------------------------------------------------
@@ -381,7 +368,7 @@ def loads(text: str) -> ParsedDocument:
         return kind, _decode_construction(document)
     if kind == "points":
         objects = _field(document, "objects", dict)
-        return kind, _points(_field(objects, "points", dict, "objects", _decode_chain))
+        return kind, _scaled(_field(objects, "points", dict, "objects", _decode_chain)).points()
     if kind == "graph":
         return kind, _decode_graph(document)
     raise DocumentError(f"unknown kind {kind!r}", "kind")

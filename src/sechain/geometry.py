@@ -7,17 +7,20 @@ is a corner of the hull), which is what the whole construction pipeline
 relies on.  All predicates here decide by exact sign computations; there
 is no epsilon anywhere.
 
-`Scaled` is the one integer point-set kernel: a point sequence as
-integers over one shared scale.  It gives every coordinate and turn
+`Scaled` is the one integer point-set kernel: a point sequence as one
+list of integer rows (xa, xb, ya, yb) over one shared scale, read and
+built as rows by every method.  It gives every coordinate and turn
 sign, and subsets (`take`), dedupes (`distinct`), orders (`sorted`),
 forms midpoints (`midpoints`, `midpoint_set`) and flattens and rotates
-(`flattened`, which `construction.step` and `transform_chains` share)
-on integer rows.  A `construction.Level` holds its chains as one
-`Scaled` over the least scale (`reduced`).  The predicates here, both
-`convex_subsets` solvers, the construction, `Level.checks`, the drawing
-checks, `render` and `ci` compute in it.  The `Point` value forms these
-paths are tested against (flattening, rotation, midpoints, slopes) live
-in `tests/helpers.py`.
+(`flattened`, which `construction.step` and `transform_chains` share).
+A `construction.Level` holds its chains as one `Scaled` over the least
+scale (`reduced`), and `document` encodes and decodes every coordinate
+through one.  The predicates here, both `convex_subsets` solvers, the
+construction, `Level.checks`, the drawing checks, `render` and `ci`
+compute in it.  `Point`s are built only at the public boundary
+(`Scaled.points`).  The `Point` value forms these paths are tested
+against (flattening, rotation, midpoints, slopes) live in
+`tests/helpers.py`.
 Slope monotonicity is tested with cross products rather than divisions:
 for segments with positive dx, slope(a,b) < slope(b,c) holds exactly
 when the turn a -> b -> c is counterclockwise.
@@ -47,17 +50,7 @@ class Point(Record):
     y: QSqrt3
 
     def __init__(self, x: QSqrt3, y: QSqrt3) -> None:
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    # Points are built, hashed and compared in bulk: no generic field loop.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.x, self.y) == (other.x, other.y)  # type: ignore[attr-defined]
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
+        self._set(x, y)
 
     def __add__(self, other: Point) -> Point:
         return Point(self.x + other.x, self.y + other.y)
@@ -80,42 +73,36 @@ def cross(o: Point, a: Point, b: Point) -> QSqrt3:
 
 
 class Scaled:
-    """The orientation kernel: points as integers over one shared scale.
+    """The orientation kernel: points as integer rows over one shared scale.
 
-    Point i has x = (xa[i] + xb[i]*sqrt(3)) / s and y = (ya[i] +
-    yb[i]*sqrt(3)) / s for one positive integer s.  `Scaled(points)`
+    Row i, (xa, xb, ya, yb), is the point x = (xa + xb*sqrt(3)) / s,
+    y = (ya + yb*sqrt(3)) / s for one positive integer s.  `Scaled(points)`
     takes s as the lcm of every reduced denominator, the least scale;
-    `from_rows` takes integer rows (xa, xb, ya, yb) as they are, and
-    `reduced` brings them to the least scale, where equal rows are equal
-    points.  A positive common scale changes no sign, so each
-    sign below is one `sign2` on integers.  Methods take indices into
-    the sequence.
+    `from_rows` keeps the rows it is given, and `reduced` brings them to
+    the least scale, where equal rows are equal points.  A positive
+    common scale changes no sign, so each sign below is one `sign2` on
+    integers.  Methods take indices into `rows`.
     """
 
-    __slots__ = ("xa", "xb", "ya", "yb", "s")
+    __slots__ = ("rows", "s")
+    rows: list[Row]
+    s: int
 
     def __init__(self, points: Sequence[Point]) -> None:
         parts = [(p.x.p, p.x.q, p.y.p, p.y.q) for p in points]
         self.s = s = lcm(*{c.denominator for row in parts for c in row})
-        self.xa, self.xb, self.ya, self.yb = (
-            [row[c].numerator * (s // row[c].denominator) for row in parts]
-            for c in range(4)
-        )
+        self.rows = [tuple([c.numerator * (s // c.denominator) for c in row]) for row in parts]
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Row], s: int) -> Scaled:
-        """Integer rows (xa, xb, ya, yb) over the positive scale s."""
+    def from_rows(cls, rows: list[Row], s: int) -> Scaled:
+        """Integer rows (xa, xb, ya, yb) over the positive scale s; the
+        list is kept, not copied."""
         new = cls.__new__(cls)
-        new.xa, new.xb, new.ya, new.yb = ([row[c] for row in rows] for c in range(4))
-        new.s = s
+        new.rows, new.s = rows, s
         return new
 
     def __len__(self) -> int:
-        return len(self.xa)
-
-    def rows(self) -> list[Row]:
-        """Point i as the row (xa[i], xb[i], ya[i], yb[i])."""
-        return list(zip(self.xa, self.xb, self.ya, self.yb))
+        return len(self.rows)
 
     def points(self) -> list[Point]:
         """The exact points, each component reduced."""
@@ -123,7 +110,7 @@ class Scaled:
         return [
             Point(QSqrt3(Fraction(xa, s), Fraction(xb, s)),
                   QSqrt3(Fraction(ya, s), Fraction(yb, s)))
-            for xa, xb, ya, yb in zip(self.xa, self.xb, self.ya, self.yb)
+            for xa, xb, ya, yb in self.rows
         ]
 
     def floats(self) -> list[tuple[float, float]]:
@@ -133,26 +120,24 @@ class Scaled:
         integer true division is correctly rounded at any scale.
         """
         s, r3 = self.s, _SQRT3_FLOAT
-        return [
-            (xa / s + xb / s * r3, ya / s + yb / s * r3)
-            for xa, xb, ya, yb in zip(self.xa, self.xb, self.ya, self.yb)
-        ]
+        return [(xa / s + xb / s * r3, ya / s + yb / s * r3) for xa, xb, ya, yb in self.rows]
 
     def reduced(self) -> Scaled:
         """The same points over the least scale: all divided by their gcd."""
-        g = gcd(self.s, *self.xa, *self.xb, *self.ya, *self.yb)
+        g = gcd(self.s, *[c for row in self.rows for c in row])
         if g == 1:
             return self
-        return Scaled.from_rows([[c // g for c in row] for row in self.rows()], self.s // g)
+        return Scaled.from_rows([(xa // g, xb // g, ya // g, yb // g)
+                                 for xa, xb, ya, yb in self.rows], self.s // g)
 
     def take(self, indices: Iterable[int]) -> Scaled:
         """The points at `indices`, in that order, over the same scale."""
-        rows = self.rows()
+        rows = self.rows
         return Scaled.from_rows([rows[i] for i in indices], self.s)
 
     def distinct(self) -> Scaled:
         """Each point once, compared on integer rows, in first-seen order."""
-        return Scaled.from_rows(list(dict.fromkeys(self.rows())), self.s)
+        return Scaled.from_rows(list(dict.fromkeys(self.rows)), self.s)
 
     def sorted(self, y_first: bool = False) -> Scaled:
         """The points in exact (x, y) order, or (y, x) order; equal points
@@ -165,21 +150,18 @@ class Scaled:
         """Midpoints of a[i] and b[j] for each pair (i, j), in order, where
         a is the first n points and b the rest: row sums over twice the
         scale."""
-        pairs = list(pairs)
-        new = Scaled.__new__(Scaled)
-        new.xa, new.xb, new.ya, new.yb = (
-            [a[i] + b[j] for i, j in pairs]
-            for a, b in ((c[:n], c[n:]) for c in (self.xa, self.xb, self.ya, self.yb))
-        )
-        new.s = 2 * self.s
-        return new
+        a, b, sums = self.rows[:n], self.rows[n:], []
+        for i, j in pairs:
+            (xa, xb, ya, yb), (pa, pb, qa, qb) = a[i], b[j]
+            sums.append((xa + pa, xb + pb, ya + qa, yb + qb))
+        return Scaled.from_rows(sums, 2 * self.s)
 
     def midpoint_set(self, n: int, limit: int) -> Scaled:
         """The distinct midpoints of all pairs a[i], b[j] as in `midpoints`, in no
         fixed order, formed one a[i] at a time until there are more than `limit`."""
-        b, rows = range(len(self) - n), set()
-        for i in range(n):
-            rows.update(self.midpoints(n, ((i, j) for j in b)).rows())
+        b, rows = self.rows[n:], set()
+        for xa, xb, ya, yb in self.rows[:n]:
+            rows.update([(xa + pa, xb + pb, ya + qa, yb + qb) for pa, pb, qa, qb in b])
             if len(rows) > limit:
                 break
         return Scaled.from_rows(list(rows), 2 * self.s)
@@ -197,7 +179,7 @@ class Scaled:
         p, q = eps.numerator, eps.denominator
         fx, fy = p * q, p * p
         flat, rot = [], []
-        for xa, xb, ya, yb in zip(self.xa, self.xb, self.ya, self.yb):
+        for xa, xb, ya, yb in self.rows:
             xa, xb, ya, yb = fx * xa, fx * xb, fy * ya, fy * yb
             flat.append((2 * xa, 2 * xb, 2 * ya, 2 * yb))
             rot.append((xa - 3 * yb, xb - ya, 3 * xb + ya, xa + yb))
@@ -206,11 +188,13 @@ class Scaled:
 
     def dx_sign(self, i: int, j: int) -> int:
         """Sign of x[j] - x[i]."""
-        return sign2(self.xa[j] - self.xa[i], self.xb[j] - self.xb[i])
+        p, q = self.rows[i], self.rows[j]
+        return sign2(q[0] - p[0], q[1] - p[1])
 
     def dy_sign(self, i: int, j: int) -> int:
         """Sign of y[j] - y[i]."""
-        return sign2(self.ya[j] - self.ya[i], self.yb[j] - self.yb[i])
+        p, q = self.rows[i], self.rows[j]
+        return sign2(q[2] - p[2], q[3] - p[3])
 
     def turn(self, p: int, q: int, r: int) -> int:
         """Sign of the turn p -> q -> r; positive means left."""
@@ -218,9 +202,11 @@ class Scaled:
 
     def cross_sign(self, p: int, q: int, r: int, s: int) -> int:
         """Sign of (q - p) x (s - r); positive means a left turn."""
-        xa, xb, ya, yb = self.xa, self.xb, self.ya, self.yb
-        uxa, uxb, uya, uyb = xa[q] - xa[p], xb[q] - xb[p], ya[q] - ya[p], yb[q] - yb[p]
-        vxa, vxb, vya, vyb = xa[s] - xa[r], xb[s] - xb[r], ya[s] - ya[r], yb[s] - yb[r]
+        rows = self.rows
+        (pxa, pxb, pya, pyb), (qxa, qxb, qya, qyb) = rows[p], rows[q]
+        (rxa, rxb, rya, ryb), (sxa, sxb, sya, syb) = rows[r], rows[s]
+        uxa, uxb, uya, uyb = qxa - pxa, qxb - pxb, qya - pya, qyb - pyb
+        vxa, vxb, vya, vyb = sxa - rxa, sxb - rxb, sya - rya, syb - ryb
         return sign2(
             uxa * vya + 3 * uxb * vyb - uya * vxa - 3 * uyb * vxb,
             uxa * vyb + uxb * vya - uya * vxb - uyb * vxa,

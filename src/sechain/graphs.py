@@ -15,6 +15,10 @@ re-checks, by exact predicates only, that both parts and the edge
 midpoints form south-east chains, and `drawing_defect` says where they
 do not.  Both parts' placements go into one `geometry.Scaled`, and the
 edge midpoints are its row sums over `BipartiteGraph.index_pairs()`.
+`level_graph` checks the family graph against a built level, whose
+chains then place `graph.u + graph.v` in order: `graph --placements`
+encodes those rows as they are, and `drawing_from_level` makes them
+`Point`s.
 """
 
 from __future__ import annotations
@@ -165,13 +169,14 @@ def verify_drawing(drawing: BipartiteDrawing) -> bool:
     return not drawing_defect(drawing)
 
 
-def drawing_from_level(level: Level) -> BipartiteDrawing:
-    """Place the family graph on a built level's chains.
+def level_graph(level: Level) -> BipartiteGraph:
+    """The family graph of a built level, checked against it.
 
-    Vertex t of the first (second) part goes to point t of chain a (b).
-    The edge list must agree, position by position, with the level's
-    witness pairs; both recursions were set up to keep that alignment,
-    and it is re-checked here rather than trusted.
+    Vertex t of the first (second) part is point t of chain a (b), so
+    `level.chains` places `graph.u + graph.v` in order.  The edge list
+    must agree, position by position, with the level's witness pairs;
+    both recursions were set up to keep that alignment, and it is
+    re-checked here rather than trusted.
     """
     graph = family(level.k)
     if len(graph.u) != level.n or len(graph.v) != len(level.chains) - level.n:
@@ -181,6 +186,12 @@ def drawing_from_level(level: Level) -> BipartiteDrawing:
             raise ValueError(
                 f"edge {t} disagrees with witness pair {level.witness[t]}"
             )
+    return graph
+
+
+def drawing_from_level(level: Level) -> BipartiteDrawing:
+    """Place the family graph on a built level's chains (`level_graph`)."""
+    graph = level_graph(level)
     placement = dict(zip(graph.u + graph.v, level.chains.points()))
     return BipartiteDrawing(graph=graph, placement=placement)
 

@@ -24,11 +24,11 @@ from sechain.cli import main
 from sechain.document import (
     construction_to_document,
     dumps,
-    encode_point,
+    encode_points,
     graph_to_document,
     points_to_document,
 )
-from sechain.geometry import Point, pt
+from sechain.geometry import Point, Scaled, pt
 from sechain.graphs import drawing_from_level, edge_list_text, family
 from sechain.numbers import QSqrt3
 
@@ -75,9 +75,7 @@ def _hostile(name: str, text: str) -> str:
         coord["num"] = "7" * 4000  # parses, but overflows a float
     elif name == "extent-overflow":  # each x fits a float, their distance does not
         objects = document["objects"]
-        objects["a_chain"]["points"] = [
-            encode_point(pt(-(10**308), 0)), encode_point(pt(10**308, 1))
-        ]
+        objects["a_chain"]["points"] = encode_points(Scaled([pt(-(10**308), 0), pt(10**308, 1)]))
         objects["witness_pairs"]["pairs"] = []
     elif name == "empty-chains":  # well-formed, but there is nothing to draw
         objects = document["objects"]
@@ -86,9 +84,7 @@ def _hostile(name: str, text: str) -> str:
     elif name == "oversized":  # well-formed, one midpoint row past level 9
         objects = document["objects"]
         for chain, size in (("a_chain", 513), ("b_chain", 512)):
-            objects[chain]["points"] = [
-                encode_point(pt(i, i * i)) for i in range(size)
-            ]
+            objects[chain]["points"] = encode_points(Scaled([pt(i, i * i) for i in range(size)]))
         objects["witness_pairs"]["pairs"] = []
     return json.dumps(document)
 
@@ -248,7 +244,8 @@ class TestVerify:
         else:  # v2 moved so that edge (u0, v2) has the midpoint of edge (u2, v3)
             placement[graph.v[2]] = a[2] + b[3] - a[0]
         bad = tmp_path / "bad.json"
-        bad.write_text(dumps(graph_to_document(graph, placements=placement, k=2)))
+        placed = Scaled([placement[name] for name in graph.u + graph.v])
+        bad.write_text(dumps(graph_to_document(graph, placements=placed, k=2)))
         assert main(["verify", str(bad)]) == 1
         assert f"FAIL  drawing-chains  ({detail})" in capsys.readouterr().out
 
@@ -414,14 +411,18 @@ def _mutated(draw, documents):
     return document
 
 
+# Six points, one with negative, zero and irrational components; the
+# points document of `_valid_documents`.
+_SIX_POINTS = [pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2), pt(1, 1),
+               Point(QSqrt3(1, 1), QSqrt3(Fraction(-1, 3), 2))]
+
+
 def _valid_documents() -> list[dict]:
     level = construction.build(2)
-    drawing = drawing_from_level(level)
     return [
         construction_to_document(level),
-        graph_to_document(drawing.graph, placements=dict(drawing.placement), k=2),
-        points_to_document([pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2), pt(1, 1),
-                            Point(QSqrt3(1, 1), QSqrt3(Fraction(-1, 3), 2))]),
+        graph_to_document(family(2), placements=level.chains, k=2),
+        points_to_document(_SIX_POINTS),
     ]
 
 
@@ -480,19 +481,20 @@ class TestCi:
         doc = tmp_path / "level6.json"
         doc.write_text(dumps(construction_to_document(levels[6])))
         built = 0
-        real_midpoints = geometry.Scaled.midpoints
+        real_midpoint_set = geometry.Scaled.midpoint_set
 
-        def counting_midpoints(self, n, pairs):
+        def counting_midpoint_set(self, n, limit):
             nonlocal built
-            mids = real_midpoints(self, n, pairs)
+            mids = real_midpoint_set(self, n, limit)
             built += len(mids)
             return mids
 
-        monkeypatch.setattr(geometry.Scaled, "midpoints", counting_midpoints)
+        monkeypatch.setattr(geometry.Scaled, "midpoint_set", counting_midpoint_set)
         assert main(["ci", str(doc)]) == 2
         assert "ci_dp refuses more than 2500 points" in capsys.readouterr().err
-        # 64 x 64 = 4096 distinct midpoints exist; at most one row of 64
-        # is built past the limit.
+        # 64 x 64 = 4096 midpoints exist, all distinct, so the rows
+        # returned count the rows built: at most one row of 64 past the
+        # limit.
         assert 2500 < built <= 2500 + 64
 
     def test_graph_input_rejected(self, tmp_path, capsys):
@@ -510,6 +512,16 @@ class TestGraph:
     def test_k_out_of_range(self, capsys):
         assert main(["graph", "-k", "0"]) == 2
         assert main(["graph", "-k", "13"]) == 2
+
+    def test_placements_build_no_point(self, tmp_path, monkeypatch):
+        # The placements are encoded from the level's rows.
+        def refuse(self):
+            raise AssertionError("graph --placements built Points")
+
+        monkeypatch.setattr(geometry.Scaled, "points", refuse)
+        doc = tmp_path / "g4.json"
+        assert main(["graph", "-k", "4", "--placements", "-o", str(doc)]) == 0
+        assert _sha256(doc.read_bytes()) == _PINNED_GRAPHS[4]
 
     def test_placements_document(self, tmp_path):
         doc = tmp_path / "g1.json"
@@ -558,8 +570,8 @@ class TestRender:
 
 
 # sha256 of the construction documents for k = 1..12, of
-# `graph -k 3 --placements` and `-k 7` (the benchmark's graph op) and of
-# `render` on levels 3, 7, 8 and 9.  Any
+# `graph -k 3 --placements`, `-k 4` and `-k 7` (the benchmark's graph op)
+# and of `render` on levels 3, 7, 8 and 9.  Any
 # change to the encoding, the construction or the renderer shows up here.
 _PINNED_CONSTRUCTIONS = {
     1: "83dedbd55db69635baf5a789cc744dd62b970257082072a09a9fa4b1cd678c81",
@@ -577,6 +589,7 @@ _PINNED_CONSTRUCTIONS = {
 }
 _PINNED_GRAPHS = {
     3: "6fdf30b11f28c5426d50ec8896c6a06d9a3d9983686d53dd2b10ed0e3bf9a9ec",
+    4: "ac94267d85faf34effbce50ea8d8aadf6b72b91743215d8c59ba7147a050b7e5",
     7: "31f472a16a7f26a3e940e437821bf8d9700b006ed133a0be6fc28da3e0ea524f",
 }
 _PINNED_SVGS = {
@@ -594,6 +607,11 @@ _PINNED_CI = {
     4: "fa38150b29399ee659956273ac58b0e127929ac8fe188f89c3ab2d08dad116f1",
     5: "88e033ce619b60267d1df582ddc738398893ee7a1b67178ec45fa89442772a4e",
 }
+# sha256 of the `_SIX_POINTS` points document and of `ci --json` on it,
+# taken from the per-`Point` encoder: the row encoder must write the same
+# bytes for negative, zero and irrational components.
+_PINNED_SIX_POINTS = "3feed0e349bde107cdab5fd235b9a1d4542993c15aea9ecee2197b6745f5e0ee"
+_PINNED_SIX_POINTS_CI = "3f80bf1a3152f2d5d04f39ef214d50a1d3ed086773f7ba2b6de051f1bbfa95f3"
 
 
 def _sha256(data: bytes) -> str:
@@ -669,6 +687,13 @@ class TestPinnedBytes:
         out = capsys.readouterr().out
         assert json.loads(out)["size"] == 117
         assert _sha256(out.encode("utf-8")) == _PINNED_CI[5]
+
+    def test_points_document_and_ci_json(self, tmp_path, capsys):
+        doc = tmp_path / "six.json"
+        doc.write_text(dumps(points_to_document(_SIX_POINTS)), encoding="utf-8")
+        assert _sha256(doc.read_bytes()) == _PINNED_SIX_POINTS
+        assert main(["ci", "--json", str(doc)]) == 0
+        assert _sha256(capsys.readouterr().out.encode("utf-8")) == _PINNED_SIX_POINTS_CI
 
 
 def _distribution_installed(name: str) -> bool:

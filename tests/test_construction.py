@@ -357,7 +357,7 @@ class TestLevelRows:
         assert moved != lv
         points = lv.a + lv.b
         split = Level(lv.k, points[:7], points[7:], lv.witness, lv.eps_history)
-        assert split != lv and split.chains.rows() == lv.chains.rows()
+        assert split != lv and split.chains.rows == lv.chains.rows
 
 
 class TestLevelValidate:

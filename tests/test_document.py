@@ -13,7 +13,6 @@ from sechain.document import (
     FORMAT_VERSION,
     DocumentError,
     construction_to_document,
-    decode_fraction,
     dumps,
     encode_fraction,
     graph_to_document,
@@ -28,30 +27,37 @@ from sechain.numbers import QSqrt3
 from .helpers import reference_level
 
 
+def _load_eps(fraction: dict) -> Fraction:
+    """The first factor of a level-2 document whose eps_history[0] is `fraction`."""
+    document = construction_to_document(build(2))
+    document["metadata"]["eps_history"][0] = fraction
+    return loads(json.dumps(document))[1].eps_history[0]
+
+
 class TestFractionCodec:
     def test_encode(self):
         assert encode_fraction(Fraction(-3, 7)) == {"num": "-3", "den": "7"}
 
     def test_decode_normalizes(self):
-        assert decode_fraction({"num": "2", "den": "4"}, "x") == Fraction(1, 2)
+        assert _load_eps({"num": "2", "den": "4"}) == Fraction(1, 2)
 
     def test_decode_rejects_bad_strings(self):
         for num in ("1.5", "0x3", "", "two", "1/2"):
             with pytest.raises(DocumentError):
-                decode_fraction({"num": num, "den": "1"}, "x")
+                _load_eps({"num": num, "den": "1"})
 
     def test_decode_rejects_bad_denominator(self):
         for den in ("0", "-2"):
             with pytest.raises(DocumentError):
-                decode_fraction({"num": "1", "den": den}, "x")
+                _load_eps({"num": "1", "den": den})
 
     def test_decode_rejects_non_strings(self):
         with pytest.raises(DocumentError):
-            decode_fraction({"num": 1, "den": "2"}, "x")
+            _load_eps({"num": 1, "den": "2"})
 
     def test_error_carries_context(self):
         with pytest.raises(DocumentError) as err:
-            decode_fraction({"num": "1"}, "metadata.eps_history[0]")
+            _load_eps({"num": "1"})
         assert "metadata.eps_history[0]" in str(err.value)
 
 
@@ -225,10 +231,14 @@ class TestGraphDocuments:
     def test_round_trip_with_placements(self):
         lv = build(2)
         d = drawing_from_level(lv)
-        document = graph_to_document(d.graph, placements=dict(d.placement), k=lv.k)
+        document = graph_to_document(d.graph, placements=lv.chains, k=lv.k)
         _, (parsed, placements) = loads(dumps(document))
         assert parsed == d.graph
         assert placements == dict(d.placement)
+
+    def test_placements_must_cover_the_parts(self):
+        with pytest.raises(ValueError):
+            graph_to_document(family(2), placements=build(1).chains)
 
     def test_invalid_graph_structure(self):
         document = graph_to_document(g1())
@@ -312,9 +322,7 @@ def _sweep_documents():
         "construction": construction_to_document(level),
         "points": points_to_document(pts),
         "graph": graph_to_document(drawing.graph, k=2),
-        "placed-graph": graph_to_document(
-            drawing.graph, placements=dict(drawing.placement), k=2
-        ),
+        "placed-graph": graph_to_document(drawing.graph, placements=level.chains, k=2),
     }
 
 

@@ -202,6 +202,13 @@ class TestScaled:
         assert k.sorted(y_first=True).points() == sorted(pts, key=lambda p: (p.y, p.x))
         assert k.distinct().points() == list(dict.fromkeys(pts))
         assert k.take(range(len(pts) - 1, -1, -1)).points() == pts[::-1]
+        # Over a multiple of the least scale, `reduced` finds that scale again.
+        tripled = Scaled.from_rows([tuple(3 * c for c in row) for row in k.rows], 3 * k.s)
+        again = tripled.reduced()
+        assert (again.rows, again.s) == (k.rows, k.s) and again.points() == pts
+        n = len(pts) // 2
+        pairs = [(i, j) for i in range(n) for j in range(len(pts) - n)][::-1]
+        assert k.midpoints(n, pairs).points() == [midpoint(pts[i], pts[n + j]) for i, j in pairs]
 
     @given(_points_with_ties(), _points_with_ties(), st.integers(0, 60))
     def test_midpoint_set_matches_the_value_form(self, a, b, limit):
