@@ -411,8 +411,8 @@ def _mutated(draw, documents):
     return document
 
 
-# Six points, one with negative, zero and irrational components; the
-# points document of `_valid_documents`.
+# Six points with negative, zero and irrational components; the points
+# document of `_valid_documents`.
 _SIX_POINTS = [pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2), pt(1, 1),
                Point(QSqrt3(1, 1), QSqrt3(Fraction(-1, 3), 2))]
 
