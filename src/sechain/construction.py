@@ -28,7 +28,6 @@ chains from step to step as integer rows over one scale (`Level.chains`);
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 from typing import Optional, Sequence
 
 from .geometry import (Point, Row, Scaled, chain_defect, is_convexly_independent,
@@ -195,8 +194,8 @@ def step(level: Level, eps: Fraction) -> Optional[Level]:
     flat, rot = flat.rows, rot.rows
 
     def shifted(block: list[Row], offset: Row) -> list[Row]:
-        o = tuple(up * c for c in offset)
-        return [tuple(map(add, row, o)) for row in block]
+        oxa, oxb, oya, oyb = (up * c for c in offset)
+        return [(xa + oxa, xb + oxb, ya + oya, yb + oyb) for xa, xb, ya, yb in block]
 
     in_a, in_b, rot_a_in_b = offsets.rows
     new_a = flat[:n] + shifted(rot[n:], in_a)

@@ -15,16 +15,24 @@ Two different algorithms compute the same number:
   longest such path, O(n^3) in all.  Memory is O(n^2): the sorted
   edges as two lists of vertex labels, one entry per directed edge.
 
-  The sort is native: each edge gets one exact integer key, the floor
-  of 2**64 * cot(angle), which never decreases as the angle grows, and
-  only edges whose keys are equal (exactly parallel edges, or angles
-  closer than the key resolves) are ordered by the orientation sign.
+  The sort is native: each edge u -> v with u < v gets one exact
+  integer key, the floor of 2**64 * cot(angle), which never decreases as
+  the angle grows, and only edges whose keys are equal (exactly parallel
+  edges, or angles closer than the key resolves) are ordered by the
+  orientation sign.  A key takes sqrt(3) to 128 bits, fixed once, and
+  `floor2` (a square root) only where that leaves two floors open.  The
+  reverses follow in the same key order, re-sorted only within the runs
+  of equal keys, whose tie-break they reverse.
 
   Each anchor gets its own bound from two integer passes: a polygon
   anchored at a is one path from a over the up half of the sorted edges
   (u -> v, u < v) and one back to a over the down half, so with U and D
   the points on the longest such paths it has at most U + D - 2 points.
   An anchor whose bound cannot beat the best polygon so far is skipped.
+  Each edge gets a bound the same way, from the longest paths over the
+  sorted edges that end with it and that start with it, and once a
+  polygon is found the edges whose bound cannot beat it are dropped
+  before the remaining anchors run.
 
 Both take the points as `Point`s or as a `Scaled`, keep each point once
 (`Scaled.distinct`, on integer rows) and check their cap before any
@@ -41,6 +49,7 @@ from __future__ import annotations
 
 from functools import cache, cmp_to_key
 from itertools import compress
+from math import isqrt
 from typing import Iterable
 
 from .geometry import Point, Scaled, _hull
@@ -63,6 +72,9 @@ class CiResult(Record):
 
 DP_MAX_POINTS = 2500  # ci_dp's default cap, the larger of the two
 _KEY_BITS = 64  # edge keys resolve cot(angle) to 2**-64
+_ROOT_BITS = 128  # sqrt(3) to 2**-128 decides nearly every key
+_SQRT3_BELOW = isqrt(3 << 2 * _ROOT_BITS)  # < 2**128 * sqrt(3) < itself + 1
+_PRUNE_ANCHORS = 4  # pruning the edges costs about four relaxations of them
 
 
 def _prepare(points: Iterable[Point] | Scaled, max_points: int, what: str) -> Scaled:
@@ -116,8 +128,13 @@ def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
     # has dy > 0 and the key floor(2**64 * -dx/dy), with -dx/dy = (p +
     # q*sqrt(3)) / d after multiplying by the conjugate of dy; it is
     # packed above the edge code u*n + v, which is the input order, so
-    # one native sort of the packed ints is a stable sort by key.
+    # one native sort of the packed ints is a stable sort by key.  The
+    # key is floor2(p << 64, q << 64, d) without its square root: with r
+    # < 2**128 * sqrt(3) < r + 1, the numerator times 2**64 lies strictly
+    # between (p << 128) + q*r and that plus q, so where the floors of
+    # those two over d << 64 agree, that floor is the key.
     shift = (n * n).bit_length()
+    r, lift = _SQRT3_BELOW, _ROOT_BITS - _KEY_BITS
     flat, packed = [], []
     for u in range(n):
         uxa, uxb, uya, uyb = rows[u]
@@ -129,7 +146,11 @@ def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
                 continue
             dxa, dxb = vxa - uxa, vxb - uxb
             p, q, d = 3 * dxb * dyb - dxa * dya, dxa * dyb - dxb * dya, dya * dya - 3 * dyb * dyb
-            packed.append(floor2(p << _KEY_BITS, q << _KEY_BITS, d) << shift | (u * n + v))
+            low, den = (p << _ROOT_BITS) + q * r, d << lift
+            key = low // den
+            if (low + q) // den != key:
+                key = floor2(p << _KEY_BITS, q << _KEY_BITS, d)
+            packed.append(key << shift | (u * n + v))
     packed.sort()
     edges, m, mask = flat + packed, len(flat), (1 << shift) - 1
     del flat, packed
@@ -145,21 +166,31 @@ def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
             else:
                 runs.append([i - 1, i + 1])
 
-    def by_angle(reverses: bool) -> None:
+    def by_angle(codes: list[int], reverses: bool) -> list[int]:
         def cmp(c1: int, c2: int) -> int:
             u1, v1 = divmod(c1 & mask, n)
             u2, v2 = divmod(c2 & mask, n)
             return -cross_sign(u1, v1, u2, v2) or (v1 - v2 if reverses else u2 - u1)
-        for i, j in runs:
-            edges[i:j] = sorted(edges[i:j], key=cmp_to_key(cmp))
+        return sorted(codes, key=cmp_to_key(cmp))
 
+    for i, j in runs:
+        edges[i:j] = by_angle(edges[i:j], False)
     label = list(range(n))  # shared int objects: ints past 256 are not cached
-    by_angle(False)
-    up_src, up_dst = [label[(c & mask) // n] for c in edges], [label[(c & mask) % n] for c in edges]
-    by_angle(True)
-    down_src, down_dst = [label[(c & mask) % n] for c in edges], [label[(c & mask) // n] for c in edges]
+
+    def labels(codes: list[int]) -> tuple[list[int], list[int]]:
+        return [label[(c & mask) // n] for c in codes], [label[(c & mask) % n] for c in codes]
+
+    # The down half is the up half with each edge reversed, in the same key
+    # order; only within a run does its other tie-break move an edge, so
+    # each run is re-sorted from its up order, and its labels are taken
+    # before `edges` goes, so that all of its ints are freed there.
+    up_src, up_dst = labels(edges)
+    down_runs = [(i, j, *labels(by_angle(edges[i:j], True))) for i, j in runs]
     del edges
-    return up_src + down_src, up_dst + down_dst
+    src, dst, half = up_src + up_dst, up_dst + up_src, len(up_src)
+    for i, j, run_dst, run_src in down_runs:
+        src[half + i:half + j], dst[half + i:half + j] = run_src, run_dst
+    return src, dst
 
 
 def _anchor_bounds(src: list[int], dst: list[int], n: int) -> list[int]:
@@ -179,6 +210,28 @@ def _anchor_bounds(src: list[int], dst: list[int], n: int) -> list[int]:
     return [x + y - 2 for x, y in zip(up, down)]
 
 
+def _edge_bounds(src: list[int], dst: list[int], n: int) -> list[int]:
+    """For each edge e, at least the size of each convex polygon that has
+    e as a side: the points on the longest path over the edges, in order,
+    that ends with e, plus those on the longest that starts with e, less
+    3.  Such a polygon is one path over the edges in order, back to its
+    first point, so it runs through e on two such paths that share e."""
+    into, length = [], [1] * n
+    for u, v in zip(src, dst):
+        lu = length[u] + 1
+        into.append(lu)
+        if length[v] < lu:
+            length[v] = lu
+    bound, length = [], [1] * n
+    for u, v, lu in zip(reversed(src), reversed(dst), reversed(into)):
+        lv = length[v] + 1
+        bound.append(lu + lv - 3)
+        if length[u] < lv:
+            length[u] = lv
+    bound.reverse()
+    return bound
+
+
 def ci_dp(points: Iterable[Point] | Scaled, max_points: int = DP_MAX_POINTS) -> CiResult:
     """Largest convexly independent subset via the edge-sorted DP."""
     k = _prepare(points, max_points, "ci_dp")
@@ -196,9 +249,15 @@ def ci_dp(points: Iterable[Point] | Scaled, max_points: int = DP_MAX_POINTS) -> 
     # persistent (vertex, rest) tuples: a parent array would let a later,
     # longer path to u rewrite a path already extended through u.  An
     # anchor whose bound cannot beat `best` is skipped, and `best` changes
-    # only on a strict gain, so it is the full loop's result.
+    # only on a strict gain, so it is the full loop's result.  When `best`
+    # grows and enough anchors could still beat it, the edges whose own
+    # bound cannot are dropped.  A polygon that beats `best` keeps all its
+    # edges, and dropping edges never lengthens a path, so each of its
+    # edges still relaxes where it did and no kept edge newly overwrites
+    # it: the witness is the one the whole list gives.
     bound = _anchor_bounds(src, dst, n)
     best: list[int] = []  # the largest polygon so far, once it has 3 points
+    pruned = 0  # the size of `best` when the edges were last pruned
     for a in range(n):
         if bound[a] <= max(len(best), 2):
             continue
@@ -218,6 +277,10 @@ def ci_dp(points: Iterable[Point] | Scaled, max_points: int = DP_MAX_POINTS) -> 
                 v, node = node
                 ring.append(v)
             best = ring[::-1]
+        if len(best) > pruned and sum(b > len(best) for b in bound[a + 1:]) >= _PRUNE_ANCHORS:
+            keep = list(map(len(best).__lt__, _edge_bounds(src, dst, n)))
+            src, dst = list(compress(src, keep)), list(compress(dst, keep))
+            pruned = len(best)
     if not best:  # at most two points, or all on one line: the first two by (x, y)
         return CiResult(min(n, 2), tuple(k.sorted().take(range(min(n, 2))).points()))
     return CiResult(len(best), tuple(ranked.take(best).points()))

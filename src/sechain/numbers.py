@@ -43,8 +43,17 @@ def sign2(a: int, b: int) -> int:
     sb = 1 if b > 0 else -1
     if sa == sb:
         return sa
-    # Mixed signs: |a| vs |b|*sqrt(3), i.e. a**2 vs 3*b**2.  Equality is
-    # impossible for nonzero integers, so the larger square wins.
+    # Mixed signs: |a| vs |b|*sqrt(3).  With la and lb the bit lengths,
+    # 2**(la-1) <= |a| < 2**la and 2**(lb-1) <= |b| < 2**lb, so:
+    #   la >= lb + 2 gives |a| >= 2**(lb+1) = 2 * 2**lb > sqrt(3)*|b|;
+    #   lb >= la + 1 gives sqrt(3)*|b| >= sqrt(3) * 2**la > 2**la > |a|.
+    # Otherwise compare a**2 with 3*b**2: equality is impossible for
+    # nonzero integers, so the larger square wins.
+    la, lb = a.bit_length(), b.bit_length()
+    if la >= lb + 2:
+        return sa
+    if lb > la:
+        return sb
     return sa if a * a > 3 * b * b else sb
 
 

@@ -6,6 +6,7 @@ import hashlib
 import importlib.metadata
 import io
 import json
+import random
 import re
 import shutil
 import subprocess
@@ -613,6 +614,28 @@ _PINNED_CI = {
 _PINNED_SIX_POINTS = "3feed0e349bde107cdab5fd235b9a1d4542993c15aea9ecee2197b6745f5e0ee"
 _PINNED_SIX_POINTS_CI = "3f80bf1a3152f2d5d04f39ef214d50a1d3ed086773f7ba2b6de051f1bbfa95f3"
 
+# sha256 of two points documents and of `ci --json` on each, taken before
+# `ci_dp` pruned edges or keyed them without a square root: 120 distinct
+# random points (a/8 + (b/2)*sqrt(3) per coordinate, so most keys have
+# both parts), and the 10 x 10 integer lattice, full of parallel edges.
+_PINNED_POINTS_CI = {
+    "random120": ("51de6df264fcfd69cf16e954cc5152ff8da5aaf79c6d825ab08f816e149d32d4",
+                  "39f324291485c480ef192407096964cfdd093e1736a4ffe637b0ac9a0cb621b0"),
+    "lattice10": ("1c028e6fe7becacec244705eb025a4b261dd3c8a753cf2ce89c0bcd9ef15eef9",
+                  "10912a91d253f131a9ea5698ddd752e176f10b1eb8a2965cf200e7ae9555f1e8"),
+}
+
+
+def _random120() -> list[Point]:
+    rng, points = random.Random("ci-random120"), set()
+
+    def coord() -> QSqrt3:
+        return QSqrt3(Fraction(rng.randint(-64, 64), 8), Fraction(rng.randint(-16, 16), 2))
+
+    while len(points) < 120:
+        points.add(Point(coord(), coord()))
+    return sorted(points, key=lambda p: (p.x, p.y))
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -687,6 +710,16 @@ class TestPinnedBytes:
         out = capsys.readouterr().out
         assert json.loads(out)["size"] == 117
         assert _sha256(out.encode("utf-8")) == _PINNED_CI[5]
+
+    def test_ci_json_random_and_lattice(self, tmp_path, capsys):
+        lattice = [pt(x, y) for x in range(10) for y in range(10)]
+        for name, points in (("random120", _random120()), ("lattice10", lattice)):
+            doc = tmp_path / f"{name}.json"
+            doc.write_text(dumps(points_to_document(points)), encoding="utf-8")
+            assert main(["ci", "--json", str(doc)]) == 0
+            pinned_doc, pinned_ci = _PINNED_POINTS_CI[name]
+            assert _sha256(doc.read_bytes()) == pinned_doc, name
+            assert _sha256(capsys.readouterr().out.encode("utf-8")) == pinned_ci, name
 
     def test_points_document_and_ci_json(self, tmp_path, capsys):
         doc = tmp_path / "six.json"

@@ -20,7 +20,7 @@ from sechain.geometry import (
     midpoint_set,
     pt,
 )
-from sechain.numbers import QSqrt3
+from sechain.numbers import QSqrt3, floor2
 
 from .helpers import points_st, rand_point
 
@@ -312,6 +312,29 @@ class TestEdgeOrder:
         assert brute.size == dp.size
         assert_sound(dp, pts)
 
+    def test_keys_the_fixed_root_leaves_open(self, monkeypatch):
+        # dy = (2 + sqrt(3))**40 = A + B*sqrt(3) has A**2 - 3*B**2 = 1, so
+        # for dx = 1 the two floors of a key, B / 2**64 > 1 apart, differ
+        # and floor2 decides it; from (3, 1) the conjugate's sign is < 0.
+        A, B = 1, 0
+        for _ in range(40):
+            A, B = 2 * A + 3 * B, A + 2 * B
+        assert A * A - 3 * B * B == 1 and B > 2**64
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return floor2(*args)
+
+        monkeypatch.setattr(convex_subsets, "floor2", counting)
+        tall = QSqrt3(A, B)
+        pts = [pt(0, 0), pt(3, 1)] + [Point(QSqrt3(x), tall) for x in (-1, 0, 1, 2)]
+        pts += [Point(QSqrt3(1), tall + 1), Point(QSqrt3(-2), tall * 2)]
+        self.assert_comparator_order(pts)
+        assert calls
+        brute, dp = both(pts)
+        assert brute.size == dp.size
+
 
 def anchor_bounds(points) -> tuple[Scaled, list[int]]:
     """The points ranked by (y, x), and `ci_dp`'s bound for each rank."""
@@ -379,3 +402,72 @@ class TestAnchorBound:
         # The README's research table: k, then the largest bound.
         for k, bound in {1: 4, 2: 10, 3: 23, 4: 52}.items():
             assert max(anchor_bounds(midpoint_set(levels[k].a, levels[k].b))[1]) == bound
+
+
+def edge_bounds(points) -> tuple[Scaled, dict[tuple[int, int], int]]:
+    """The points ranked by (y, x), and `ci_dp`'s bound for each directed
+    edge between ranks."""
+    ranked = convex_subsets._prepare(points, 10**4, "test").sorted(y_first=True)
+    src, dst = convex_subsets._angle_sorted_edges(ranked)
+    return ranked, dict(zip(zip(src, dst), convex_subsets._edge_bounds(src, dst, len(ranked))))
+
+
+def largest_by_edge(ranked: Scaled) -> dict[tuple[int, int], int]:
+    """For each directed edge between ranks, the largest convex subset of
+    3+ points that has it as a counterclockwise side, by brute force over
+    index subsets; edges on no such subset are left out."""
+    xy = ranked.sorted()
+    rank = {row: i for i, row in enumerate(ranked.rows)}
+    to_rank = [rank[row] for row in xy.rows]
+    best: dict[tuple[int, int], int] = {}
+    for size in range(3, len(ranked) + 1):
+        for combo in combinations(range(len(ranked)), size):
+            ring = [to_rank[i] for i in _hull(combo, xy.turn)]
+            if len(ring) == size:
+                for u, v in zip(ring, ring[1:] + ring[:1]):
+                    best[u, v] = size
+    return best
+
+
+class TestEdgeBound:
+    """The per-edge bound that lets `ci_dp` drop an edge is never below the
+    largest convex polygon that has that edge as a side, and dropping the
+    edges leaves the witness as the whole edge list gives it."""
+
+    @given(
+        st.one_of(
+            st.lists(points_st, min_size=2, max_size=9),
+            st.lists(_lattice_st, min_size=2, max_size=9),
+            _collinear_st(),
+        )
+    )
+    def test_at_least_bruteforce_per_edge(self, points):
+        ranked, bounds = edge_bounds(points)
+        n = len(ranked)
+        assert len(bounds) == n * (n - 1)
+        assert min(bounds.values(), default=2) >= 2
+        for edge, size in largest_by_edge(ranked).items():
+            assert bounds[edge] >= size, (points, edge)
+
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_pruning_keeps_the_witness(self, lattice, monkeypatch):
+        rng = random.Random(f"prune-{lattice}")
+        cells = [pt(x, y) for x in range(9) for y in range(9)]
+        pruned, edge_bounds = [], convex_subsets._edge_bounds
+
+        def counting(src, dst, n):
+            pruned.append(len(src))
+            return edge_bounds(src, dst, n)
+
+        monkeypatch.setattr(convex_subsets, "_edge_bounds", counting)
+        for _ in range(6):
+            if lattice:
+                points = rng.sample(cells, rng.randint(20, 60))
+            else:
+                points = [rand_point(rng, irrational=rng.random() < 0.5)
+                          for _ in range(rng.randint(20, 60))]
+            monkeypatch.setattr(convex_subsets, "_PRUNE_ANCHORS", 10**9)
+            whole = ci_dp(points)
+            monkeypatch.setattr(convex_subsets, "_PRUNE_ANCHORS", 1)
+            assert ci_dp(points) == whole, points
+        assert len(pruned) >= 6

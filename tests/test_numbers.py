@@ -130,6 +130,19 @@ _near_sqrt3 = st.builds(
 )
 
 
+@st.composite
+def _lopsided(draw):
+    """A mixed-sign pair whose bit lengths differ by at most 3 either way,
+    at up to 4000 bits: the pairs that sign2 decides by bit length alone,
+    and the ones next to them that it must square."""
+    lb = draw(st.integers(min_value=1, max_value=4000))
+    la = max(1, lb + draw(st.integers(min_value=-3, max_value=3)))
+    a = draw(st.integers(min_value=2 ** (la - 1), max_value=2**la - 1))
+    b = draw(st.integers(min_value=2 ** (lb - 1), max_value=2**lb - 1))
+    s = draw(st.sampled_from((1, -1)))
+    return s * a, -s * b
+
+
 class TestSign2:
     # Below 10**15, |a + b*sqrt(3)| >= 1/|a - b*sqrt(3)| stays far above
     # the 128-bit interval width, so the oracle is inconclusive only at 0.
@@ -149,6 +162,21 @@ class TestSign2:
             assert sign2(a, b) == 0
         else:
             assert sign2(a, b) == expected
+
+
+    # At the edges of both shortcuts: |a| = 2**(lb+1) against the largest
+    # b of lb bits, and the largest a of la bits against |b| = 2**la.
+    @given(_lopsided())
+    @example((2**1001, -(2**1000 - 1)))
+    @example((-(2**1001), 2**1000 - 1))
+    @example((2**1000 - 1, -(2**1000)))
+    @example((1, -1))
+    @example((3, -2))
+    @settings(max_examples=300)
+    def test_lopsided_bit_lengths_match_the_squares(self, pair):
+        a, b = pair
+        larger = a if a * a > 3 * b * b else b
+        assert sign2(a, b) == (1 if larger > 0 else -1)
 
 
 class TestFloor2:
