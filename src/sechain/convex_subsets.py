@@ -130,9 +130,9 @@ def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
     # packed above the edge code u*n + v, which is the input order, so
     # one native sort of the packed ints is a stable sort by key.  The
     # key is floor2(p << 64, q << 64, d) without its square root: with r
-    # < 2**128 * sqrt(3) < r + 1, the numerator times 2**64 lies strictly
-    # between (p << 128) + q*r and that plus q, so where the floors of
-    # those two over d << 64 agree, that floor is the key.
+    # < 2**128 * sqrt(3) < r + 1, (p + q*sqrt(3)) * 2**128 lies between
+    # (p << 128) + q*r and that plus q, so where their floors over d << 64
+    # agree, that floor is the key.
     shift = (n * n).bit_length()
     r, lift = _SQRT3_BELOW, _ROOT_BITS - _KEY_BITS
     flat, packed = [], []
@@ -182,8 +182,9 @@ def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
 
     # The down half is the up half with each edge reversed, in the same key
     # order; only within a run does its other tie-break move an edge, so
-    # each run is re-sorted from its up order, and its labels are taken
-    # before `edges` goes, so that all of its ints are freed there.
+    # each run is re-sorted from its up order.  The runs' labels are taken
+    # first, so that deleting `edges` frees every packed int before the
+    # two full label lists are built.
     up_src, up_dst = labels(edges)
     down_runs = [(i, j, *labels(by_angle(edges[i:j], True))) for i, j in runs]
     del edges
