@@ -6,10 +6,11 @@ one contract everywhere: 0 on success (for verify: every check passed),
 unwritable outputs, unreadable or malformed documents, guard violations).
 
 Each handler imports the modules it runs, so an op loads, and without a
-bytecode cache compiles, only those: `ci` of a points document never
-loads the construction, `--help` loads no other package module, and a
-malformed document is refused having loaded only `document`, which
-imports the geometry kernel once a document is well-formed.
+bytecode cache compiles, only those: `ci` of a points document stays on
+integer rows and loads only `document`, `geometry` and `convex_subsets`
+(no `numbers`, no `fractions`), `--help` loads no other package module,
+and a malformed document is refused having loaded only `document`,
+which imports the geometry kernel once a document is well-formed.
 """
 
 from __future__ import annotations
@@ -127,15 +128,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_ci(args: argparse.Namespace) -> int:
     from .convex_subsets import DP_MAX_POINTS, ci_bruteforce, ci_dp
-    from .document import dumps, encode_points, load_path
-    from .geometry import Scaled
+    from .document import _decode, _read, dumps, encode_points
 
-    kind, payload = load_path(args.input)
+    kind, payload = _decode(_read(args.input))  # a point set as its rows
     if kind == "construction":
         # Past the larger solver cap either solver refuses: stop there.
         points = payload.chains.midpoint_set(payload.n, DP_MAX_POINTS)
     elif kind == "points":
-        points = Scaled(payload).distinct()  # on integer rows: no Point is hashed
+        points = payload.distinct()
     else:
         print("error: ci needs a construction or points document",
               file=sys.stderr)
@@ -147,7 +147,7 @@ def _cmd_ci(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        witness = encode_points(Scaled(result.witness))
+        witness = encode_points(result.witness_rows)
         payload_out = {"algo": args.algo, "size": result.size, "witness": witness}
         sys.stdout.write(dumps(payload_out))
     else:

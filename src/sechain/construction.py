@@ -30,9 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geometry import (Point, Row, Scaled, chain_defect, is_convexly_independent,
+from .geometry import (Point, Record, Row, Scaled, chain_defect, is_convexly_independent,
                        is_south_east_chain, pt)
-from .numbers import Record
 
 IndexPair = tuple[int, int]
 Check = tuple[str, bool, str]

@@ -21,8 +21,9 @@ Two different algorithms compute the same number:
   edges, or angles closer than the key resolves) are ordered by the
   orientation sign.  A key takes sqrt(3) to 128 bits, fixed once, and
   `floor2` (a square root) only where that leaves two floors open.  The
-  reverses follow in the same key order, re-sorted only within the runs
-  of equal keys, whose tie-break they reverse.
+  reverses follow in the same order, except that within each group of
+  exactly parallel edges their own tie-break orders them; the groups are
+  found from the signs the run's sort already took.
 
   Each anchor gets its own bound from two integer passes: a polygon
   anchored at a is one path from a over the up half of the sorted edges
@@ -34,13 +35,16 @@ Two different algorithms compute the same number:
   polygon is found the edges whose bound cannot beat it are dropped
   before the remaining anchors run.
 
-Both take the points as `Point`s or as a `Scaled`, keep each point once
-(`Scaled.distinct`, on integer rows) and check their cap before any
-sort.  Then `ci_bruteforce` works on the points in (x, y) order and
-`ci_dp` on them in (y, x) order, both from `Scaled.sorted`.  Both are
-exact and take every sign from the one kernel, `geometry.Scaled`
-(integers over a shared denominator), so they differ in algorithm, not
-in arithmetic.
+Each solver is one implementation on integer rows, `geometry.Scaled`.
+Both take the points as rows or as `Point`s, which the public boundary
+turns into rows once, keep each point once (`Scaled.distinct`) and check
+their cap before any sort.  Then `ci_bruteforce` works on the points in
+(x, y) order and `ci_dp` on them in (y, x) order, both from
+`Scaled.sorted`, and each returns its witness as rows: a `CiResult`
+builds the witness `Point`s only when `witness` is read, and `ci --json`
+encodes `witness_rows` as they are.  Both are exact and take every sign
+from the one kernel (integers over a shared denominator), so they differ
+in algorithm, not in arithmetic.
 The oracles independent of that kernel are in `tests/helpers.py` and
 `perfbench/exact.py`.
 """
@@ -52,22 +56,46 @@ from itertools import compress
 from math import isqrt
 from typing import Iterable
 
-from .geometry import Point, Scaled, _hull
-from .numbers import Record, floor2
+from .geometry import Point, Record, Scaled, _hull, floor2
 
 
 class CiResult(Record):
     """Size of a largest convexly independent subset, plus one witness.
 
-    The witness lists the subset in counterclockwise convex position.
+    The witness lists the subset in counterclockwise convex position.  A
+    solver's result holds it as rows (`witness_rows`), and its `Point`s
+    are built when `witness` is read.
     """
 
-    __slots__ = ("size", "witness")
+    __slots__ = ("size", "_witness")
     size: int
-    witness: tuple[Point, ...]
+    _witness: tuple[Point, ...] | Scaled
 
     def __init__(self, size: int, witness: tuple[Point, ...]) -> None:
         self._set(size, witness)
+
+    @classmethod
+    def _from_rows(cls, size: int, witness: Scaled) -> CiResult:
+        result = cls.__new__(cls)
+        result._set(size, witness)
+        return result
+
+    @property
+    def witness(self) -> tuple[Point, ...]:
+        w = self._witness
+        return tuple(w.points()) if isinstance(w, Scaled) else w
+
+    @property
+    def witness_rows(self) -> Scaled:
+        """The witness as integer rows, in its order."""
+        w = self._witness
+        return w if isinstance(w, Scaled) else Scaled(list(w))
+
+    def _fields(self) -> dict[str, object]:
+        return {"size": self.size, "witness": self.witness}
+
+    def _values(self) -> tuple:
+        return self.size, self.witness
 
 
 DP_MAX_POINTS = 2500  # ci_dp's default cap, the larger of the two
@@ -107,7 +135,7 @@ def ci_bruteforce(points: Iterable[Point] | Scaled, max_points: int = 20) -> CiR
                 grow(combo + (i,))
 
     grow(())
-    return CiResult(len(best), tuple(k.take(_hull(best, turn)).points()))
+    return CiResult._from_rows(len(best), k.take(_hull(best, turn)))
 
 
 def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
@@ -166,28 +194,53 @@ def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
             else:
                 runs.append([i - 1, i + 1])
 
-    def by_angle(codes: list[int], reverses: bool) -> list[int]:
-        def cmp(c1: int, c2: int) -> int:
+    signs: dict[tuple[int, int], int] = {}  # one run's, by pair of edge codes
+
+    def sign(c1: int, c2: int) -> int:
+        """Sign of edge c1 x edge c2; each pair of a run is signed once."""
+        t = signs.get((c1, c2))
+        if t is None:
+            t = signs.get((c2, c1))
+            if t is not None:
+                return -t
             u1, v1 = divmod(c1 & mask, n)
             u2, v2 = divmod(c2 & mask, n)
-            return -cross_sign(u1, v1, u2, v2) or (v1 - v2 if reverses else u2 - u1)
-        return sorted(codes, key=cmp_to_key(cmp))
+            t = signs[c1, c2] = cross_sign(u1, v1, u2, v2)
+        return t
 
+    def cmp(c1: int, c2: int) -> int:
+        return -sign(c1, c2) or (c2 & mask) // n - (c1 & mask) // n
+
+    def reverses(codes: list[int]) -> list[int]:
+        """A run in up order, as the order of its reverses: the same, but
+        in each group of exactly parallel edges, which the up order keeps
+        together, by the reverse's source (the up target) rising, stably.
+        The groups end where adjacent edges turn, and the sort has usually
+        signed those pairs already: a run that arrives in order is sorted
+        by comparing exactly its adjacent pairs."""
+        cuts = [t for t in range(1, len(codes)) if sign(codes[t], codes[t - 1])]
+        return [c for a, b in zip([0, *cuts], [*cuts, len(codes)])
+                for c in sorted(codes[a:b], key=lambda c: (c & mask) % n)]
+
+    # The down half is the up half with each edge reversed, in the same
+    # order: reversing both edges keeps every turn sign, so only the
+    # tie-break, inside the runs, moves an edge.
+    down = []
     for i, j in runs:
-        edges[i:j] = by_angle(edges[i:j], False)
+        signs.clear()
+        edges[i:j] = run = sorted(edges[i:j], key=cmp_to_key(cmp))
+        down.append(reverses(run))
+    signs.clear()
     label = list(range(n))  # shared int objects: ints past 256 are not cached
 
     def labels(codes: list[int]) -> tuple[list[int], list[int]]:
         return [label[(c & mask) // n] for c in codes], [label[(c & mask) % n] for c in codes]
 
-    # The down half is the up half with each edge reversed, in the same key
-    # order; only within a run does its other tie-break move an edge, so
-    # each run is re-sorted from its up order.  The runs' labels are taken
-    # first, so that deleting `edges` frees every packed int before the
-    # two full label lists are built.
+    # The runs' labels are taken first, so that deleting `edges` frees
+    # every packed int before the two full label lists are built.
     up_src, up_dst = labels(edges)
-    down_runs = [(i, j, *labels(by_angle(edges[i:j], True))) for i, j in runs]
-    del edges
+    down_runs = [(i, j, *labels(codes)) for (i, j), codes in zip(runs, down)]
+    del edges, down
     src, dst, half = up_src + up_dst, up_dst + up_src, len(up_src)
     for i, j, run_dst, run_src in down_runs:
         src[half + i:half + j], dst[half + i:half + j] = run_src, run_dst
@@ -283,5 +336,5 @@ def ci_dp(points: Iterable[Point] | Scaled, max_points: int = DP_MAX_POINTS) -> 
             src, dst = list(compress(src, keep)), list(compress(dst, keep))
             pruned = len(best)
     if not best:  # at most two points, or all on one line: the first two by (x, y)
-        return CiResult(min(n, 2), tuple(k.sorted().take(range(min(n, 2))).points()))
-    return CiResult(len(best), tuple(ranked.take(best).points()))
+        return CiResult._from_rows(min(n, 2), k.sorted().take(range(min(n, 2))))
+    return CiResult._from_rows(len(best), ranked.take(best))

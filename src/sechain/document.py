@@ -16,12 +16,14 @@ path to the offending field.  Every coordinate is checked as plain ints,
 a numerator and a positive denominator, and only a well-formed document
 imports the geometry kernel, once, to turn its coordinates into rows: a
 construction keeps them (`Level.from_rows` brings them to the least
-scale), and point sets and placements become their `Point`s
-(`Scaled.points`).  So a malformed file is refused having loaded no
-other package module.  Parsing does NOT re-prove the geometric
-invariants: a well-formed file whose chains are broken parses fine and
-is rejected later by verification, which keeps "unreadable input" and
-"readable but wrong" distinguishable.
+scale), and placements become their `Point`s (`Scaled.points`).  A
+point set stays on its rows in `_decode`, which `ci` reads, and `loads`
+makes its `Point`s at its own boundary.  So a malformed file is refused
+having loaded no other package module, and `ci` of a point set builds
+no `Point` and loads neither `numbers` nor `fractions`.  Parsing does
+NOT re-prove the geometric invariants: a well-formed file whose chains
+are broken parses fine and is rejected later by verification, which
+keeps "unreadable input" and "readable but wrong" distinguishable.
 """
 
 from __future__ import annotations
@@ -340,12 +342,8 @@ def _decode_graph(
 ParsedDocument = tuple[str, Any]
 
 
-def loads(text: str) -> ParsedDocument:
-    """Parse any known document kind from text.
-
-    Returns (kind, payload) where payload is an unverified `Level`, a
-    list of Points, or a (BipartiteGraph, placements-or-None) pair.
-    """
+def _decode(text: str) -> ParsedDocument:
+    """`loads`, but a point set stays on its rows: a `Scaled`."""
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -368,18 +366,31 @@ def loads(text: str) -> ParsedDocument:
         return kind, _decode_construction(document)
     if kind == "points":
         objects = _field(document, "objects", dict)
-        return kind, _scaled(_field(objects, "points", dict, "objects", _decode_chain)).points()
+        return kind, _scaled(_field(objects, "points", dict, "objects", _decode_chain))
     if kind == "graph":
         return kind, _decode_graph(document)
     raise DocumentError(f"unknown kind {kind!r}", "kind")
 
 
-def load_path(path: str) -> ParsedDocument:
+def loads(text: str) -> ParsedDocument:
+    """Parse any known document kind from text.
+
+    Returns (kind, payload) where payload is an unverified `Level`, a
+    list of Points, or a (BipartiteGraph, placements-or-None) pair.
+    """
+    kind, payload = _decode(text)
+    return kind, payload.points() if kind == "points" else payload
+
+
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise DocumentError(f"cannot read {path}: not UTF-8 ({exc.reason})") from exc
-    return loads(text)
+
+
+def load_path(path: str) -> ParsedDocument:
+    return loads(_read(path))

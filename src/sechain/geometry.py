@@ -1,4 +1,4 @@
-"""Exact planar geometry over Q(sqrt(3)).
+"""Exact planar geometry over Q(sqrt(3)), on integers.
 
 The central predicate is `is_south_east_chain`: a point sequence whose x
 and y coordinates both strictly increase and whose consecutive slopes
@@ -7,20 +7,27 @@ is a corner of the hull), which is what the whole construction pipeline
 relies on.  All predicates here decide by exact sign computations; there
 is no epsilon anywhere.
 
-`Scaled` is the one integer point-set kernel: a point sequence as one
-list of integer rows (xa, xb, ya, yb) over one shared scale, read and
-built as rows by every method.  It gives every coordinate and turn
-sign, and subsets (`take`), dedupes (`distinct`), orders (`sorted`),
-forms midpoints (`midpoints`, `midpoint_set`) and flattens and rotates
-(`flattened`, which `construction.step` and `transform_chains` share).
-A `construction.Level` holds its chains as one `Scaled` over the least
-scale (`reduced`), and `document` encodes and decodes every coordinate
-through one.  The predicates here, both `convex_subsets` solvers, the
-construction, `Level.checks`, the drawing checks, `render` and `ci`
-compute in it.  `Point`s are built only at the public boundary
-(`Scaled.points`).  The `Point` value forms these paths are tested
-against (flattening, rotation, midpoints, slopes) live in
-`tests/helpers.py`.
+The integer kernel lives here: `sign2`, the exact sign of a + b*sqrt(3)
+for integers a and b, `floor2`, and `Record`, the base of the package's
+value records.  `Scaled` is the one point-set kernel on it: a point
+sequence as one list of integer rows (xa, xb, ya, yb) over one shared
+scale, read and built as rows by every method.  It gives every
+coordinate and turn sign, and subsets (`take`), dedupes (`distinct`),
+orders (`sorted`), forms midpoints (`midpoints`, `midpoint_set`) and
+flattens and rotates (`flattened`, which `construction.step` and
+`transform_chains` share).  A `construction.Level` holds its chains as
+one `Scaled` over the least scale (`reduced`), and `document` encodes
+and decodes every coordinate through one.  The predicates here, both
+`convex_subsets` solvers, the construction, `Level.checks`, the drawing
+checks, `render` and `ci` compute in it; the checks sign rows over
+their common content (`primitive`).
+
+`Point`s, over `numbers.QSqrt3` and `fractions.Fraction`, are built only
+at the public boundary (`pt`, `Scaled.points`), and only those two
+import them: this module imports neither at load, so an op that stays
+on rows, such as `ci` of a point set, never loads the value layer.  The
+`Point` value forms these paths are tested against (flattening,
+rotation, midpoints, slopes) live in `tests/helpers.py`.
 Slope monotonicity is tested with cross products rather than divisions:
 for segments with positive dx, slope(a,b) < slope(b,c) holds exactly
 when the turn a -> b -> c is counterclockwise.
@@ -28,17 +35,108 @@ when the turn a -> b -> c is counterclockwise.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
+from math import gcd, isqrt, lcm, sqrt
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .numbers import _SQRT3_FLOAT, QSqrt3, QSqrt3Like, Record, sign2
+if TYPE_CHECKING:  # a `Point` is built only at the public boundary
+    from fractions import Fraction
+
+    from .numbers import QSqrt3, QSqrt3Like
 
 Row = tuple[int, int, int, int]
 
+_SQRT3_FLOAT = sqrt(3.0)
+
+
+def sign2(a: int, b: int) -> int:
+    """Exact sign of a + b*sqrt(3) for integers a, b."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return (b > 0) - (b < 0)
+    sa = 1 if a > 0 else -1
+    sb = 1 if b > 0 else -1
+    if sa == sb:
+        return sa
+    # Mixed signs: |a| vs |b|*sqrt(3).  With la and lb the bit lengths,
+    # 2**(la-1) <= |a| < 2**la and 2**(lb-1) <= |b| < 2**lb, so:
+    #   la >= lb + 2 gives |a| >= 2**(lb+1) = 2 * 2**lb > sqrt(3)*|b|;
+    #   lb >= la + 1 gives sqrt(3)*|b| >= sqrt(3) * 2**la > 2**la > |a|.
+    # Otherwise compare a**2 with 3*b**2: equality is impossible for
+    # nonzero integers, so the larger square wins.
+    la, lb = a.bit_length(), b.bit_length()
+    if la >= lb + 2:
+        return sa
+    if lb > la:
+        return sb
+    return sa if a * a > 3 * b * b else sb
+
+
+def floor2(a: int, b: int, d: int) -> int:
+    """Exact floor of (a + b*sqrt(3)) / d for integers a, b and d != 0."""
+    if d < 0:
+        a, b, d = -a, -b, -d
+    # For b != 0, |b|*sqrt(3) is irrational, so it lies strictly between
+    # r and r + 1; and floor(y / d) = floor(floor(y) / d) for any real y.
+    r = isqrt(3 * b * b)
+    return (a + (r if b >= 0 else -r - 1)) // d
+
+
+class Record:
+    """An immutable value record over `__slots__`; subclasses are final.
+
+    `==` holds between records of one class with equal fields, `hash` is
+    the hash of the field tuple, and copy and pickle rebuild a record by
+    calling its class with its fields, so its validation runs again.
+    Setting or deleting an attribute raises AttributeError.  A record
+    names its fields in `__slots__` and sets each once in its own
+    `__init__`, which also validates.  Records are plain classes rather
+    than dataclasses, whose import (with `inspect`) and per-class code
+    generation cost every CLI process several milliseconds, and rather
+    than named tuples, which are iterable and equal any tuple of the
+    same values.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        """Set the fields in `__slots__` order; for `__init__`."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def _fields(self) -> dict[str, object]:
+        """The arguments the class is called with, by name."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(self._fields().values())
+
 
 def _coord(value: QSqrt3Like) -> QSqrt3:
+    from .numbers import QSqrt3
+
     return value if isinstance(value, QSqrt3) else QSqrt3(value)
 
 
@@ -106,6 +204,10 @@ class Scaled:
 
     def points(self) -> list[Point]:
         """The exact points, each component reduced."""
+        from fractions import Fraction
+
+        from .numbers import QSqrt3
+
         s = self.s
         return [
             Point(QSqrt3(Fraction(xa, s), Fraction(xb, s)),
@@ -129,6 +231,17 @@ class Scaled:
             return self
         return Scaled.from_rows([(xa // g, xb // g, ya // g, yb // g)
                                  for xa, xb, ya, yb in self.rows], self.s // g)
+
+    def primitive(self) -> Scaled:
+        """The rows divided by the gcd of all their components, over the same
+        scale: the points shrunk toward the origin by one positive factor, so
+        every sign and every equality among them stays as it was.  For
+        signing only; `reduced` keeps the points."""
+        g = gcd(*[c for row in self.rows for c in row])
+        if g <= 1:
+            return self
+        return Scaled.from_rows([(xa // g, xb // g, ya // g, yb // g)
+                                 for xa, xb, ya, yb in self.rows], self.s)
 
     def take(self, indices: Iterable[int]) -> Scaled:
         """The points at `indices`, in that order, over the same scale."""
@@ -219,11 +332,13 @@ def chain_defect(points: Sequence[Point] | Scaled) -> str:
     A chain has both coordinates strictly increasing and consecutive
     slopes strictly increasing.  Coordinates are checked along the whole
     sequence before any turn.  Fewer than 2 points is a defect: the
-    predicate is about segments.  A `Scaled` sequence is used as it is.
+    predicate is about segments.  Signs are taken on the rows over their
+    common content (`Scaled.primitive`), so one factor shared by every
+    coordinate costs nothing per sign.
     """
     if len(points) < 2:
         return "fewer than 2 points"
-    k = points if isinstance(points, Scaled) else Scaled(points)
+    k = (points if isinstance(points, Scaled) else Scaled(points)).primitive()
     for t in range(len(points) - 1):
         if k.dx_sign(t, t + 1) <= 0:
             return f"x does not strictly increase at indices {t},{t + 1}"
@@ -295,7 +410,7 @@ def is_convexly_independent(points: Iterable[Point] | Scaled) -> bool:
     a corner of their convex hull.
 
     Zero, one, or two distinct points count as convexly independent; a
-    repeated point never does.  A `Scaled` sequence is used as it is.
+    repeated point never does.  Signs are taken as in `chain_defect`.
     """
-    k = points if isinstance(points, Scaled) else Scaled(list(points))
+    k = (points if isinstance(points, Scaled) else Scaled(list(points))).primitive()
     return len(k.distinct()) == len(k) == len(_hull(range(len(k)), k.sorted().turn))

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping
 
-from .geometry import Point, Scaled, chain_defect
-from .numbers import Record
+from .geometry import Point, Record, Scaled, chain_defect
 
 if TYPE_CHECKING:  # only for type annotations; no runtime cycle
     from .construction import Level

@@ -10,106 +10,23 @@ Rational components are `fractions.Fraction` instances, which already
 guarantee the canonical form (reduced, positive denominator) and
 arbitrary precision.
 
-`Record` is the base of the package's value records (`Point`, `Level`,
-...).  A record names its fields in `__slots__` and sets each
-once in its own `__init__`, which also validates; the base makes it
-immutable and gives it value `==`, `hash`, a `Name(field=value, ...)`
-repr, and copy and pickle.  Records are plain classes rather than
-dataclasses, whose import (with `inspect`) and per-class code generation
-cost every CLI process several milliseconds, and rather than named
-tuples, which are iterable and equal any tuple of the same values.
+This is the value layer of the public boundary.  Inside the package a
+`QSqrt3` is built only with a `Point` (`geometry.pt`, `Scaled.points`),
+and every sign, here too, is `geometry.sign2` on integers, the one
+exact kernel.  So an op that computes on integer rows, such as `ci` of
+a point set, loads neither this module nor `fractions`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from math import isqrt, sqrt
 from typing import Union
+
+from .geometry import _SQRT3_FLOAT, sign2
 
 RationalLike = Union[int, Fraction]
 QSqrt3Like = Union[int, Fraction, "QSqrt3"]
-
-_SQRT3_FLOAT = sqrt(3.0)
-
-
-def sign2(a: int, b: int) -> int:
-    """Exact sign of a + b*sqrt(3) for integers a, b."""
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return (b > 0) - (b < 0)
-    sa = 1 if a > 0 else -1
-    sb = 1 if b > 0 else -1
-    if sa == sb:
-        return sa
-    # Mixed signs: |a| vs |b|*sqrt(3).  With la and lb the bit lengths,
-    # 2**(la-1) <= |a| < 2**la and 2**(lb-1) <= |b| < 2**lb, so:
-    #   la >= lb + 2 gives |a| >= 2**(lb+1) = 2 * 2**lb > sqrt(3)*|b|;
-    #   lb >= la + 1 gives sqrt(3)*|b| >= sqrt(3) * 2**la > 2**la > |a|.
-    # Otherwise compare a**2 with 3*b**2: equality is impossible for
-    # nonzero integers, so the larger square wins.
-    la, lb = a.bit_length(), b.bit_length()
-    if la >= lb + 2:
-        return sa
-    if lb > la:
-        return sb
-    return sa if a * a > 3 * b * b else sb
-
-
-def floor2(a: int, b: int, d: int) -> int:
-    """Exact floor of (a + b*sqrt(3)) / d for integers a, b and d != 0."""
-    if d < 0:
-        a, b, d = -a, -b, -d
-    # For b != 0, |b|*sqrt(3) is irrational, so it lies strictly between
-    # r and r + 1; and floor(y / d) = floor(floor(y) / d) for any real y.
-    r = isqrt(3 * b * b)
-    return (a + (r if b >= 0 else -r - 1)) // d
-
-
-class Record:
-    """An immutable value record over `__slots__`; subclasses are final.
-
-    `==` holds between records of one class with equal fields, `hash` is
-    the hash of the field tuple, and copy and pickle rebuild a record by
-    calling its class with its fields, so its validation runs again.
-    Setting or deleting an attribute raises AttributeError.
-    """
-
-    __slots__ = ()
-
-    def _set(self, *values: object) -> None:
-        """Set the fields in `__slots__` order; for `__init__`."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def _fields(self) -> dict[str, object]:
-        """The arguments the class is called with, by name."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field '{name}'")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field '{name}'")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __reduce__(self) -> tuple:
-        return self.__class__, tuple(self._fields().values())
 
 
 @total_ordering

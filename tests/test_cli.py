@@ -498,6 +498,21 @@ class TestCi:
         # limit.
         assert 2500 < built <= 2500 + 64
 
+    def test_points_input_builds_no_point(self, tmp_path, monkeypatch, capsys):
+        # A point set is decoded, solved and encoded on its integer rows.
+        doc = tmp_path / "six.json"
+        doc.write_text(dumps(points_to_document(_SIX_POINTS)), encoding="utf-8")
+
+        def refuse(*args):
+            raise AssertionError("ci of a points document built a Point")
+
+        monkeypatch.setattr(geometry.Scaled, "points", refuse)
+        monkeypatch.setattr(QSqrt3, "__init__", refuse)
+        for algo, digest in (("dp", _PINNED_SIX_POINTS_CI),
+                             ("brute", _PINNED_SIX_POINTS_BRUTE)):
+            assert main(["ci", "--algo", algo, "--json", str(doc)]) == 0
+            assert _sha256(capsys.readouterr().out.encode("utf-8")) == digest, algo
+
     def test_graph_input_rejected(self, tmp_path, capsys):
         doc = tmp_path / "g.json"
         assert main(["graph", "-k", "1", "--placements", "-o", str(doc)]) == 0
@@ -613,6 +628,9 @@ _PINNED_CI = {
 # bytes for negative, zero and irrational components.
 _PINNED_SIX_POINTS = "3feed0e349bde107cdab5fd235b9a1d4542993c15aea9ecee2197b6745f5e0ee"
 _PINNED_SIX_POINTS_CI = "3f80bf1a3152f2d5d04f39ef214d50a1d3ed086773f7ba2b6de051f1bbfa95f3"
+# sha256 of `ci --algo brute --json` on it, taken while `ci` still read
+# the document through `Point`s.
+_PINNED_SIX_POINTS_BRUTE = "030037687fc90f06531c2e3bdcad174fec7c036a191cd7b2d18164569dd30978"
 
 # sha256 of two points documents and of `ci --json` on each, taken before
 # `ci_dp` pruned edges or keyed them without a square root: 120 distinct

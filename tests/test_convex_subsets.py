@@ -16,11 +16,12 @@ from sechain.geometry import (
     Scaled,
     _hull,
     convex_hull,
+    floor2,
     is_convexly_independent,
     midpoint_set,
     pt,
 )
-from sechain.numbers import QSqrt3, floor2
+from sechain.numbers import QSqrt3
 
 from .helpers import points_st, rand_point
 

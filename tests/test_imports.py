@@ -67,12 +67,14 @@ def docs(tmp_path_factory):
 
 
 # The benchmarked ops, their exit code and exactly the package modules
-# each loads.  Among them: `ci` of a points document loads neither the
-# construction, the graphs nor the renderer; `verify` never loads
-# convex_subsets or render; `construct` loads none of convex_subsets,
-# graphs and render; and a malformed document is refused before the
-# decoder imports the geometry kernel.
-_BASE = {"sechain", "sechain.document", "sechain.geometry", "sechain.numbers"}
+# each loads.  Among them: `ci` of a points document stays on integer
+# rows, so it loads no value layer (`numbers`), nor the construction, the
+# graphs or the renderer; `verify` never loads convex_subsets or render;
+# `construct` loads none of convex_subsets, graphs and render; and a
+# malformed document is refused before the decoder imports the geometry
+# kernel.  An op that loads no `numbers` loads no `fractions` either.
+_ROWS = {"sechain", "sechain.document", "sechain.geometry"}
+_BASE = _ROWS | {"sechain.numbers"}
 _REFUSED = {"sechain", "sechain.document"}
 _OPS = [
     (["--help"], 0, {"sechain"}),
@@ -87,8 +89,8 @@ _OPS = [
     (["render", "{level}", "-o", "{out}"], 0,
      _BASE | {"sechain.construction", "sechain.render"}),
     (["ci", "{level}"], 0, _BASE | {"sechain.construction", "sechain.convex_subsets"}),
-    (["ci", "--json", "{points}"], 0, _BASE | {"sechain.convex_subsets"}),
-    (["ci", "--algo", "brute", "--json", "{points}"], 0, _BASE | {"sechain.convex_subsets"}),
+    (["ci", "--json", "{points}"], 0, _ROWS | {"sechain.convex_subsets"}),
+    (["ci", "--algo", "brute", "--json", "{points}"], 0, _ROWS | {"sechain.convex_subsets"}),
 ]
 
 
@@ -99,5 +101,5 @@ def test_op_loads_only_what_it_runs(docs, tmp_path, argv, code, package):
     assert got_code == code
     assert {m for m in loaded if m.split(".")[0] == "sechain"} == package
     assert not loaded & {"dataclasses", "inspect"}
-    if package == _REFUSED:
-        assert "fractions" not in loaded
+    if "sechain.numbers" not in package:
+        assert not loaded & {"fractions", "decimal"}

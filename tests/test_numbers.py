@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sechain.numbers import QSqrt3, floor2, sign2
+from sechain.geometry import floor2, sign2
+from sechain.numbers import QSqrt3
 
 from .helpers import SQRT3, div, interval_sign, nonzero_qsqrt3_st, qsqrt3_st
 
