@@ -236,9 +236,14 @@ class Scaled:
         """The rows divided by the gcd of all their components, over the same
         scale: the points shrunk toward the origin by one positive factor, so
         every sign and every equality among them stays as it was.  For
-        signing only; `reduced` keeps the points."""
-        g = gcd(*[c for row in self.rows for c in row])
-        if g <= 1:
+        signing only; `reduced` keeps the points.  Rows without a common
+        factor are usually told by their first few."""
+        g = 0
+        for row in self.rows:
+            g = gcd(g, *row)
+            if g == 1:
+                return self
+        if not g:
             return self
         return Scaled.from_rows([(xa // g, xb // g, ya // g, yb // g)
                                  for xa, xb, ya, yb in self.rows], self.s)
