@@ -237,9 +237,11 @@ class Scaled:
         scale: the points shrunk toward the origin by one positive factor, so
         every sign and every equality among them stays as it was.  For
         signing only; `reduced` keeps the points.  Rows without a common
-        factor are usually told by their first few."""
+        factor are usually told by a few, taken from the end: the flat
+        blocks that open the construction's chains and witness midpoints
+        share the factor 2 that meets the rotated blocks' scale."""
         g = 0
-        for row in self.rows:
+        for row in reversed(self.rows):
             g = gcd(g, *row)
             if g == 1:
                 return self
