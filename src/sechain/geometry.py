@@ -341,7 +341,7 @@ def chain_defect(points: Sequence[Point] | Scaled) -> str:
     sequence before any turn.  Fewer than 2 points is a defect: the
     predicate is about segments.  Signs are taken on the rows over their
     common content (`Scaled.primitive`), so one factor shared by every
-    coordinate costs nothing per sign.
+    coordinate does not widen the operands of any sign.
     """
     if len(points) < 2:
         return "fewer than 2 points"
