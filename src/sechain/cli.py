@@ -128,9 +128,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_ci(args: argparse.Namespace) -> int:
     from .convex_subsets import DP_MAX_POINTS, ci_bruteforce, ci_dp
-    from .document import _decode, _read, dumps, encode_points
+    from .document import dumps, encode_points, load_path
 
-    kind, payload = _decode(_read(args.input))  # a point set as its rows
+    kind, payload = load_path(args.input)  # a point set as its rows
     if kind == "construction":
         # Past the larger solver cap either solver refuses: stop there.
         points = payload.chains.midpoint_set(payload.n, DP_MAX_POINTS)

@@ -22,8 +22,8 @@ Two different algorithms compute the same number:
   orientation sign.  A key takes sqrt(3) to 128 bits, fixed once, and
   `floor2` (a square root) only where that leaves two floors open.  The
   reverses follow in the same order, except that within each group of
-  exactly parallel edges their own tie-break orders them; the groups are
-  found from the signs the run's sort already took.
+  exactly parallel edges their own tie-break orders them; the groups end
+  where two adjacent edges of a run turn.
 
   Each anchor gets its own bound from two integer passes: a polygon
   anchored at a is one path from a over the up half of the sorted edges
@@ -62,23 +62,17 @@ from .geometry import Point, Record, Scaled, _hull, floor2
 class CiResult(Record):
     """Size of a largest convexly independent subset, plus one witness.
 
-    The witness lists the subset in counterclockwise convex position.  A
-    solver's result holds it as rows (`witness_rows`), and its `Point`s
-    are built when `witness` is read.
+    The witness lists the subset in counterclockwise convex position.  It
+    is kept as given: a solver gives it as rows (`witness_rows`), whose
+    `Point`s are built when `witness` is read.
     """
 
     __slots__ = ("size", "_witness")
     size: int
     _witness: tuple[Point, ...] | Scaled
 
-    def __init__(self, size: int, witness: tuple[Point, ...]) -> None:
+    def __init__(self, size: int, witness: tuple[Point, ...] | Scaled) -> None:
         self._set(size, witness)
-
-    @classmethod
-    def _from_rows(cls, size: int, witness: Scaled) -> CiResult:
-        result = cls.__new__(cls)
-        result._set(size, witness)
-        return result
 
     @property
     def witness(self) -> tuple[Point, ...]:
@@ -135,7 +129,7 @@ def ci_bruteforce(points: Iterable[Point] | Scaled, max_points: int = 20) -> CiR
                 grow(combo + (i,))
 
     grow(())
-    return CiResult._from_rows(len(best), k.take(_hull(best, turn)))
+    return CiResult(len(best), k.take(_hull(best, turn)))
 
 
 def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
@@ -194,53 +188,39 @@ def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
             else:
                 runs.append([i - 1, i + 1])
 
-    signs: dict[tuple[int, int], int] = {}  # one run's, by pair of edge codes
-
-    def sign(c1: int, c2: int) -> int:
-        """Sign of edge c1 x edge c2; each pair of a run is signed once."""
-        t = signs.get((c1, c2))
-        if t is None:
-            t = signs.get((c2, c1))
-            if t is not None:
-                return -t
-            u1, v1 = divmod(c1 & mask, n)
-            u2, v2 = divmod(c2 & mask, n)
-            t = signs[c1, c2] = cross_sign(u1, v1, u2, v2)
-        return t
+    def turn(c1: int, c2: int) -> int:
+        """Sign of edge c1 x edge c2."""
+        u1, v1 = divmod(c1 & mask, n)
+        u2, v2 = divmod(c2 & mask, n)
+        return cross_sign(u1, v1, u2, v2)
 
     def cmp(c1: int, c2: int) -> int:
-        return -sign(c1, c2) or (c2 & mask) // n - (c1 & mask) // n
+        return -turn(c1, c2) or (c2 & mask) // n - (c1 & mask) // n
 
     def reverses(codes: list[int]) -> list[int]:
         """A run in up order, as the order of its reverses: the same, but
         in each group of exactly parallel edges, which the up order keeps
         together, by the reverse's source (the up target) rising, stably.
-        The groups end where adjacent edges turn, and the sort has usually
-        signed those pairs already: a run that arrives in order is sorted
-        by comparing exactly its adjacent pairs."""
-        cuts = [t for t in range(1, len(codes)) if sign(codes[t], codes[t - 1])]
+        A group ends where two adjacent edges turn: one sign per pair."""
+        cuts = [t for t in range(1, len(codes)) if turn(codes[t - 1], codes[t])]
         return [c for a, b in zip([0, *cuts], [*cuts, len(codes)])
                 for c in sorted(codes[a:b], key=lambda c: (c & mask) % n)]
 
-    # The down half is the up half with each edge reversed, in the same
-    # order: reversing both edges keeps every turn sign, so only the
-    # tie-break, inside the runs, moves an edge.
-    down = []
     for i, j in runs:
-        signs.clear()
-        edges[i:j] = run = sorted(edges[i:j], key=cmp_to_key(cmp))
-        down.append(reverses(run))
-    signs.clear()
+        edges[i:j] = sorted(edges[i:j], key=cmp_to_key(cmp))
     label = list(range(n))  # shared int objects: ints past 256 are not cached
 
     def labels(codes: list[int]) -> tuple[list[int], list[int]]:
         return [label[(c & mask) // n] for c in codes], [label[(c & mask) % n] for c in codes]
 
-    # The runs' labels are taken first, so that deleting `edges` frees
-    # every packed int before the two full label lists are built.
+    # The down half is the up half with each edge reversed, in the same
+    # order: reversing both edges keeps every turn sign, so only the
+    # tie-break, inside the runs, moves an edge.  The runs' labels are
+    # taken first, so that deleting `edges` frees every packed int before
+    # the two full label lists are built.
     up_src, up_dst = labels(edges)
-    down_runs = [(i, j, *labels(codes)) for (i, j), codes in zip(runs, down)]
-    del edges, down
+    down_runs = [(i, j, *labels(reverses(edges[i:j]))) for i, j in runs]
+    del edges
     src, dst, half = up_src + up_dst, up_dst + up_src, len(up_src)
     for i, j, run_dst, run_src in down_runs:
         src[half + i:half + j], dst[half + i:half + j] = run_src, run_dst
@@ -336,5 +316,5 @@ def ci_dp(points: Iterable[Point] | Scaled, max_points: int = DP_MAX_POINTS) -> 
             src, dst = list(compress(src, keep)), list(compress(dst, keep))
             pruned = len(best)
     if not best:  # at most two points, or all on one line: the first two by (x, y)
-        return CiResult._from_rows(min(n, 2), k.sorted().take(range(min(n, 2))))
-    return CiResult._from_rows(len(best), ranked.take(best))
+        return CiResult(min(n, 2), k.sorted().take(range(min(n, 2))))
+    return CiResult(len(best), ranked.take(best))

@@ -17,13 +17,14 @@ a numerator and a positive denominator, and only a well-formed document
 imports the geometry kernel, once, to turn its coordinates into rows: a
 construction keeps them (`Level.from_rows` brings them to the least
 scale), and placements become their `Point`s (`Scaled.points`).  A
-point set stays on its rows in `_decode`, which `ci` reads, and `loads`
-makes its `Point`s at its own boundary.  So a malformed file is refused
-having loaded no other package module, and `ci` of a point set builds
-no `Point` and loads neither `numbers` nor `fractions`.  Parsing does
-NOT re-prove the geometric invariants: a well-formed file whose chains
-are broken parses fine and is rejected later by verification, which
-keeps "unreadable input" and "readable but wrong" distinguishable.
+point set stays on its rows in `load_path`, which the CLI reads, and
+`loads` makes its `Point`s at its own boundary.  So a malformed file is
+refused having loaded no other package module, and `ci` of a point set
+builds no `Point` and loads neither `numbers` nor `fractions`.  Parsing
+does NOT re-prove the geometric invariants: a well-formed file whose
+chains are broken parses fine and is rejected later by verification,
+which keeps "unreadable input" and "readable but wrong"
+distinguishable.
 """
 
 from __future__ import annotations
@@ -382,15 +383,14 @@ def loads(text: str) -> ParsedDocument:
     return kind, payload.points() if kind == "points" else payload
 
 
-def _read(path: str) -> str:
+def load_path(path: str) -> ParsedDocument:
+    """Read and parse a document file: `loads`, except that a point set
+    stays on its rows, a `Scaled`, which is what the CLI computes on."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise DocumentError(f"cannot read {path}: not UTF-8 ({exc.reason})") from exc
-
-
-def load_path(path: str) -> ParsedDocument:
-    return loads(_read(path))
+    return _decode(text)

@@ -19,8 +19,7 @@ flattens and rotates (`flattened`, which `construction.step` and
 one `Scaled` over the least scale (`reduced`), and `document` encodes
 and decodes every coordinate through one.  The predicates here, both
 `convex_subsets` solvers, the construction, `Level.checks`, the drawing
-checks, `render` and `ci` compute in it; the checks sign rows over
-their common content (`primitive`).
+checks, `render` and `ci` compute in it.
 
 `Point`s, over `numbers.QSqrt3` and `fractions.Fraction`, are built only
 at the public boundary (`pt`, `Scaled.points`), and only those two
@@ -232,24 +231,6 @@ class Scaled:
         return Scaled.from_rows([(xa // g, xb // g, ya // g, yb // g)
                                  for xa, xb, ya, yb in self.rows], self.s // g)
 
-    def primitive(self) -> Scaled:
-        """The rows divided by the gcd of all their components, over the same
-        scale: the points shrunk toward the origin by one positive factor, so
-        every sign and every equality among them stays as it was.  For
-        signing only; `reduced` keeps the points.  Rows without a common
-        factor are usually told by a few, taken from the end: the flat
-        blocks that open the construction's chains and witness midpoints
-        share the factor 2 that meets the rotated blocks' scale."""
-        g = 0
-        for row in reversed(self.rows):
-            g = gcd(g, *row)
-            if g == 1:
-                return self
-        if not g:
-            return self
-        return Scaled.from_rows([(xa // g, xb // g, ya // g, yb // g)
-                                 for xa, xb, ya, yb in self.rows], self.s)
-
     def take(self, indices: Iterable[int]) -> Scaled:
         """The points at `indices`, in that order, over the same scale."""
         rows = self.rows
@@ -339,13 +320,11 @@ def chain_defect(points: Sequence[Point] | Scaled) -> str:
     A chain has both coordinates strictly increasing and consecutive
     slopes strictly increasing.  Coordinates are checked along the whole
     sequence before any turn.  Fewer than 2 points is a defect: the
-    predicate is about segments.  Signs are taken on the rows over their
-    common content (`Scaled.primitive`), so one factor shared by every
-    coordinate does not widen the operands of any sign.
+    predicate is about segments.  A `Scaled` sequence is used as it is.
     """
     if len(points) < 2:
         return "fewer than 2 points"
-    k = (points if isinstance(points, Scaled) else Scaled(points)).primitive()
+    k = points if isinstance(points, Scaled) else Scaled(points)
     for t in range(len(points) - 1):
         if k.dx_sign(t, t + 1) <= 0:
             return f"x does not strictly increase at indices {t},{t + 1}"
@@ -417,7 +396,7 @@ def is_convexly_independent(points: Iterable[Point] | Scaled) -> bool:
     a corner of their convex hull.
 
     Zero, one, or two distinct points count as convexly independent; a
-    repeated point never does.  Signs are taken as in `chain_defect`.
+    repeated point never does.  A `Scaled` sequence is used as it is.
     """
-    k = (points if isinstance(points, Scaled) else Scaled(list(points))).primitive()
+    k = points if isinstance(points, Scaled) else Scaled(list(points))
     return len(k.distinct()) == len(k) == len(_hull(range(len(k)), k.sorted().turn))

@@ -469,31 +469,6 @@ class TestLevelChecks:
         )
         assert verdicts["chain-b"] == (True, "")
 
-    def test_common_factor_changes_no_verdict(self, levels):
-        # Every coordinate of a level-5 document times one 4000-digit odd
-        # integer, which the least scale (a power of 2) cannot absorb: the
-        # checks sign the rows over their common content, so every verdict
-        # and detail is the unscaled one, on the level and on two breaks.
-        factor = int("7" * 4000)
-        lv = levels[5]
-        a, pairs = list(lv.a), list(lv.witness)
-        a[4], a[5] = a[5], a[4]
-        pairs[7], pairs[8] = pairs[8], pairs[7]
-        for level in (lv, Level(lv.k, tuple(a), lv.b, lv.witness, lv.eps_history),
-                      Level(lv.k, lv.a, lv.b, tuple(pairs), lv.eps_history)):
-            document = construction_to_document(level)
-            for chain in ("a_chain", "b_chain"):
-                for point in document["objects"][chain]["points"]:
-                    for part in (point[axis][c] for axis in "xy" for c in "pq"):
-                        part["num"] = str(int(part["num"]) * factor)
-            _, scaled = loads(dumps(document))
-            assert scaled.chains.s == level.chains.s
-            assert scaled.chains.rows == [tuple(factor * c for c in row)
-                                          for row in level.chains.rows]
-            assert scaled.chains.primitive().rows == level.chains.primitive().rows
-            assert scaled.checks() == level.checks()
-        assert not all(ok for _, ok, _ in scaled.checks())
-
     def test_short_chain_fails(self):
         lv = base_case()
         bad = Level(lv.k, lv.a[:1], lv.b, ((0, 0),), lv.eps_history)

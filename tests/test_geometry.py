@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import gcd, isqrt
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -209,21 +209,6 @@ class TestScaled:
         n = len(pts) // 2
         pairs = [(i, j) for i in range(n) for j in range(len(pts) - n)][::-1]
         assert k.midpoints(n, pairs).points() == [midpoint(pts[i], pts[n + j]) for i, j in pairs]
-
-    @given(_kernel_points(), st.integers(1, 10**40))
-    def test_primitive_divides_out_exactly_the_common_content(self, pts, factor):
-        # Rows times one factor: `primitive` divides by the gcd of every
-        # component, factor included, and the checks give the same answers.
-        k = Scaled(pts)
-        big = Scaled.from_rows([tuple(factor * c for c in row) for row in k.rows], k.s)
-        g = gcd(*[c for row in k.rows for c in row]) or 1
-        for scaled in (k, big):
-            content = g * factor if scaled is big else g
-            assert scaled.primitive().s == k.s
-            assert scaled.primitive().rows == [tuple(c // content for c in row)
-                                               for row in scaled.rows]
-            assert chain_defect(scaled) == chain_defect(pts)
-            assert is_convexly_independent(scaled) == is_convexly_independent(pts)
 
     @given(_points_with_ties(), _points_with_ties(), st.integers(0, 60))
     def test_midpoint_set_matches_the_value_form(self, a, b, limit):
