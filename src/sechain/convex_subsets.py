@@ -276,8 +276,7 @@ def ci_dp(points: Iterable[Point] | Scaled, max_points: int = DP_MAX_POINTS) -> 
     # For anchor a, the bottom-most then leftmost vertex of the polygon,
     # length[v] is the longest path a -> v over the edges so far, in
     # angle order, through points ranked from a on: no edge may enter a
-    # point ranked below a, so none leaves one either, and edges that
-    # touch one are dropped once they are half the list.  Every edge out
+    # point ranked below a, so none leaves one either.  Every edge out
     # of a comes before every edge into a, so length[a] - 1 ends as the
     # largest polygon with anchor a.  path[v] holds the path to v as
     # persistent (vertex, rest) tuples: a parent array would let a later,
@@ -295,9 +294,6 @@ def ci_dp(points: Iterable[Point] | Scaled, max_points: int = DP_MAX_POINTS) -> 
     for a in range(n):
         if bound[a] <= max(len(best), 2):
             continue
-        if 2 * (n - a) ** 2 < len(src):
-            keep = [u >= a and v >= a for u, v in zip(src, dst)]
-            src, dst = list(compress(src, keep)), list(compress(dst, keep))
         length, path = [0] * n, [None] * n
         length[a], path[a] = 1, (a, None)
         for u, v in zip(src, dst):

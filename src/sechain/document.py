@@ -12,19 +12,24 @@ canonical text (sorted keys, two-space indent) itself.
 
 Parsing is strict about structure (types, integer syntax, positive
 denominators, index ranges) and raises `DocumentError` with a dotted
-path to the offending field.  Every coordinate is checked as plain ints,
-a numerator and a positive denominator, and only a well-formed document
-imports the geometry kernel, once, to turn its coordinates into rows: a
-construction keeps them (`Level.from_rows` brings them to the least
-scale), and placements become their `Point`s (`Scaled.points`).  A
-point set stays on its rows in `load_path`, which the CLI reads, and
-`loads` makes its `Point`s at its own boundary.  So a malformed file is
-refused having loaded no other package module, and `ci` of a point set
-builds no `Point` and loads neither `numbers` nor `fractions`.  Parsing
-does NOT re-prove the geometric invariants: a well-formed file whose
-chains are broken parses fine and is rejected later by verification,
-which keeps "unreadable input" and "readable but wrong"
-distinguishable.
+path to the offending field, carried as a tuple and written out only
+when a check fails.  One reader, `_ratios`, reads every point's eight
+decimal strings (chains, point sets, placements) as plain ints, x then
+y, p then q, num then den, and checks each denominator where it reads
+it.  Every field of a document is read before any other package module
+is imported, so a malformed file of any kind, a graph with a bad edge
+or placement too, is refused having loaded no other package module;
+only a well-formed graph loads `graphs`, whose `BipartiteGraph` checks
+its structure.  Then the document imports the geometry kernel, once, to
+turn its coordinates into rows: a construction keeps them
+(`Level.from_rows` brings them to the least scale), and placements
+become their `Point`s (`Scaled.points`).  A point set stays on its rows
+in `load_path`, which the CLI reads, and `loads` makes its `Point`s at
+its own boundary, so `ci` of a point set builds no `Point` and loads
+neither `numbers` nor `fractions`.  Parsing does NOT re-prove the
+geometric invariants: a well-formed file whose chains are broken parses
+fine and is rejected later by verification, which keeps "unreadable
+input" and "readable but wrong" distinguishable.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import json
 import re
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 if TYPE_CHECKING:  # the decoders import these once a document is well-formed
     from fractions import Fraction
@@ -120,92 +125,85 @@ def dumps(document: Any) -> str:
 # -- decoding helpers -------------------------------------------------------
 
 
-def _expect(obj: Any, kind: type, context: str) -> Any:
+def _fail(message: str, path: tuple) -> DocumentError:
+    """The error for a check failed at `path`, the steps from the document
+    to the field: a key is written after a dot, an int index or a
+    placement's name (a 1-tuple) in brackets, and no step as "document"."""
+    text = "".join(f".{step}" if type(step) is str else "[%s]" % step for step in path)
+    return DocumentError(message, text[1:] or "document")
+
+
+def _expect(obj: Any, kind: type, path: tuple) -> Any:
     if not isinstance(obj, kind):
-        raise DocumentError(f"expected {kind.__name__}", context)
+        raise _fail(f"expected {kind.__name__}", path)
     return obj
 
 
-def _field(
-    obj: dict, key: str, kind: type, path: str = "", decode: Optional[Callable] = None
-) -> Any:
-    """`obj[key]` checked to be a `kind`, or `decode(obj[key], "path.key")`.
-
-    A missing key is reported at `path`, or at "document" when `path` is "";
-    a wrong type at `path.key`.  So `decode` gets a value of type `kind`."""
+def _field(obj: dict, key: str, kind: type, path: tuple = ()) -> Any:
+    """`obj[key]` checked to be a `kind`.  A missing key is reported at
+    `path`, the path of `obj`, and a wrong type at `path` and `key`."""
     if key not in obj:
-        raise DocumentError(f"missing field '{key}'", path or "document")
+        raise _fail(f"missing field '{key}'", path)
     value = obj[key]
-    context = f"{path}.{key}" if path else key
     if not isinstance(value, kind):
-        raise DocumentError(f"expected {kind.__name__}", context)
-    return value if decode is None else decode(value, context)
-
-
-def _items(
-    obj: dict, key: str, kind: type, path: str, decode: Optional[Callable] = None
-) -> Iterator:
-    """`_field` for each item of a list field, at "path.key[t]"."""
-    for t, item in enumerate(_field(obj, key, list, path)):
-        context = f"{path}.{key}[{t}]"
-        _expect(item, kind, context)
-        yield item if decode is None else decode(item, context)
-
-
-def _pair(item: list, context: str, kind: type = str) -> tuple[Any, Any]:
-    """A list of exactly two `kind`s; a JSON bool never passes for an int."""
-    if len(item) != 2:
-        raise DocumentError("expected a pair", context)
-    first, second = item
-    if kind is int and (isinstance(first, bool) or isinstance(second, bool)):
-        raise DocumentError("expected integers", context)
-    return _expect(first, kind, f"{context}[0]"), _expect(second, kind, f"{context}[1]")
-
-
-def _decode_int(text: str, context: str) -> int:
-    if not _INT_RE.match(text):
-        raise DocumentError("not a decimal integer", context)
-    try:
-        return int(text)
-    except ValueError as exc:  # longer than the interpreter's digit limit
-        raise DocumentError(
-            f"{len(text)} digits, more than this interpreter parses", context
-        ) from exc
-
-
-def _decode_denominator(text: str, context: str) -> int:
-    value = _decode_int(text, context)
-    if value <= 0:
-        raise DocumentError("denominator must be positive", context)
+        raise _fail(f"expected {kind.__name__}", (*path, key))
     return value
 
 
-Ratio = tuple[int, int]  # a numerator and a positive denominator, as written
-Decoded = tuple[int, ...]  # x.p, x.q, y.p and y.q as Ratios: eight ints
+def _items(obj: dict, key: str, kind: type, path: tuple) -> Iterator[tuple[Any, tuple]]:
+    """Each item of the list field `obj[key]`, checked to be a `kind`, and its path."""
+    for t, item in enumerate(_field(obj, key, list, path)):
+        at = (*path, key, t)
+        yield _expect(item, kind, at), at
 
 
-def _decode_ratio(obj: dict, context: str) -> Ratio:
-    return (
-        _field(obj, "num", str, context, _decode_int),
-        _field(obj, "den", str, context, _decode_denominator),
-    )
+def _pair(item: list, path: tuple, kind: type = str) -> tuple[Any, Any]:
+    """A list of exactly two `kind`s; a JSON bool never passes for an int."""
+    if len(item) != 2:
+        raise _fail("expected a pair", path)
+    first, second = item
+    if kind is int and (isinstance(first, bool) or isinstance(second, bool)):
+        raise _fail("expected integers", path)
+    return _expect(first, kind, (*path, 0)), _expect(second, kind, (*path, 1))
 
 
-def _decode_coord(obj: dict, context: str) -> tuple[int, int, int, int]:
-    return (*_field(obj, "p", dict, context, _decode_ratio),
-            *_field(obj, "q", dict, context, _decode_ratio))
+_POINT = (("x", "p"), ("x", "q"), ("y", "p"), ("y", "q"))  # the routes to a point's ratios
 
 
-def _decode_point(obj: dict, context: str) -> Decoded:
-    return (*_field(obj, "x", dict, context, _decode_coord),
-            *_field(obj, "y", dict, context, _decode_coord))
+def _ratios(obj: dict, path: tuple, routes: tuple = _POINT) -> list[int]:
+    """The one coordinate reader: the ratio at the end of each route of
+    keys from `obj` as ints, a numerator, then a denominator checked
+    positive where it is read.  A point's routes run x.p, x.q, y.p, y.q,
+    so x.p is read in full before x.q is looked up; the one route `()`
+    reads `obj` itself as a ratio (an eps_history entry)."""
+    ints: list[int] = []
+    for route in routes:
+        ratio, at = obj, path
+        for key in route:
+            ratio = _field(ratio, key, dict, at)
+            at = (*at, key)
+        for key in ("num", "den"):
+            text = _field(ratio, key, str, at)
+            if not _INT_RE.match(text):
+                raise _fail("not a decimal integer", (*at, key))
+            try:
+                value = int(text)
+            except ValueError as exc:  # longer than the interpreter's digit limit
+                raise _fail(f"{len(text)} digits, more than this interpreter parses",
+                            (*at, key)) from exc
+            if value <= 0 and key == "den":
+                raise _fail("denominator must be positive", (*at, key))
+            ints.append(value)
+    return ints
 
 
-def _decode_chain(entry: dict, context: str) -> list[Decoded]:
-    return list(_items(entry, "points", dict, context, _decode_point))
+def _points(obj: dict, key: str, path: tuple) -> list[list[int]]:
+    """The points of the chain or point set `obj[key]`, eight ints each."""
+    entry = _field(obj, key, dict, path)
+    return [_ratios(point, at) for point, at in _items(entry, "points", dict, (*path, key))]
 
 
-def _scaled(decoded: list[Decoded]) -> Scaled:
+def _scaled(decoded: list[list[int]]) -> Scaled:
     """A well-formed document's decoded points as integer rows over the
     lcm of their denominators."""
     from .geometry import Scaled
@@ -240,28 +238,27 @@ def construction_to_document(level: Level) -> dict[str, Any]:
 
 def _decode_construction(document: dict[str, Any]) -> Level:
     meta = _field(document, "metadata", dict)
-    k = _field(meta, "k", int, "metadata")
+    k = _field(meta, "k", int, ("metadata",))
     if isinstance(k, bool) or k < 1:
         raise DocumentError("k must be an integer >= 1", "metadata.k")
-    eps_history = list(_items(meta, "eps_history", dict, "metadata", _decode_ratio))
+    eps_history = [_ratios(entry, at, ((),))
+                   for entry, at in _items(meta, "eps_history", dict, ("metadata",))]
     objects = _field(document, "objects", dict)
-    a = _field(objects, "a_chain", dict, "objects", _decode_chain)
-    b = _field(objects, "b_chain", dict, "objects", _decode_chain)
-
-    def index_pair(item: list, context: str) -> tuple[int, int]:
-        i, j = _pair(item, context, int)
+    a = _points(objects, "a_chain", ("objects",))
+    b = _points(objects, "b_chain", ("objects",))
+    pairs = _field(objects, "witness_pairs", dict, ("objects",))
+    witness = []
+    for item, at in _items(pairs, "pairs", list, ("objects", "witness_pairs")):
+        i, j = _pair(item, at, int)
         if not (0 <= i < len(a) and 0 <= j < len(b)):
-            raise DocumentError("index out of range", context)
-        return i, j
-
-    pairs = _field(objects, "witness_pairs", dict, "objects")
-    witness = tuple(_items(pairs, "pairs", list, "objects.witness_pairs", index_pair))
+            raise _fail("index out of range", at)
+        witness.append((i, j))
 
     from fractions import Fraction
 
     from .construction import Level
 
-    return Level.from_rows(k, _scaled(a + b), len(a), witness,
+    return Level.from_rows(k, _scaled(a + b), len(a), tuple(witness),
                            tuple(Fraction(num, den) for num, den in eps_history))
 
 
@@ -318,22 +315,25 @@ def _decode_graph(
     document: dict[str, Any]
 ) -> tuple[BipartiteGraph, Optional[dict[str, Point]]]:
     objects = _field(document, "objects", dict)
-    entry = _field(objects, "graph", dict, "objects")
-    u, v = (tuple(_items(entry, key, str, "objects.graph")) for key in ("u", "v"))
-    edges = tuple(_items(entry, "edges", list, "objects.graph", _pair))
+    entry = _field(objects, "graph", dict, ("objects",))
+    path = ("objects", "graph")
+    u, v = (tuple(name for name, _ in _items(entry, key, str, path)) for key in ("u", "v"))
+    edges = tuple(_pair(item, at) for item, at in _items(entry, "edges", list, path))
+    placed = None
+    if "placements" in objects:
+        entry = _field(objects, "placements", dict, ("objects",))
+        placed = {}
+        for name, item in _field(entry, "points", dict, ("objects", "placements")).items():
+            at = ("objects", "placements", "points", (name,))
+            placed[name] = _ratios(_expect(item, dict, at), at)
     from .graphs import BipartiteGraph  # which checks the structure
 
     try:
         graph = BipartiteGraph(u=u, v=v, edges=edges)
     except ValueError as exc:
         raise DocumentError(str(exc), "objects.graph") from exc
-    if "placements" not in objects:
+    if placed is None:
         return graph, None
-    entry = _field(objects, "placements", dict, "objects")
-    placed = {}
-    for name, item in _field(entry, "points", dict, "objects.placements").items():
-        context = f"objects.placements.points[{name}]"
-        placed[name] = _decode_point(_expect(item, dict, context), context)
     return graph, dict(zip(placed, _scaled(list(placed.values())).points()))
 
 
@@ -355,7 +355,7 @@ def _decode(text: str) -> ParsedDocument:
         raise DocumentError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise DocumentError("invalid JSON: nested too deeply") from exc
-    _expect(document, dict, "document")
+    _expect(document, dict, ())
     version = _field(document, "version", object)
     if version != FORMAT_VERSION:
         raise DocumentError(
@@ -367,7 +367,7 @@ def _decode(text: str) -> ParsedDocument:
         return kind, _decode_construction(document)
     if kind == "points":
         objects = _field(document, "objects", dict)
-        return kind, _scaled(_field(objects, "points", dict, "objects", _decode_chain))
+        return kind, _scaled(_points(objects, "points", ("objects",)))
     if kind == "graph":
         return kind, _decode_graph(document)
     raise DocumentError(f"unknown kind {kind!r}", "kind")

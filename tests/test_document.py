@@ -456,3 +456,29 @@ class TestDecoderMessages:
         assert _error(document) == (
             "objects.a_chain.points[0].x.p.num", "not a decimal integer"
         )
+
+
+class TestTwoDefects:
+    # The sweep changes one field at a time; these pin which of two
+    # defects is reported.
+
+    def test_placement_before_graph_structure(self):
+        # Every field is read before `graphs` checks the structure.
+        document = _sweep_documents()["placed-graph"]
+        edges = document["objects"]["graph"]["edges"]
+        edges.append(list(edges[0]))
+        document["objects"]["placements"]["points"]["0:u1"]["x"]["p"]["den"] = "0"
+        assert _error(document) == (
+            "objects.placements.points[0:u1].x.p.den", "denominator must be positive"
+        )
+
+    def test_earlier_witness_pair_first(self):
+        document = _sweep_documents()["construction"]
+        document["objects"]["witness_pairs"]["pairs"][:2] = [[0, 99], [0]]
+        assert _error(document) == ("objects.witness_pairs.pairs[0]", "index out of range")
+
+    def test_k_before_eps_history(self):
+        document = _sweep_documents()["construction"]
+        document["metadata"]["k"] = 0
+        document["metadata"]["eps_history"][0] = {"num": "1"}
+        assert _error(document) == ("metadata.k", "k must be an integer >= 1")

@@ -47,7 +47,8 @@ def test_import_sechain_loads_no_submodule():
 @pytest.fixture(scope="module")
 def docs(tmp_path_factory):
     base = tmp_path_factory.mktemp("docs")
-    names = ("level", "graph", "points", "bad", "zero_den", "bad_pair")
+    names = ("level", "graph", "points", "bad", "zero_den", "bad_pair", "graph_zero_den",
+             "bad_edge")
     paths = {name: base / f"{name}.json" for name in names}
     assert main(["construct", "-k", "2", "-o", str(paths["level"])]) == 0
     assert main(["graph", "-k", "2", "--placements", "-o", str(paths["graph"])]) == 0
@@ -55,12 +56,16 @@ def docs(tmp_path_factory):
     paths["points"].write_text(dumps(points_to_document(points)), encoding="utf-8")
     paths["bad"].write_text('{"version": "sechain/1"}', encoding="utf-8")
     # Malformed only past both chains: the last coordinate of chain b, and
-    # the last witness pair.
-    for name, edit in (
-        ("zero_den", lambda o: o["b_chain"]["points"][-1]["y"]["q"].update(den="0")),
-        ("bad_pair", lambda o: o["witness_pairs"]["pairs"][-1].__setitem__(1, 4)),
+    # the last witness pair; in a graph, the last placement, and an edge
+    # of three names, read before the structure is checked.
+    for name, source, edit in (
+        ("zero_den", "level", lambda o: o["b_chain"]["points"][-1]["y"]["q"].update(den="0")),
+        ("bad_pair", "level", lambda o: o["witness_pairs"]["pairs"][-1].__setitem__(1, 4)),
+        ("graph_zero_den", "graph",
+         lambda o: [*o["placements"]["points"].values()][-1]["y"]["q"].update(den="0")),
+        ("bad_edge", "graph", lambda o: o["graph"]["edges"][-1].append(o["graph"]["v"][0])),
     ):
-        document = json.loads(paths["level"].read_text(encoding="utf-8"))
+        document = json.loads(paths[source].read_text(encoding="utf-8"))
         edit(document["objects"])
         paths[name].write_text(json.dumps(document), encoding="utf-8")
     return {name: str(path) for name, path in paths.items()}
@@ -71,8 +76,8 @@ def docs(tmp_path_factory):
 # rows, so it loads no value layer (`numbers`), nor the construction, the
 # graphs or the renderer; `verify` never loads convex_subsets or render;
 # `construct` loads none of convex_subsets, graphs and render; and a
-# malformed document is refused before the decoder imports the geometry
-# kernel.  An op that loads no `numbers` loads no `fractions` either.
+# malformed document of any kind, a graph with a bad placement or edge
+# too, is refused before the decoder imports another package module.  An op that loads no `numbers` loads no `fractions` either.
 _ROWS = {"sechain", "sechain.document", "sechain.geometry"}
 _BASE = _ROWS | {"sechain.numbers"}
 _REFUSED = {"sechain", "sechain.document"}
@@ -86,6 +91,8 @@ _OPS = [
     (["verify", "{bad}"], 2, _REFUSED),
     (["verify", "{zero_den}"], 2, _REFUSED),
     (["verify", "--json", "{bad_pair}"], 2, _REFUSED),
+    (["verify", "{graph_zero_den}"], 2, _REFUSED),
+    (["verify", "{bad_edge}"], 2, _REFUSED),
     (["render", "{level}", "-o", "{out}"], 0,
      _BASE | {"sechain.construction", "sechain.render"}),
     (["ci", "{level}"], 0, _BASE | {"sechain.construction", "sechain.convex_subsets"}),
