@@ -77,7 +77,8 @@ def docs(tmp_path_factory):
 # graphs or the renderer; `verify` never loads convex_subsets or render;
 # `construct` loads none of convex_subsets, graphs and render; and a
 # malformed document of any kind, a graph with a bad placement or edge
-# too, is refused before the decoder imports another package module.  An op that loads no `numbers` loads no `fractions` either.
+# too, is refused before the decoder imports another package module.
+# An op that loads no `numbers` loads no `fractions` either.
 _ROWS = {"sechain", "sechain.document", "sechain.geometry"}
 _BASE = _ROWS | {"sechain.numbers"}
 _REFUSED = {"sechain", "sechain.document"}
