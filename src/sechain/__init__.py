@@ -14,9 +14,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("construction", ("EpsilonSearchError", "Level", "STEP_OFFSETS", "StepOffsets",
-                          "base_case", "build", "expected_witness_size", "find_epsilon",
-                          "step")),
+        ("construction", ("EpsilonSearchError", "Level", "base_case", "build",
+                          "expected_witness_size", "find_epsilon", "step")),
         ("convex_subsets", ("CiResult", "ci_bruteforce", "ci_dp")),
         ("document", ("DocumentError",)),
         ("geometry", ("Point", "chain_defect", "convex_hull", "cross",

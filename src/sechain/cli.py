@@ -8,8 +8,9 @@ unwritable outputs, unreadable or malformed documents, guard violations).
 Each handler imports the modules it runs, so an op loads, and without a
 bytecode cache compiles, only those: `ci` of a points document stays on
 integer rows and loads only `document`, `geometry` and `convex_subsets`
-(no `numbers`, no `fractions`), `--help` loads no other package module,
-and a malformed document is refused having loaded only `document`,
+(no `numbers`, no `fractions`), an op on a level loads `construction`
+but no `numbers`, `--help` loads no other package module, and a
+malformed document is refused having loaded only `document`,
 which imports the geometry kernel once a document is well-formed.
 """
 

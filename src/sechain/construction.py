@@ -28,34 +28,22 @@ chains from step to step as integer rows over one scale (`Level.chains`);
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .geometry import (Point, Record, Row, Scaled, chain_defect, is_convexly_independent,
-                       is_south_east_chain, pt)
+from .geometry import (Record, Row, Scaled, chain_defect, is_convexly_independent,
+                       is_south_east_chain)
+
+if TYPE_CHECKING:  # a `Point` is built only when `Level.a` or `.b` is read
+    from .geometry import Point
 
 IndexPair = tuple[int, int]
 Check = tuple[str, bool, str]
 
-
-class StepOffsets(Record):
-    """Translations that place the chain blocks of a doubled level.
-
-    The three fields anchor the chain copies; by linearity the witness
-    blocks of the new level sit at half sums of them.
-    """
-
-    __slots__ = ("rotated_b_in_a", "flat_b_in_b", "rotated_a_in_b")
-    rotated_b_in_a: Point  # added to rot(flat(b)) inside new_a
-    flat_b_in_b: Point  # added to flat(b) inside new_b
-    rotated_a_in_b: Point  # added to rot(flat(a)) inside new_b
-
-    def __init__(self, rotated_b_in_a: Point, flat_b_in_b: Point,
-                 rotated_a_in_b: Point) -> None:
-        self._set(rotated_b_in_a, flat_b_in_b, rotated_a_in_b)
-
-
-STEP_OFFSETS = StepOffsets(rotated_b_in_a=pt(1, 1), flat_b_in_b=pt(0, 2),
-                           rotated_a_in_b=pt(1, Fraction(5, 2)))
+# The translations that place the chain blocks of a doubled level, as
+# integer rows over 2: (1, 1) for rot(flat(b)) in new_a, (0, 2) for
+# flat(b) in new_b and (1, 5/2) for rot(flat(a)) in new_b.  By linearity
+# the witness blocks of the new level sit at half sums of them.
+_OFFSETS = ((2, 0, 2, 0), (0, 0, 4, 0), (2, 0, 5, 0))
 
 
 class Level(Record):
@@ -164,8 +152,8 @@ def expected_witness_size(k: int) -> int:
 
 def base_case() -> Level:
     """Level 1: two 2-point chains and a 3-midpoint witness."""
-    level = Level(k=1, a=(pt(0, 0), pt(2, 1)), b=(pt(0, 2), pt(2, 4)),
-                  witness=((0, 0), (1, 0), (1, 1)), eps_history=())
+    chains = Scaled.from_rows([(0, 0, 0, 0), (2, 0, 1, 0), (0, 0, 2, 0), (2, 0, 4, 0)], 1)
+    level = Level.from_rows(1, chains, 2, ((0, 0), (1, 0), (1, 1)), ())
     level.validate()
     return level
 
@@ -185,18 +173,16 @@ def step(level: Level, eps: Fraction) -> Optional[Level]:
     least scale.
     """
     eps = Fraction(eps)
-    off = STEP_OFFSETS
     n, m = level.n, len(level.chains)
-    offsets = Scaled([off.rotated_b_in_a, off.flat_b_in_b, off.rotated_a_in_b])
     flat, rot = level.chains.flattened(eps)
-    t, up = flat.s, flat.s // offsets.s  # an integer over 2 is up times itself over t
+    t, up = flat.s, flat.s // 2  # an integer over 2 is up times itself over t
     flat, rot = flat.rows, rot.rows
 
     def shifted(block: list[Row], offset: Row) -> list[Row]:
         oxa, oxb, oya, oyb = (up * c for c in offset)
         return [(xa + oxa, xb + oxb, ya + oya, yb + oyb) for xa, xb, ya, yb in block]
 
-    in_a, in_b, rot_a_in_b = offsets.rows
+    in_a, in_b, rot_a_in_b = _OFFSETS
     new_a = flat[:n] + shifted(rot[n:], in_a)
     new_b = shifted(flat[n:], in_b) + shifted(rot[:n], rot_a_in_b)
     w = len(level.witness)

@@ -49,7 +49,7 @@ if TYPE_CHECKING:  # the decoders import these once a document is well-formed
 
 FORMAT_VERSION = "sechain/1"
 
-_INT_RE = re.compile(r"^-?[0-9]+$")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 class DocumentError(ValueError):
@@ -184,7 +184,7 @@ def _ratios(obj: dict, path: tuple, routes: tuple = _POINT) -> list[int]:
             at = (*at, key)
         for key in ("num", "den"):
             text = _field(ratio, key, str, at)
-            if not _INT_RE.match(text):
+            if not _INT_RE.fullmatch(text):
                 raise _fail("not a decimal integer", (*at, key))
             try:
                 value = int(text)

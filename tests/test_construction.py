@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import sechain.construction as construction
 from sechain.construction import (
-    STEP_OFFSETS,
     EpsilonSearchError,
     Level,
     base_case,
@@ -24,6 +23,10 @@ from sechain.numbers import QSqrt3
 
 from .helpers import flatten, midpoint, rotate60
 
+# The paper's translations of the glued blocks: rot(flat(b)) in new_a,
+# flat(b) in new_b and rot(flat(a)) in new_b.
+ROT_B_IN_A, FLAT_B_IN_B, ROT_A_IN_B = pt(1, 1), pt(0, 2), pt(1, Fraction(5, 2))
+
 
 def _transformed(points, eps):
     flat = [flatten(p, eps) for p in points]
@@ -34,13 +37,12 @@ def _reference_chains(a, b, witness, eps):
     """The doubling of the chains a, b and the witness on the `QSqrt3`
     value functions of `tests/helpers.py`, or None where a glued sequence
     is not a chain."""
-    off = STEP_OFFSETS
     n = len(a)
     a_flat, a_rot = _transformed(a, eps)
     b_flat, b_rot = _transformed(b, eps)
-    new_a = a_flat + [p + off.rotated_b_in_a for p in b_rot]
-    new_b = [p + off.flat_b_in_b for p in b_flat]
-    new_b += [p + off.rotated_a_in_b for p in a_rot]
+    new_a = a_flat + [p + ROT_B_IN_A for p in b_rot]
+    new_b = [p + FLAT_B_IN_B for p in b_flat]
+    new_b += [p + ROT_A_IN_B for p in a_rot]
     new_witness = witness + tuple((i, n + i) for i in range(n))
     new_witness += tuple((n + j, n + i) for i, j in witness)
     mids = [midpoint(new_a[i], new_b[j]) for i, j in new_witness]
@@ -82,14 +84,6 @@ class TestBaseCase:
 
     def test_validates(self):
         base_case().validate()
-
-
-class TestStepOffsets:
-    def test_exact_values(self):
-        o = STEP_OFFSETS
-        assert o.rotated_b_in_a == pt(1, 1)
-        assert o.flat_b_in_b == pt(0, 2)
-        assert o.rotated_a_in_b == pt(1, Fraction(5, 2))
 
 
 class TestWitnessSize:
@@ -210,10 +204,10 @@ class TestStep:
             flat_c, rot_c = _transformed(old_mids, eps)
             mean_a = [midpoint(f, r) for f, r in zip(*_transformed(lv.a, eps))]
             # By linearity each block sits at a half sum of the offsets.
-            o, origin = STEP_OFFSETS, pt(0, 0)
-            old_witness_block = midpoint(origin, o.flat_b_in_b)
-            matching_block = midpoint(origin, o.rotated_a_in_b)
-            rotated_witness_block = midpoint(o.rotated_a_in_b, o.rotated_b_in_a)
+            origin = pt(0, 0)
+            old_witness_block = midpoint(origin, FLAT_B_IN_B)
+            matching_block = midpoint(origin, ROT_A_IN_B)
+            rotated_witness_block = midpoint(ROT_A_IN_B, ROT_B_IN_A)
             assert (old_witness_block, matching_block, rotated_witness_block) == (
                 pt(0, 1), pt(Fraction(1, 2), Fraction(5, 4)), pt(1, Fraction(7, 4))
             )
@@ -228,11 +222,10 @@ class TestStep:
         n = len(lv.a)
         flat_a, rot_a = _transformed(lv.a, eps)
         flat_b, rot_b = _transformed(lv.b, eps)
-        o = STEP_OFFSETS
         assert list(new.a[:n]) == flat_a
-        assert list(new.a[n:]) == [o.rotated_b_in_a + p for p in rot_b]
-        assert list(new.b[:n]) == [o.flat_b_in_b + p for p in flat_b]
-        assert list(new.b[n:]) == [o.rotated_a_in_b + p for p in rot_a]
+        assert list(new.a[n:]) == [ROT_B_IN_A + p for p in rot_b]
+        assert list(new.b[:n]) == [FLAT_B_IN_B + p for p in flat_b]
+        assert list(new.b[n:]) == [ROT_A_IN_B + p for p in rot_a]
 
 
 class TestFindEpsilon:

@@ -23,7 +23,7 @@ from sechain.geometry import (
 )
 from sechain.numbers import QSqrt3
 
-from .helpers import points_st, rand_point
+from .helpers import convex_position_oracle, points_st, rand_point
 
 
 def both(points):
@@ -203,6 +203,9 @@ class TestAgreement:
             assert brute.size == dp.size, pts
             assert_sound(brute, pts)
             assert_sound(dp, pts)
+            # An oracle independent of the `Scaled` kernel both solvers share.
+            assert convex_position_oracle(brute.witness)
+            assert convex_position_oracle(dp.witness)
 
 
 class TestInvariances:

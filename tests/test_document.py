@@ -425,6 +425,8 @@ class TestDecoderMessages:
             (level, point + ("y",), [], f"{p0}.y", "expected dict"),
             (level, point + ("x", "p", "num"), "1.5", f"{p0}.x.p.num",
              "not a decimal integer"),
+            (level, point + ("x", "p", "den"), "1\n", f"{p0}.x.p.den",
+             "not a decimal integer"),
             (level, point + ("x", "p", "num"), "7" * 5000, f"{p0}.x.p.num",
              "5000 digits, more than this interpreter parses"),
             (level, point + ("x", "p", "den"), "0", f"{p0}.x.p.den",

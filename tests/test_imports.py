@@ -72,31 +72,32 @@ def docs(tmp_path_factory):
 
 
 # The benchmarked ops, their exit code and exactly the package modules
-# each loads.  Among them: `ci` of a points document stays on integer
-# rows, so it loads no value layer (`numbers`), nor the construction, the
-# graphs or the renderer; `verify` never loads convex_subsets or render;
-# `construct` loads none of convex_subsets, graphs and render; and a
-# malformed document of any kind, a graph with a bad placement or edge
-# too, is refused before the decoder imports another package module.
-# An op that loads no `numbers` loads no `fractions` either.
+# each loads.  Among them: every op but `verify` of a graph with
+# placements stays on integer rows, so it loads no value layer
+# (`numbers`); `ci` of a points document loads neither the construction,
+# the graphs nor the renderer; `verify` never loads convex_subsets or
+# render; `construct` loads none of convex_subsets, graphs and render;
+# and a malformed document of any kind, a graph with a bad placement or
+# edge too, is refused before the decoder imports another package
+# module.  `fractions` (with `decimal`) loads exactly when `numbers` or
+# the construction does: a level's `eps_history` holds `Fraction`s.
 _ROWS = {"sechain", "sechain.document", "sechain.geometry"}
-_BASE = _ROWS | {"sechain.numbers"}
 _REFUSED = {"sechain", "sechain.document"}
 _OPS = [
     (["--help"], 0, {"sechain"}),
-    (["construct", "-k", "3", "-o", "{out}"], 0, _BASE | {"sechain.construction"}),
+    (["construct", "-k", "3", "-o", "{out}"], 0, _ROWS | {"sechain.construction"}),
     (["graph", "-k", "2", "--placements", "-o", "{out}"], 0,
-     _BASE | {"sechain.construction", "sechain.graphs"}),
-    (["verify", "{level}"], 0, _BASE | {"sechain.construction"}),
-    (["verify", "--json", "{graph}"], 0, _BASE | {"sechain.graphs"}),
+     _ROWS | {"sechain.construction", "sechain.graphs"}),
+    (["verify", "{level}"], 0, _ROWS | {"sechain.construction"}),
+    (["verify", "--json", "{graph}"], 0, _ROWS | {"sechain.numbers", "sechain.graphs"}),
     (["verify", "{bad}"], 2, _REFUSED),
     (["verify", "{zero_den}"], 2, _REFUSED),
     (["verify", "--json", "{bad_pair}"], 2, _REFUSED),
     (["verify", "{graph_zero_den}"], 2, _REFUSED),
     (["verify", "{bad_edge}"], 2, _REFUSED),
     (["render", "{level}", "-o", "{out}"], 0,
-     _BASE | {"sechain.construction", "sechain.render"}),
-    (["ci", "{level}"], 0, _BASE | {"sechain.construction", "sechain.convex_subsets"}),
+     _ROWS | {"sechain.construction", "sechain.render"}),
+    (["ci", "{level}"], 0, _ROWS | {"sechain.construction", "sechain.convex_subsets"}),
     (["ci", "--json", "{points}"], 0, _ROWS | {"sechain.convex_subsets"}),
     (["ci", "--algo", "brute", "--json", "{points}"], 0, _ROWS | {"sechain.convex_subsets"}),
 ]
@@ -109,5 +110,5 @@ def test_op_loads_only_what_it_runs(docs, tmp_path, argv, code, package):
     assert got_code == code
     assert {m for m in loaded if m.split(".")[0] == "sechain"} == package
     assert not loaded & {"dataclasses", "inspect"}
-    if "sechain.numbers" not in package:
-        assert not loaded & {"fractions", "decimal"}
+    fractional = bool(package & {"sechain.construction", "sechain.numbers"})
+    assert ("fractions" in loaded, "decimal" in loaded) == (fractional, fractional)

@@ -19,7 +19,6 @@ from sechain import (
     Level,
     Point,
     QSqrt3,
-    StepOffsets,
     base_case,
     g1,
     pt,
@@ -29,8 +28,8 @@ _README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The public surface: each exported name and the submodule defining it.
 _SURFACE = {
-    "construction": ("EpsilonSearchError", "Level", "STEP_OFFSETS", "StepOffsets",
-                     "base_case", "build", "expected_witness_size", "find_epsilon", "step"),
+    "construction": ("EpsilonSearchError", "Level", "base_case", "build",
+                     "expected_witness_size", "find_epsilon", "step"),
     "convex_subsets": ("CiResult", "ci_bruteforce", "ci_dp"),
     "document": ("DocumentError",),
     "geometry": ("Point", "chain_defect", "convex_hull", "cross", "is_convexly_independent",
@@ -96,8 +95,6 @@ def _records():
     level = base_case()
     return [
         (Point, {"x": QSqrt3(1), "y": QSqrt3(Fraction(1, 2), 3)}, None),
-        (StepOffsets, {"rotated_b_in_a": pt(1, 1), "flat_b_in_b": pt(0, 2),
-                       "rotated_a_in_b": pt(1, Fraction(5, 2))}, None),
         (Level, {"k": level.k, "a": level.a, "b": level.b, "witness": level.witness,
                  "eps_history": level.eps_history}, None),
         (BipartiteGraph, {"u": graph.u, "v": graph.v, "edges": graph.edges},
@@ -148,7 +145,7 @@ def test_record_behaviour(cls, fields, invalid):
 def test_records_of_different_classes_never_equal():
     a, b = pt(0, 0), pt(1, 1)
     assert Point(a.x, a.y) != CiResult(a.x, a.y)
-    assert CiResult(2, (a, b)) != StepOffsets(a, b, a)
+    assert CiResult(2, (a, b)) != BipartiteGraph(("u",), ("v",), (("u", "v"),))
     with pytest.raises(TypeError):
         iter(Point(a.x, a.y))
 
