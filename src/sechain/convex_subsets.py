@@ -15,15 +15,15 @@ Two different algorithms compute the same number:
   longest such path, O(n^3) in all.  Memory is O(n^2): the sorted
   edges as two lists of vertex labels, one entry per directed edge.
 
-  The sort is native: each edge u -> v with u < v gets one exact
-  integer key, the floor of 2**64 * cot(angle), which never decreases as
-  the angle grows, and only edges whose keys are equal (exactly parallel
-  edges, or angles closer than the key resolves) are ordered by the
-  orientation sign.  A key takes sqrt(3) to 128 bits, fixed once, and
-  `floor2` (a square root) only where that leaves two floors open.  The
-  reverses follow in the same order, except that within each group of
-  exactly parallel edges their own tie-break orders them; the groups end
-  where two adjacent edges of a run turn.
+  The sort is native, behind an exact integer filter (Fortune and Van
+  Wyk, 1993; Shewchuk, 1997): each edge u -> v with u < v gets one key by
+  one floor division on integers combined once per point, 2**64 times
+  its pseudo-angle -dx / (|dx| + dy) to within a proven 1/16, so edges
+  whose keys lie more than 1 apart are in order, and only runs of closer
+  keys, exactly parallel edges among them, are ordered by the
+  orientation sign.  The reverses follow in the same order, except that
+  within each group of exactly parallel edges their own tie-break orders
+  them; the groups end where two adjacent edges of a run turn.
 
   Each anchor gets its own bound from two integer passes: a polygon
   anchored at a is one path from a over the up half of the sorted edges
@@ -52,11 +52,11 @@ The oracles independent of that kernel are in `tests/helpers.py` and
 from __future__ import annotations
 
 from functools import cache, cmp_to_key
-from itertools import compress
+from itertools import compress, count, islice
 from math import isqrt
 from typing import Iterable
 
-from .geometry import Point, Record, Scaled, _hull, floor2
+from .geometry import Point, Record, Scaled, _hull
 
 
 class CiResult(Record):
@@ -93,9 +93,9 @@ class CiResult(Record):
 
 
 DP_MAX_POINTS = 2500  # ci_dp's default cap, the larger of the two
-_KEY_BITS = 64  # edge keys resolve cot(angle) to 2**-64
-_ROOT_BITS = 128  # sqrt(3) to 2**-128 decides nearly every key
-_SQRT3_BELOW = isqrt(3 << 2 * _ROOT_BITS)  # < 2**128 * sqrt(3) < itself + 1
+_KEY_BITS = 64  # edge keys resolve the pseudo-angle to 2**-64
+_MARGIN = 1  # keys at most this far apart may be out of angle order
+_BLOCK = 4096  # edges relabelled in place per step
 _PRUNE_ANCHORS = 4  # pruning the edges costs about four relaxations of them
 
 
@@ -146,56 +146,63 @@ def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
     n = len(k)
     rows, cross_sign = k.rows, k.cross_sign
 
-    # Horizontal edges (angle 0) come first.  Every other edge u -> v
-    # has dy > 0 and the key floor(2**64 * -dx/dy), with -dx/dy = (p +
-    # q*sqrt(3)) / d after multiplying by the conjugate of dy; it is
-    # packed above the edge code u*n + v, which is the input order, so
-    # one native sort of the packed ints is a stable sort by key.  The
-    # key is floor2(p << 64, q << 64, d) without its square root: with r
-    # < 2**128 * sqrt(3) < r + 1, (p + q*sqrt(3)) * 2**128 lies between
-    # (p << 128) + q*r and that plus q, so where their floors over d << 64
-    # agree, that floor is the key.
-    shift = (n * n).bit_length()
-    r, lift = _SQRT3_BELOW, _ROOT_BITS - _KEY_BITS
-    flat, packed = [], []
+    # An integer filter orders the up edges by the pseudo-angle g(a, y) =
+    # -a / (|a| + y) of (a, y) = (dx, dy), which rises strictly with the
+    # angle over [0, pi), from -1 (dy = 0) to 1.  Take dx = dxa + dxb*sqrt(3)
+    # and dy on the rows (the scale changes no angle): every component of
+    # a row difference is below 2**b in size.  With f = K + 2b + 8, K =
+    # _KEY_BITS and r = floor(2**f * sqrt(3)), X = (xa << f) + xb*r and Y
+    # alike give 2**f * dx = dX + dxb*phi exactly, phi = 2**f*sqrt(3) - r in
+    # (0, 1), so |dX - 2**f * dx| < 2**b, and the same for dY.
+    # * A nonzero a + c*sqrt(3), |a|, |c| < 2**b, is above 2**(-b-2) in
+    #   size: |a**2 - 3c**2| >= 1 and |a - c*sqrt(3)| < 4 * 2**b.  So dX has
+    #   the sign of dx, as 2**(f-b-2) > 2**b, and dY that of dy: an edge is
+    #   horizontal exactly when dY == 0, and |dX| + dY > 0.
+    # * Both partial derivatives of g are at most 1 / (|a| + y) in size,
+    #   and from (dX, dY) to 2**f * (dx, dy) |a| + y stays above
+    #   2**(f-b-2) - 2**(b+1) = 2**(b+1) * (2**(K+5) - 1).  So t = 2**K *
+    #   g(dx, dy) is within 2**(K+b+1) over that, below 1/16, of 2**K *
+    #   g(dX, dY), whose floor is the key k: k - 1/16 < t < k + 1 + 1/16.
+    # So edges whose keys are more than _MARGIN = 1 apart are in angle
+    # order, and edges of one angle have keys at most 1 apart.  Each key is
+    # packed above the edge code u << w | v, and one native sort of the
+    # packed ints orders the edges by (key, u, v).
+    bits = 1 + max([c.bit_length() for row in rows for c in row], default=0)
+    f = _KEY_BITS + 2 * bits + 8
+    r = isqrt(3 << 2 * f)
+    xs = [(xa << f) + xb * r for xa, xb, _, _ in rows]
+    ys = [(ya << f) + yb * r for _, _, ya, yb in rows]
+    lifted = [x << _KEY_BITS for x in xs]
+    w = (n - 1).bit_length()
+    low, shift = (1 << w) - 1, 2 * w
+    edges = []
     for u in range(n):
-        uxa, uxb, uya, uyb = rows[u]
-        for v in range(u + 1, n):
-            vxa, vxb, vya, vyb = rows[v]
-            dya, dyb = vya - uya, vyb - uyb
-            if not (dya or dyb):
-                flat.append(u * n + v)
-                continue
-            dxa, dxb = vxa - uxa, vxb - uxb
-            p, q, d = 3 * dxb * dyb - dxa * dya, dxa * dyb - dxb * dya, dya * dya - 3 * dyb * dyb
-            low, den = (p << _ROOT_BITS) + q * r, d << lift
-            key = low // den
-            if (low + q) // den != key:
-                key = floor2(p << _KEY_BITS, q << _KEY_BITS, d)
-            packed.append(key << shift | (u * n + v))
-    packed.sort()
-    edges, m, mask = flat + packed, len(flat), (1 << shift) - 1
-    del flat, packed
+        ux, uy, ul, code = xs[u], ys[u], lifted[u], u << w
+        edges += [(ul - vl) // (abs(vx - ux) + vy - uy) << shift | c
+                  for c, vx, vy, vl in zip(range(code + u + 1, code + n), xs[u + 1:], ys[u + 1:], lifted[u + 1:])]
+    edges.sort()
 
-    # Runs [i, j) of more than one edge with one key, the horizontal
-    # edges included, are sorted by the exact comparator, stably, so the
-    # whole order is that of one comparator sort of the edge codes.
-    runs = [[0, m]] if m > 1 else []
-    for i in range(m + 1, len(edges)):
-        if edges[i] >> shift == edges[i - 1] >> shift:
-            if runs and runs[-1][1] == i:
-                runs[-1][1] = i + 1
-            else:
-                runs.append([i - 1, i + 1])
+    # Runs [i, j): maximal stretches of more than one edge, adjacent keys
+    # at most _MARGIN apart.  Sorting each run by the exact comparator,
+    # codes last, gives the order of one stable comparator sort of the
+    # codes.  Such keys pack to ints under (_MARGIN + 1) << shift apart,
+    # the cheaper test, made first; only the run members are listed.
+    near = (_MARGIN + 1) << shift
+    joined = [i for i, a, b in zip(count(1), edges, islice(edges, 1, None))
+              if b - a < near and (b >> shift) - (a >> shift) <= _MARGIN]
+    runs = []
+    for i in joined:  # edge i joins edge i - 1
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i - 1, i + 1])
 
     def turn(c1: int, c2: int) -> int:
         """Sign of edge c1 x edge c2."""
-        u1, v1 = divmod(c1 & mask, n)
-        u2, v2 = divmod(c2 & mask, n)
-        return cross_sign(u1, v1, u2, v2)
+        return cross_sign(c1 >> w & low, c1 & low, c2 >> w & low, c2 & low)
 
     def cmp(c1: int, c2: int) -> int:
-        return -turn(c1, c2) or (c2 & mask) // n - (c1 & mask) // n
+        return -turn(c1, c2) or (c2 >> w & low) - (c1 >> w & low) or (c1 & low) - (c2 & low)
 
     def reverses(codes: list[int]) -> list[int]:
         """A run in up order, as the order of its reverses: the same, but
@@ -204,24 +211,27 @@ def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
         A group ends where two adjacent edges turn: one sign per pair."""
         cuts = [t for t in range(1, len(codes)) if turn(codes[t - 1], codes[t])]
         return [c for a, b in zip([0, *cuts], [*cuts, len(codes)])
-                for c in sorted(codes[a:b], key=lambda c: (c & mask) % n)]
+                for c in sorted(codes[a:b], key=low.__and__)]
 
     for i, j in runs:
         edges[i:j] = sorted(edges[i:j], key=cmp_to_key(cmp))
     label = list(range(n))  # shared int objects: ints past 256 are not cached
 
     def labels(codes: list[int]) -> tuple[list[int], list[int]]:
-        return [label[(c & mask) // n] for c in codes], [label[(c & mask) % n] for c in codes]
+        return [label[c >> w & low] for c in codes], [label[c & low] for c in codes]
 
     # The down half is the up half with each edge reversed, in the same
     # order: reversing both edges keeps every turn sign, so only the
-    # tie-break, inside the runs, moves an edge.  The runs' labels are
-    # taken first, so that deleting `edges` frees every packed int before
-    # the two full label lists are built.
-    up_src, up_dst = labels(edges)
+    # tie-break, inside the runs, moves an edge.  After the runs' labels,
+    # `edges` and a copy of it become the up sources and targets in place,
+    # a block at a time, each packed int freed as its labels replace it.
     down_runs = [(i, j, *labels(reverses(edges[i:j]))) for i, j in runs]
-    del edges
-    src, dst, half = up_src + up_dst, up_dst + up_src, len(up_src)
+    half, dst = len(edges), edges.copy()
+    for i in range(0, half, _BLOCK):
+        edges[i:i + _BLOCK], dst[i:i + _BLOCK] = labels(edges[i:i + _BLOCK])
+    src = edges
+    src += dst
+    dst += src[:half]
     for i, j, run_dst, run_src in down_runs:
         src[half + i:half + j], dst[half + i:half + j] = run_src, run_dst
     return src, dst

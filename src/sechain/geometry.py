@@ -8,8 +8,8 @@ relies on.  All predicates here decide by exact sign computations; there
 is no epsilon anywhere.
 
 The integer kernel lives here: `sign2`, the exact sign of a + b*sqrt(3)
-for integers a and b, `floor2`, and `Record`, the base of the package's
-value records.  `Scaled` is the one point-set kernel on it: a point
+for integers a and b, and `Record`, the base of the package's value
+records.  `Scaled` is the one point-set kernel on it: a point
 sequence as one list of integer rows (xa, xb, ya, yb) over one shared
 scale, read and built as rows by every method.  It gives every
 coordinate and turn sign, and subsets (`take`), dedupes (`distinct`),
@@ -35,7 +35,7 @@ when the turn a -> b -> c is counterclockwise.
 from __future__ import annotations
 
 from functools import cmp_to_key
-from math import gcd, isqrt, lcm, sqrt
+from math import gcd, lcm, sqrt
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:  # a `Point` is built only at the public boundary
@@ -70,16 +70,6 @@ def sign2(a: int, b: int) -> int:
     if lb > la:
         return sb
     return sa if a * a > 3 * b * b else sb
-
-
-def floor2(a: int, b: int, d: int) -> int:
-    """Exact floor of (a + b*sqrt(3)) / d for integers a, b and d != 0."""
-    if d < 0:
-        a, b, d = -a, -b, -d
-    # For b != 0, |b|*sqrt(3) is irrational, so it lies strictly between
-    # r and r + 1; and floor(y / d) = floor(floor(y) / d) for any real y.
-    r = isqrt(3 * b * b)
-    return (a + (r if b >= 0 else -r - 1)) // d
 
 
 class Record:

@@ -16,7 +16,6 @@ from sechain.geometry import (
     Scaled,
     _hull,
     convex_hull,
-    floor2,
     is_convexly_independent,
     midpoint_set,
     pt,
@@ -241,6 +240,49 @@ class TestInvariances:
         assert first == again == third
 
 
+_lattice_st = st.builds(pt, st.integers(0, 4), st.integers(0, 3))
+
+
+@st.composite
+def _collinear_st(draw):
+    base = draw(points_st)
+    dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1), (1, -2)]))
+    line = [base + pt(dx * i, dy * i) for i in range(draw(st.integers(3, 6)))]
+    return line + draw(st.lists(points_st, max_size=4))
+
+
+# The point sets of `TestAnchorBound`, `TestEdgeBound` and `TestEdgeOrder`.
+_small_sets_st = st.one_of(
+    st.lists(points_st, min_size=2, max_size=9),
+    st.lists(_lattice_st, min_size=2, max_size=9),
+    _collinear_st(),
+)
+
+
+def unit_power(m: int) -> tuple[int, int]:
+    """(A, B) with (2 + sqrt(3))**m = A + B*sqrt(3); then A**2 - 3*B**2 = 1
+    and (2 - sqrt(3))**m = A - B*sqrt(3) is below 2**-m."""
+    a, b = 1, 0
+    for _ in range(m):
+        a, b = 2 * a + 3 * b, a + 2 * b
+    return a, b
+
+
+def key_edge(m: int, e: tuple[int, int]) -> tuple[int, int, int, int]:
+    """A row difference (dxa, dxb, dya, dyb) with (2**64 + m)*dx + m*dy = e,
+    componentwise, for an odd m in (-2**64, 0) and dx = dxa + dxb*sqrt(3).
+
+    Its pseudo-angle -dx / (dx + dy) is then m / 2**64 less e over
+    2**64 * (dx + dy), so for a tiny e the edge's exact key, times 2**64,
+    lies within a hair of the integer m, far closer than the filter's
+    error, which alone decides the side of m its key lands on."""
+    lift = (1 << 64) + m
+    dx = [c * pow(lift, -1, -m) % -m for c in e]
+    dy = [(c - lift * x) // m for c, x in zip(e, dx)]
+    assert all(lift * x + m * y == c for c, x, y in zip(e, dx, dy))
+    return dx[0], dx[1], dy[0], dy[1]
+
+
 def by_angle(k: Scaled) -> tuple[list[int], list[int]]:
     """The edge order `ci_dp` must reproduce: one stable comparator sort
     of the upward edge codes u*n + v by angle, then of their reverses,
@@ -316,28 +358,88 @@ class TestEdgeOrder:
         assert brute.size == dp.size
         assert_sound(dp, pts)
 
-    def test_keys_the_fixed_root_leaves_open(self, monkeypatch):
-        # dy = (2 + sqrt(3))**40 = A + B*sqrt(3) has A**2 - 3*B**2 = 1, so
-        # for dx = 1 the two floors of a key, B / 2**64 > 1 apart, differ
-        # and floor2 decides it; from (3, 1) the conjugate's sign is < 0.
-        A, B = 1, 0
-        for _ in range(40):
-            A, B = 2 * A + 3 * B, A + 2 * B
+    def test_rises_of_a_unit_power(self):
+        # dy = (2 + sqrt(3))**40 = A + B*sqrt(3) has A**2 - 3*B**2 = 1, and
+        # from (3, 1) the conjugate's sign is < 0.
+        A, B = unit_power(40)
         assert A * A - 3 * B * B == 1 and B > 2**64
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return floor2(*args)
-
-        monkeypatch.setattr(convex_subsets, "floor2", counting)
         tall = QSqrt3(A, B)
         pts = [pt(0, 0), pt(3, 1)] + [Point(QSqrt3(x), tall) for x in (-1, 0, 1, 2)]
         pts += [Point(QSqrt3(1), tall + 1), Point(QSqrt3(-2), tall * 2)]
         self.assert_comparator_order(pts)
-        assert calls
         brute, dp = both(pts)
         assert brute.size == dp.size
+
+    def test_near_horizontal_edges(self):
+        # Rises of j * (2 - sqrt(3))**37, below 2**-70, over runs of up to
+        # 10**6: pseudo-angles within 2**-64 of a horizontal edge's -1, mixed
+        # with horizontal edges (one rise) and rises of either sign.
+        A, B = unit_power(37)
+        pts = [Point(QSqrt3(x), QSqrt3(j * A, -j * B))
+               for x in (-3, 0, 1, 10**6) for j in (-1, 0, 1, 2)]
+        pts += [Point(QSqrt3(0, 1), QSqrt3(A, -B)), Point(QSqrt3(2, -1), QSqrt3(-A, B))]
+        self.assert_comparator_order(pts)
+        brute, dp = ci_bruteforce(pts), ci_dp(pts)
+        assert brute.size == dp.size
+
+    def test_keys_one_apart(self, monkeypatch):
+        # Edges whose exact keys lie within a hair of one integer, so that
+        # the filter's error decides on which side each key lands: edges
+        # along d and sqrt(3) * d, whose errors have opposite signs, from
+        # two points and from one (where the codes break the tie), and
+        # edges of two directions on either side of that integer.  Each set
+        # has two edges whose keys are 1 apart and out of the comparator's
+        # order, which a margin of 0 would keep.
+        m = -(1 << 63) + 12345
+        A, B = unit_power(100)
+        A2, B2 = unit_power(96)
+        d, e = key_edge(m, (A, -B)), key_edge(m, (-A, B))
+        near = [key_edge(m, (-3 * B2, A2)), key_edge(m, (3 * B2, -A2))]
+        o, c = (0, 0, 0, 0), (-1, 0, 5, 0)
+
+        def sqrt3(r):
+            return 3 * r[1], r[0], 3 * r[3], r[2]
+
+        def plus(r, t):
+            return tuple(map(sum, zip(r, t)))
+
+        for rows in ([o, d, c, plus(c, sqrt3(d))], [o, e, sqrt3(e)],
+                     [o, near[0], c, plus(c, near[1])]):
+            pts = [Point(QSqrt3(xa, xb), QSqrt3(ya, yb)) for xa, xb, ya, yb in rows]
+            self.assert_comparator_order(pts)
+            k = Scaled(sorted(pts, key=lambda p: (p.y, p.x)))
+            with monkeypatch.context() as patch:
+                patch.setattr(convex_subsets, "_MARGIN", 0)
+                assert convex_subsets._angle_sorted_edges(k) != by_angle(k)
+
+    def test_short_edges_of_wide_rows(self):
+        # Coordinates i*e + j*e', e = (2 - sqrt(3))**20 and e' = e * (2 -
+        # sqrt(3)): rows of about 40 bits for differences below 2**-36, where
+        # the combined coordinates are least precise relative to an edge.
+        A, B = unit_power(20)
+        A2, B2 = unit_power(21)
+        rng = random.Random("short-edges")
+        for _ in range(6):
+            pts = [Point(QSqrt3(i * A + j * A2, -i * B - j * B2), QSqrt3(k * A + l * A2, -k * B - l * B2))
+                   for i, j, k, l in (tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(14))]
+            self.assert_comparator_order(pts)
+
+    def test_one_wide_row_sets_the_width(self):
+        # One point of 4000 digits sets the bit bound, and so the filter's
+        # precision, for every edge between the small points too.
+        rng = random.Random("one-wide-row")
+        pts = [Point(QSqrt3(rng.randint(-6, 6), rng.randint(-2, 2)),
+                     QSqrt3(Fraction(rng.randint(-6, 6), 2), rng.randint(-2, 2)))
+               for _ in range(12)]
+        pts.append(pt(10**4000 + 1, Fraction(-(10**4000), 3)))
+        self.assert_comparator_order(pts)
+        brute, dp = both(pts)
+        assert brute.size == dp.size
+
+    @given(_small_sets_st)
+    def test_matches_the_comparator(self, points):
+        ranked = convex_subsets._prepare(points, 10**4, "test").sorted(y_first=True)
+        assert convex_subsets._angle_sorted_edges(ranked) == by_angle(ranked)
 
 
 def anchor_bounds(points) -> tuple[Scaled, list[int]]:
@@ -358,28 +460,11 @@ def largest_by_anchor(ranked: Scaled) -> list[int]:
     return best
 
 
-_lattice_st = st.builds(pt, st.integers(0, 4), st.integers(0, 3))
-
-
-@st.composite
-def _collinear_st(draw):
-    base = draw(points_st)
-    dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1), (1, -2)]))
-    line = [base + pt(dx * i, dy * i) for i in range(draw(st.integers(3, 6)))]
-    return line + draw(st.lists(points_st, max_size=4))
-
-
 class TestAnchorBound:
     """The per-anchor bound that lets `ci_dp` skip an anchor is never below
     the largest convex polygon anchored there."""
 
-    @given(
-        st.one_of(
-            st.lists(points_st, min_size=2, max_size=9),
-            st.lists(_lattice_st, min_size=2, max_size=9),
-            _collinear_st(),
-        )
-    )
+    @given(_small_sets_st)
     def test_at_least_bruteforce_per_anchor(self, points):
         ranked, bounds = anchor_bounds(points)
         for a, size in enumerate(largest_by_anchor(ranked)):
@@ -438,13 +523,7 @@ class TestEdgeBound:
     largest convex polygon that has that edge as a side, and dropping the
     edges leaves the witness as the whole edge list gives it."""
 
-    @given(
-        st.one_of(
-            st.lists(points_st, min_size=2, max_size=9),
-            st.lists(_lattice_st, min_size=2, max_size=9),
-            _collinear_st(),
-        )
-    )
+    @given(_small_sets_st)
     def test_at_least_bruteforce_per_edge(self, points):
         ranked, bounds = edge_bounds(points)
         n = len(ranked)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sechain.geometry import floor2, sign2
+from sechain.geometry import sign2
 from sechain.numbers import QSqrt3
 
 from .helpers import SQRT3, div, interval_sign, nonzero_qsqrt3_st, qsqrt3_st
@@ -178,34 +178,6 @@ class TestSign2:
         a, b = pair
         larger = a if a * a > 3 * b * b else b
         assert sign2(a, b) == (1 if larger > 0 else -1)
-
-
-class TestFloor2:
-    # f = floor((a + b*sqrt(3)) / d) exactly when f <= (a + b*sqrt(3)) / d
-    # < f + 1; for d > 0 that is f*d <= a + b*sqrt(3) < (f + 1)*d, which
-    # sign2 decides on integers, and d < 0 reverses both inequalities.
-    @given(st.one_of(st.tuples(_ints, _ints), _near_sqrt3,
-                     st.tuples(st.integers(), st.integers())),
-           st.one_of(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1)),
-           st.sampled_from((1, -1)))
-    @example((0, 0), 1, 1)
-    @example((97, -56), 1, 1)
-    @example((-97, 56), 1, -1)
-    @example((1351, -780), 7, 1)
-    @example((-(2**64), 1), 2**64, -1)
-    @settings(max_examples=300)
-    def test_bounds_the_value(self, pair, d, sd):
-        a, b = pair
-        f = floor2(a, b, sd * d)
-        assert sd * sign2(a - f * sd * d, b) >= 0
-        assert sd * sign2(a - (f + 1) * sd * d, b) < 0
-
-    def test_examples(self):
-        assert floor2(0, 1, 1) == 1  # sqrt(3) = 1.73...
-        assert floor2(0, -1, 1) == -2
-        assert floor2(7, 0, 2) == 3 and floor2(-7, 0, 2) == -4
-        assert floor2(7, 0, -2) == -4 and floor2(0, 1, -1) == -2
-        assert floor2(0, 10**10, 1) == 17320508075
 
 
 class TestOrdering:
