@@ -272,10 +272,10 @@ def key_edge(m: int, e: tuple[int, int]) -> tuple[int, int, int, int]:
     """A row difference (dxa, dxb, dya, dyb) with (2**64 + m)*dx + m*dy = e,
     componentwise, for an odd m in (-2**64, 0) and dx = dxa + dxb*sqrt(3).
 
-    Its pseudo-angle -dx / (dx + dy) is then m / 2**64 less e over
-    2**64 * (dx + dy), so for a tiny e the edge's exact key, times 2**64,
+    With dx > 0, its pseudo-angle -dx / (dx + dy) is then m / 2**64 less
+    e over 2**64 * (dx + dy), so for a tiny e, 2**64 times the pseudo-angle
     lies within a hair of the integer m, far closer than the filter's
-    error, which alone decides the side of m its key lands on."""
+    error, which alone then decides on which side of m the key lands."""
     lift = (1 << 64) + m
     dx = [c * pow(lift, -1, -m) % -m for c in e]
     dy = [(c - lift * x) // m for c, x in zip(e, dx)]
@@ -414,8 +414,8 @@ class TestEdgeOrder:
 
     def test_short_edges_of_wide_rows(self):
         # Coordinates i*e + j*e', e = (2 - sqrt(3))**20 and e' = e * (2 -
-        # sqrt(3)): rows of about 40 bits for differences below 2**-36, where
-        # the combined coordinates are least precise relative to an edge.
+        # sqrt(3)): rows of up to 41 bits for differences of about 2**-36,
+        # where the combined coordinates are least precise for an edge.
         A, B = unit_power(20)
         A2, B2 = unit_power(21)
         rng = random.Random("short-edges")
