@@ -6,12 +6,12 @@ one contract everywhere: 0 on success (for verify: every check passed),
 unwritable outputs, unreadable or malformed documents, guard violations).
 
 Each handler imports the modules it runs, so an op loads, and without a
-bytecode cache compiles, only those: `ci` of a points document stays on
-integer rows and loads only `document`, `geometry` and `convex_subsets`
-(no `numbers`, no `fractions`), an op on a level loads `construction`
-but no `numbers`, `--help` loads no other package module, and a
-malformed document is refused having loaded only `document`,
-which imports the geometry kernel once a document is well-formed.
+bytecode cache compiles, only those.  Every op stays on integer rows and
+loads none of `numbers`, `fractions` and `decimal`: `ci` of a points
+document loads only `document`, `geometry` and `convex_subsets`,
+`--help` loads no other package module, and a malformed document is
+refused having loaded only `document`, which imports the geometry
+kernel once a document is well-formed.
 """
 
 from __future__ import annotations
@@ -79,22 +79,22 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _graph_checks(graph, placements) -> list[tuple[str, bool, str]]:
-    from .graphs import BipartiteDrawing, drawing_defect, verify_drawing
+    from .graphs import placement_defect
 
     checks: list[tuple[str, bool, str]] = [
         ("graph-structure", True, f"{graph.vertex_count} vertices, "
          f"{graph.edge_count} edges")
     ]
     if placements is not None:
-        missing = (set(graph.u) | set(graph.v)) - set(placements)
+        names, rows = placements
+        missing = (set(graph.u) | set(graph.v)) - set(names)
         if missing:
             checks.append(("placements-complete", False, f"{len(missing)} missing"))
             return checks
         checks.append(("placements-complete", True, ""))
-        drawing = BipartiteDrawing(graph=graph, placement=placements)
-        # A passing drawing costs one check; only a failure is located.
-        ok = verify_drawing(drawing)
-        checks.append(("drawing-chains", ok, "" if ok else drawing_defect(drawing)))
+        at = {name: t for t, name in enumerate(names)}
+        defect = placement_defect(graph, rows.take([at[x] for x in graph.u + graph.v]))
+        checks.append(("drawing-chains", not defect, defect))
     return checks
 
 
@@ -121,8 +121,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if kind == "construction":
         return _report(payload.checks(), args.json)
     if kind == "graph":
-        graph, placements = payload
-        return _report(_graph_checks(graph, placements), args.json)
+        return _report(_graph_checks(*payload), args.json)
     # A bare point set has no invariants beyond being well-formed.
     return _report([("parsed", True, f"{len(payload)} points")], args.json)
 

@@ -20,20 +20,21 @@ Counts follow len(witness_k) = (k + 2) * 2**(k - 1).
 
 Every candidate flattening factor is accepted or rejected by running the
 exact chain predicate on all three glued sequences; nothing is assumed
-about "sufficiently small" beyond what is verified.  A level carries its
-chains from step to step as integer rows over one scale (`Level.chains`);
-`Point`s are built only when `Level.a` or `.b` is read.
+about "sufficiently small" beyond what is verified.  A level holds its
+chains as integer rows and its factors as pairs of ints; `Point`s and
+`Fraction`s are built only when `.a`, `.b` or `.eps_history` is read.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .geometry import (Record, Row, Scaled, chain_defect, is_convexly_independent,
                        is_south_east_chain)
 
-if TYPE_CHECKING:  # a `Point` is built only when `Level.a` or `.b` is read
+if TYPE_CHECKING:  # built only when `Level.a`, `.b` or `.eps_history` is read
+    from fractions import Fraction
+
     from .geometry import Point
 
 IndexPair = tuple[int, int]
@@ -51,35 +52,43 @@ class Level(Record):
 
     It takes chains a and b as `Point`s and holds them as integer rows:
     `chains` has a's n points, then b's, over their least scale, so equal
-    rows are equal points.  Constructing a Level proves nothing:
-    `base_case`, `step` and `build` return proved levels; a decoded
-    document is unverified until `checks()` or `validate()` re-proves it.
+    rows are equal points; `eps_pairs` holds the factors as reduced pairs
+    (p, q), q > 0.  Constructing a Level proves nothing: `base_case`,
+    `step` and `build` return proved levels; a decoded document is
+    unverified until `checks()` or `validate()` re-proves it.
     """
 
-    __slots__ = ("k", "chains", "n", "witness", "eps_history")
+    __slots__ = ("k", "chains", "n", "witness", "eps_pairs")
     k: int
     chains: Scaled
     n: int
     witness: tuple[IndexPair, ...]
-    eps_history: tuple[Fraction, ...]
+    eps_pairs: tuple[tuple[int, int], ...]
 
     def __init__(self, k: int, a: Sequence[Point], b: Sequence[Point],
                  witness: tuple[IndexPair, ...], eps_history: tuple[Fraction, ...]) -> None:
-        self._set(k, Scaled([*a, *b]), len(a), witness, eps_history)
+        self._set(k, Scaled([*a, *b]), len(a), witness,
+                  tuple((e.numerator, e.denominator) for e in eps_history))
 
     @classmethod
     def from_rows(cls, k: int, chains: Scaled, n: int, witness: tuple[IndexPair, ...],
-                  eps_history: tuple[Fraction, ...]) -> Level:
+                  eps_pairs: tuple[tuple[int, int], ...]) -> Level:
         """The level of chain a = the first n rows of `chains`, b = the rest."""
         level = cls.__new__(cls)
-        level._set(k, chains.reduced(), n, witness, eps_history)
+        level._set(k, chains.reduced(), n, witness, eps_pairs)
         return level
 
     a = property(lambda self: tuple(self.chains.take(range(self.n)).points()))
     b = property(lambda self: tuple(self.chains.take(range(self.n, len(self.chains))).points()))
 
+    @property
+    def eps_history(self) -> tuple[Fraction, ...]:  # `eps_pairs` as `Fraction`s
+        from fractions import Fraction
+
+        return tuple([Fraction(p, q) for p, q in self.eps_pairs])
+
     def _values(self) -> tuple:  # for == and hash: rows over the least scale are points
-        return self.k, self.n, self.witness, self.eps_history, self.chains.s, *self.chains.rows
+        return self.k, self.n, self.witness, self.eps_pairs, self.chains.s, *self.chains.rows
 
     def _fields(self) -> dict[str, object]:
         return dict(k=self.k, a=self.a, b=self.b, witness=self.witness,
@@ -96,7 +105,7 @@ class Level(Record):
         trusted: `k` is bounded by the chain length before 2**k is
         computed, and an out-of-range witness pair fails a check.
         """
-        k, both, n, witness, eps = self.k, self.chains, self.n, self.witness, self.eps_history
+        k, both, n, witness, eps = self.k, self.chains, self.n, self.witness, self.eps_pairs
         n_b = len(both) - n
         counts = f"|a|={n} |b|={n_b} |witness|={len(witness)} expected "
         counts_ok = 1 <= k <= n.bit_length()
@@ -106,7 +115,7 @@ class Level(Record):
             counts_ok = n == 2**k == n_b and len(witness) == size
         else:
             counts += f"2**k points per chain with k={k}"
-        if len(eps) != k - 1 or any(e <= 0 for e in eps):
+        if len(eps) != k - 1 or any(p <= 0 for p, _ in eps):
             counts += f"; |eps_history|={len(eps)} expected {k - 1}, all positive"
             counts_ok = False
 
@@ -158,12 +167,13 @@ def base_case() -> Level:
     return level
 
 
-def step(level: Level, eps: Fraction) -> Optional[Level]:
-    """One doubling with flattening factor eps.
+def step(level: Level, eps: Fraction | int | tuple[int, int]) -> Optional[Level]:
+    """One doubling with flattening factor eps: an int, a `Fraction`, or
+    a reduced pair (p, q), q > 0, as `find_epsilon` passes it.
 
     Returns the next level, or None when any of the three glued
     sequences fails the exact chain predicate (the factor was not small
-    enough).  An eps <= 0 is a usage error, not a rejection.
+    enough).  An eps <= 0 or a float is a usage error, not a rejection.
 
     The work is done on the level's integer rows over its scale s, and
     no `Point` is built: `Scaled.flattened`, the map that
@@ -172,9 +182,11 @@ def step(level: Level, eps: Fraction) -> Optional[Level]:
     scaled up to t to meet them, and the new level is kept over its
     least scale.
     """
-    eps = Fraction(eps)
+    if isinstance(eps, float):
+        raise TypeError("flattening factor must be int or Fraction, not float")
+    p, q = eps if isinstance(eps, tuple) else (eps.numerator, eps.denominator)
     n, m = level.n, len(level.chains)
-    flat, rot = level.chains.flattened(eps)
+    flat, rot = level.chains.flattened(p, q)
     t, up = flat.s, flat.s // 2  # an integer over 2 is up times itself over t
     flat, rot = flat.rows, rot.rows
 
@@ -205,7 +217,7 @@ def step(level: Level, eps: Fraction) -> Optional[Level]:
     ):
         return None
     return Level.from_rows(level.k + 1, both, m, tuple(new_witness),
-                           level.eps_history + (eps,))
+                           level.eps_pairs + ((p, q),))
 
 
 class EpsilonSearchError(RuntimeError):
@@ -218,25 +230,24 @@ def find_epsilon(level: Level, max_exponent: int = 256) -> Level:
     The search starts at the previous doubling's exponent (1 at the base
     case), clamped to [1, max_exponent].  If that is accepted it walks
     down while m - 1 is accepted too, else up to the first accepted m.
-    Each candidate is decided by running `step`, and the level `step`
-    proved is returned; its factor is `eps_history[-1]`, and twice it was
-    run and rejected unless m = 1.  "Largest" rests on "smaller keeps
-    working": factors above a rejected one are not tried.  A cap below 1
-    leaves no factor to try and raises ValueError.
+    Each candidate is decided by running `step` on the pair (1, 2**m), and
+    the level `step` proved is returned; its factor is `eps_history[-1]`,
+    and twice it was run and rejected unless m = 1.  "Largest" rests on
+    "smaller keeps working": factors above a rejected one are not tried.
+    A cap below 1 leaves no factor to try and raises ValueError.
     """
     if max_exponent < 1:
         raise ValueError(f"the exponent cap must be at least 1, not {max_exponent}")
-    history = level.eps_history
-    m = history[-1].denominator.bit_length() - 1 if history else 1
+    m = level.eps_pairs[-1][1].bit_length() - 1 if level.eps_pairs else 1
     m = max(1, min(m, max_exponent))
-    nxt = step(level, Fraction(1, 2**m))
+    nxt = step(level, (1, 2**m))
     if nxt is not None:
-        while m > 1 and (up := step(level, Fraction(1, 2 ** (m - 1)))) is not None:
+        while m > 1 and (up := step(level, (1, 2 ** (m - 1)))) is not None:
             nxt, m = up, m - 1
         return nxt
     while m < max_exponent:
         m += 1
-        nxt = step(level, Fraction(1, 2**m))
+        nxt = step(level, (1, 2**m))
         if nxt is not None:
             return nxt
     raise EpsilonSearchError(

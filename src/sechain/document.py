@@ -21,15 +21,15 @@ is imported, so a malformed file of any kind, a graph with a bad edge
 or placement too, is refused having loaded no other package module;
 only a well-formed graph loads `graphs`, whose `BipartiteGraph` checks
 its structure.  Then the document imports the geometry kernel, once, to
-turn its coordinates into rows: a construction keeps them
-(`Level.from_rows` brings them to the least scale), and placements
-become their `Point`s (`Scaled.points`).  A point set stays on its rows
-in `load_path`, which the CLI reads, and `loads` makes its `Point`s at
-its own boundary, so `ci` of a point set builds no `Point` and loads
-neither `numbers` nor `fractions`.  Parsing does NOT re-prove the
-geometric invariants: a well-formed file whose chains are broken parses
-fine and is rejected later by verification, which keeps "unreadable
-input" and "readable but wrong" distinguishable.
+turn its coordinates into rows, and `load_path`, which the CLI reads,
+keeps every coordinate on them: a construction's (`Level.from_rows`
+brings them to the least scale; its factors are (num, den) pairs
+reduced by their gcd), a point set's and a graph's placements.  `loads`
+makes their `Point`s at its own boundary, so no CLI op loads `numbers`
+or `fractions`.  Parsing does NOT re-prove the geometric invariants: a
+well-formed file whose chains are broken parses fine and is rejected
+later by verification, which keeps "unreadable input" and "readable
+but wrong" distinguishable.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 if TYPE_CHECKING:  # the decoders import these once a document is well-formed
-    from fractions import Fraction
-
     from .construction import Level
     from .geometry import Point, Scaled
     from .graphs import BipartiteGraph
@@ -61,10 +59,6 @@ class DocumentError(ValueError):
 
 
 # -- encoding --------------------------------------------------------------
-
-
-def encode_fraction(value: Fraction) -> dict[str, str]:
-    return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
 def encode_points(points: Scaled) -> list[dict[str, Any]]:
@@ -225,7 +219,7 @@ def construction_to_document(level: Level) -> dict[str, Any]:
         "kind": "construction",
         "metadata": {
             "k": level.k,
-            "eps_history": [encode_fraction(e) for e in level.eps_history],
+            "eps_history": [{"num": str(p), "den": str(q)} for p, q in level.eps_pairs],
             "counts": {"a": n, "b": len(points) - n, "witness": len(witness)},
         },
         "objects": {
@@ -254,12 +248,10 @@ def _decode_construction(document: dict[str, Any]) -> Level:
             raise _fail("index out of range", at)
         witness.append((i, j))
 
-    from fractions import Fraction
-
     from .construction import Level
 
-    return Level.from_rows(k, _scaled(a + b), len(a), tuple(witness),
-                           tuple(Fraction(num, den) for num, den in eps_history))
+    return Level.from_rows(k, _scaled(a + b), len(a), tuple(witness),  # factors reduced
+                           tuple((p // (g := gcd(p, q)), q // g) for p, q in eps_history))
 
 
 # -- point set documents ----------------------------------------------------
@@ -313,7 +305,7 @@ def graph_to_document(
 
 def _decode_graph(
     document: dict[str, Any]
-) -> tuple[BipartiteGraph, Optional[dict[str, Point]]]:
+) -> tuple[BipartiteGraph, Optional[tuple[list[str], Scaled]]]:
     objects = _field(document, "objects", dict)
     entry = _field(objects, "graph", dict, ("objects",))
     path = ("objects", "graph")
@@ -332,9 +324,7 @@ def _decode_graph(
         graph = BipartiteGraph(u=u, v=v, edges=edges)
     except ValueError as exc:
         raise DocumentError(str(exc), "objects.graph") from exc
-    if placed is None:
-        return graph, None
-    return graph, dict(zip(placed, _scaled(list(placed.values())).points()))
+    return graph, None if placed is None else ([*placed], _scaled([*placed.values()]))
 
 
 # -- entry points ------------------------------------------------------------
@@ -344,7 +334,7 @@ ParsedDocument = tuple[str, Any]
 
 
 def _decode(text: str) -> ParsedDocument:
-    """`loads`, but a point set stays on its rows: a `Scaled`."""
+    """`loads` on rows: a point set is a `Scaled`, placements (names, `Scaled`)."""
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -380,12 +370,15 @@ def loads(text: str) -> ParsedDocument:
     list of Points, or a (BipartiteGraph, placements-or-None) pair.
     """
     kind, payload = _decode(text)
+    if kind == "graph" and payload[1] is not None:
+        names, rows = payload[1]
+        return kind, (payload[0], dict(zip(names, rows.points())))
     return kind, payload.points() if kind == "points" else payload
 
 
 def load_path(path: str) -> ParsedDocument:
-    """Read and parse a document file: `loads`, except that a point set
-    stays on its rows, a `Scaled`, which is what the CLI computes on."""
+    """Read and parse a document file: `loads`, except that coordinates
+    stay on rows, as in `_decode`, which is what the CLI computes on."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()

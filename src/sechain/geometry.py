@@ -23,10 +23,9 @@ checks, `render` and `ci` compute in it.
 
 `Point`s, over `numbers.QSqrt3` and `fractions.Fraction`, are built only
 at the public boundary (`pt`, `Scaled.points`), and only those two
-import them: this module imports neither at load, so an op that stays
-on rows, such as `ci` of a point set, never loads the value layer.  The
-`Point` value forms these paths are tested against (flattening,
-rotation, midpoints, slopes) live in `tests/helpers.py`.
+import them, so no CLI op, each of which stays on rows, loads the value
+layer.  The `Point` value forms these paths are tested against
+(flattening, rotation, midpoints, slopes) live in `tests/helpers.py`.
 Slope monotonicity is tested with cross products rather than divisions:
 for segments with positive dx, slope(a,b) < slope(b,c) holds exactly
 when the turn a -> b -> c is counterclockwise.
@@ -257,17 +256,16 @@ class Scaled:
                 break
         return Scaled.from_rows(list(rows), 2 * self.s)
 
-    def flattened(self, eps: Fraction) -> tuple[Scaled, Scaled]:
-        """The points flattened, (x, y) -> (eps*x, eps**2*y), and those turned
-        60 degrees counterclockwise, both over t = 2*s*q**2 for eps = p/q > 0.
+    def flattened(self, p: int, q: int) -> tuple[Scaled, Scaled]:
+        """The points flattened, (x, y) -> (eps*x, eps**2*y) for eps = p/q, and
+        those turned 60 degrees counterclockwise, both over t = 2*s*q**2.
 
         Flattening multiplies x by p*q and y by p**2 (over s*q**2) and scales
         every slope by eps.  Rotation, ((x - sqrt(3)*y) / 2, (sqrt(3)*x + y) / 2),
         is then exact over t, and the flat copy is doubled to meet it.
         """
-        if eps <= 0:
+        if p * q <= 0:
             raise ValueError("flattening factor must be positive")
-        p, q = eps.numerator, eps.denominator
         fx, fy = p * q, p * p
         flat, rot = [], []
         for xa, xb, ya, yb in self.rows:
@@ -341,7 +339,7 @@ def transform_chains(chain: Sequence[Point], eps: Fraction) -> tuple[list[Point]
     validation happens here; callers decide which of the copies must
     satisfy the chain predicate.
     """
-    flat, rotated = Scaled(chain).flattened(eps)
+    flat, rotated = Scaled(chain).flattened(eps.numerator, eps.denominator)
     return flat.points(), rotated.points()
 
 

@@ -14,7 +14,8 @@ built level, and edge t corresponds to witness pair t.  A
 re-checks, by exact predicates only, that both parts and the edge
 midpoints form south-east chains, and `drawing_defect` says where they
 do not.  Both parts' placements go into one `geometry.Scaled`, and the
-edge midpoints are its row sums over `BipartiteGraph.index_pairs()`.
+edge midpoints are its row sums over `BipartiteGraph.index_pairs()`:
+`placement_defect` checks such rows, as `verify` of a document does.
 `level_graph` checks the family graph against a built level, whose
 chains then place `graph.u + graph.v` in order: `graph --placements`
 encodes those rows as they are, and `drawing_from_level` makes them
@@ -148,7 +149,11 @@ def drawing_defect(drawing: BipartiteDrawing) -> str:
     indices in that sorted order.  Coincident midpoints (or coincident
     part vertices) fail: strict x increase rules them out.
     """
-    graph, k = drawing.graph, drawing._scaled()
+    return placement_defect(drawing.graph, drawing._scaled())
+
+
+def placement_defect(graph: BipartiteGraph, k: Scaled) -> str:
+    """`drawing_defect` of the rows `k` placing `graph.u + graph.v` in order."""
     n = len(graph.u)
     sequences = (
         ("part u", k.take(range(n))),

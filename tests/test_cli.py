@@ -27,6 +27,7 @@ from sechain.document import (
     dumps,
     encode_points,
     graph_to_document,
+    loads,
     points_to_document,
 )
 from sechain.geometry import Point, Scaled, pt
@@ -215,6 +216,28 @@ class TestVerify:
             "FAIL  chain-b  (x does not strictly increase at indices 1,2)"
             in capsys.readouterr().out
         )
+
+    def test_placements_in_any_document_order(self, tmp_path, capsys):
+        # verify puts the placement rows in `graph.u + graph.v` order by name.
+        doc = tmp_path / "g3.json"
+        assert main(["graph", "-k", "3", "--placements", "-o", str(doc)]) == 0
+        payload = json.loads(doc.read_text())
+        placed = payload["objects"]["placements"]["points"]
+        payload["objects"]["placements"]["points"] = dict(reversed(placed.items()))
+        doc.write_text(json.dumps(payload))
+        assert main(["verify", str(doc)]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+
+    def test_empty_placements_are_incomplete(self, tmp_path, capsys):
+        # `{}` is placements that place nothing, not a graph without them.
+        doc = tmp_path / "g2.json"
+        assert main(["graph", "-k", "2", "--placements", "-o", str(doc)]) == 0
+        payload = json.loads(doc.read_text())
+        payload["objects"]["placements"]["points"] = {}
+        doc.write_text(json.dumps(payload))
+        assert loads(doc.read_text())[1][1] == {}
+        assert main(["verify", str(doc)]) == 1
+        assert "FAIL  placements-complete  (8 missing)" in capsys.readouterr().out
 
     def test_corrupted_placement_fails(self, tmp_path, capsys):
         doc = tmp_path / "g2.json"

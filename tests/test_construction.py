@@ -107,6 +107,12 @@ class TestStep:
             with pytest.raises(ValueError):
                 step(base_case(), eps)
 
+    def test_refuses_float_eps(self):
+        # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10.
+        for eps in (0.1, 1 / 32):
+            with pytest.raises(TypeError):
+                step(base_case(), eps)
+
     def test_rejects_large_eps(self):
         # Flattening too little leaves the glued sequences out of order.
         for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8),

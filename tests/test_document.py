@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sechain.construction import base_case, build
+from sechain.construction import Level, base_case, build
 from sechain.document import (
     FORMAT_VERSION,
     DocumentError,
     construction_to_document,
     dumps,
-    encode_fraction,
     graph_to_document,
     load_path,
     loads,
@@ -36,10 +35,27 @@ def _load_eps(fraction: dict) -> Fraction:
 
 class TestFractionCodec:
     def test_encode(self):
-        assert encode_fraction(Fraction(-3, 7)) == {"num": "-3", "den": "7"}
+        lv = build(2)
+        level = Level(lv.k, lv.a, lv.b, lv.witness, (Fraction(-3, 7),))
+        assert construction_to_document(level)["metadata"]["eps_history"] == [
+            {"num": "-3", "den": "7"}
+        ]
 
     def test_decode_normalizes(self):
         assert _load_eps({"num": "2", "den": "4"}) == Fraction(1, 2)
+
+    def test_decoded_pairs_are_reduced(self):
+        # 2/4 and 1/2 give one level: equal, of one hash, written alike.
+        levels = []
+        for num, den in (("2", "4"), ("1", "2")):
+            document = construction_to_document(build(2))
+            document["metadata"]["eps_history"][0] = {"num": num, "den": den}
+            levels.append(loads(json.dumps(document))[1])
+        assert levels[0] == levels[1] and hash(levels[0]) == hash(levels[1])
+        assert levels[0].eps_pairs == ((1, 2),)
+        assert construction_to_document(levels[0]) == construction_to_document(levels[1])
+        assert _load_eps({"num": "0", "den": "5"}) == 0
+        assert _load_eps({"num": "-6", "den": "4"}) == Fraction(-3, 2)
 
     def test_decode_rejects_bad_strings(self):
         for num in ("1.5", "0x3", "", "two", "1/2"):

@@ -72,15 +72,14 @@ def docs(tmp_path_factory):
 
 
 # The benchmarked ops, their exit code and exactly the package modules
-# each loads.  Among them: every op but `verify` of a graph with
-# placements stays on integer rows, so it loads no value layer
-# (`numbers`); `ci` of a points document loads neither the construction,
-# the graphs nor the renderer; `verify` never loads convex_subsets or
-# render; `construct` loads none of convex_subsets, graphs and render;
-# and a malformed document of any kind, a graph with a bad placement or
-# edge too, is refused before the decoder imports another package
-# module.  `fractions` (with `decimal`) loads exactly when `numbers` or
-# the construction does: a level's `eps_history` holds `Fraction`s.
+# each loads.  Among them: every op stays on integer rows, a level's
+# flattening factors and a graph's placements included, so none loads
+# the value layer (`numbers`, `fractions` or `decimal`); `ci` of a points
+# document loads neither the construction, the graphs nor the renderer;
+# `verify` never loads convex_subsets or render; `construct` loads none
+# of convex_subsets, graphs and render; and a malformed document of any
+# kind, a graph with a bad placement or edge too, is refused before the
+# decoder imports another package module.
 _ROWS = {"sechain", "sechain.document", "sechain.geometry"}
 _REFUSED = {"sechain", "sechain.document"}
 _OPS = [
@@ -89,7 +88,7 @@ _OPS = [
     (["graph", "-k", "2", "--placements", "-o", "{out}"], 0,
      _ROWS | {"sechain.construction", "sechain.graphs"}),
     (["verify", "{level}"], 0, _ROWS | {"sechain.construction"}),
-    (["verify", "--json", "{graph}"], 0, _ROWS | {"sechain.numbers", "sechain.graphs"}),
+    (["verify", "--json", "{graph}"], 0, _ROWS | {"sechain.graphs"}),
     (["verify", "{bad}"], 2, _REFUSED),
     (["verify", "{zero_den}"], 2, _REFUSED),
     (["verify", "--json", "{bad_pair}"], 2, _REFUSED),
@@ -109,6 +108,4 @@ def test_op_loads_only_what_it_runs(docs, tmp_path, argv, code, package):
     got_code, loaded = _loaded(argv)
     assert got_code == code
     assert {m for m in loaded if m.split(".")[0] == "sechain"} == package
-    assert not loaded & {"dataclasses", "inspect"}
-    fractional = bool(package & {"sechain.construction", "sechain.numbers"})
-    assert ("fractions" in loaded, "decimal" in loaded) == (fractional, fractional)
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "sechain.numbers"}
