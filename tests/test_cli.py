@@ -217,17 +217,6 @@ class TestVerify:
             in capsys.readouterr().out
         )
 
-    def test_placements_in_any_document_order(self, tmp_path, capsys):
-        # verify puts the placement rows in `graph.u + graph.v` order by name.
-        doc = tmp_path / "g3.json"
-        assert main(["graph", "-k", "3", "--placements", "-o", str(doc)]) == 0
-        payload = json.loads(doc.read_text())
-        placed = payload["objects"]["placements"]["points"]
-        payload["objects"]["placements"]["points"] = dict(reversed(placed.items()))
-        doc.write_text(json.dumps(payload))
-        assert main(["verify", str(doc)]) == 0
-        assert "all checks passed" in capsys.readouterr().out
-
     def test_empty_placements_are_incomplete(self, tmp_path, capsys):
         # `{}` is placements that place nothing, not a graph without them.
         doc = tmp_path / "g2.json"

@@ -392,6 +392,13 @@ class TestLevelValidate:
         with pytest.raises(ValueError):
             bad.validate()
 
+    def test_nonpositive_history_entry(self):
+        lv = build(2)
+        for eps in (Fraction(0), Fraction(-1, 32)):
+            bad = Level(lv.k, lv.a, lv.b, lv.witness, (eps,))
+            with pytest.raises(ValueError, match="all positive"):
+                bad.validate()
+
     def test_non_chain_midpoints(self):
         bad = self._tamper(witness=((0, 0), (1, 1), (1, 0)))
         with pytest.raises(ValueError):
