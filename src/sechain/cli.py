@@ -21,9 +21,9 @@ import os
 import sys
 from typing import Callable, Optional, Sequence
 
-# construct -k 12 takes about 1.1 s at 78 MB peak RSS (a 6.4 MB document,
-# 2 cores, Python 3.11) and runs to exit 0 under a 192 MiB RLIMIT_AS; each
-# further level about doubles both.
+# construct -k 12 takes about 0.6 s at 46 MiB peak RSS (a 6.4 MB document
+# written from rows, 2 cores, Python 3.11) and runs to exit 0 under an
+# 80 MiB RLIMIT_AS; each further level about doubles both.
 _DEFAULT_MAX_K = 12
 _DEFAULT_MAX_EPS_EXPONENT = 256
 
@@ -65,14 +65,14 @@ def _level_options_refused(args: argparse.Namespace) -> bool:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     from .construction import build
-    from .document import construction_to_document, dumps
+    from .document import Items, construction_to_document, dumps
 
     if _level_options_refused(args):
         return 2
 
     def text() -> str:
         level = build(args.k, max_eps_exponent=args.max_eps_exponent)
-        return dumps(construction_to_document(level))
+        return dumps(construction_to_document(level, Items))
 
     _write_output(text, args.output)
     return 0
@@ -128,7 +128,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_ci(args: argparse.Namespace) -> int:
     from .convex_subsets import DP_MAX_POINTS, ci_bruteforce, ci_dp
-    from .document import dumps, encode_points, load_path
+    from .document import Items, dumps, encode_points, load_path
 
     kind, payload = load_path(args.input)  # a point set as its rows
     if kind == "construction":
@@ -147,7 +147,7 @@ def _cmd_ci(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        witness = encode_points(result.witness_rows)
+        witness = encode_points(result.witness_rows, Items)
         payload_out = {"algo": args.algo, "size": result.size, "witness": witness}
         sys.stdout.write(dumps(payload_out))
     else:
@@ -166,12 +166,12 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         if not args.placements:
             return edge_list_text(family(args.k))
         from .construction import build
-        from .document import dumps, graph_to_document
+        from .document import Items, dumps, graph_to_document
         from .graphs import level_graph
 
         # family(k), checked against the level's witness, placed on its rows.
         level = build(args.k, max_eps_exponent=args.max_eps_exponent)
-        return dumps(graph_to_document(level_graph(level), level.chains, k=args.k))
+        return dumps(graph_to_document(level_graph(level), level.chains, args.k, Items))
 
     _write_output(text, args.output)
     return 0

@@ -3,42 +3,34 @@
 Every coordinate travels as four decimal strings (numerator and
 denominator of the rational part and of the sqrt(3) coefficient), so
 files are loss-free and reruns are byte-identical.  All documents carry
-the format tag "sechain/1".  There is one coordinate codec, on
-`geometry.Scaled` rows: `encode_points` writes every point of a
-construction, a point set, a graph's placements and `ci --json`'s
-witness, one gcd per component, and `_scaled` decodes every document
-kind into rows over the lcm of its denominators.  `dumps` writes the
-canonical text (sorted keys, two-space indent) itself.
+the format tag "sechain/1".  One builder per kind lays a document out,
+its points and pairs in an encoding: `plain` JSON values, or `Items`,
+which `dumps`, the canonical writer (sorted keys, two-space indent),
+writes with one `%` template per item, its layout's text.  So one point
+template, filled from `geometry.Scaled` rows with one gcd per component,
+is the coordinate codec, and `_scaled` decodes into rows again.
 
 Parsing is strict about structure (types, integer syntax, positive
 denominators, index ranges) and raises `DocumentError` with a dotted
-path to the offending field, carried as a tuple and written out only
-when a check fails.  One reader, `_ratios`, reads every point's eight
-decimal strings (chains, point sets, placements) as plain ints, x then
-y, p then q, num then den, and checks each denominator where it reads
-it.  Every field of a document is read before any other package module
-is imported, so a malformed file of any kind, a graph with a bad edge
-or placement too, is refused having loaded no other package module;
-only a well-formed graph loads `graphs`, whose `BipartiteGraph` checks
-its structure.  Then the document imports the geometry kernel, once, to
-turn its coordinates into rows, and `load_path`, which the CLI reads,
-keeps every coordinate on them: a construction's (`Level.from_rows`
-brings them to the least scale; its factors are (num, den) pairs
-reduced by their gcd), a point set's and a graph's placements.  `loads`
-makes their `Point`s at its own boundary, so no CLI op loads `numbers`
-or `fractions`.  Parsing does NOT re-prove the geometric invariants: a
-well-formed file whose chains are broken parses fine and is rejected
-later by verification, which keeps "unreadable input" and "readable
-but wrong" distinguishable.
+path to the offending field.  One reader, `_ratios`, reads a point's
+eight decimal strings as ints, x then y, p then q, num then den.  Every
+field, and a graph's structure, is checked before another package
+module is imported; then the geometry kernel turns the coordinates into
+rows, which `load_path`, the CLI's reader, keeps (`loads` makes
+`Point`s of them), so no CLI op loads `numbers` or `fractions`.  Parsing
+does NOT re-prove the geometric invariants: a well-formed file whose
+chains are broken is rejected later by verification, which keeps
+"unreadable input" and "readable but wrong" distinguishable.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
 if TYPE_CHECKING:  # the decoders import these once a document is well-formed
     from .construction import Level
@@ -61,29 +53,55 @@ class DocumentError(ValueError):
 # -- encoding --------------------------------------------------------------
 
 
-def encode_points(points: Scaled) -> list[dict[str, Any]]:
-    """Each point as its four components, x.p, x.q, y.p and y.q, each a
-    reduced fraction: one gcd with the scale per component."""
+class _Slot(str):
+    """A sample item's field, "%s": `dumps` writes it bare, its `str` in quotes."""
+
+
+def _point(parts: tuple) -> dict[str, Any]:
+    """A point's layout from its eight components in sorted-key order: den
+    and num of x.p, x.q, y.p and y.q, each written as a string."""
+    xpd, xpn, xqd, xqn, ypd, ypn, yqd, yqn = map(str, parts)
+    return {"x": {"p": {"den": xpd, "num": xpn}, "q": {"den": xqd, "num": xqn}},
+            "y": {"p": {"den": ypd, "num": ypn}, "q": {"den": yqd, "num": yqn}}}
+
+
+def plain(make: Callable[[tuple], Any], items: Iterable[tuple], keys: Any = None) -> Any:
+    """Items of one layout, each `make` of its fields, in a list or in a
+    dict under `keys`: the encoding of plain JSON values."""
+    made = [make(fields) for fields in items]
+    return made if keys is None else dict(zip(keys, made))
+
+
+class Items:
+    """The encoding that `dumps` writes by template, one `%` fill per item:
+    `plain`'s arguments, kept; `items` is read once."""
+
+    __slots__ = ("make", "items", "keys")
+
+    def __init__(self, make: Callable[[tuple], Any], items: Iterable[tuple], keys: Any = None):
+        self.make, self.items, self.keys = make, items, keys
+
+
+def encode_points(points: Scaled, encode: Callable[..., Any] = plain, keys: Any = None) -> Any:
+    """The points in the encoding `encode`, each a `_point` whose fractions
+    are reduced by one gcd with the scale each."""
     s = points.s
-
-    def part(c: int) -> dict[str, str]:
-        g = gcd(c, s)
-        return {"num": str(c // g), "den": str(s // g)}
-
-    return [{"x": {"p": part(xa), "q": part(xb)}, "y": {"p": part(ya), "q": part(yb)}}
-            for xa, xb, ya, yb in points.rows]
+    return encode(_point, ((s // (g := gcd(xa, s)), xa // g, s // (h := gcd(xb, s)), xb // h,
+                            s // (i := gcd(ya, s)), ya // i, s // (j := gcd(yb, s)), yb // j)
+                           for xa, xb, ya, yb in points.rows), keys)
 
 
 def dumps(document: Any) -> str:
     """Canonical text form: sorted keys, two-space indent, newline end.
 
     The bytes of `json.dumps(document, sort_keys=True, indent=2) + "\\n"`,
-    whose indented encode CPython runs in pure Python.  Only str-keyed
-    dicts, lists, strs, ints, bools and None are written; anything else
-    raises TypeError.
+    whose indented encode CPython runs in pure Python, with each `Items`
+    node written as its plain form.  Only str-keyed dicts, lists, strs,
+    ints, bools and None are written; anything else raises TypeError.
     """
     chunks: list[str] = []
     put = chunks.append
+    templates: dict[tuple, str] = {}
 
     def write(value: Any, indent: str) -> None:
         kind = type(value)
@@ -108,6 +126,28 @@ def dumps(document: Any) -> str:
             put("null" if value is None else "true" if value else "false")
         elif kind is int:
             put(str(value))
+        elif kind is Items:
+            items, inner, keyed = iter(value.items), indent + "  ", value.keys is not None
+            first = next(items, None)
+            if first is None:
+                put("{}" if keyed else "[]")
+                return
+            template = templates.get((value.make, inner))
+            if template is None:  # an item's text at this indent, `%s` per field
+                sample = dumps(value.make((_Slot("%s"),) * len(first)))
+                template = templates[value.make, inner] = sample[:-1].replace("\n", inner)
+            items = chain((first,), items)
+            if type(first[0]) is str:  # names, escaped as a str is written
+                items = [tuple(map(encode_basestring_ascii, fields)) for fields in items]
+            texts = [template % fields for fields in items]
+            if keyed:
+                texts = [f"{encode_basestring_ascii(key)}: {text}"
+                         for key, text in sorted(zip(value.keys, texts))]
+            put(("{" if keyed else "[") + inner)
+            put(f",{inner}".join(texts))
+            put(indent + ("}" if keyed else "]"))
+        elif kind is _Slot:
+            put("%s")
         else:
             raise TypeError(f"cannot write a {kind.__name__}")
 
@@ -151,7 +191,7 @@ def _items(obj: dict, key: str, kind: type, path: tuple) -> Iterator[tuple[Any, 
         yield _expect(item, kind, at), at
 
 
-def _pair(item: list, path: tuple, kind: type = str) -> tuple[Any, Any]:
+def _pair_of(item: list, path: tuple, kind: type = str) -> tuple[Any, Any]:
     """A list of exactly two `kind`s; a JSON bool never passes for an int."""
     if len(item) != 2:
         raise _fail("expected a pair", path)
@@ -212,20 +252,22 @@ def _scaled(decoded: list[list[int]]) -> Scaled:
 # -- construction documents -------------------------------------------------
 
 
-def construction_to_document(level: Level) -> dict[str, Any]:
-    points, n, witness = encode_points(level.chains), level.n, level.witness
+def construction_to_document(level: Level, encode: Callable[..., Any] = plain) -> dict[str, Any]:
+    """The level's document, its points and pairs in the encoding `encode`."""
+    chains, n, witness = level.chains, level.n, level.witness
+    a, b = (encode_points(chains.take(r), encode) for r in (range(n), range(n, len(chains))))
     return {
         "version": FORMAT_VERSION,
         "kind": "construction",
         "metadata": {
             "k": level.k,
             "eps_history": [{"num": str(p), "den": str(q)} for p, q in level.eps_pairs],
-            "counts": {"a": n, "b": len(points) - n, "witness": len(witness)},
+            "counts": {"a": n, "b": len(chains) - n, "witness": len(witness)},
         },
         "objects": {
-            "a_chain": {"type": "chain", "points": points[:n]},
-            "b_chain": {"type": "chain", "points": points[n:]},
-            "witness_pairs": {"type": "index_pairs", "pairs": [[i, j] for i, j in witness]},
+            "a_chain": {"type": "chain", "points": a},
+            "b_chain": {"type": "chain", "points": b},
+            "witness_pairs": {"type": "index_pairs", "pairs": encode(list, witness)},
         },
     }
 
@@ -243,7 +285,7 @@ def _decode_construction(document: dict[str, Any]) -> Level:
     pairs = _field(objects, "witness_pairs", dict, ("objects",))
     witness = []
     for item, at in _items(pairs, "pairs", list, ("objects", "witness_pairs")):
-        i, j = _pair(item, at, int)
+        i, j = _pair_of(item, at, int)
         if not (0 <= i < len(a) and 0 <= j < len(b)):
             raise _fail("index out of range", at)
         witness.append((i, j))
@@ -257,14 +299,14 @@ def _decode_construction(document: dict[str, Any]) -> Level:
 # -- point set documents ----------------------------------------------------
 
 
-def points_to_document(points: list[Point]) -> dict[str, Any]:
+def points_to_document(points: list[Point], encode: Callable[..., Any] = plain) -> dict[str, Any]:
     from .geometry import Scaled
 
     return {
         "version": FORMAT_VERSION,
         "kind": "points",
         "objects": {
-            "points": {"type": "point_set", "points": encode_points(Scaled(points))}
+            "points": {"type": "point_set", "points": encode_points(Scaled(points), encode)}
         },
     }
 
@@ -272,13 +314,10 @@ def points_to_document(points: list[Point]) -> dict[str, Any]:
 # -- graph documents --------------------------------------------------------
 
 
-def graph_to_document(
-    graph: BipartiteGraph,
-    placements: Optional[Scaled] = None,
-    k: Optional[int] = None,
-) -> dict[str, Any]:
+def graph_to_document(graph: BipartiteGraph, placements: Optional[Scaled] = None,
+                      k: Optional[int] = None, encode: Callable[..., Any] = plain) -> dict[str, Any]:
     """The graph, and the placements of its vertices in `graph.u + graph.v`
-    order if given."""
+    order if given; edges and placements in the encoding `encode`."""
     document: dict[str, Any] = {
         "version": FORMAT_VERSION,
         "kind": "graph",
@@ -288,7 +327,7 @@ def graph_to_document(
                 "type": "bipartite_graph",
                 "u": list(graph.u),
                 "v": list(graph.v),
-                "edges": [[a, b] for a, b in graph.edges],
+                "edges": encode(list, graph.edges),
             }
         },
     }
@@ -298,9 +337,27 @@ def graph_to_document(
             raise ValueError(f"{len(placements)} placements for {len(names)} vertices")
         document["objects"]["placements"] = {
             "type": "placement",
-            "points": dict(zip(names, encode_points(placements))),
+            "points": encode_points(placements, encode, names),
         }
     return document
+
+
+def structure_defect(u: tuple[str, ...], v: tuple[str, ...],
+                     edges: tuple[tuple[str, str], ...]) -> str:
+    """The first structure defect of a bipartite graph, "" if none: the
+    three checks need only sets of names, so a document's graph is
+    refused before `graphs` loads, and `BipartiteGraph` runs them too."""
+    u_set, v_set = set(u), set(v)
+    if len(u_set) != len(u) or len(v_set) != len(v):
+        return "duplicate vertex name inside a part"
+    if u_set & v_set:
+        return "parts must be disjoint"
+    if len(set(edges)) != len(edges):
+        return "duplicate edge"
+    for a, b in edges:
+        if a not in u_set or b not in v_set:
+            return f"edge ({a}, {b}) does not match the parts"
+    return ""
 
 
 def _decode_graph(
@@ -310,7 +367,7 @@ def _decode_graph(
     entry = _field(objects, "graph", dict, ("objects",))
     path = ("objects", "graph")
     u, v = (tuple(name for name, _ in _items(entry, key, str, path)) for key in ("u", "v"))
-    edges = tuple(_pair(item, at) for item, at in _items(entry, "edges", list, path))
+    edges = tuple(_pair_of(item, at) for item, at in _items(entry, "edges", list, path))
     placed = None
     if "placements" in objects:
         entry = _field(objects, "placements", dict, ("objects",))
@@ -318,12 +375,12 @@ def _decode_graph(
         for name, item in _field(entry, "points", dict, ("objects", "placements")).items():
             at = ("objects", "placements", "points", (name,))
             placed[name] = _ratios(_expect(item, dict, at), at)
-    from .graphs import BipartiteGraph  # which checks the structure
+    defect = structure_defect(u, v, edges)
+    if defect:
+        raise DocumentError(defect, "objects.graph")
+    from .graphs import BipartiteGraph
 
-    try:
-        graph = BipartiteGraph(u=u, v=v, edges=edges)
-    except ValueError as exc:
-        raise DocumentError(str(exc), "objects.graph") from exc
+    graph = BipartiteGraph(u=u, v=v, edges=edges)
     return graph, None if placed is None else ([*placed], _scaled([*placed.values()]))
 
 

@@ -4,28 +4,23 @@ The family starts from the path-plus-pendant graph on parts of size two
 and doubles: each doubling takes two disjoint copies, swaps the parts of
 the second copy, and adds a perfect matching between the first-part
 vertices of both copies.  Vertex names record the copy choices made on
-the way down ("0:" for the plain copy, "1:" for the swapped one), so
-equality of names is equality of recursion paths.
+the way down ("0:" for the plain copy, "1:" for the swapped one).
 
-Part lists and the edge list are kept in construction order on purpose:
-vertex t of a part corresponds to point t of the matching chain of a
-built level, and edge t corresponds to witness pair t.  A
-`BipartiteDrawing` places vertices on the plane; `verify_drawing`
-re-checks, by exact predicates only, that both parts and the edge
-midpoints form south-east chains, and `drawing_defect` says where they
-do not.  Both parts' placements go into one `geometry.Scaled`, and the
-edge midpoints are its row sums over `BipartiteGraph.index_pairs()`:
-`placement_defect` checks such rows, as `verify` of a document does.
-`level_graph` checks the family graph against a built level, whose
-chains then place `graph.u + graph.v` in order: `graph --placements`
-encodes those rows as they are, and `drawing_from_level` makes them
-`Point`s.
+Parts and edges keep construction order: vertex t of a part is point t
+of the matching chain of a built level, and edge t is witness pair t.
+`document.structure_defect` checks a graph's structure on names alone.
+`placement_defect` checks, by exact signs, that both parts and the edge
+midpoints of rows placing `graph.u + graph.v` form south-east chains;
+`drawing_defect` and `verify_drawing` do so for a `BipartiteDrawing`,
+and `level_graph` checks the family graph against a built level, whose
+chains then place it.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping
 
+from .document import structure_defect
 from .geometry import Point, Record, Scaled, chain_defect
 
 if TYPE_CHECKING:  # only for type annotations; no runtime cycle
@@ -45,16 +40,9 @@ class BipartiteGraph(Record):
     def __init__(self, u: tuple[str, ...], v: tuple[str, ...],
                  edges: tuple[Edge, ...]) -> None:
         self._set(u, v, edges)
-        u_set, v_set = set(u), set(v)
-        if len(u_set) != len(u) or len(v_set) != len(v):
-            raise ValueError("duplicate vertex name inside a part")
-        if u_set & v_set:
-            raise ValueError("parts must be disjoint")
-        if len(set(edges)) != len(edges):
-            raise ValueError("duplicate edge")
-        for a, b in edges:
-            if a not in u_set or b not in v_set:
-                raise ValueError(f"edge ({a}, {b}) does not match the parts")
+        defect = structure_defect(u, v, edges)
+        if defect:
+            raise ValueError(defect)
 
     def index_pairs(self) -> list[tuple[int, int]]:
         """Each edge as (position in u, position in v), in edge order."""

@@ -1,26 +1,34 @@
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sechain.cli import main
 from sechain.construction import Level, base_case, build
+from sechain.convex_subsets import ci_bruteforce, ci_dp
 from sechain.document import (
     FORMAT_VERSION,
     DocumentError,
+    Items,
     construction_to_document,
     dumps,
+    encode_points,
     graph_to_document,
     load_path,
     loads,
+    plain,
     points_to_document,
 )
-from sechain.geometry import Point, pt
-from sechain.graphs import drawing_from_level, family, g1
+from sechain.geometry import Point, Scaled, pt
+from sechain.graphs import BipartiteGraph, drawing_from_level, family, g1
 from sechain.numbers import QSqrt3
 
 from .helpers import reference_level
@@ -312,6 +320,86 @@ class TestCanonicalWriter:
         for document in (bad, [tree, bad], {"a": tree, "b": [bad]}):
             with pytest.raises(TypeError):
                 dumps(document)
+
+
+# The templates against the plain form they stand for: `dumps` of a
+# builder's `Items` encoding must equal `dumps` of its plain encoding, and
+# so `json.dumps`.  Components are negative, zero or thousands of digits
+# long, over scales that are mostly not powers of two; names carry
+# quotes, backslashes, control, non-ASCII and lone surrogate characters.
+_components = st.one_of(st.integers(-(10**12), 10**12), _big_ints)
+_scales = st.one_of(st.integers(1, 10**12), st.builds(lambda d: 10**d + 3, st.integers(1, 4000)))
+
+
+def _rows(n):
+    return st.builds(Scaled.from_rows,
+                     st.lists(st.tuples(*[_components] * 4), min_size=n, max_size=n), _scales)
+
+
+def _both(make):
+    """`dumps` of `make(Items)` and of `make(plain)`, which `json.dumps` writes too."""
+    text = dumps(make(plain))
+    assert text == json.dumps(make(plain), sort_keys=True, indent=2) + "\n"
+    return dumps(make(Items)), text
+
+
+class TestTemplates:
+    @given(st.integers(0, 6).flatmap(_rows), st.integers(0, 6).flatmap(_rows))
+    def test_points_at_several_indents(self, a, b):
+        # a twice at one indent, so through one template; b deeper; empty lists.
+        first, second = _both(lambda encode: {
+            "a": encode_points(a, encode), "b": [encode_points(b, encode), {}],
+            "c": {"d": encode_points(b, encode), "e": encode_points(a, encode)},
+            "f": encode_points(Scaled.from_rows([], 3), encode),
+        })
+        assert first == second
+
+    @given(st.lists(st.tuples(_components, _components), max_size=6))
+    def test_int_pairs(self, pairs):
+        first, second = _both(lambda encode: {"pairs": encode(list, pairs), "more": [
+            encode(list, pairs[::-1])]})
+        assert first == second
+
+    @given(st.lists(_text, unique=True, max_size=8), st.data())
+    def test_graphs_with_placements(self, names, data):
+        n = data.draw(st.integers(0, len(names)))
+        u, v = tuple(names[:n]), tuple(names[n:])
+        edges = st.lists(st.tuples(st.sampled_from(u), st.sampled_from(v)), unique=True,
+                         max_size=8) if u and v else st.just([])
+        graph = BipartiteGraph(u, v, tuple(data.draw(edges)))
+        placements = data.draw(_rows(len(names)))
+        for rows in (None, placements):
+            first, second = _both(lambda encode: graph_to_document(graph, rows, 3, encode))
+            assert first == second
+
+    @given(st.lists(st.tuples(*[st.fractions(-9, 9, max_denominator=6)] * 3), max_size=9),
+           st.sampled_from(("dp", "brute")))
+    @settings(max_examples=40, deadline=None)
+    def test_points_documents_and_ci_witnesses(self, coords, algo):
+        points = [Point(QSqrt3(x, q), QSqrt3(y)) for x, q, y in coords]
+        first, second = _both(lambda encode: points_to_document(points, encode))
+        assert first == second
+        if not points:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/points.json"
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(first)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["ci", "--algo", algo, "--json", path]) == 0
+        result = (ci_dp if algo == "dp" else ci_bruteforce)(Scaled(points).distinct())
+        witness = encode_points(result.witness_rows)
+        assert out.getvalue() == dumps({"algo": algo, "size": result.size, "witness": witness})
+
+    def test_levels(self):
+        for k in range(1, 6):
+            level = build(k)
+            first, second = _both(lambda encode: construction_to_document(level, encode))
+            assert first == second
+            graph = drawing_from_level(level).graph
+            first, second = _both(lambda encode: graph_to_document(graph, level.chains, k, encode))
+            assert first == second
 
 
 # -- decoder message sweep ------------------------------------------------

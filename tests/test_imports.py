@@ -48,7 +48,7 @@ def test_import_sechain_loads_no_submodule():
 def docs(tmp_path_factory):
     base = tmp_path_factory.mktemp("docs")
     names = ("level", "graph", "points", "bad", "zero_den", "bad_pair", "graph_zero_den",
-             "bad_edge")
+             "bad_edge", "dup_edge")
     paths = {name: base / f"{name}.json" for name in names}
     assert main(["construct", "-k", "2", "-o", str(paths["level"])]) == 0
     assert main(["graph", "-k", "2", "--placements", "-o", str(paths["graph"])]) == 0
@@ -57,13 +57,15 @@ def docs(tmp_path_factory):
     paths["bad"].write_text('{"version": "sechain/1"}', encoding="utf-8")
     # Malformed only past both chains: the last coordinate of chain b, and
     # the last witness pair; in a graph, the last placement, and an edge
-    # of three names, read before the structure is checked.
+    # of three names, read before the structure is checked.  A repeated
+    # edge is well-formed, and its structure is refused on names alone.
     for name, source, edit in (
         ("zero_den", "level", lambda o: o["b_chain"]["points"][-1]["y"]["q"].update(den="0")),
         ("bad_pair", "level", lambda o: o["witness_pairs"]["pairs"][-1].__setitem__(1, 4)),
         ("graph_zero_den", "graph",
          lambda o: [*o["placements"]["points"].values()][-1]["y"]["q"].update(den="0")),
         ("bad_edge", "graph", lambda o: o["graph"]["edges"][-1].append(o["graph"]["v"][0])),
+        ("dup_edge", "graph", lambda o: o["graph"]["edges"].append(o["graph"]["edges"][0])),
     ):
         document = json.loads(paths[source].read_text(encoding="utf-8"))
         edit(document["objects"])
@@ -79,7 +81,8 @@ def docs(tmp_path_factory):
 # `verify` never loads convex_subsets or render; `construct` loads none
 # of convex_subsets, graphs and render; and a malformed document of any
 # kind, a graph with a bad placement or edge too, is refused before the
-# decoder imports another package module.
+# decoder imports another package module, and so is a well-formed graph
+# whose structure is invalid.
 _ROWS = {"sechain", "sechain.document", "sechain.geometry"}
 _REFUSED = {"sechain", "sechain.document"}
 _OPS = [
@@ -94,6 +97,7 @@ _OPS = [
     (["verify", "--json", "{bad_pair}"], 2, _REFUSED),
     (["verify", "{graph_zero_den}"], 2, _REFUSED),
     (["verify", "{bad_edge}"], 2, _REFUSED),
+    (["verify", "{dup_edge}"], 2, _REFUSED),
     (["render", "{level}", "-o", "{out}"], 0,
      _ROWS | {"sechain.construction", "sechain.render"}),
     (["ci", "{level}"], 0, _ROWS | {"sechain.construction", "sechain.convex_subsets"}),
