@@ -171,7 +171,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
         # family(k), checked against the level's witness, placed on its rows.
         level = build(args.k, max_eps_exponent=args.max_eps_exponent)
-        return dumps(graph_to_document(level_graph(level), level.chains, args.k, Items))
+        return dumps(graph_to_document(level_graph(level), level.chains, k=args.k, encode=Items))
 
     _write_output(text, args.output)
     return 0

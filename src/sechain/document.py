@@ -3,24 +3,37 @@
 Every coordinate travels as four decimal strings (numerator and
 denominator of the rational part and of the sqrt(3) coefficient), so
 files are loss-free and reruns are byte-identical.  All documents carry
-the format tag "sechain/1".  One builder per kind lays a document out,
-its points and pairs in an encoding: `plain` JSON values, or `Items`,
-which `dumps`, the canonical writer (sorted keys, two-space indent),
-writes with one `%` template per item, its layout's text.  So one point
-template, filled from `geometry.Scaled` rows with one gcd per component,
-is the coordinate codec, and `_scaled` decodes into rows again.
+the format tag "sechain/1".  One builder per document kind lays it out,
+its points and pairs in an encoding: `plain` gives JSON values, and
+`Items` keeps the fields for `dumps`, which writes the canonical text
+(sorted keys, two-space indent) itself, each item as one fill of a `%`
+template made from its layout.  So one point template is the coordinate
+codec: filled from `geometry.Scaled` rows, one gcd per component, it
+writes every point of a construction, a point set, a graph's placements
+and `ci --json`'s witness; `_scaled` decodes every document kind into
+rows over the lcm of its denominators.
 
 Parsing is strict about structure (types, integer syntax, positive
 denominators, index ranges) and raises `DocumentError` with a dotted
-path to the offending field.  One reader, `_ratios`, reads a point's
-eight decimal strings as ints, x then y, p then q, num then den.  Every
-field, and a graph's structure, is checked before another package
-module is imported; then the geometry kernel turns the coordinates into
-rows, which `load_path`, the CLI's reader, keeps (`loads` makes
-`Point`s of them), so no CLI op loads `numbers` or `fractions`.  Parsing
-does NOT re-prove the geometric invariants: a well-formed file whose
-chains are broken is rejected later by verification, which keeps
-"unreadable input" and "readable but wrong" distinguishable.
+path to the offending field, carried as a tuple and written out only
+when a check fails.  One reader, `_ratios`, reads every point's eight
+decimal strings (chains, point sets, placements) as plain ints, x then
+y, p then q, num then den, and checks each denominator where it reads
+it.  Every field of a document is read before any other package module
+is imported, and a graph's structure is checked on names alone
+(`structure_defect`, which `BipartiteGraph` runs too), so a malformed
+file of any kind, a graph with a bad edge or placement or an invalid
+structure too, is refused having loaded no other package module.  Then
+the document imports the geometry kernel, once, to turn its coordinates
+into rows, and `load_path`, which the CLI reads, keeps every coordinate
+on them: a construction's (`Level.from_rows`
+brings them to the least scale; its factors are (num, den) pairs
+reduced by their gcd), a point set's and a graph's placements.  `loads`
+makes their `Point`s at its own boundary, so no CLI op loads `numbers`
+or `fractions`.  Parsing does NOT re-prove the geometric invariants: a
+well-formed file whose chains are broken parses fine and is rejected
+later by verification, which keeps "unreadable input" and "readable
+but wrong" distinguishable.
 """
 
 from __future__ import annotations
@@ -191,7 +204,7 @@ def _items(obj: dict, key: str, kind: type, path: tuple) -> Iterator[tuple[Any, 
         yield _expect(item, kind, at), at
 
 
-def _pair_of(item: list, path: tuple, kind: type = str) -> tuple[Any, Any]:
+def _pair(item: list, path: tuple, kind: type = str) -> tuple[Any, Any]:
     """A list of exactly two `kind`s; a JSON bool never passes for an int."""
     if len(item) != 2:
         raise _fail("expected a pair", path)
@@ -285,7 +298,7 @@ def _decode_construction(document: dict[str, Any]) -> Level:
     pairs = _field(objects, "witness_pairs", dict, ("objects",))
     witness = []
     for item, at in _items(pairs, "pairs", list, ("objects", "witness_pairs")):
-        i, j = _pair_of(item, at, int)
+        i, j = _pair(item, at, int)
         if not (0 <= i < len(a) and 0 <= j < len(b)):
             raise _fail("index out of range", at)
         witness.append((i, j))
@@ -314,8 +327,12 @@ def points_to_document(points: list[Point], encode: Callable[..., Any] = plain) 
 # -- graph documents --------------------------------------------------------
 
 
-def graph_to_document(graph: BipartiteGraph, placements: Optional[Scaled] = None,
-                      k: Optional[int] = None, encode: Callable[..., Any] = plain) -> dict[str, Any]:
+def graph_to_document(
+    graph: BipartiteGraph,
+    placements: Optional[Scaled] = None,
+    k: Optional[int] = None,
+    encode: Callable[..., Any] = plain,
+) -> dict[str, Any]:
     """The graph, and the placements of its vertices in `graph.u + graph.v`
     order if given; edges and placements in the encoding `encode`."""
     document: dict[str, Any] = {
@@ -367,7 +384,7 @@ def _decode_graph(
     entry = _field(objects, "graph", dict, ("objects",))
     path = ("objects", "graph")
     u, v = (tuple(name for name, _ in _items(entry, key, str, path)) for key in ("u", "v"))
-    edges = tuple(_pair_of(item, at) for item, at in _items(entry, "edges", list, path))
+    edges = tuple(_pair(item, at) for item, at in _items(entry, "edges", list, path))
     placed = None
     if "placements" in objects:
         entry = _field(objects, "placements", dict, ("objects",))

@@ -4,16 +4,23 @@ The family starts from the path-plus-pendant graph on parts of size two
 and doubles: each doubling takes two disjoint copies, swaps the parts of
 the second copy, and adds a perfect matching between the first-part
 vertices of both copies.  Vertex names record the copy choices made on
-the way down ("0:" for the plain copy, "1:" for the swapped one).
+the way down ("0:" for the plain copy, "1:" for the swapped one), so
+equality of names is equality of recursion paths.
 
-Parts and edges keep construction order: vertex t of a part is point t
-of the matching chain of a built level, and edge t is witness pair t.
-`document.structure_defect` checks a graph's structure on names alone.
-`placement_defect` checks, by exact signs, that both parts and the edge
-midpoints of rows placing `graph.u + graph.v` form south-east chains;
-`drawing_defect` and `verify_drawing` do so for a `BipartiteDrawing`,
-and `level_graph` checks the family graph against a built level, whose
-chains then place it.
+Part lists and the edge list are kept in construction order on purpose:
+vertex t of a part corresponds to point t of the matching chain of a
+built level, and edge t corresponds to witness pair t.  Their structure
+is checked on names alone, by `document.structure_defect`.  A
+`BipartiteDrawing` places vertices on the plane; `verify_drawing`
+re-checks, by exact predicates only, that both parts and the edge
+midpoints form south-east chains, and `drawing_defect` says where they
+do not.  Both parts' placements go into one `geometry.Scaled`, and the
+edge midpoints are its row sums over `BipartiteGraph.index_pairs()`:
+`placement_defect` checks such rows, as `verify` of a document does.
+`level_graph` checks the family graph against a built level, whose
+chains then place `graph.u + graph.v` in order: `graph --placements`
+encodes those rows as they are, and `drawing_from_level` makes them
+`Point`s.
 """
 
 from __future__ import annotations
