@@ -147,8 +147,10 @@ def dumps(document: Any) -> str:
                 return
             template = templates.get((value.make, inner))
             if template is None:  # an item's text at this indent, `%s` per field
-                sample = dumps(value.make((_Slot("%s"),) * len(first)))
-                template = templates[value.make, inner] = sample[:-1].replace("\n", inner)
+                mark = len(chunks)
+                write(value.make((_Slot("%s"),) * len(first)), inner)
+                template = templates[value.make, inner] = "".join(chunks[mark:])
+                del chunks[mark:]
             items = chain((first,), items)
             if type(first[0]) is str:  # names, escaped as a str is written
                 items = [tuple(map(encode_basestring_ascii, fields)) for fields in items]

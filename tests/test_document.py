@@ -336,29 +336,28 @@ def _rows(n):
                      st.lists(st.tuples(*[_components] * 4), min_size=n, max_size=n), _scales)
 
 
-def _both(make):
-    """`dumps` of `make(Items)` and of `make(plain)`, which `json.dumps` writes too."""
+def _same_text(make):
+    """`dumps` of `make(Items)`, required equal to `dumps` of `make(plain)`,
+    which `json.dumps` writes too; `make` is called afresh each time."""
     text = dumps(make(plain))
     assert text == json.dumps(make(plain), sort_keys=True, indent=2) + "\n"
-    return dumps(make(Items)), text
+    assert dumps(make(Items)) == text
+    return text
 
 
 class TestTemplates:
     @given(st.integers(0, 6).flatmap(_rows), st.integers(0, 6).flatmap(_rows))
     def test_points_at_several_indents(self, a, b):
         # a twice at one indent, so through one template; b deeper; empty lists.
-        first, second = _both(lambda encode: {
+        _same_text(lambda encode: {
             "a": encode_points(a, encode), "b": [encode_points(b, encode), {}],
             "c": {"d": encode_points(b, encode), "e": encode_points(a, encode)},
             "f": encode_points(Scaled.from_rows([], 3), encode),
         })
-        assert first == second
 
     @given(st.lists(st.tuples(_components, _components), max_size=6))
     def test_int_pairs(self, pairs):
-        first, second = _both(lambda encode: {"pairs": encode(list, pairs), "more": [
-            encode(list, pairs[::-1])]})
-        assert first == second
+        _same_text(lambda encode: {"a": encode(list, pairs), "b": [encode(list, pairs[::-1])]})
 
     @given(st.lists(_text, unique=True, max_size=8), st.data())
     def test_graphs_with_placements(self, names, data):
@@ -369,22 +368,20 @@ class TestTemplates:
         graph = BipartiteGraph(u, v, tuple(data.draw(edges)))
         placements = data.draw(_rows(len(names)))
         for rows in (None, placements):
-            first, second = _both(lambda encode: graph_to_document(graph, rows, 3, encode))
-            assert first == second
+            _same_text(lambda encode: graph_to_document(graph, rows, 3, encode))
 
     @given(st.lists(st.tuples(*[st.fractions(-9, 9, max_denominator=6)] * 3), max_size=9),
            st.sampled_from(("dp", "brute")))
     @settings(max_examples=40, deadline=None)
     def test_points_documents_and_ci_witnesses(self, coords, algo):
         points = [Point(QSqrt3(x, q), QSqrt3(y)) for x, q, y in coords]
-        first, second = _both(lambda encode: points_to_document(points, encode))
-        assert first == second
+        text = _same_text(lambda encode: points_to_document(points, encode))
         if not points:
             return
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/points.json"
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write(first)
+                handle.write(text)
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 assert main(["ci", "--algo", algo, "--json", path]) == 0
@@ -392,14 +389,24 @@ class TestTemplates:
         witness = encode_points(result.witness_rows)
         assert out.getvalue() == dumps({"algo": algo, "size": result.size, "witness": witness})
 
+    def test_templates_are_written_by_the_same_call(self, monkeypatch):
+        # perfbench counts the bytes that each `dumps` call returns.
+        calls = []
+
+        def counted(document):
+            calls.append(document)
+            return dumps(document)
+
+        monkeypatch.setattr("sechain.document.dumps", counted)
+        counted(construction_to_document(build(3), Items))
+        assert len(calls) == 1
+
     def test_levels(self):
         for k in range(1, 6):
             level = build(k)
-            first, second = _both(lambda encode: construction_to_document(level, encode))
-            assert first == second
             graph = drawing_from_level(level).graph
-            first, second = _both(lambda encode: graph_to_document(graph, level.chains, k, encode))
-            assert first == second
+            _same_text(lambda encode: construction_to_document(level, encode))
+            _same_text(lambda encode: graph_to_document(graph, level.chains, k, encode))
 
 
 # -- decoder message sweep ------------------------------------------------
