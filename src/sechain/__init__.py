@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("construction", ("EpsilonSearchError", "Level", "base_case", "build",
-                          "expected_witness_size", "find_epsilon", "step")),
+        ("construction", ("EpsilonSearchError", "base_case", "build", "find_epsilon", "step")),
         ("convex_subsets", ("CiResult", "ci_bruteforce", "ci_dp")),
         ("document", ("DocumentError",)),
         ("geometry", ("Point", "chain_defect", "convex_hull", "cross",
@@ -23,6 +22,7 @@ _EXPORTS = {
                       "pt", "transform_chains")),
         ("graphs", ("BipartiteDrawing", "BipartiteGraph", "double", "drawing_from_level",
                     "edge_list_text", "family", "g1", "verify_drawing")),
+        ("level", ("Level", "expected_witness_size")),
         ("numbers", ("QSqrt3",)),
     )
     for name in names

@@ -6,12 +6,13 @@ one contract everywhere: 0 on success (for verify: every check passed),
 unwritable outputs, unreadable or malformed documents, guard violations).
 
 Each handler imports the modules it runs, so an op loads, and without a
-bytecode cache compiles, only those.  Every op stays on integer rows and
-loads none of `numbers`, `fractions` and `decimal`: `ci` of a points
-document loads only `document`, `geometry` and `convex_subsets`,
-`--help` loads no other package module, and a malformed document is
-refused having loaded only `document`, which imports the geometry
-kernel once a document is well-formed.
+bytecode cache compiles, only those: the record `level` to read a level,
+the builder `construction` only to build one, and `writer` only to write
+a document or `--json`.  Every op stays on integer rows and loads none
+of `numbers`, `fractions` and `decimal`, `--help` loads no other package
+module, and a malformed document is refused having loaded only
+`document`, which imports the geometry kernel once a document is
+well-formed.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_ci(args: argparse.Namespace) -> int:
     from .convex_subsets import DP_MAX_POINTS, ci_bruteforce, ci_dp
-    from .document import Items, dumps, encode_points, load_path
+    from .document import load_path
 
     kind, payload = load_path(args.input)  # a point set as its rows
     if kind == "construction":
@@ -147,6 +148,8 @@ def _cmd_ci(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
+        from .document import Items, dumps, encode_points
+
         witness = encode_points(result.witness_rows, Items)
         payload_out = {"algo": args.algo, "size": result.size, "witness": witness}
         sys.stdout.write(dumps(payload_out))

@@ -1,17 +1,11 @@
-"""Exact JSON documents for constructions, point sets, and graphs.
+"""Exact JSON documents for constructions, point sets, and graphs: the reader.
 
 Every coordinate travels as four decimal strings (numerator and
 denominator of the rational part and of the sqrt(3) coefficient), so
 files are loss-free and reruns are byte-identical.  All documents carry
-the format tag "sechain/1".  One builder per document kind lays it out,
-its points and pairs in an encoding: `plain` gives JSON values, and
-`Items` keeps the fields for `dumps`, which writes the canonical text
-(sorted keys, two-space indent) itself, each item as one fill of a `%`
-template made from its layout.  So one point template is the coordinate
-codec: filled from `geometry.Scaled` rows, one gcd per component, it
-writes every point of a construction, a point set, a graph's placements
-and `ci --json`'s witness; `_scaled` decodes every document kind into
-rows over the lcm of its denominators.
+the format tag "sechain/1".  `writer` writes them; its public names
+resolve here too, imported on first access and kept here, so an op that
+only reads never compiles the writer.
 
 Parsing is strict about structure (types, integer syntax, positive
 denominators, index ranges) and raises `DocumentError` with a dotted
@@ -19,40 +13,47 @@ path to the offending field, carried as a tuple and written out only
 when a check fails.  One reader, `_ratios`, reads every point's eight
 decimal strings (chains, point sets, placements) as plain ints, x then
 y, p then q, num then den, and checks each denominator where it reads
-it.  Every field of a document is read before any other package module
-is imported, and a graph's structure is checked on names alone
-(`structure_defect`, which `BipartiteGraph` runs too), so a malformed
-file of any kind, a graph with a bad edge or placement or an invalid
-structure too, is refused having loaded no other package module.  Then
-the document imports the geometry kernel, once, to turn its coordinates
-into rows, and `load_path`, which the CLI reads, keeps every coordinate
-on them: a construction's (`Level.from_rows`
-brings them to the least scale; its factors are (num, den) pairs
-reduced by their gcd), a point set's and a graph's placements.  `loads`
-makes their `Point`s at its own boundary, so no CLI op loads `numbers`
-or `fractions`.  Parsing does NOT re-prove the geometric invariants: a
-well-formed file whose chains are broken parses fine and is rejected
-later by verification, which keeps "unreadable input" and "readable
-but wrong" distinguishable.
+it.  Every field of a document is read, and a graph's structure is
+checked on names alone (`structure_defect`, which `BipartiteGraph` runs
+too), before any other package module is imported, so a malformed file
+of any kind, an invalid graph structure too, is refused having loaded no
+other package module.  Then `_scaled` imports the geometry kernel, once,
+and puts the points on rows over the lcm of their denominators, where
+the CLI's `load_path` keeps them: a construction's, which
+`Level.from_rows` brings to the least scale (its factors are (num, den)
+pairs reduced by their gcd), a point set's and a graph's placements.
+`loads` makes their `Point`s at its own boundary, so no CLI op loads
+`numbers` or `fractions`.  Parsing does NOT re-prove the geometric
+invariants: a well-formed file whose chains are broken parses fine and
+is rejected later by verification, which keeps "unreadable input" and
+"readable but wrong" distinguishable.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 if TYPE_CHECKING:  # the decoders import these once a document is well-formed
-    from .construction import Level
-    from .geometry import Point, Scaled
+    from .geometry import Scaled
     from .graphs import BipartiteGraph
+    from .level import Level
 
 FORMAT_VERSION = "sechain/1"
 
 _INT_RE = re.compile(r"-?[0-9]+")
+_WRITER = frozenset(("Items", "construction_to_document", "dumps", "encode_points",
+                     "graph_to_document", "plain", "points_to_document"))
+
+
+def __getattr__(name: str) -> Any:  # a `writer` name, imported once and kept here
+    if name not in _WRITER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import writer
+
+    return globals().setdefault(name, getattr(writer, name))
 
 
 class DocumentError(ValueError):
@@ -61,114 +62,6 @@ class DocumentError(ValueError):
     def __init__(self, message: str, context: str = "") -> None:
         self.context = context
         super().__init__(f"{context}: {message}" if context else message)
-
-
-# -- encoding --------------------------------------------------------------
-
-
-class _Slot(str):
-    """A sample item's field, "%s": `dumps` writes it bare, its `str` in quotes."""
-
-
-def _point(parts: tuple) -> dict[str, Any]:
-    """A point's layout from its eight components in sorted-key order: den
-    and num of x.p, x.q, y.p and y.q, each written as a string."""
-    xpd, xpn, xqd, xqn, ypd, ypn, yqd, yqn = map(str, parts)
-    return {"x": {"p": {"den": xpd, "num": xpn}, "q": {"den": xqd, "num": xqn}},
-            "y": {"p": {"den": ypd, "num": ypn}, "q": {"den": yqd, "num": yqn}}}
-
-
-def plain(make: Callable[[tuple], Any], items: Iterable[tuple], keys: Any = None) -> Any:
-    """Items of one layout, each `make` of its fields, in a list or in a
-    dict under `keys`: the encoding of plain JSON values."""
-    made = [make(fields) for fields in items]
-    return made if keys is None else dict(zip(keys, made))
-
-
-class Items:
-    """The encoding that `dumps` writes by template, one `%` fill per item:
-    `plain`'s arguments, kept; `items` is read once."""
-
-    __slots__ = ("make", "items", "keys")
-
-    def __init__(self, make: Callable[[tuple], Any], items: Iterable[tuple], keys: Any = None):
-        self.make, self.items, self.keys = make, items, keys
-
-
-def encode_points(points: Scaled, encode: Callable[..., Any] = plain, keys: Any = None) -> Any:
-    """The points in the encoding `encode`, each a `_point` whose fractions
-    are reduced by one gcd with the scale each."""
-    s = points.s
-    return encode(_point, ((s // (g := gcd(xa, s)), xa // g, s // (h := gcd(xb, s)), xb // h,
-                            s // (i := gcd(ya, s)), ya // i, s // (j := gcd(yb, s)), yb // j)
-                           for xa, xb, ya, yb in points.rows), keys)
-
-
-def dumps(document: Any) -> str:
-    """Canonical text form: sorted keys, two-space indent, newline end.
-
-    The bytes of `json.dumps(document, sort_keys=True, indent=2) + "\\n"`,
-    whose indented encode CPython runs in pure Python, with each `Items`
-    node written as its plain form.  Only str-keyed dicts, lists, strs,
-    ints, bools and None are written; anything else raises TypeError.
-    """
-    chunks: list[str] = []
-    put = chunks.append
-    templates: dict[tuple, str] = {}
-
-    def write(value: Any, indent: str) -> None:
-        kind = type(value)
-        if kind is str:
-            put(encode_basestring_ascii(value))
-        elif kind is dict or kind is list:
-            if not value:
-                put("{}" if kind is dict else "[]")
-                return
-            inner, sep = indent + "  ", "{" if kind is dict else "["
-            for key in sorted(value) if kind is dict else range(len(value)):
-                if kind is list:
-                    put(sep + inner)
-                elif type(key) is str:
-                    put(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
-                else:
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                write(value[key], inner)
-                sep = ","
-            put(indent + ("}" if kind is dict else "]"))
-        elif value is None or kind is bool:
-            put("null" if value is None else "true" if value else "false")
-        elif kind is int:
-            put(str(value))
-        elif kind is Items:
-            items, inner, keyed = iter(value.items), indent + "  ", value.keys is not None
-            first = next(items, None)
-            if first is None:
-                put("{}" if keyed else "[]")
-                return
-            template = templates.get((value.make, inner))
-            if template is None:  # an item's text at this indent, `%s` per field
-                mark = len(chunks)
-                write(value.make((_Slot("%s"),) * len(first)), inner)
-                template = templates[value.make, inner] = "".join(chunks[mark:])
-                del chunks[mark:]
-            items = chain((first,), items)
-            if type(first[0]) is str:  # names, escaped as a str is written
-                items = [tuple(map(encode_basestring_ascii, fields)) for fields in items]
-            texts = [template % fields for fields in items]
-            if keyed:
-                texts = [f"{encode_basestring_ascii(key)}: {text}"
-                         for key, text in sorted(zip(value.keys, texts))]
-            put(("{" if keyed else "[") + inner)
-            put(f",{inner}".join(texts))
-            put(indent + ("}" if keyed else "]"))
-        elif kind is _Slot:
-            put("%s")
-        else:
-            raise TypeError(f"cannot write a {kind.__name__}")
-
-    write(document, "\n")
-    put("\n")
-    return "".join(chunks)
 
 
 # -- decoding helpers -------------------------------------------------------
@@ -267,26 +160,6 @@ def _scaled(decoded: list[list[int]]) -> Scaled:
 # -- construction documents -------------------------------------------------
 
 
-def construction_to_document(level: Level, encode: Callable[..., Any] = plain) -> dict[str, Any]:
-    """The level's document, its points and pairs in the encoding `encode`."""
-    chains, n, witness = level.chains, level.n, level.witness
-    a, b = (encode_points(chains.take(r), encode) for r in (range(n), range(n, len(chains))))
-    return {
-        "version": FORMAT_VERSION,
-        "kind": "construction",
-        "metadata": {
-            "k": level.k,
-            "eps_history": [{"num": str(p), "den": str(q)} for p, q in level.eps_pairs],
-            "counts": {"a": n, "b": len(chains) - n, "witness": len(witness)},
-        },
-        "objects": {
-            "a_chain": {"type": "chain", "points": a},
-            "b_chain": {"type": "chain", "points": b},
-            "witness_pairs": {"type": "index_pairs", "pairs": encode(list, witness)},
-        },
-    }
-
-
 def _decode_construction(document: dict[str, Any]) -> Level:
     meta = _field(document, "metadata", dict)
     k = _field(meta, "k", int, ("metadata",))
@@ -305,60 +178,13 @@ def _decode_construction(document: dict[str, Any]) -> Level:
             raise _fail("index out of range", at)
         witness.append((i, j))
 
-    from .construction import Level
+    from .level import Level
 
     return Level.from_rows(k, _scaled(a + b), len(a), tuple(witness),  # factors reduced
                            tuple((p // (g := gcd(p, q)), q // g) for p, q in eps_history))
 
 
-# -- point set documents ----------------------------------------------------
-
-
-def points_to_document(points: list[Point], encode: Callable[..., Any] = plain) -> dict[str, Any]:
-    from .geometry import Scaled
-
-    return {
-        "version": FORMAT_VERSION,
-        "kind": "points",
-        "objects": {
-            "points": {"type": "point_set", "points": encode_points(Scaled(points), encode)}
-        },
-    }
-
-
 # -- graph documents --------------------------------------------------------
-
-
-def graph_to_document(
-    graph: BipartiteGraph,
-    placements: Optional[Scaled] = None,
-    k: Optional[int] = None,
-    encode: Callable[..., Any] = plain,
-) -> dict[str, Any]:
-    """The graph, and the placements of its vertices in `graph.u + graph.v`
-    order if given; edges and placements in the encoding `encode`."""
-    document: dict[str, Any] = {
-        "version": FORMAT_VERSION,
-        "kind": "graph",
-        "metadata": {} if k is None else {"k": k},
-        "objects": {
-            "graph": {
-                "type": "bipartite_graph",
-                "u": list(graph.u),
-                "v": list(graph.v),
-                "edges": encode(list, graph.edges),
-            }
-        },
-    }
-    if placements is not None:
-        names = graph.u + graph.v
-        if len(placements) != len(names):
-            raise ValueError(f"{len(placements)} placements for {len(names)} vertices")
-        document["objects"]["placements"] = {
-            "type": "placement",
-            "points": encode_points(placements, encode, names),
-        }
-    return document
 
 
 def structure_defect(u: tuple[str, ...], v: tuple[str, ...],

@@ -31,7 +31,7 @@ from .document import structure_defect
 from .geometry import Point, Record, Scaled, chain_defect
 
 if TYPE_CHECKING:  # only for type annotations; no runtime cycle
-    from .construction import Level
+    from .level import Level
 
 Edge = tuple[str, str]
 

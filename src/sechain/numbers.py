@@ -14,8 +14,8 @@ This is the value layer of the public boundary.  Inside the package a
 `QSqrt3` is built only with a `Point` (`geometry.pt`, `Scaled.points`),
 and every sign, here too, is `geometry.sign2` on integers, the one
 exact kernel.  So an op that computes on integer rows does not load
-this module: `ci` of a point set loads neither it nor `fractions`, and
-an op on a level loads `fractions` only for the level's ε history.
+this module, and no CLI op loads it or `fractions`: a level holds its
+flattening factors as pairs of ints.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .construction import Level
+from .level import Level
 
 _WIDTH = 800.0
 _MARGIN = 40.0

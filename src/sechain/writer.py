@@ -1,0 +1,193 @@
+"""Exact JSON documents for constructions, point sets, and graphs: the writer.
+
+One builder per document kind lays it out, its points and pairs in an
+encoding: `plain` gives JSON values, and `Items` keeps the fields for
+`dumps`, which writes the canonical text (sorted keys, two-space indent)
+itself, each item as one fill of a `%` template made from its layout.
+So one point template, filled from `geometry.Scaled` rows with one gcd
+per component, writes every point of every document and of `ci --json`'s
+witness.  `document` serves these names.
+"""
+
+from __future__ import annotations
+
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from math import gcd
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+
+from .document import FORMAT_VERSION
+
+if TYPE_CHECKING:
+    from .geometry import Point, Scaled
+    from .graphs import BipartiteGraph
+    from .level import Level
+
+
+class _Slot(str):
+    """A sample item's field, "%s": `dumps` writes it bare, its `str` in quotes."""
+
+
+def _point(parts: tuple) -> dict[str, Any]:
+    """A point's layout from its eight components in sorted-key order: den
+    and num of x.p, x.q, y.p and y.q, each written as a string."""
+    xpd, xpn, xqd, xqn, ypd, ypn, yqd, yqn = map(str, parts)
+    return {"x": {"p": {"den": xpd, "num": xpn}, "q": {"den": xqd, "num": xqn}},
+            "y": {"p": {"den": ypd, "num": ypn}, "q": {"den": yqd, "num": yqn}}}
+
+
+def plain(make: Callable[[tuple], Any], items: Iterable[tuple], keys: Any = None) -> Any:
+    """Items of one layout, each `make` of its fields, in a list or in a
+    dict under `keys`: the encoding of plain JSON values."""
+    made = [make(fields) for fields in items]
+    return made if keys is None else dict(zip(keys, made))
+
+
+class Items:
+    """The encoding that `dumps` writes by template, one `%` fill per item:
+    `plain`'s arguments, kept; `items` is read once."""
+
+    __slots__ = ("make", "items", "keys")
+
+    def __init__(self, make: Callable[[tuple], Any], items: Iterable[tuple], keys: Any = None):
+        self.make, self.items, self.keys = make, items, keys
+
+
+def encode_points(points: Scaled, encode: Callable[..., Any] = plain, keys: Any = None) -> Any:
+    """The points in the encoding `encode`, each a `_point` whose fractions
+    are reduced by one gcd with the scale each."""
+    s = points.s
+    return encode(_point, ((s // (g := gcd(xa, s)), xa // g, s // (h := gcd(xb, s)), xb // h,
+                            s // (i := gcd(ya, s)), ya // i, s // (j := gcd(yb, s)), yb // j)
+                           for xa, xb, ya, yb in points.rows), keys)
+
+
+def dumps(document: Any) -> str:
+    """Canonical text form: sorted keys, two-space indent, newline end.
+
+    The bytes of `json.dumps(document, sort_keys=True, indent=2) + "\\n"`,
+    whose indented encode CPython runs in pure Python, with each `Items`
+    node written as its plain form.  Only str-keyed dicts, lists, strs,
+    ints, bools and None are written; anything else raises TypeError.
+    """
+    chunks: list[str] = []
+    put = chunks.append
+    templates: dict[tuple, str] = {}
+
+    def write(value: Any, indent: str) -> None:
+        kind = type(value)
+        if kind is str:
+            put(encode_basestring_ascii(value))
+        elif kind is dict or kind is list:
+            if not value:
+                put("{}" if kind is dict else "[]")
+                return
+            inner, sep = indent + "  ", "{" if kind is dict else "["
+            for key in sorted(value) if kind is dict else range(len(value)):
+                if kind is list:
+                    put(sep + inner)
+                elif type(key) is str:
+                    put(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+                else:
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                write(value[key], inner)
+                sep = ","
+            put(indent + ("}" if kind is dict else "]"))
+        elif value is None or kind is bool:
+            put("null" if value is None else "true" if value else "false")
+        elif kind is int:
+            put(str(value))
+        elif kind is Items:
+            items, inner, keyed = iter(value.items), indent + "  ", value.keys is not None
+            first = next(items, None)
+            if first is None:
+                put("{}" if keyed else "[]")
+                return
+            template = templates.get((value.make, inner))
+            if template is None:  # an item's text at this indent, `%s` per field
+                mark = len(chunks)
+                write(value.make((_Slot("%s"),) * len(first)), inner)
+                template = templates[value.make, inner] = "".join(chunks[mark:])
+                del chunks[mark:]
+            items = chain((first,), items)
+            if type(first[0]) is str:  # names, escaped as a str is written
+                items = [tuple(map(encode_basestring_ascii, fields)) for fields in items]
+            texts = [template % fields for fields in items]
+            if keyed:
+                texts = [f"{encode_basestring_ascii(key)}: {text}"
+                         for key, text in sorted(zip(value.keys, texts))]
+            put(("{" if keyed else "[") + inner)
+            put(f",{inner}".join(texts))
+            put(indent + ("}" if keyed else "]"))
+        elif kind is _Slot:
+            put("%s")
+        else:
+            raise TypeError(f"cannot write a {kind.__name__}")
+
+    write(document, "\n")
+    put("\n")
+    return "".join(chunks)
+
+
+def construction_to_document(level: Level, encode: Callable[..., Any] = plain) -> dict[str, Any]:
+    """The level's document, its points and pairs in the encoding `encode`."""
+    chains, n, witness = level.chains, level.n, level.witness
+    a, b = (encode_points(chains.take(r), encode) for r in (range(n), range(n, len(chains))))
+    return {
+        "version": FORMAT_VERSION,
+        "kind": "construction",
+        "metadata": {
+            "k": level.k,
+            "eps_history": [{"num": str(p), "den": str(q)} for p, q in level.eps_pairs],
+            "counts": {"a": n, "b": len(chains) - n, "witness": len(witness)},
+        },
+        "objects": {
+            "a_chain": {"type": "chain", "points": a},
+            "b_chain": {"type": "chain", "points": b},
+            "witness_pairs": {"type": "index_pairs", "pairs": encode(list, witness)},
+        },
+    }
+
+
+def points_to_document(points: list[Point], encode: Callable[..., Any] = plain) -> dict[str, Any]:
+    from .geometry import Scaled
+
+    return {
+        "version": FORMAT_VERSION,
+        "kind": "points",
+        "objects": {
+            "points": {"type": "point_set", "points": encode_points(Scaled(points), encode)}
+        },
+    }
+
+
+def graph_to_document(
+    graph: BipartiteGraph,
+    placements: Optional[Scaled] = None,
+    k: Optional[int] = None,
+    encode: Callable[..., Any] = plain,
+) -> dict[str, Any]:
+    """The graph, and the placements of its vertices in `graph.u + graph.v`
+    order if given; edges and placements in the encoding `encode`."""
+    document: dict[str, Any] = {
+        "version": FORMAT_VERSION,
+        "kind": "graph",
+        "metadata": {} if k is None else {"k": k},
+        "objects": {
+            "graph": {
+                "type": "bipartite_graph",
+                "u": list(graph.u),
+                "v": list(graph.v),
+                "edges": encode(list, graph.edges),
+            }
+        },
+    }
+    if placements is not None:
+        names = graph.u + graph.v
+        if len(placements) != len(names):
+            raise ValueError(f"{len(placements)} placements for {len(names)} vertices")
+        document["objects"]["placements"] = {
+            "type": "placement",
+            "points": encode_points(placements, encode, names),
+        }
+    return document

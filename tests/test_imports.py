@@ -8,6 +8,7 @@ runs in a subprocess that records the modules new since its start.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +45,61 @@ def test_import_sechain_loads_no_submodule():
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
+def test_import_document_loads_no_writer():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sechain.document; "
+         "print(sorted(m for m in sys.modules if m.startswith('sechain')))"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "['sechain', 'sechain.document']\n")
+
+
+def test_document_serves_the_writer_names():
+    # perfbench's tracer wraps a name only where a module namespace holds it,
+    # so a served name is kept in `document` after its first access.
+    import sechain.document as document
+    import sechain.writer as writer
+
+    for name in ("Items", "construction_to_document", "dumps", "encode_points",
+                 "graph_to_document", "plain", "points_to_document"):
+        assert getattr(document, name) is getattr(writer, name)
+        assert vars(document)[name] is getattr(writer, name)
+    for name in ("no_such_name", "_point", "_Slot"):
+        with pytest.raises(AttributeError):
+            getattr(document, name)
+
+
+def test_perfbench_targets_resolve():
+    # Each traced target must resolve on the module `perfbench/layers.py`
+    # names, a function in that module's own namespace, so `--trace 1`
+    # wraps it; run in a child, which imports perfbench's modules.
+    root = Path(__file__).resolve().parents[1]
+    child = """
+import importlib, sys
+sys.path.insert(0, sys.argv[1])
+from layers import TARGETS
+bad = []
+for name, (module_name, attr, _) in TARGETS.items():
+    owner = importlib.import_module(module_name)
+    try:
+        if "." in attr:
+            cls_name, attr = attr.split(".")
+            owner = getattr(owner, cls_name)
+        value = getattr(owner, attr)
+    except AttributeError:
+        bad.append(name)
+        continue
+    if vars(owner).get(attr) is not value or not callable(value):
+        bad.append(name)
+print(len(TARGETS), bad)
+"""
+    proc = subprocess.run([sys.executable, "-c", child, str(root / "perfbench")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    count, bad = proc.stdout.split(" ", 1)
+    assert int(count) > 0 and bad == "[]\n"
+
+
 @pytest.fixture(scope="module")
 def docs(tmp_path_factory):
     base = tmp_path_factory.mktemp("docs")
@@ -76,33 +132,37 @@ def docs(tmp_path_factory):
 # The benchmarked ops, their exit code and exactly the package modules
 # each loads.  Among them: every op stays on integer rows, a level's
 # flattening factors and a graph's placements included, so none loads
-# the value layer (`numbers`, `fractions` or `decimal`); `ci` of a points
-# document loads neither the construction, the graphs nor the renderer;
-# `verify` never loads convex_subsets or render; `construct` loads none
-# of convex_subsets, graphs and render; and a malformed document of any
+# the value layer (`numbers`, `fractions` or `decimal`); an op that reads
+# a level loads the record, `level`, and not the builder, `construction`,
+# which only `construct` and `graph --placements` load; only an op that
+# writes a document or `--json` loads `writer`; `ci` of a points document
+# loads neither the construction, the graphs nor the renderer; `verify`
+# never loads convex_subsets or render; `construct` loads none of
+# convex_subsets, graphs and render; and a malformed document of any
 # kind, a graph with a bad placement or edge too, is refused before the
 # decoder imports another package module, and so is a well-formed graph
 # whose structure is invalid.
 _ROWS = {"sechain", "sechain.document", "sechain.geometry"}
+_LEVEL = _ROWS | {"sechain.level"}
+_BUILD = _LEVEL | {"sechain.construction", "sechain.writer"}
 _REFUSED = {"sechain", "sechain.document"}
 _OPS = [
     (["--help"], 0, {"sechain"}),
-    (["construct", "-k", "3", "-o", "{out}"], 0, _ROWS | {"sechain.construction"}),
-    (["graph", "-k", "2", "--placements", "-o", "{out}"], 0,
-     _ROWS | {"sechain.construction", "sechain.graphs"}),
-    (["verify", "{level}"], 0, _ROWS | {"sechain.construction"}),
-    (["verify", "--json", "{graph}"], 0, _ROWS | {"sechain.graphs"}),
+    (["construct", "-k", "3", "-o", "{out}"], 0, _BUILD),
+    (["graph", "-k", "2", "--placements", "-o", "{out}"], 0, _BUILD | {"sechain.graphs"}),
+    (["verify", "{level}"], 0, _LEVEL),
+    (["verify", "--json", "{graph}"], 0, _ROWS | {"sechain.graphs", "sechain.writer"}),
     (["verify", "{bad}"], 2, _REFUSED),
     (["verify", "{zero_den}"], 2, _REFUSED),
     (["verify", "--json", "{bad_pair}"], 2, _REFUSED),
     (["verify", "{graph_zero_den}"], 2, _REFUSED),
     (["verify", "{bad_edge}"], 2, _REFUSED),
     (["verify", "{dup_edge}"], 2, _REFUSED),
-    (["render", "{level}", "-o", "{out}"], 0,
-     _ROWS | {"sechain.construction", "sechain.render"}),
-    (["ci", "{level}"], 0, _ROWS | {"sechain.construction", "sechain.convex_subsets"}),
-    (["ci", "--json", "{points}"], 0, _ROWS | {"sechain.convex_subsets"}),
-    (["ci", "--algo", "brute", "--json", "{points}"], 0, _ROWS | {"sechain.convex_subsets"}),
+    (["render", "{level}", "-o", "{out}"], 0, _LEVEL | {"sechain.render"}),
+    (["ci", "{level}"], 0, _LEVEL | {"sechain.convex_subsets"}),
+    (["ci", "--json", "{points}"], 0, _ROWS | {"sechain.convex_subsets", "sechain.writer"}),
+    (["ci", "--algo", "brute", "--json", "{points}"], 0,
+     _ROWS | {"sechain.convex_subsets", "sechain.writer"}),
 ]
 
 
