@@ -5,11 +5,21 @@ defines it, and `__all__` is that table's keys.  A name is imported on
 first access (PEP 562 `__getattr__`), so `import sechain` loads no
 submodule and a CLI op loads only the modules it runs.  The submodules
 themselves (`sechain.geometry`, ...) resolve the same way.
+
+`InputError` is defined here, not exported lazily: every refusal of
+unusable input raises it, and the CLI reports it as exit 2 without
+importing the module that raised it.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
+
+
+class InputError(ValueError):
+    """Unusable input: a malformed document, a size past a cap, a failed
+    epsilon search, a number past the interpreter's digit limit."""
+
 
 _EXPORTS = {
     name: module

@@ -4,6 +4,9 @@ Subcommands: construct, verify, ci, graph, render.  Exit codes follow
 one contract everywhere: 0 on success (for verify: every check passed),
 1 when verification ran and failed, 2 for unusable input (bad flags,
 unwritable outputs, unreadable or malformed documents, guard violations).
+Every refusal of input raises `InputError`, and `main` is the one place
+that prints its `error:` line and returns 2; an unwritable output is an
+`OSError`, reported beside it.
 
 Each handler imports the modules it runs, so an op loads, and without a
 bytecode cache compiles, only those: the record `level` to read a level,
@@ -21,6 +24,8 @@ import argparse
 import os
 import sys
 from typing import Callable, Optional, Sequence
+
+from . import InputError
 
 # construct -k 12 takes about 0.6 s at 46 MiB peak RSS (a 6.4 MB document
 # written from rows, 2 cores, Python 3.11) and runs to exit 0 under an
@@ -51,25 +56,20 @@ def _write_output(make_text: Callable[[], str], path: Optional[str]) -> None:
         handle.write(text)
 
 
-def _level_options_refused(args: argparse.Namespace) -> bool:
-    """True, after an error line on stderr, when -k is outside [1, --max-k]
-    or --max-eps-exponent leaves no flattening factor to try."""
+def _check_level_options(args: argparse.Namespace) -> None:
+    """Refuse -k outside [1, --max-k] and a --max-eps-exponent that leaves
+    no flattening factor to try."""
     if not 1 <= args.k <= args.max_k:
-        message = f"k must be between 1 and {args.max_k} (raise --max-k to go higher)"
-    elif args.max_eps_exponent < 1:
-        message = f"--max-eps-exponent must be at least 1, not {args.max_eps_exponent}"
-    else:
-        return False
-    print(f"error: {message}", file=sys.stderr)
-    return True
+        raise InputError(f"k must be between 1 and {args.max_k} (raise --max-k to go higher)")
+    if args.max_eps_exponent < 1:
+        raise InputError(f"--max-eps-exponent must be at least 1, not {args.max_eps_exponent}")
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     from .construction import build
     from .document import Items, construction_to_document, dumps
 
-    if _level_options_refused(args):
-        return 2
+    _check_level_options(args)
 
     def text() -> str:
         level = build(args.k, max_eps_exponent=args.max_eps_exponent)
@@ -138,15 +138,8 @@ def _cmd_ci(args: argparse.Namespace) -> int:
     elif kind == "points":
         points = payload.distinct()
     else:
-        print("error: ci needs a construction or points document",
-              file=sys.stderr)
-        return 2
-    solver = ci_dp if args.algo == "dp" else ci_bruteforce
-    try:
-        result = solver(points)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise InputError("ci needs a construction or points document")
+    result = (ci_dp if args.algo == "dp" else ci_bruteforce)(points)
     if args.json:
         from .document import Items, dumps, encode_points
 
@@ -162,8 +155,7 @@ def _cmd_ci(args: argparse.Namespace) -> int:
 def _cmd_graph(args: argparse.Namespace) -> int:
     from .graphs import edge_list_text, family
 
-    if _level_options_refused(args):
-        return 2
+    _check_level_options(args)
 
     def text() -> str:
         if not args.placements:
@@ -186,13 +178,11 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
     kind, payload = load_path(args.input)
     if kind != "construction":
-        print("error: render needs a construction document", file=sys.stderr)
-        return 2
+        raise InputError("render needs a construction document")
     try:
         _write_output(lambda: render_construction(payload), args.output)
-    except (OverflowError, ValueError) as exc:  # beyond floats, or no points
-        print(f"error: cannot render: {exc}", file=sys.stderr)
-        return 2
+    except (OverflowError, InputError) as exc:  # beyond floats, no points, or too many
+        raise InputError(f"cannot render: {exc}") from exc
     return 0
 
 
@@ -247,20 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_error(exc: Exception) -> bool:
-    """True for a malformed document or a failed epsilon search: exit 2.
-
-    Their classes are looked up among the loaded modules, not imported:
-    an op that never loaded a module cannot have raised its error.
-    """
-    for module, name in (("document", "DocumentError"),
-                         ("construction", "EpsilonSearchError")):
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None and isinstance(exc, getattr(loaded, name)):
-            return True
-    return False
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -270,9 +246,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
-        if not _input_error(exc):
-            raise
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from . import InputError
 from .geometry import Row, Scaled, chain_defect, is_south_east_chain
 from .level import IndexPair, Level, expected_witness_size  # noqa: F401
 
@@ -95,7 +96,7 @@ def step(level: Level, eps: Fraction | int | tuple[int, int]) -> Optional[Level]
                            level.eps_pairs + ((p, q),))
 
 
-class EpsilonSearchError(RuntimeError):
+class EpsilonSearchError(InputError, RuntimeError):
     """No acceptable power of two found below the exponent cap."""
 
 

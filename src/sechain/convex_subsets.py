@@ -55,6 +55,7 @@ from itertools import compress, count, islice
 from math import isqrt
 from typing import Iterable
 
+from . import InputError
 from .geometry import Point, Record, Scaled, _hull
 
 
@@ -62,27 +63,20 @@ class CiResult(Record):
     """Size of a largest convexly independent subset, plus one witness.
 
     The witness lists the subset in counterclockwise convex position.  It
-    is kept as given: a solver gives it as rows (`witness_rows`), whose
-    `Point`s are built when `witness` is read.
+    is kept as rows (`witness_rows`), as a solver gives it, or put on rows
+    once when given as `Point`s, which are built when `witness` is read.
     """
 
-    __slots__ = ("size", "_witness")
+    __slots__ = ("size", "witness_rows")
     size: int
-    _witness: tuple[Point, ...] | Scaled
+    witness_rows: Scaled
 
     def __init__(self, size: int, witness: tuple[Point, ...] | Scaled) -> None:
-        self._set(size, witness)
+        self._set(size, witness if isinstance(witness, Scaled) else Scaled(list(witness)))
 
     @property
     def witness(self) -> tuple[Point, ...]:
-        w = self._witness
-        return tuple(w.points()) if isinstance(w, Scaled) else w
-
-    @property
-    def witness_rows(self) -> Scaled:
-        """The witness as integer rows, in its order."""
-        w = self._witness
-        return w if isinstance(w, Scaled) else Scaled(list(w))
+        return tuple(self.witness_rows.points())
 
     def _fields(self) -> dict[str, object]:
         return {"size": self.size, "witness": self.witness}
@@ -105,9 +99,9 @@ def _prepare(points: Iterable[Point] | Scaled, max_points: int, what: str) -> Sc
     """The distinct points, refused past `max_points` before any sort."""
     k = (points if isinstance(points, Scaled) else Scaled(list(points))).distinct()
     if not len(k):
-        raise ValueError("need at least one point")
+        raise InputError("need at least one point")
     if len(k) > max_points:
-        raise ValueError(f"{what} refuses more than {max_points} points")
+        raise InputError(f"{what} refuses more than {max_points} points")
     return k
 
 

@@ -36,6 +36,8 @@ import re
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
+from . import InputError
+
 if TYPE_CHECKING:  # the decoders import these once a document is well-formed
     from .geometry import Scaled
     from .graphs import BipartiteGraph
@@ -56,7 +58,7 @@ def __getattr__(name: str) -> Any:  # a `writer` name, imported once and kept he
     return globals().setdefault(name, getattr(writer, name))
 
 
-class DocumentError(ValueError):
+class DocumentError(InputError):
     """Malformed document; `context` points at the offending field."""
 
     def __init__(self, message: str, context: str = "") -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+from . import InputError
 from .level import Level
 
 _WIDTH = 800.0
@@ -38,9 +39,9 @@ def render_construction(level: Level) -> str:
     """Render both chains, the full midpoint set, and the witness chain."""
     k, n = level.chains, level.n
     if not len(k):
-        raise ValueError("both chains are empty")
+        raise InputError("both chains are empty")
     if n * (len(k) - n) > _MIDPOINT_CAP:
-        raise ValueError(f"{n} x {len(k) - n} > {_MIDPOINT_CAP} midpoints")
+        raise InputError(f"{n} x {len(k) - n} > {_MIDPOINT_CAP} midpoints")
     # Exact integer rows: one scale for both chains, twice it for every
     # midpoint, so equal midpoints have equal rows.  Floats are display only.
     mids = sorted(k.midpoint_set(n, _MIDPOINT_CAP).floats())

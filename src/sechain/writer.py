@@ -11,11 +11,13 @@ witness.  `document` serves these names.
 
 from __future__ import annotations
 
+import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
+from . import InputError
 from .document import FORMAT_VERSION
 
 if TYPE_CHECKING:
@@ -68,7 +70,8 @@ def dumps(document: Any) -> str:
     The bytes of `json.dumps(document, sort_keys=True, indent=2) + "\\n"`,
     whose indented encode CPython runs in pure Python, with each `Items`
     node written as its plain form.  Only str-keyed dicts, lists, strs,
-    ints, bools and None are written; anything else raises TypeError.
+    ints, bools and None are written; anything else raises TypeError,
+    and an int past the interpreter's int-to-str limit InputError.
     """
     chunks: list[str] = []
     put = chunks.append
@@ -124,7 +127,11 @@ def dumps(document: Any) -> str:
         else:
             raise TypeError(f"cannot write a {kind.__name__}")
 
-    write(document, "\n")
+    try:
+        write(document, "\n")
+    except ValueError as exc:  # str() of an int: the one ValueError writing raises
+        raise InputError(f"an integer to write has more than {sys.get_int_max_str_digits()} "
+                         "digits, this interpreter's int-to-str limit") from exc
     put("\n")
     return "".join(chunks)
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sechain import construction, geometry
+from sechain import construction, convex_subsets, geometry, render
 from sechain.cli import main
 from sechain.document import (
     construction_to_document,
@@ -88,6 +88,16 @@ def _hostile(name: str, text: str) -> str:
         for chain, size in (("a_chain", 513), ("b_chain", 512)):
             objects[chain]["points"] = encode_points(Scaled([pt(i, i * i) for i in range(size)]))
         objects["witness_pairs"]["pairs"] = []
+    elif name == "witness-digits":  # reads and verifies, but ci's witness does not write
+        # Each rational part p becomes p + 1/D, D odd and about 2200 digits,
+        # so a midpoint's reduced denominator has about 4400.
+        rng = random.Random("witness-digits")
+        for chain in ("a_chain", "b_chain"):
+            for point in document["objects"][chain]["points"]:
+                for ratio in (point["x"]["p"], point["y"]["p"]):
+                    d = rng.randrange(10**2199, 10**2200) | 1
+                    num, den = int(ratio["num"]), int(ratio["den"])
+                    ratio["num"], ratio["den"] = str(num * d + den), str(den * d)
     return json.dumps(document)
 
 
@@ -303,6 +313,37 @@ def test_empty_chains_keep_the_exit_contract(construction_file, tmp_path):
     proc = _run_cli("verify", str(doc))
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_witness_past_the_digit_limit_is_refused(construction_file, tmp_path):
+    doc = tmp_path / "witness-digits.json"
+    doc.write_text(_hostile("witness-digits", construction_file.read_text()))
+    digits = [len(text) for text in re.findall(r'"-?([0-9]+)"', doc.read_text())]
+    assert 2200 < max(digits) < 4300
+    proc = _run_cli("verify", str(doc))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "all checks passed"
+    for algo in ("dp", "brute"):
+        proc = _run_cli("ci", "--json", "--algo", algo, str(doc))
+        _assert_rejected(proc)
+        assert (len(proc.stderr.splitlines()), proc.stdout) == (1, "")
+        assert f"more than {sys.get_int_max_str_digits()} digits" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["ci", "render"])
+def test_value_error_in_an_op_propagates(construction_file, tmp_path, monkeypatch, command):
+    # Only an InputError is unusable input; any other ValueError is a fault.
+    def boom(*args):
+        raise ValueError("boom")
+
+    if command == "ci":
+        monkeypatch.setattr(convex_subsets, "ci_dp", boom)
+        argv = ["ci", str(construction_file)]
+    else:
+        monkeypatch.setattr(render, "render_construction", boom)
+        argv = ["render", str(construction_file), "-o", str(tmp_path / "out.svg")]
+    with pytest.raises(ValueError, match="^boom$"):
+        main(argv)
 
 
 def test_render_refuses_oversized_construction(construction_file, tmp_path):
