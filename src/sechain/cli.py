@@ -3,10 +3,11 @@
 Subcommands: construct, verify, ci, graph, render.  Exit codes follow
 one contract everywhere: 0 on success (for verify: every check passed),
 1 when verification ran and failed, 2 for unusable input (bad flags,
-unwritable outputs, unreadable or malformed documents, guard violations).
-Every refusal of input raises `InputError`, and `main` is the one place
-that prints its `error:` line and returns 2; an unwritable output is an
-`OSError`, reported beside it.
+unwritable outputs, unreadable or malformed documents, guard violations)
+and for running out of memory.  Every refusal of input raises
+`InputError`, and `main` is the one place that prints its `error:` line
+and returns 2; an unwritable output (`OSError`) and a `MemoryError` are
+reported beside it.
 
 Each handler imports the modules it runs, so an op loads, and without a
 bytecode cache compiles, only those: the record `level` to read a level,
@@ -39,7 +40,7 @@ def _write_output(make_text: Callable[[], str], path: Optional[str]) -> None:
 
     The path is opened before make_text runs, so an unwritable one fails
     before any work.  A file that this opening created is removed again
-    if make_text raises.
+    if making or writing the text raises.
     """
     if path is None or path == "-":
         sys.stdout.write(make_text())
@@ -48,12 +49,12 @@ def _write_output(make_text: Callable[[], str], path: Optional[str]) -> None:
     open(path, "a").close()
     try:
         text = make_text()
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
     except BaseException:
         if created:
             os.remove(path)
         raise
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
 
 
 def _check_level_options(args: argparse.Namespace) -> None:
@@ -248,6 +249,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except BrokenPipeError:
         return 0

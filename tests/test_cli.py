@@ -1,11 +1,13 @@
 import codecs
 import contextlib
 import copy
+import errno
 import functools
 import hashlib
 import importlib.metadata
 import io
 import json
+import os
 import random
 import re
 import shutil
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sechain import construction, convex_subsets, geometry, render
+from sechain import cli, construction, convex_subsets, geometry, render
 from sechain.cli import main
 from sechain.document import (
     construction_to_document,
@@ -102,10 +104,10 @@ def _hostile(name: str, text: str) -> str:
 
 
 def _assert_rejected(proc: subprocess.CompletedProcess) -> None:
-    """Exit 2 with an `error:` line and no traceback."""
+    """Exit 2 with exactly one stderr line, an `error:` line."""
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: ")
-    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 class TestConstruct:
@@ -326,7 +328,7 @@ def test_witness_past_the_digit_limit_is_refused(construction_file, tmp_path):
     for algo in ("dp", "brute"):
         proc = _run_cli("ci", "--json", "--algo", algo, str(doc))
         _assert_rejected(proc)
-        assert (len(proc.stderr.splitlines()), proc.stdout) == (1, "")
+        assert proc.stdout == ""
         assert f"more than {sys.get_int_max_str_digits()} digits" in proc.stderr
 
 
@@ -344,6 +346,25 @@ def test_value_error_in_an_op_propagates(construction_file, tmp_path, monkeypatc
         argv = ["render", str(construction_file), "-o", str(tmp_path / "out.svg")]
     with pytest.raises(ValueError, match="^boom$"):
         main(argv)
+
+
+@pytest.mark.parametrize("command", ["construct", "ci"])
+def test_memory_error_in_an_op_is_reported(construction_file, tmp_path, monkeypatch, capsys,
+                                           command):
+    # Running out of memory keeps the exit contract: one `error:` line, exit 2.
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    out = tmp_path / "out.json"
+    if command == "construct":
+        monkeypatch.setattr(construction, "build", exhausted)
+        argv = ["construct", "-k", "2", "-o", str(out)]
+    else:
+        monkeypatch.setattr(convex_subsets, "ci_dp", exhausted)
+        argv = ["ci", str(construction_file)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+    assert not out.exists()
 
 
 def test_render_refuses_oversized_construction(construction_file, tmp_path):
@@ -390,6 +411,25 @@ def test_failed_search_leaves_no_new_file(tmp_path, capsys, command):
         assert "error: no flattening factor down to 2**-3" in capsys.readouterr().err
     assert not fresh.exists()
     assert kept.read_text() == "earlier output"
+
+
+def test_failed_write_leaves_no_new_file(tmp_path, monkeypatch, capsys):
+    # The output is made before the build; a write that then fails (here
+    # on a full disk) removes it again.
+    def open_on_full_disk(path, mode="r", **kwargs):
+        handle = open(path, mode, **kwargs)
+        if mode == "w":
+            def write(text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+            handle.write = write
+        return handle
+
+    monkeypatch.setattr(cli, "open", open_on_full_disk, raising=False)
+    out = tmp_path / "out.json"
+    assert main(["construct", "-k", "2", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["construct", "graph"])
@@ -726,12 +766,12 @@ class TestPinnedBytes:
             assert main(["construct", "-k", str(k), "--max-k", "12", "-o", str(doc)]) == 0
             assert _sha256(doc.read_bytes()) == _PINNED_CONSTRUCTIONS[k], k
 
-    def test_default_cap_level_in_192_mib(self, tmp_path):
+    def test_default_cap_level_in_80_mib(self, tmp_path):
         # The default --max-k is 12: that level (about 46 MiB peak RSS)
-        # must build in a fresh interpreter under a 192 MiB address space.
+        # must build in a fresh interpreter under an 80 MiB address space.
         doc = tmp_path / "level12.json"
         proc = _run_cli("construct", "-k", "12", "-o", str(doc),
-                        preexec_fn=functools.partial(_limit_address_space, 192))
+                        preexec_fn=functools.partial(_limit_address_space, 80))
         assert (proc.returncode, proc.stderr) == (0, "")
         assert _sha256(doc.read_bytes()) == _PINNED_CONSTRUCTIONS[12]
 
@@ -740,6 +780,7 @@ class TestPinnedBytes:
             doc = tmp_path / f"graph{k}.json"
             assert main(["graph", "-k", str(k), "--placements", "-o", str(doc)]) == 0
             assert _sha256(doc.read_bytes()) == digest, k
+            assert main(["verify", str(doc)]) == 0, k  # every check passed
 
     def test_render(self, tmp_path):
         doc, svg = tmp_path / "level3.json", tmp_path / "level3.svg"
@@ -773,14 +814,16 @@ class TestPinnedBytes:
             assert main(["ci", "--json", str(doc)]) == 0
             assert _sha256(capsys.readouterr().out.encode("utf-8")) == _PINNED_CI[k], k
 
-    def test_ci_json_level5(self, levels, tmp_path, capsys):
+    def test_ci_json_level5(self, levels, tmp_path):
         # 1024 midpoints; the exact optimum is 117 against the witness 112.
+        # It must be found in a fresh interpreter under a 96 MiB address space.
         doc = tmp_path / "level5.json"
         doc.write_text(dumps(construction_to_document(levels[5])), encoding="utf-8")
-        assert main(["ci", "--json", str(doc)]) == 0
-        out = capsys.readouterr().out
-        assert json.loads(out)["size"] == 117
-        assert _sha256(out.encode("utf-8")) == _PINNED_CI[5]
+        proc = _run_cli("ci", "--json", str(doc),
+                        preexec_fn=functools.partial(_limit_address_space, 96))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["size"] == 117
+        assert _sha256(proc.stdout.encode("utf-8")) == _PINNED_CI[5]
 
     def test_ci_json_random_and_lattice(self, tmp_path, capsys):
         lattice = [pt(x, y) for x in range(10) for y in range(10)]

@@ -28,12 +28,13 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
 """
 
 
-def _loaded(argv: list[str]) -> tuple[int, set[str]]:
-    """Exit code of `python -m sechain.cli ARGV` and the modules it loaded."""
+def _loaded(argv: list[str]) -> tuple[int, set[str], str]:
+    """Exit code of `python -m sechain.cli ARGV`, the modules it loaded
+    and its stderr."""
     proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argv)],
                           capture_output=True, text=True, timeout=60)
     code, modules = json.loads(proc.stdout.splitlines()[-1])
-    return code, set(modules)
+    return code, set(modules), proc.stderr
 
 
 def test_import_sechain_loads_no_submodule():
@@ -141,7 +142,8 @@ def docs(tmp_path_factory):
 # convex_subsets, graphs and render; and a malformed document of any
 # kind, a graph with a bad placement or edge too, is refused before the
 # decoder imports another package module, and so is a well-formed graph
-# whose structure is invalid.
+# whose structure is invalid.  Every refusal writes exactly one stderr
+# line, an `error:` line.
 _ROWS = {"sechain", "sechain.document", "sechain.geometry"}
 _LEVEL = _ROWS | {"sechain.level"}
 _BUILD = _LEVEL | {"sechain.construction", "sechain.writer"}
@@ -168,8 +170,12 @@ _OPS = [
 
 @pytest.mark.parametrize("argv, code, package", _OPS, ids=[" ".join(op[0]) for op in _OPS])
 def test_op_loads_only_what_it_runs(docs, tmp_path, argv, code, package):
-    argv = [arg.format(out=tmp_path / "out", **docs) for arg in argv]
-    got_code, loaded = _loaded(argv)
+    got_code, loaded, err = _loaded([arg.format(out=tmp_path / "out", **docs) for arg in argv])
     assert got_code == code
+    if code == 2:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+    if argv == ["verify", "{dup_edge}"]:
+        assert err == "error: objects.graph: duplicate edge\n"
     assert {m for m in loaded if m.split(".")[0] == "sechain"} == package
     assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "sechain.numbers"}
