@@ -542,7 +542,7 @@ class TestCi:
     def test_construction_input(self, construction_file, capsys):
         assert main(["ci", str(construction_file)]) == 0
         out = capsys.readouterr().out
-        assert "largest convexly independent subset: 10" in out
+        assert out == "largest convexly independent subset: 10 (algo=dp, input=16 points)\n"
 
     def test_algorithms_agree(self, construction_file, capsys):
         assert main(["ci", "--algo", "dp", "--json", str(construction_file)]) == 0
