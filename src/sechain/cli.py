@@ -40,7 +40,8 @@ def _write_output(make_text: Callable[[], str], path: Optional[str]) -> None:
 
     The path is opened before make_text runs, so an unwritable one fails
     before any work.  A file that this opening created is removed again
-    if making or writing the text raises.
+    if making or writing the text raises.  The text is encoded before the
+    file is truncated, so running out of memory keeps an earlier file.
     """
     if path is None or path == "-":
         sys.stdout.write(make_text())
@@ -48,9 +49,9 @@ def _write_output(make_text: Callable[[], str], path: Optional[str]) -> None:
     created = not os.path.lexists(path)
     open(path, "a").close()
     try:
-        text = make_text()
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        data = make_text().encode("utf-8")
+        with open(path, "wb") as handle:
+            handle.write(data)
     except BaseException:
         if created:
             os.remove(path)

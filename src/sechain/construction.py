@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from . import InputError
-from .geometry import Row, Scaled, chain_defect, is_south_east_chain
+from .geometry import Row, Scaled, chain_defect
 from .level import IndexPair, Level, expected_witness_size  # noqa: F401
 
 if TYPE_CHECKING:
@@ -38,7 +38,7 @@ _OFFSETS = ((2, 0, 2, 0), (0, 0, 4, 0), (2, 0, 5, 0))
 def base_case() -> Level:
     """Level 1: two 2-point chains and a 3-midpoint witness."""
     chains = Scaled.from_rows([(0, 0, 0, 0), (2, 0, 1, 0), (0, 0, 2, 0), (2, 0, 4, 0)], 1)
-    level = Level.from_rows(1, chains, 2, ((0, 0), (1, 0), (1, 1)), ())
+    level = Level(1, chains, 2, ((0, 0), (1, 0), (1, 1)), ())
     level.validate()
     return level
 
@@ -86,14 +86,10 @@ def step(level: Level, eps: Fraction | int | tuple[int, int]) -> Optional[Level]
     junctions += [both.midpoints(m, new_witness[j - 2:j + 2]) for j in (w, w + n)]
     if any(map(chain_defect, junctions)):
         return None
-    if not (
-        is_south_east_chain(Scaled.from_rows(new_a, t))
-        and is_south_east_chain(Scaled.from_rows(new_b, t))
-        and is_south_east_chain(both.midpoints(m, new_witness))
-    ):
+    if (chain_defect(Scaled.from_rows(new_a, t)) or chain_defect(Scaled.from_rows(new_b, t))
+            or chain_defect(both.midpoints(m, new_witness))):
         return None
-    return Level.from_rows(level.k + 1, both, m, tuple(new_witness),
-                           level.eps_pairs + ((p, q),))
+    return Level(level.k + 1, both, m, tuple(new_witness), level.eps_pairs + ((p, q),))
 
 
 class EpsilonSearchError(InputError, RuntimeError):

@@ -40,10 +40,10 @@ turns into rows once, keep each point once (`Scaled.distinct`) and check
 their cap before any sort.  Then `ci_bruteforce` works on the points in
 (x, y) order and `ci_dp` on them in (y, x) order, both from
 `Scaled.sorted`, and each returns its witness as rows: a `CiResult`
-builds the witness `Point`s only when `witness` is read, and `ci --json`
-encodes `witness_rows` as they are.  Both are exact and take every sign
-from the one kernel (integers over a shared denominator), so they differ
-in algorithm, not in arithmetic.
+takes rows only and builds the witness `Point`s when `witness` is read,
+and `ci --json` encodes `witness_rows` as they are.  Both are exact and
+take every sign from the one kernel (integers over a shared
+denominator), so they differ in algorithm, not in arithmetic.
 The oracles independent of that kernel are in `tests/helpers.py` and
 `perfbench/exact.py`.
 """
@@ -62,27 +62,24 @@ from .geometry import Point, Record, Scaled, _hull
 class CiResult(Record):
     """Size of a largest convexly independent subset, plus one witness.
 
-    The witness lists the subset in counterclockwise convex position.  It
-    is kept as rows (`witness_rows`), as a solver gives it, or put on rows
-    once when given as `Point`s, which are built when `witness` is read.
+    The witness lists the subset in counterclockwise convex position, as
+    rows over their least scale (`witness_rows`), so equal rows are equal
+    points; its `Point`s are built when `witness` is read.
     """
 
     __slots__ = ("size", "witness_rows")
     size: int
     witness_rows: Scaled
 
-    def __init__(self, size: int, witness: tuple[Point, ...] | Scaled) -> None:
-        self._set(size, witness if isinstance(witness, Scaled) else Scaled(list(witness)))
+    def __init__(self, size: int, witness_rows: Scaled) -> None:
+        self._set(size, witness_rows.reduced())
 
     @property
     def witness(self) -> tuple[Point, ...]:
         return tuple(self.witness_rows.points())
 
-    def _fields(self) -> dict[str, object]:
-        return {"size": self.size, "witness": self.witness}
-
     def _values(self) -> tuple:
-        return self.size, self.witness
+        return self.size, self.witness_rows.s, *self.witness_rows.rows
 
 
 # ci of level 5 (1024 points) takes about 1.3-1.7 s at 50 MB peak RSS (2

@@ -19,14 +19,13 @@ too), before any other package module is imported, so a malformed file
 of any kind, an invalid graph structure too, is refused having loaded no
 other package module.  Then `_scaled` imports the geometry kernel, once,
 and puts the points on rows over the lcm of their denominators, where
-the CLI's `load_path` keeps them: a construction's, which
-`Level.from_rows` brings to the least scale (its factors are (num, den)
-pairs reduced by their gcd), a point set's and a graph's placements.
-`loads` makes their `Point`s at its own boundary, so no CLI op loads
-`numbers` or `fractions`.  Parsing does NOT re-prove the geometric
-invariants: a well-formed file whose chains are broken parses fine and
-is rejected later by verification, which keeps "unreadable input" and
-"readable but wrong" distinguishable.
+`loads` and `load_path` keep them: a construction's, which `Level`
+brings to the least scale (its factors are (num, den) pairs reduced by
+their gcd), a point set's and a graph's placements.  No `Point` is
+built, so no CLI op loads `numbers` or `fractions`.  Parsing does NOT
+re-prove the geometric invariants: a well-formed file whose chains are
+broken parses fine and is rejected later by verification, which keeps
+"unreadable input" and "readable but wrong" distinguishable.
 """
 
 from __future__ import annotations
@@ -147,6 +146,14 @@ def _points(obj: dict, key: str, path: tuple) -> list[list[int]]:
     return [_ratios(point, at) for point, at in _items(entry, "points", dict, (*path, key))]
 
 
+def _check_types(objects: dict, tags: dict[str, str]) -> None:
+    """Refuse an object of `objects` whose `type` is not its tag in `tags`."""
+    for key, tag in tags.items():
+        found = _field(objects[key], "type", object, ("objects", key))
+        if found != tag:
+            raise _fail(f"expected type {tag!r}, not {found!r}", ("objects", key, "type"))
+
+
 def _scaled(decoded: list[list[int]]) -> Scaled:
     """A well-formed document's decoded points as integer rows over the
     lcm of their denominators."""
@@ -179,11 +186,17 @@ def _decode_construction(document: dict[str, Any]) -> Level:
         if not (0 <= i < len(a) and 0 <= j < len(b)):
             raise _fail("index out of range", at)
         witness.append((i, j))
+    counts = _field(meta, "counts", dict, ("metadata",))
+    for key, size in (("a", len(a)), ("b", len(b)), ("witness", len(witness))):
+        value = _field(counts, key, int, ("metadata", "counts"))
+        if isinstance(value, bool) or value != size:
+            raise _fail(f"says {value}, but the document has {size}", ("metadata", "counts", key))
+    _check_types(objects, {"a_chain": "chain", "b_chain": "chain", "witness_pairs": "index_pairs"})
 
     from .level import Level
 
-    return Level.from_rows(k, _scaled(a + b), len(a), tuple(witness),  # factors reduced
-                           tuple((p // (g := gcd(p, q)), q // g) for p, q in eps_history))
+    return Level(k, _scaled(a + b), len(a), tuple(witness),  # factors reduced
+                 tuple((p // (g := gcd(p, q)), q // g) for p, q in eps_history))
 
 
 # -- graph documents --------------------------------------------------------
@@ -225,6 +238,8 @@ def _decode_graph(
     defect = structure_defect(u, v, edges)
     if defect:
         raise DocumentError(defect, "objects.graph")
+    _check_types(objects, {"graph": "bipartite_graph"} if placed is None
+                 else {"graph": "bipartite_graph", "placements": "placement"})
     from .graphs import BipartiteGraph
 
     graph = BipartiteGraph(u=u, v=v, edges=edges)
@@ -237,8 +252,13 @@ def _decode_graph(
 ParsedDocument = tuple[str, Any]
 
 
-def _decode(text: str) -> ParsedDocument:
-    """`loads` on rows: a point set is a `Scaled`, placements (names, `Scaled`)."""
+def loads(text: str) -> ParsedDocument:
+    """Parse any known document kind from text.
+
+    Returns (kind, payload) where payload is an unverified `Level`, a
+    point set's `Scaled`, or a (BipartiteGraph, placements-or-None) pair
+    whose placements are the placed names and one `Scaled` of their rows.
+    """
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -261,28 +281,16 @@ def _decode(text: str) -> ParsedDocument:
         return kind, _decode_construction(document)
     if kind == "points":
         objects = _field(document, "objects", dict)
-        return kind, _scaled(_points(objects, "points", ("objects",)))
+        points = _points(objects, "points", ("objects",))
+        _check_types(objects, {"points": "point_set"})
+        return kind, _scaled(points)
     if kind == "graph":
         return kind, _decode_graph(document)
     raise DocumentError(f"unknown kind {kind!r}", "kind")
 
 
-def loads(text: str) -> ParsedDocument:
-    """Parse any known document kind from text.
-
-    Returns (kind, payload) where payload is an unverified `Level`, a
-    list of Points, or a (BipartiteGraph, placements-or-None) pair.
-    """
-    kind, payload = _decode(text)
-    if kind == "graph" and payload[1] is not None:
-        names, rows = payload[1]
-        return kind, (payload[0], dict(zip(names, rows.points())))
-    return kind, payload.points() if kind == "points" else payload
-
-
 def load_path(path: str) -> ParsedDocument:
-    """Read and parse a document file: `loads`, except that coordinates
-    stay on rows, as in `_decode`, which is what the CLI computes on."""
+    """Read and parse a document file: `loads` of its text."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -290,4 +298,4 @@ def load_path(path: str) -> ParsedDocument:
         raise DocumentError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise DocumentError(f"cannot read {path}: not UTF-8 ({exc.reason})") from exc
-    return _decode(text)
+    return loads(text)

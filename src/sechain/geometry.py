@@ -96,10 +96,6 @@ class Record:
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
 
-    def _fields(self) -> dict[str, object]:
-        """The arguments the class is called with, by name."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field '{name}'")
 
@@ -115,11 +111,11 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
-        return self.__class__, tuple(self._fields().values())
+        return self.__class__, tuple([getattr(self, name) for name in self.__slots__])
 
 
 def _coord(value: QSqrt3Like) -> QSqrt3:
@@ -189,6 +185,9 @@ class Scaled:
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def __repr__(self) -> str:
+        return f"Scaled.from_rows({self.rows!r}, {self.s!r})"
 
     def points(self) -> list[Point]:
         """The exact points, each component reduced."""

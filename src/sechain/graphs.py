@@ -11,16 +11,16 @@ Part lists and the edge list are kept in construction order on purpose:
 vertex t of a part corresponds to point t of the matching chain of a
 built level, and edge t corresponds to witness pair t.  Their structure
 is checked on names alone, by `document.structure_defect`.  A
-`BipartiteDrawing` places vertices on the plane; `verify_drawing`
-re-checks, by exact predicates only, that both parts and the edge
-midpoints form south-east chains, and `drawing_defect` says where they
-do not.  Both parts' placements go into one `geometry.Scaled`, and the
-edge midpoints are its row sums over `BipartiteGraph.index_pairs()`:
-`placement_defect` checks such rows, as `verify` of a document does.
-`level_graph` checks the family graph against a built level, whose
-chains then place `graph.u + graph.v` in order: `graph --placements`
-encodes those rows as they are, and `drawing_from_level` makes them
-`Point`s.
+`BipartiteDrawing` places vertices on the plane.  `placement_defect`
+checks rows placing `graph.u + graph.v` in order, by exact predicates
+only: both parts and the edge midpoints, its row sums over
+`BipartiteGraph.index_pairs()`, must form south-east chains, and the
+detail says where they do not.  `verify` of a document runs it on the
+document's rows, and `verify_drawing` on a drawing's `Point`s, put into
+one `geometry.Scaled`.  `level_graph` checks the family graph against a
+built level, whose chains then place `graph.u + graph.v` in order:
+`graph --placements` encodes those rows as they are, and
+`drawing_from_level` makes them `Point`s.
 """
 
 from __future__ import annotations
@@ -127,28 +127,16 @@ class BipartiteDrawing(Record):
     def __hash__(self) -> int:
         return hash((self.graph,))
 
-    def _scaled(self) -> Scaled:
-        """Part u's placements, then part v's, over one scale."""
-        return Scaled([self.placement[x] for x in self.graph.u + self.graph.v])
 
-    def edge_midpoints(self) -> list[Point]:
-        graph = self.graph
-        return self._scaled().midpoints(len(graph.u), graph.index_pairs()).points()
-
-
-def drawing_defect(drawing: BipartiteDrawing) -> str:
-    """Where a drawing first breaks its chain conditions; "" if nowhere.
+def placement_defect(graph: BipartiteGraph, k: Scaled) -> str:
+    """Where the rows `k`, placing `graph.u + graph.v` in order, first
+    break a drawing's chain conditions; "" if nowhere.
 
     Each part's placements and the edge midpoints, each sorted by (x, y),
     must form a south-east chain; the detail names the sequence and counts
     indices in that sorted order.  Coincident midpoints (or coincident
     part vertices) fail: strict x increase rules them out.
     """
-    return placement_defect(drawing.graph, drawing._scaled())
-
-
-def placement_defect(graph: BipartiteGraph, k: Scaled) -> str:
-    """`drawing_defect` of the rows `k` placing `graph.u + graph.v` in order."""
     n = len(graph.u)
     sequences = (
         ("part u", k.take(range(n))),
@@ -164,8 +152,9 @@ def placement_defect(graph: BipartiteGraph, k: Scaled) -> str:
 
 
 def verify_drawing(drawing: BipartiteDrawing) -> bool:
-    """True iff all three chain conditions of `drawing_defect` hold."""
-    return not drawing_defect(drawing)
+    """True iff the drawing meets all three chain conditions of `placement_defect`."""
+    graph = drawing.graph
+    return not placement_defect(graph, Scaled([drawing.placement[x] for x in graph.u + graph.v]))
 
 
 def level_graph(level: Level) -> BipartiteGraph:

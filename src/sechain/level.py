@@ -1,14 +1,16 @@
 """The construction record: a `Level` and the checks that re-prove it.
 
 A `Level` holds two south-east chains and a witness, index pairs whose
-midpoints again form a south-east chain.  Reading a level needs only
-this module: `verify`, `render` and `ci` of a construction document load
-it and not the builder, `construction`.
+midpoints again form a south-east chain.  It is made from integer rows
+only, as `step` and the decoder give them; `a`, `b`, `eps_history` and
+`witness_midpoints()` build `Point`s and `Fraction`s on each read.
+Reading a level needs only this module: `verify`, `render` and `ci` of a
+construction document load it and not the builder, `construction`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .geometry import Record, Scaled, chain_defect, is_convexly_independent
 
@@ -24,12 +26,12 @@ Check = tuple[str, bool, str]
 class Level(Record):
     """A stage of the construction: two chains and a witness.
 
-    It takes chains a and b as `Point`s and holds them as integer rows:
-    `chains` has a's n points, then b's, over their least scale, so equal
-    rows are equal points; `eps_pairs` holds the factors as reduced pairs
-    (p, q), q > 0.  Constructing a Level proves nothing: `base_case`,
-    `step` and `build` return proved levels; a decoded document is
-    unverified until `checks()` or `validate()` re-proves it.
+    Chain a is the first n rows of `chains` and chain b the rest, held
+    over their least scale, so equal rows are equal points; `eps_pairs`
+    holds the factors as reduced pairs (p, q), q > 0.  Constructing a
+    Level proves nothing: `base_case`, `step` and `build` return proved
+    levels; a decoded document is unverified until `checks()` or
+    `validate()` re-proves it.
     """
 
     __slots__ = ("k", "chains", "n", "witness", "eps_pairs")
@@ -39,18 +41,9 @@ class Level(Record):
     witness: tuple[IndexPair, ...]
     eps_pairs: tuple[tuple[int, int], ...]
 
-    def __init__(self, k: int, a: Sequence[Point], b: Sequence[Point],
-                 witness: tuple[IndexPair, ...], eps_history: tuple[Fraction, ...]) -> None:
-        self._set(k, Scaled([*a, *b]), len(a), witness,
-                  tuple((e.numerator, e.denominator) for e in eps_history))
-
-    @classmethod
-    def from_rows(cls, k: int, chains: Scaled, n: int, witness: tuple[IndexPair, ...],
-                  eps_pairs: tuple[tuple[int, int], ...]) -> Level:
-        """The level of chain a = the first n rows of `chains`, b = the rest."""
-        level = cls.__new__(cls)
-        level._set(k, chains.reduced(), n, witness, eps_pairs)
-        return level
+    def __init__(self, k: int, chains: Scaled, n: int, witness: tuple[IndexPair, ...],
+                 eps_pairs: tuple[tuple[int, int], ...]) -> None:
+        self._set(k, chains.reduced(), n, witness, eps_pairs)
 
     a = property(lambda self: tuple(self.chains.take(range(self.n)).points()))
     b = property(lambda self: tuple(self.chains.take(range(self.n, len(self.chains))).points()))
@@ -63,10 +56,6 @@ class Level(Record):
 
     def _values(self) -> tuple:  # for == and hash: rows over the least scale are points
         return self.k, self.n, self.witness, self.eps_pairs, self.chains.s, *self.chains.rows
-
-    def _fields(self) -> dict[str, object]:
-        return dict(k=self.k, a=self.a, b=self.b, witness=self.witness,
-                    eps_history=self.eps_history)
 
     def witness_midpoints(self) -> tuple[Point, ...]:
         """Midpoints of the witness pairs, in witness order."""

@@ -21,7 +21,7 @@ from . import InputError
 from .document import FORMAT_VERSION
 
 if TYPE_CHECKING:
-    from .geometry import Point, Scaled
+    from .geometry import Scaled
     from .graphs import BipartiteGraph
     from .level import Level
 
@@ -156,15 +156,11 @@ def construction_to_document(level: Level, encode: Callable[..., Any] = plain) -
     }
 
 
-def points_to_document(points: list[Point], encode: Callable[..., Any] = plain) -> dict[str, Any]:
-    from .geometry import Scaled
-
+def points_to_document(points: Scaled, encode: Callable[..., Any] = plain) -> dict[str, Any]:
     return {
         "version": FORMAT_VERSION,
         "kind": "points",
-        "objects": {
-            "points": {"type": "point_set", "points": encode_points(Scaled(points), encode)}
-        },
+        "objects": {"points": {"type": "point_set", "points": encode_points(points, encode)}},
     }
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from mpmath import iv
 
 from sechain.construction import Level
-from sechain.geometry import Point, pt
+from sechain.geometry import Point, Scaled, pt
 from sechain.numbers import QSqrt3
 
 iv.prec = 128
@@ -62,6 +62,13 @@ def flatten(p: Point, eps: Fraction) -> Point:
     return Point(p.x * eps, p.y * (eps * eps))
 
 
+def points_level(k: int, a, b, witness, eps_history) -> Level:
+    """The `Level` of chains a and b given as `Point`s and of factors given
+    as `Fraction`s: a's rows, then b's, and each factor as its pair."""
+    return Level(k, Scaled([*a, *b]), len(a), tuple(witness),
+                 tuple((e.numerator, e.denominator) for e in eps_history))
+
+
 def reference_level(document: dict) -> Level:
     """The `Level` of a construction document, built from `Fraction` and
     `QSqrt3` points; the reference for the decoder, which builds none."""
@@ -75,7 +82,7 @@ def reference_level(document: dict) -> Level:
     meta, objects = document["metadata"], document["objects"]
     a, b = ([point(p) for p in objects[f"{c}_chain"]["points"]] for c in "ab")
     witness = tuple(tuple(pair) for pair in objects["witness_pairs"]["pairs"])
-    return Level(meta["k"], a, b, witness, tuple(map(fraction, meta["eps_history"])))
+    return points_level(meta["k"], a, b, witness, tuple(map(fraction, meta["eps_history"])))
 
 
 def interval_sign(value: QSqrt3):

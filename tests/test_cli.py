@@ -100,6 +100,10 @@ def _hostile(name: str, text: str) -> str:
                     d = rng.randrange(10**2199, 10**2200) | 1
                     num, den = int(ratio["num"]), int(ratio["den"])
                     ratio["num"], ratio["den"] = str(num * d + den), str(den * d)
+    objects = document["objects"]  # the counts state what the edited objects hold
+    document["metadata"]["counts"] = {"a": len(objects["a_chain"]["points"]),
+                                      "b": len(objects["b_chain"]["points"]),
+                                      "witness": len(objects["witness_pairs"]["pairs"])}
     return json.dumps(document)
 
 
@@ -190,7 +194,7 @@ class TestVerify:
 
     def test_points_document(self, tmp_path, capsys):
         doc = tmp_path / "pts.json"
-        doc.write_text(dumps(points_to_document([pt(0, 0), pt(1, 1)])))
+        doc.write_text(dumps(points_to_document(Scaled([pt(0, 0), pt(1, 1)]))))
         assert main(["verify", str(doc)]) == 0
         assert "parsed" in capsys.readouterr().out
 
@@ -236,7 +240,8 @@ class TestVerify:
         payload = json.loads(doc.read_text())
         payload["objects"]["placements"]["points"] = {}
         doc.write_text(json.dumps(payload))
-        assert loads(doc.read_text())[1][1] == {}
+        names, rows = loads(doc.read_text())[1][1]
+        assert names == [] and rows.rows == []
         assert main(["verify", str(doc)]) == 1
         assert "FAIL  placements-complete  (8 missing)" in capsys.readouterr().out
 
@@ -418,8 +423,8 @@ def test_failed_write_leaves_no_new_file(tmp_path, monkeypatch, capsys):
     # on a full disk) removes it again.
     def open_on_full_disk(path, mode="r", **kwargs):
         handle = open(path, mode, **kwargs)
-        if mode == "w":
-            def write(text):
+        if mode == "wb":
+            def write(data):
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
 
             handle.write = write
@@ -430,6 +435,22 @@ def test_failed_write_leaves_no_new_file(tmp_path, monkeypatch, capsys):
     assert main(["construct", "-k", "2", "-o", str(out)]) == 2
     assert capsys.readouterr().err == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mib", [46, 48])
+def test_out_of_memory_keeps_the_earlier_file(tmp_path, mib):
+    # Level 12 in a fresh interpreter, with an address space in which its
+    # text is made but the write may not fit: either the pinned document
+    # is written, or the op runs out of memory and the earlier bytes stay.
+    doc = tmp_path / "kept.json"
+    doc.write_bytes(b"earlier output\n")
+    proc = _run_cli("construct", "-k", "12", "-o", str(doc),
+                    preexec_fn=functools.partial(_limit_address_space, mib))
+    if proc.returncode == 0:
+        assert _sha256(doc.read_bytes()) == _PINNED_CONSTRUCTIONS[12]
+    else:
+        assert (proc.returncode, proc.stderr) == (2, "error: out of memory\n")
+        assert doc.read_bytes() == b"earlier output\n"
 
 
 @pytest.mark.parametrize("command", ["construct", "graph"])
@@ -516,7 +537,7 @@ def _valid_documents() -> list[dict]:
     return [
         construction_to_document(level),
         graph_to_document(family(2), placements=level.chains, k=2),
-        points_to_document(_SIX_POINTS),
+        points_to_document(Scaled(_SIX_POINTS)),
     ]
 
 
@@ -555,7 +576,7 @@ class TestCi:
     def test_points_input(self, tmp_path, capsys):
         doc = tmp_path / "pts.json"
         doc.write_text(
-            dumps(points_to_document([pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)]))
+            dumps(points_to_document(Scaled([pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)])))
         )
         assert main(["ci", str(doc)]) == 0
         assert "subset: 4" in capsys.readouterr().out
@@ -563,7 +584,7 @@ class TestCi:
     def test_bruteforce_cap(self, tmp_path, capsys):
         doc = tmp_path / "many.json"
         doc.write_text(
-            dumps(points_to_document([pt(i, i * i) for i in range(25)]))
+            dumps(points_to_document(Scaled([pt(i, i * i) for i in range(25)])))
         )
         assert main(["ci", "--algo", "brute", str(doc)]) == 2
         assert "error" in capsys.readouterr().err
@@ -594,7 +615,7 @@ class TestCi:
     def test_points_input_builds_no_point(self, tmp_path, monkeypatch, capsys):
         # A point set is decoded, solved and encoded on its integer rows.
         doc = tmp_path / "six.json"
-        doc.write_text(dumps(points_to_document(_SIX_POINTS)), encoding="utf-8")
+        doc.write_text(dumps(points_to_document(Scaled(_SIX_POINTS))), encoding="utf-8")
 
         def refuse(*args):
             raise AssertionError("ci of a points document built a Point")
@@ -662,6 +683,7 @@ class TestRender:
     def test_single_witness_pair_draws_no_witness_line(self, construction_file, tmp_path):
         document = json.loads(construction_file.read_text())
         del document["objects"]["witness_pairs"]["pairs"][1:]
+        document["metadata"]["counts"]["witness"] = 1
         doc, svg = tmp_path / "one-pair.json", tmp_path / "out.svg"
         doc.write_text(json.dumps(document))
         assert main(["render", str(doc), "-o", str(svg)]) == 0
@@ -672,7 +694,7 @@ class TestRender:
 
     def test_rejects_non_construction(self, tmp_path, capsys):
         doc = tmp_path / "pts.json"
-        doc.write_text(dumps(points_to_document([pt(0, 0)])))
+        doc.write_text(dumps(points_to_document(Scaled([pt(0, 0)]))))
         svg = tmp_path / "out.svg"
         assert main(["render", str(doc), "-o", str(svg)]) == 2
         assert "construction" in capsys.readouterr().err
@@ -829,7 +851,7 @@ class TestPinnedBytes:
         lattice = [pt(x, y) for x in range(10) for y in range(10)]
         for name, points in (("random120", _random120()), ("lattice10", lattice)):
             doc = tmp_path / f"{name}.json"
-            doc.write_text(dumps(points_to_document(points)), encoding="utf-8")
+            doc.write_text(dumps(points_to_document(Scaled(points))), encoding="utf-8")
             assert main(["ci", "--json", str(doc)]) == 0
             pinned_doc, pinned_ci = _PINNED_POINTS_CI[name]
             assert _sha256(doc.read_bytes()) == pinned_doc, name
@@ -837,7 +859,7 @@ class TestPinnedBytes:
 
     def test_points_document_and_ci_json(self, tmp_path, capsys):
         doc = tmp_path / "six.json"
-        doc.write_text(dumps(points_to_document(_SIX_POINTS)), encoding="utf-8")
+        doc.write_text(dumps(points_to_document(Scaled(_SIX_POINTS))), encoding="utf-8")
         assert _sha256(doc.read_bytes()) == _PINNED_SIX_POINTS
         assert main(["ci", "--json", str(doc)]) == 0
         assert _sha256(capsys.readouterr().out.encode("utf-8")) == _PINNED_SIX_POINTS_CI

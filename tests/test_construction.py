@@ -21,7 +21,7 @@ from sechain.document import construction_to_document, dumps, loads
 from sechain.geometry import is_south_east_chain, pt
 from sechain.numbers import QSqrt3
 
-from .helpers import flatten, midpoint, rotate60
+from .helpers import flatten, midpoint, points_level, rotate60
 
 # The paper's translations of the glued blocks: rot(flat(b)) in new_a,
 # flat(b) in new_b and rot(flat(a)) in new_b.
@@ -56,7 +56,7 @@ def _reference_step(level, eps):
     chains = _reference_chains(level.a, level.b, level.witness, eps)
     if chains is None:
         return None
-    return Level(level.k + 1, *chains, level.eps_history + (eps,))
+    return points_level(level.k + 1, *chains, level.eps_history + (eps,))
 
 
 # Dyadic factors as the search draws them, and others whose denominators
@@ -180,20 +180,20 @@ class TestStep:
 
     def test_returned_level_passed_three_chain_checks(self, monkeypatch):
         sizes = []
-        real = construction.is_south_east_chain
+        real = construction.chain_defect
 
         def recording(points):
             sizes.append(len(points))
             return real(points)
 
-        monkeypatch.setattr(construction, "is_south_east_chain", recording)
+        monkeypatch.setattr(construction, "chain_defect", recording)
         level = base_case()
         for eps in (Fraction(1, 32),) + (Fraction(1, 16),) * 6:
             sizes.clear()
             level = step(level, eps)
-            # new_a, new_b, then the witness midpoints.
+            # Four 4-point junctions, then new_a, new_b and the witness midpoints.
             n = len(level.a)
-            assert sizes == [n, n, expected_witness_size(level.k)]
+            assert sizes == [4, 4, 4, 4, n, n, expected_witness_size(level.k)]
         assert level.k == 8
 
     def test_block_translation_identities(self):
@@ -275,7 +275,7 @@ class TestFindEpsilon:
         expected = find_epsilon(lv)
         assert expected.eps_history[-1] == Fraction(1, 16)
         for start in (Fraction(1, 2), Fraction(1, 2**40)):
-            nxt = find_epsilon(Level(lv.k, lv.a, lv.b, lv.witness, (start,)))
+            nxt = find_epsilon(points_level(lv.k, lv.a, lv.b, lv.witness, (start,)))
             assert nxt.eps_history == (start, Fraction(1, 16))
             assert (nxt.a, nxt.b, nxt.witness) == (
                 expected.a, expected.b, expected.witness
@@ -336,7 +336,7 @@ class TestLevelRows:
 
     def test_equals_and_hashes_like_a_level_of_its_points(self, levels):
         lv = levels[5]
-        again = Level(lv.k, lv.a, lv.b, lv.witness, lv.eps_history)
+        again = points_level(lv.k, lv.a, lv.b, lv.witness, lv.eps_history)
         assert again == lv and hash(again) == hash(lv)
 
     def test_copy_and_pickle_round_trip(self, levels):
@@ -352,10 +352,10 @@ class TestLevelRows:
 
     def test_a_different_point_or_split_differs(self, levels):
         lv = levels[3]
-        moved = Level(lv.k, lv.a[:-1] + (pt(100, 100),), lv.b, lv.witness, lv.eps_history)
+        moved = points_level(lv.k, lv.a[:-1] + (pt(100, 100),), lv.b, lv.witness, lv.eps_history)
         assert moved != lv
         points = lv.a + lv.b
-        split = Level(lv.k, points[:7], points[7:], lv.witness, lv.eps_history)
+        split = points_level(lv.k, points[:7], points[7:], lv.witness, lv.eps_history)
         assert split != lv and split.chains.rows == lv.chains.rows
 
 
@@ -370,7 +370,7 @@ class TestLevelValidate:
             "eps_history": lv.eps_history,
         }
         fields.update(overrides)
-        return Level(**fields)
+        return points_level(**fields)
 
     def test_duplicate_witness_pair(self):
         bad = self._tamper(witness=((0, 0), (0, 0), (1, 1)))
@@ -395,7 +395,7 @@ class TestLevelValidate:
     def test_nonpositive_history_entry(self):
         lv = build(2)
         for eps in (Fraction(0), Fraction(-1, 32)):
-            bad = Level(lv.k, lv.a, lv.b, lv.witness, (eps,))
+            bad = points_level(lv.k, lv.a, lv.b, lv.witness, (eps,))
             with pytest.raises(ValueError, match="all positive"):
                 bad.validate()
 
@@ -414,7 +414,7 @@ class TestLevelValidate:
         # both chains by the same offset keeps every invariant.
         lv = base_case()
         off = pt(5, 7)
-        moved = Level(
+        moved = points_level(
             k=lv.k,
             a=tuple(p + off for p in lv.a),
             b=tuple(p + off for p in lv.b),
@@ -441,7 +441,7 @@ class TestLevelChecks:
     def test_out_of_range_pairs_fail_without_raising(self):
         lv = base_case()
         for pair in ((1, 2), (-1, 0)):
-            bad = Level(
+            bad = points_level(
                 k=lv.k,
                 a=lv.a,
                 b=lv.b,
@@ -458,7 +458,7 @@ class TestLevelChecks:
 
     def test_repeated_pair_is_located(self):
         lv = base_case()
-        bad = Level(lv.k, lv.a, lv.b, ((0, 0), (1, 0), (0, 0)), lv.eps_history)
+        bad = points_level(lv.k, lv.a, lv.b, ((0, 0), (1, 0), (0, 0)), lv.eps_history)
         verdicts = {name: (ok, detail) for name, ok, detail in bad.checks()}
         assert verdicts["witness-pairs-distinct"] == (
             False, "pair 2 (0, 0) repeats pair 0"
@@ -468,7 +468,7 @@ class TestLevelChecks:
         lv = levels[3]
         a = list(lv.a)
         a[4], a[5] = a[5], a[4]
-        bad = Level(lv.k, tuple(a), lv.b, lv.witness, lv.eps_history)
+        bad = points_level(lv.k, tuple(a), lv.b, lv.witness, lv.eps_history)
         verdicts = {name: (ok, detail) for name, ok, detail in bad.checks()}
         assert verdicts["chain-a"] == (
             False, "x does not strictly increase at indices 4,5"
@@ -477,7 +477,7 @@ class TestLevelChecks:
 
     def test_short_chain_fails(self):
         lv = base_case()
-        bad = Level(lv.k, lv.a[:1], lv.b, ((0, 0),), lv.eps_history)
+        bad = points_level(lv.k, lv.a[:1], lv.b, ((0, 0),), lv.eps_history)
         verdicts = {name: (ok, detail) for name, ok, detail in bad.checks()}
         assert verdicts["chain-a"] == (False, "fewer than 2 points")
         assert verdicts["witness-midpoint-chain"] == (False, "fewer than 2 points")

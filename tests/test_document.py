@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sechain.cli import main
-from sechain.construction import Level, base_case, build
+from sechain.construction import base_case, build
 from sechain.convex_subsets import ci_bruteforce, ci_dp
 from sechain.document import (
     FORMAT_VERSION,
@@ -31,7 +31,7 @@ from sechain.geometry import Point, Scaled, pt
 from sechain.graphs import BipartiteGraph, drawing_from_level, family, g1
 from sechain.numbers import QSqrt3
 
-from .helpers import reference_level
+from .helpers import points_level, reference_level
 
 
 def _load_eps(fraction: dict) -> Fraction:
@@ -44,7 +44,7 @@ def _load_eps(fraction: dict) -> Fraction:
 class TestFractionCodec:
     def test_encode(self):
         lv = build(2)
-        level = Level(lv.k, lv.a, lv.b, lv.witness, (Fraction(-3, 7),))
+        level = points_level(lv.k, lv.a, lv.b, lv.witness, (Fraction(-3, 7),))
         assert construction_to_document(level)["metadata"]["eps_history"] == [
             {"num": "-3", "den": "7"}
         ]
@@ -228,17 +228,17 @@ class TestRowDecoder:
 class TestPointsDocuments:
     def test_round_trip(self):
         pts = [pt(0, 0), Point(QSqrt3(1, Fraction(1, 3)), QSqrt3(2))]
-        kind, parsed = loads(dumps(points_to_document(pts)))
+        kind, parsed = loads(dumps(points_to_document(Scaled(pts))))
         assert kind == "points"
-        assert parsed == pts
+        assert parsed.points() == pts
 
     def test_empty_list_round_trips(self):
-        kind, parsed = loads(dumps(points_to_document([])))
+        kind, parsed = loads(dumps(points_to_document(Scaled([]))))
         assert kind == "points"
-        assert parsed == []
+        assert parsed.points() == []
 
     def test_bad_point_entry(self):
-        document = points_to_document([pt(0, 0)])
+        document = points_to_document(Scaled([pt(0, 0)]))
         document["objects"]["points"]["points"][0] = {"x": {}}
         with pytest.raises(DocumentError):
             loads(dumps(document))
@@ -256,9 +256,9 @@ class TestGraphDocuments:
         lv = build(2)
         d = drawing_from_level(lv)
         document = graph_to_document(d.graph, placements=lv.chains, k=lv.k)
-        _, (parsed, placements) = loads(dumps(document))
+        _, (parsed, (names, rows)) = loads(dumps(document))
         assert parsed == d.graph
-        assert placements == dict(d.placement)
+        assert dict(zip(names, rows.points())) == dict(d.placement)
 
     def test_placements_must_cover_the_parts(self):
         with pytest.raises(ValueError):
@@ -375,7 +375,7 @@ class TestTemplates:
     @settings(max_examples=40, deadline=None)
     def test_points_documents_and_ci_witnesses(self, coords, algo):
         points = [Point(QSqrt3(x, q), QSqrt3(y)) for x, q, y in coords]
-        text = _same_text(lambda encode: points_to_document(points, encode))
+        text = _same_text(lambda encode: points_to_document(Scaled(points), encode))
         if not points:
             return
         with tempfile.TemporaryDirectory() as tmp:
@@ -431,7 +431,7 @@ def _sweep_documents():
     pts = [pt(0, 0), Point(QSqrt3(1, Fraction(1, 3)), QSqrt3(2))]
     return {
         "construction": construction_to_document(level),
-        "points": points_to_document(pts),
+        "points": points_to_document(Scaled(pts)),
         "graph": graph_to_document(drawing.graph, k=2),
         "placed-graph": graph_to_document(drawing.graph, placements=level.chains, k=2),
     }
@@ -489,10 +489,11 @@ def _sweep_lines():
     return sorted(lines)
 
 
-# Recorded from the decoder before it moved to one field accessor.
+# Recorded after `loads` kept every payload on rows and read the counts
+# and `type` tags.
 _SWEEP_COUNT = 7843
 _SWEEP_SHA256 = (
-    "b61a90991f3b3e94280ddec655d0307bc0f914078158e3ea1a2067be73ae97b1"
+    "abc8d17808ae3d5c23b1195f268d9d92900998617d14b39c649f2feee7c1f3ea"
 )
 
 
@@ -571,6 +572,43 @@ class TestDecoderMessages:
         )
 
 
+# What a document states about itself, which the decoder checks after
+# every other field: each count of a construction, and each object's
+# `type` tag.  (document, path to the field, a false value, its message)
+_STATED = [
+    ("construction", ("metadata", "counts", "a"), 99, "says 99, but the document has 4"),
+    ("construction", ("metadata", "counts", "b"), 3, "says 3, but the document has 4"),
+    ("construction", ("metadata", "counts", "witness"), True,
+     "says True, but the document has 8"),
+    ("construction", ("objects", "a_chain", "type"), "bogus",
+     "expected type 'chain', not 'bogus'"),
+    ("construction", ("objects", "b_chain", "type"), "point_set",
+     "expected type 'chain', not 'point_set'"),
+    ("construction", ("objects", "witness_pairs", "type"), "chain",
+     "expected type 'index_pairs', not 'chain'"),
+    ("points", ("objects", "points", "type"), "chain",
+     "expected type 'point_set', not 'chain'"),
+    ("graph", ("objects", "graph", "type"), None,
+     "expected type 'bipartite_graph', not None"),
+    ("placed-graph", ("objects", "placements", "type"), "placements",
+     "expected type 'placement', not 'placements'"),
+]
+
+
+@pytest.mark.parametrize("name, path, value, message", _STATED,
+                         ids=[f"{case[0]}:{'.'.join(case[1])}" for case in _STATED])
+def test_stated_field_is_checked(name, path, value, message, tmp_path, capsys):
+    document = _sweep_documents()[name]
+    assert _error(_mutated(document, path, value)) == (".".join(path), message)
+    assert _error(_mutated(document, path, _DELETE)) == (
+        ".".join(path[:-1]), f"missing field '{path[-1]}'")
+    # `verify` refuses the file that states it: exit 2 and one error line.
+    doc = tmp_path / "stated.json"
+    doc.write_text(json.dumps(_mutated(document, path, value)), encoding="utf-8")
+    assert main(["verify", str(doc)]) == 2
+    assert capsys.readouterr().err == f"error: {'.'.join(path)}: {message}\n"
+
+
 class TestTwoDefects:
     # The sweep changes one field at a time; these pin which of two
     # defects is reported.
@@ -589,6 +627,15 @@ class TestTwoDefects:
         document = _sweep_documents()["construction"]
         document["objects"]["witness_pairs"]["pairs"][:2] = [[0, 99], [0]]
         assert _error(document) == ("objects.witness_pairs.pairs[0]", "index out of range")
+
+    def test_fields_before_counts_and_tags(self):
+        document = _sweep_documents()["construction"]
+        document["metadata"]["counts"]["a"] = 99
+        document["objects"]["a_chain"]["type"] = "bogus"
+        document["objects"]["witness_pairs"]["pairs"][-1] = [0, 99]
+        assert _error(document) == ("objects.witness_pairs.pairs[7]", "index out of range")
+        document["objects"]["witness_pairs"]["pairs"][-1] = [3, 3]
+        assert _error(document) == ("metadata.counts.a", "says 99, but the document has 4")
 
     def test_k_before_eps_history(self):
         document = _sweep_documents()["construction"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sechain.construction import Level, base_case, build, expected_witness_size
+from sechain.construction import base_case, build, expected_witness_size
 from sechain.geometry import pt
 from sechain.graphs import (
     BipartiteDrawing,
@@ -18,7 +18,7 @@ from sechain.graphs import (
     verify_drawing,
 )
 
-from .helpers import drawing_oracle, midpoint, points_st
+from .helpers import drawing_oracle, midpoint, points_level, points_st
 
 
 def _is_connected(graph: BipartiteGraph) -> bool:
@@ -177,6 +177,12 @@ class TestVerifyDrawing:
             BipartiteDrawing(graph=g1(), placement={"u1": pt(0, 0)})
 
 
+def _midpoints_of_edges(drawing: BipartiteDrawing) -> list:
+    """The midpoint of each edge's placements, in edge order, by `midpoint`."""
+    place = drawing.placement
+    return [midpoint(place[a], place[b]) for a, b in drawing.graph.edges]
+
+
 class TestDrawingFromLevel:
     def test_base_level(self):
         lv = base_case()
@@ -184,19 +190,19 @@ class TestDrawingFromLevel:
         assert d.graph == family(1)
         assert [d.placement[name] for name in d.graph.u] == list(lv.a)
         assert [d.placement[name] for name in d.graph.v] == list(lv.b)
-        assert d.edge_midpoints() == list(lv.witness_midpoints())
+        assert _midpoints_of_edges(d) == list(lv.witness_midpoints())
         assert verify_drawing(d)
 
     def test_levels_up_to_eight(self, levels):
         for lv in levels.values():
             d = drawing_from_level(lv)
             assert d.graph.edge_count == len(lv.witness)
-            assert d.edge_midpoints() == list(lv.witness_midpoints())
+            assert _midpoints_of_edges(d) == list(lv.witness_midpoints())
             assert verify_drawing(d)
 
     def test_misaligned_witness_rejected(self):
         lv = base_case()
-        shuffled = Level(
+        shuffled = points_level(
             k=lv.k,
             a=lv.a,
             b=lv.b,
@@ -209,7 +215,7 @@ class TestDrawingFromLevel:
     def test_edge_midpoints_match_pairs(self, levels):
         lv = levels[3]
         d = drawing_from_level(lv)
-        for (i, j), mid in zip(lv.witness, d.edge_midpoints()):
+        for (i, j), mid in zip(lv.witness, _midpoints_of_edges(d)):
             assert mid == midpoint(lv.a[i], lv.b[j])
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from sechain.cli import main
 from sechain.document import dumps, points_to_document
-from sechain.geometry import pt
+from sechain.geometry import Scaled, pt
 
 _CHILD = """
 import json, runpy, sys
@@ -73,12 +73,16 @@ def test_document_serves_the_writer_names():
 def test_perfbench_targets_resolve():
     # Each traced target must resolve on the module `perfbench/layers.py`
     # names, a function in that module's own namespace, so `--trace 1`
-    # wraps it; run in a child, which imports perfbench's modules.
+    # wraps it; and the reference pass, which reads `QSqrt3` arithmetic,
+    # `cross`, `Level.a`, `.b`, `.eps_history` and `witness_midpoints()`,
+    # must run at its smallest levels.  Run in a child, which imports
+    # perfbench's modules.
     root = Path(__file__).resolve().parents[1]
     child = """
 import importlib, sys
 sys.path.insert(0, sys.argv[1])
-from layers import TARGETS
+from layers import TARGETS, reference_metrics
+reference_metrics(1, 2)
 bad = []
 for name, (module_name, attr, _) in TARGETS.items():
     owner = importlib.import_module(module_name)
@@ -110,7 +114,7 @@ def docs(tmp_path_factory):
     assert main(["construct", "-k", "2", "-o", str(paths["level"])]) == 0
     assert main(["graph", "-k", "2", "--placements", "-o", str(paths["graph"])]) == 0
     points = [pt(0, 0), pt(1, 3), pt(2, 1), pt(3, 4)]
-    paths["points"].write_text(dumps(points_to_document(points)), encoding="utf-8")
+    paths["points"].write_text(dumps(points_to_document(Scaled(points))), encoding="utf-8")
     paths["bad"].write_text('{"version": "sechain/1"}', encoding="utf-8")
     # Malformed only past both chains: the last coordinate of chain b, and
     # the last witness pair; in a graph, the last placement, and an edge
@@ -128,6 +132,22 @@ def docs(tmp_path_factory):
         edit(document["objects"])
         paths[name].write_text(json.dumps(document), encoding="utf-8")
     return {name: str(path) for name, path in paths.items()}
+
+
+def test_loads_builds_no_point(docs):
+    # `loads` gives every document kind on rows, as `load_path` does: a
+    # level, a point set and a graph's placements build no `Point`.
+    child = """
+import sys
+from sechain.document import loads
+for path in sys.argv[1:]:
+    with open(path, encoding="utf-8") as handle:
+        loads(handle.read())
+print(sorted(m for m in ("fractions", "sechain.numbers") if m in sys.modules))
+"""
+    proc = subprocess.run([sys.executable, "-c", child, docs["level"], docs["points"],
+                           docs["graph"]], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 # The benchmarked ops, their exit code and exactly the package modules

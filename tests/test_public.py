@@ -23,6 +23,7 @@ from sechain import (
     g1,
     pt,
 )
+from sechain.geometry import Scaled
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -95,13 +96,13 @@ def _records():
     level = base_case()
     return [
         (Point, {"x": QSqrt3(1), "y": QSqrt3(Fraction(1, 2), 3)}, None),
-        (Level, {"k": level.k, "a": level.a, "b": level.b, "witness": level.witness,
-                 "eps_history": level.eps_history}, None),
+        (Level, {"k": level.k, "chains": level.chains, "n": level.n, "witness": level.witness,
+                 "eps_pairs": level.eps_pairs}, None),
         (BipartiteGraph, {"u": graph.u, "v": graph.v, "edges": graph.edges},
          {"u": ("a", "a"), "v": ("b",), "edges": ()}),
         (BipartiteDrawing, {"graph": graph, "placement": place},
          {"graph": graph, "placement": {"u1": pt(0, 0)}}),
-        (CiResult, {"size": 2, "witness": (pt(0, 0), pt(1, 1))}, None),
+        (CiResult, {"size": 2, "witness_rows": Scaled([pt(0, 0), pt(1, 1)])}, None),
     ]
 
 
@@ -144,8 +145,9 @@ def test_record_behaviour(cls, fields, invalid):
 
 def test_records_of_different_classes_never_equal():
     a, b = pt(0, 0), pt(1, 1)
-    assert Point(2, (a, b)) != CiResult(2, (a, b))  # the same field values
-    assert CiResult(2, (a, b)) != BipartiteGraph(("u",), ("v",), (("u", "v"),))
+    rows = Scaled([a, b])
+    assert Point(2, rows) != CiResult(2, rows)  # the same field values
+    assert CiResult(2, rows) != BipartiteGraph(("u",), ("v",), (("u", "v"),))
     with pytest.raises(TypeError):
         iter(Point(a.x, a.y))
 
