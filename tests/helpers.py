@@ -177,15 +177,21 @@ def south_east_chain_oracle(points) -> bool:
     return True
 
 
+def drawing_midpoints(drawing) -> list[Point]:
+    """The `midpoint` of each edge's placements, in edge order."""
+    place = drawing.placement
+    return [midpoint(place[a], place[b]) for a, b in drawing.graph.edges]
+
+
 def drawing_oracle(drawing) -> bool:
     """Independent verdict on a `BipartiteDrawing`.
 
     Both parts' placements and the edge midpoints must each satisfy
-    `south_east_chain_oracle`.  Midpoints are computed here, not taken
-    from the drawing.
+    `south_east_chain_oracle`.  Midpoints are computed here
+    (`drawing_midpoints`), not taken from the drawing.
     """
     place = drawing.placement
-    midpoints = [midpoint(place[a], place[b]) for a, b in drawing.graph.edges]
+    midpoints = drawing_midpoints(drawing)
     return all(
         south_east_chain_oracle(points)
         for points in (

@@ -18,7 +18,7 @@ from sechain.graphs import (
     verify_drawing,
 )
 
-from .helpers import drawing_oracle, midpoint, points_level, points_st
+from .helpers import drawing_midpoints, drawing_oracle, midpoint, points_level, points_st
 
 
 def _is_connected(graph: BipartiteGraph) -> bool:
@@ -177,12 +177,6 @@ class TestVerifyDrawing:
             BipartiteDrawing(graph=g1(), placement={"u1": pt(0, 0)})
 
 
-def _midpoints_of_edges(drawing: BipartiteDrawing) -> list:
-    """The midpoint of each edge's placements, in edge order, by `midpoint`."""
-    place = drawing.placement
-    return [midpoint(place[a], place[b]) for a, b in drawing.graph.edges]
-
-
 class TestDrawingFromLevel:
     def test_base_level(self):
         lv = base_case()
@@ -190,14 +184,14 @@ class TestDrawingFromLevel:
         assert d.graph == family(1)
         assert [d.placement[name] for name in d.graph.u] == list(lv.a)
         assert [d.placement[name] for name in d.graph.v] == list(lv.b)
-        assert _midpoints_of_edges(d) == list(lv.witness_midpoints())
+        assert drawing_midpoints(d) == list(lv.witness_midpoints())
         assert verify_drawing(d)
 
     def test_levels_up_to_eight(self, levels):
         for lv in levels.values():
             d = drawing_from_level(lv)
             assert d.graph.edge_count == len(lv.witness)
-            assert _midpoints_of_edges(d) == list(lv.witness_midpoints())
+            assert drawing_midpoints(d) == list(lv.witness_midpoints())
             assert verify_drawing(d)
 
     def test_misaligned_witness_rejected(self):
@@ -215,7 +209,7 @@ class TestDrawingFromLevel:
     def test_edge_midpoints_match_pairs(self, levels):
         lv = levels[3]
         d = drawing_from_level(lv)
-        for (i, j), mid in zip(lv.witness, _midpoints_of_edges(d)):
+        for (i, j), mid in zip(lv.witness, drawing_midpoints(d)):
             assert mid == midpoint(lv.a[i], lv.b[j])
 
 
