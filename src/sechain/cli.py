@@ -3,11 +3,12 @@
 Subcommands: construct, verify, ci, graph, render.  Exit codes follow
 one contract everywhere: 0 on success (for verify: every check passed),
 1 when verification ran and failed, 2 for unusable input (bad flags,
-unwritable outputs, unreadable or malformed documents, guard violations)
-and for running out of memory.  Every refusal of input raises
-`InputError`, and `main` is the one place that prints its `error:` line
-and returns 2; an unwritable output (`OSError`) and a `MemoryError` are
-reported beside it.
+unwritable outputs, unreadable or malformed documents, guard violations,
+a flattening-factor search past `find_epsilon`'s cap) and for running
+out of memory.  Every refusal of input raises `InputError`, and `main`
+is the one place that prints its `error:` line and returns 2; an
+unwritable output (`OSError`) and a `MemoryError` are reported beside
+it.
 
 Each handler imports the modules it runs, so an op loads, and without a
 bytecode cache compiles, only those: the record `level` to read a level,
@@ -32,7 +33,6 @@ from . import InputError
 # written from rows, 2 cores, Python 3.11) and runs to exit 0 under an
 # 80 MiB RLIMIT_AS; each further level about doubles both.
 _DEFAULT_MAX_K = 12
-_DEFAULT_MAX_EPS_EXPONENT = 256
 
 
 def _write_output(make_text: Callable[[], str], path: Optional[str]) -> None:
@@ -59,23 +59,19 @@ def _write_output(make_text: Callable[[], str], path: Optional[str]) -> None:
 
 
 def _check_level_options(args: argparse.Namespace) -> None:
-    """Refuse -k outside [1, --max-k] and a --max-eps-exponent that leaves
-    no flattening factor to try."""
+    """Refuse -k outside [1, --max-k]."""
     if not 1 <= args.k <= args.max_k:
         raise InputError(f"k must be between 1 and {args.max_k} (raise --max-k to go higher)")
-    if args.max_eps_exponent < 1:
-        raise InputError(f"--max-eps-exponent must be at least 1, not {args.max_eps_exponent}")
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     from .construction import build
-    from .document import Items, construction_to_document, dumps
+    from .document import construction_to_document, dumps
 
     _check_level_options(args)
 
     def text() -> str:
-        level = build(args.k, max_eps_exponent=args.max_eps_exponent)
-        return dumps(construction_to_document(level, Items))
+        return dumps(construction_to_document(build(args.k)))
 
     _write_output(text, args.output)
     return 0
@@ -143,9 +139,9 @@ def _cmd_ci(args: argparse.Namespace) -> int:
         raise InputError("ci needs a construction or points document")
     result = (ci_dp if args.algo == "dp" else ci_bruteforce)(points)
     if args.json:
-        from .document import Items, dumps, encode_points
+        from .document import dumps, encode_points
 
-        witness = encode_points(result.witness_rows, Items)
+        witness = encode_points(result.witness_rows)
         payload_out = {"algo": args.algo, "size": result.size, "witness": witness}
         sys.stdout.write(dumps(payload_out))
     else:
@@ -163,12 +159,12 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         if not args.placements:
             return edge_list_text(family(args.k))
         from .construction import build
-        from .document import Items, dumps, graph_to_document
+        from .document import dumps, graph_to_document
         from .graphs import level_graph
 
         # family(k), checked against the level's witness, placed on its rows.
-        level = build(args.k, max_eps_exponent=args.max_eps_exponent)
-        return dumps(graph_to_document(level_graph(level), level.chains, k=args.k, encode=Items))
+        level = build(args.k)
+        return dumps(graph_to_document(level_graph(level), level.chains, k=args.k))
 
     _write_output(text, args.output)
     return 0
@@ -195,14 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # -k, -o and the two search caps, shared by construct and graph.
+    # -k, -o and the level cap, shared by construct and graph.
     level_options = argparse.ArgumentParser(add_help=False)
     level_options.add_argument("-k", type=int, required=True, help="level index")
     level_options.add_argument("-o", "--output", default=None, help="output path")
     level_options.add_argument("--max-k", type=int, default=_DEFAULT_MAX_K)
-    level_options.add_argument(
-        "--max-eps-exponent", type=int, default=_DEFAULT_MAX_EPS_EXPONENT
-    )
 
     p_construct = sub.add_parser(
         "construct", parents=[level_options],

@@ -13,20 +13,20 @@ Counts follow len(witness_k) = (k + 2) * 2**(k - 1).
 
 Every candidate flattening factor is accepted or rejected by running the
 exact chain predicate on all three glued sequences; nothing is assumed
-about "sufficiently small" beyond what is verified.  `Level` and
-`expected_witness_size` resolve here too, imported from `level`.
+about "sufficiently small" beyond what is verified.  A factor p/q
+travels as the reduced pair (p, q), the one form a level records.
+`Level` and `expected_witness_size` resolve here too, imported from
+`level`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from math import gcd
+from typing import Optional
 
 from . import InputError
 from .geometry import Row, Scaled, chain_defect
 from .level import IndexPair, Level, expected_witness_size  # noqa: F401
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # The translations that place the chain blocks of a doubled level, as
 # integer rows over 2: (1, 1) for rot(flat(b)) in new_a, (0, 2) for
@@ -43,13 +43,14 @@ def base_case() -> Level:
     return level
 
 
-def step(level: Level, eps: Fraction | int | tuple[int, int]) -> Optional[Level]:
-    """One doubling with flattening factor eps: an int, a `Fraction`, or
-    a reduced pair (p, q), q > 0, as `find_epsilon` passes it.
+def step(level: Level, eps: tuple[int, int]) -> Optional[Level]:
+    """One doubling with flattening factor eps = p/q, given as the reduced
+    pair (p, q) that `find_epsilon` passes and `Level.eps_pairs` records.
 
     Returns the next level, or None when any of the three glued
     sequences fails the exact chain predicate (the factor was not small
-    enough).  An eps <= 0 or a float is a usage error, not a rejection.
+    enough).  A pair that is not positive or not reduced is a usage
+    error (ValueError), not a rejection: its level could not be recorded.
 
     The work is done on the level's integer rows over its scale s, and
     no `Point` is built: `Scaled.flattened`, the map that
@@ -58,9 +59,9 @@ def step(level: Level, eps: Fraction | int | tuple[int, int]) -> Optional[Level]
     scaled up to t to meet them, and the new level is kept over its
     least scale.
     """
-    if isinstance(eps, float):
-        raise TypeError("flattening factor must be int or Fraction, not float")
-    p, q = eps if isinstance(eps, tuple) else (eps.numerator, eps.denominator)
+    p, q = eps
+    if p <= 0 or q <= 0 or gcd(p, q) != 1:
+        raise ValueError(f"flattening factor must be a reduced positive pair, not {eps}")
     n, m = level.n, len(level.chains)
     flat, rot = level.chains.flattened(p, q)
     t, up = flat.s, flat.s // 2  # an integer over 2 is up times itself over t
@@ -128,11 +129,11 @@ def find_epsilon(level: Level, max_exponent: int = 256) -> Level:
     )
 
 
-def build(k: int, max_eps_exponent: int = 256) -> Level:
+def build(k: int) -> Level:
     """Construct level k from the base case, verifying every stage."""
     if k < 1:
         raise ValueError("level index must be at least 1")
     level = base_case()
     while level.k < k:
-        level = find_epsilon(level, max_exponent=max_eps_exponent)
+        level = find_epsilon(level)
     return level

@@ -40,10 +40,9 @@ turns into rows once, keep each point once (`Scaled.distinct`) and check
 their cap before any sort.  Then `ci_bruteforce` works on the points in
 (x, y) order and `ci_dp` on them in (y, x) order, both from
 `Scaled.sorted`, and each returns its witness as rows: a `CiResult`
-takes rows only and builds the witness `Point`s when `witness` is read,
-and `ci --json` encodes `witness_rows` as they are.  Both are exact and
-take every sign from the one kernel (integers over a shared
-denominator), so they differ in algorithm, not in arithmetic.
+keeps rows only, and `ci --json` encodes `witness_rows` as they are.
+Both are exact and take every sign from the one kernel (integers over a
+shared denominator), so they differ in algorithm, not in arithmetic.
 The oracles independent of that kernel are in `tests/helpers.py` and
 `perfbench/exact.py`.
 """
@@ -64,7 +63,7 @@ class CiResult(Record):
 
     The witness lists the subset in counterclockwise convex position, as
     rows over their least scale (`witness_rows`), so equal rows are equal
-    points; its `Point`s are built when `witness` is read.
+    points.
     """
 
     __slots__ = ("size", "witness_rows")
@@ -73,10 +72,6 @@ class CiResult(Record):
 
     def __init__(self, size: int, witness_rows: Scaled) -> None:
         self._set(size, witness_rows.reduced())
-
-    @property
-    def witness(self) -> tuple[Point, ...]:
-        return tuple(self.witness_rows.points())
 
     def _values(self) -> tuple:
         return self.size, self.witness_rows.s, *self.witness_rows.rows

@@ -45,8 +45,8 @@ if TYPE_CHECKING:  # the decoders import these once a document is well-formed
 FORMAT_VERSION = "sechain/1"
 
 _INT_RE = re.compile(r"-?[0-9]+")
-_WRITER = frozenset(("Items", "construction_to_document", "dumps", "encode_points",
-                     "graph_to_document", "plain", "points_to_document"))
+_WRITER = frozenset(("construction_to_document", "dumps", "encode_points",
+                     "graph_to_document", "points_to_document"))
 
 
 def __getattr__(name: str) -> Any:  # a `writer` name, imported once and kept here

@@ -1,12 +1,13 @@
 """Exact JSON documents for constructions, point sets, and graphs: the writer.
 
-One builder per document kind lays it out, its points and pairs in an
-encoding: `plain` gives JSON values, and `Items` keeps the fields for
-`dumps`, which writes the canonical text (sorted keys, two-space indent)
-itself, each item as one fill of a `%` template made from its layout.
-So one point template, filled from `geometry.Scaled` rows with one gcd
-per component, writes every point of every document and of `ci --json`'s
-witness.  `document` serves these names.
+One builder per document kind lays it out, its points and pairs as
+`Items`: a node that keeps the fields of each item and the function
+making the item's JSON value from them.  `dumps` writes the canonical
+text (sorted keys, two-space indent) itself, each item as one fill of a
+`%` template made from its layout.  So one point template, filled from
+`geometry.Scaled` rows with one gcd per component, writes every point of
+every document and of `ci --json`'s witness.  `document` serves these
+names.
 """
 
 from __future__ import annotations
@@ -38,16 +39,10 @@ def _point(parts: tuple) -> dict[str, Any]:
             "y": {"p": {"den": ypd, "num": ypn}, "q": {"den": yqd, "num": yqn}}}
 
 
-def plain(make: Callable[[tuple], Any], items: Iterable[tuple], keys: Any = None) -> Any:
-    """Items of one layout, each `make` of its fields, in a list or in a
-    dict under `keys`: the encoding of plain JSON values."""
-    made = [make(fields) for fields in items]
-    return made if keys is None else dict(zip(keys, made))
-
-
 class Items:
-    """The encoding that `dumps` writes by template, one `%` fill per item:
-    `plain`'s arguments, kept; `items` is read once."""
+    """Items of one layout, which `dumps` writes by template, one `%` fill
+    per item: each is the JSON value `make(fields)`, in a list, or in a
+    dict under `keys` if given; `items` is read once."""
 
     __slots__ = ("make", "items", "keys")
 
@@ -55,13 +50,13 @@ class Items:
         self.make, self.items, self.keys = make, items, keys
 
 
-def encode_points(points: Scaled, encode: Callable[..., Any] = plain, keys: Any = None) -> Any:
-    """The points in the encoding `encode`, each a `_point` whose fractions
-    are reduced by one gcd with the scale each."""
+def encode_points(points: Scaled, keys: Any = None) -> Items:
+    """The points as `Items`, each a `_point` whose fractions are reduced
+    by one gcd with the scale each."""
     s = points.s
-    return encode(_point, ((s // (g := gcd(xa, s)), xa // g, s // (h := gcd(xb, s)), xb // h,
-                            s // (i := gcd(ya, s)), ya // i, s // (j := gcd(yb, s)), yb // j)
-                           for xa, xb, ya, yb in points.rows), keys)
+    return Items(_point, ((s // (g := gcd(xa, s)), xa // g, s // (h := gcd(xb, s)), xb // h,
+                           s // (i := gcd(ya, s)), ya // i, s // (j := gcd(yb, s)), yb // j)
+                          for xa, xb, ya, yb in points.rows), keys)
 
 
 def dumps(document: Any) -> str:
@@ -69,9 +64,10 @@ def dumps(document: Any) -> str:
 
     The bytes of `json.dumps(document, sort_keys=True, indent=2) + "\\n"`,
     whose indented encode CPython runs in pure Python, with each `Items`
-    node written as its plain form.  Only str-keyed dicts, lists, strs,
-    ints, bools and None are written; anything else raises TypeError,
-    and an int past the interpreter's int-to-str limit InputError.
+    node written as the list or dict of its items' values.  Only
+    str-keyed dicts, lists, strs, ints, bools and None are written;
+    anything else raises TypeError, and an int past the interpreter's
+    int-to-str limit InputError.
     """
     chunks: list[str] = []
     put = chunks.append
@@ -136,10 +132,10 @@ def dumps(document: Any) -> str:
     return "".join(chunks)
 
 
-def construction_to_document(level: Level, encode: Callable[..., Any] = plain) -> dict[str, Any]:
-    """The level's document, its points and pairs in the encoding `encode`."""
+def construction_to_document(level: Level) -> dict[str, Any]:
+    """The level's document, its points and pairs as `Items`."""
     chains, n, witness = level.chains, level.n, level.witness
-    a, b = (encode_points(chains.take(r), encode) for r in (range(n), range(n, len(chains))))
+    a, b = (encode_points(chains.take(r)) for r in (range(n), range(n, len(chains))))
     return {
         "version": FORMAT_VERSION,
         "kind": "construction",
@@ -151,16 +147,16 @@ def construction_to_document(level: Level, encode: Callable[..., Any] = plain) -
         "objects": {
             "a_chain": {"type": "chain", "points": a},
             "b_chain": {"type": "chain", "points": b},
-            "witness_pairs": {"type": "index_pairs", "pairs": encode(list, witness)},
+            "witness_pairs": {"type": "index_pairs", "pairs": Items(list, witness)},
         },
     }
 
 
-def points_to_document(points: Scaled, encode: Callable[..., Any] = plain) -> dict[str, Any]:
+def points_to_document(points: Scaled) -> dict[str, Any]:
     return {
         "version": FORMAT_VERSION,
         "kind": "points",
-        "objects": {"points": {"type": "point_set", "points": encode_points(points, encode)}},
+        "objects": {"points": {"type": "point_set", "points": encode_points(points)}},
     }
 
 
@@ -168,10 +164,9 @@ def graph_to_document(
     graph: BipartiteGraph,
     placements: Optional[Scaled] = None,
     k: Optional[int] = None,
-    encode: Callable[..., Any] = plain,
 ) -> dict[str, Any]:
     """The graph, and the placements of its vertices in `graph.u + graph.v`
-    order if given; edges and placements in the encoding `encode`."""
+    order if given; edges and placements as `Items`."""
     document: dict[str, Any] = {
         "version": FORMAT_VERSION,
         "kind": "graph",
@@ -181,7 +176,7 @@ def graph_to_document(
                 "type": "bipartite_graph",
                 "u": list(graph.u),
                 "v": list(graph.v),
-                "edges": encode(list, graph.edges),
+                "edges": Items(list, graph.edges),
             }
         },
     }
@@ -191,6 +186,6 @@ def graph_to_document(
             raise ValueError(f"{len(placements)} placements for {len(names)} vertices")
         document["objects"]["placements"] = {
             "type": "placement",
-            "points": encode_points(placements, encode, names),
+            "points": encode_points(placements, names),
         }
     return document

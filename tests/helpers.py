@@ -1,13 +1,15 @@
 """Shared oracles and generators for the test suite.
 
-The sign oracle, the point-in-triangle oracle and the drawing oracle are
-written directly against the definitions, independently of the library
+The sign oracles (`interval_sign`, and `exact_sign` on the `Fraction`
+parts), the point-in-triangle oracle and the drawing oracle are written
+directly against the definitions, independently of the library
 internals, so the exact-arithmetic code has something external to agree
 with.  So is the value reference for the construction's maps: exact
 division, `slope`, `midpoint`, `rotate60` and `flatten`, on `QSqrt3`
-arithmetic alone and never through `geometry.Scaled`, and
+arithmetic alone and never through `geometry.Scaled` or its sign, and
 `reference_level`, a construction document read into `Fraction` and
-`QSqrt3` points.
+`QSqrt3` points.  `plain` gives a written document as the JSON values
+it stands for.
 """
 
 import functools
@@ -20,6 +22,7 @@ from mpmath import iv
 from sechain.construction import Level
 from sechain.geometry import Point, Scaled, pt
 from sechain.numbers import QSqrt3
+from sechain.writer import Items
 
 iv.prec = 128
 
@@ -39,7 +42,7 @@ def div(a: QSqrt3, b: QSqrt3) -> QSqrt3:
 def slope(a: Point, b: Point) -> QSqrt3:
     """Exact slope of the segment from a to b; requires a.x < b.x."""
     dx = b.x - a.x
-    if dx.sign() <= 0:
+    if exact_sign(dx) <= 0:
         raise ValueError("slope requires strictly increasing x")
     return div(b.y - a.y, dx)
 
@@ -60,6 +63,19 @@ def flatten(p: Point, eps: Fraction) -> Point:
     if eps <= 0:
         raise ValueError("flattening factor must be positive")
     return Point(p.x * eps, p.y * (eps * eps))
+
+
+def plain(node):
+    """A document with each writer `Items` node expanded into the JSON
+    values it stands for: a list, or a dict in `keys` order."""
+    if isinstance(node, Items):
+        made = [node.make(fields) for fields in node.items]
+        return made if node.keys is None else dict(zip(node.keys, made))
+    if isinstance(node, dict):
+        return {key: plain(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [plain(value) for value in node]
+    return node
 
 
 def points_level(k: int, a, b, witness, eps_history) -> Level:
@@ -103,8 +119,20 @@ def interval_sign(value: QSqrt3):
     return None
 
 
+def exact_sign(value: QSqrt3) -> int:
+    """Sign of p + q*sqrt(3) from the definition, on the `Fraction` parts:
+    the sign both parts share (a zero part shares the other's), else the
+    sign of p if p**2 > 3*q**2 and of q if p**2 < 3*q**2; the two are
+    never equal for nonzero p and q, because sqrt(3) is irrational."""
+    p, q = value.p, value.q
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sp * sq >= 0:
+        return sp or sq
+    return sp if p * p > 3 * q * q else sq
+
+
 def _orient(a: Point, b: Point, c: Point) -> int:
-    return ((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)).sign()
+    return exact_sign((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x))
 
 
 def in_closed_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:

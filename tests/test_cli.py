@@ -36,6 +36,8 @@ from sechain.geometry import Point, Scaled, pt
 from sechain.graphs import drawing_from_level, edge_list_text, family
 from sechain.numbers import QSqrt3
 
+from .helpers import plain
+
 
 @pytest.fixture
 def construction_file(tmp_path):
@@ -79,7 +81,8 @@ def _hostile(name: str, text: str) -> str:
         coord["num"] = "7" * 4000  # parses, but overflows a float
     elif name == "extent-overflow":  # each x fits a float, their distance does not
         objects = document["objects"]
-        objects["a_chain"]["points"] = encode_points(Scaled([pt(-(10**308), 0), pt(10**308, 1)]))
+        wide = Scaled([pt(-(10**308), 0), pt(10**308, 1)])
+        objects["a_chain"]["points"] = plain(encode_points(wide))
         objects["witness_pairs"]["pairs"] = []
     elif name == "empty-chains":  # well-formed, but there is nothing to draw
         objects = document["objects"]
@@ -88,7 +91,8 @@ def _hostile(name: str, text: str) -> str:
     elif name == "oversized":  # well-formed, one midpoint row past level 9
         objects = document["objects"]
         for chain, size in (("a_chain", 513), ("b_chain", 512)):
-            objects[chain]["points"] = encode_points(Scaled([pt(i, i * i) for i in range(size)]))
+            parabola = Scaled([pt(i, i * i) for i in range(size)])
+            objects[chain]["points"] = plain(encode_points(parabola))
         objects["witness_pairs"]["pairs"] = []
     elif name == "witness-digits":  # reads and verifies, but ci's witness does not write
         # Each rational part p becomes p + 1/D, D odd and about 2200 digits,
@@ -142,9 +146,15 @@ class TestConstruct:
         assert main(["construct", "-k", "3", "--max-k", "3", "-o", str(out)]) == 0
         assert main(["construct", "-k", "4", "--max-k", "3"]) == 2
 
-    def test_eps_exponent_cap(self, capsys):
-        assert main(["construct", "-k", "2", "--max-eps-exponent", "4"]) == 2
-        assert "error" in capsys.readouterr().err
+    def test_eps_exponent_cap(self, monkeypatch, capsys):
+        # A search that reaches find_epsilon's cap is refused with exit 2:
+        # level 2 needs 2**-5.
+        real = construction.find_epsilon
+        monkeypatch.setattr(construction, "find_epsilon",
+                            lambda level: real(level, max_exponent=4))
+        assert main(["construct", "-k", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: no flattening factor down to 2**-4 was accepted at level 1\n")
 
     def test_missing_k(self, capsys):
         assert main(["construct"]) == 2
@@ -405,11 +415,16 @@ def test_unwritable_output_fails_before_building(tmp_path, monkeypatch, capsys, 
 
 
 @pytest.mark.parametrize("command", ["construct", "graph"])
-def test_failed_search_leaves_no_new_file(tmp_path, capsys, command):
+def test_failed_search_leaves_no_new_file(tmp_path, monkeypatch, capsys, command):
+    def failed_search(k):
+        raise construction.EpsilonSearchError(
+            "no flattening factor down to 2**-3 was accepted at level 2")
+
+    monkeypatch.setattr(construction, "build", failed_search)
     fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
     kept.write_text("earlier output")
     for out in (fresh, kept):
-        argv = [command, "-k", "3", "--max-eps-exponent", "3", "-o", str(out)]
+        argv = [command, "-k", "3", "-o", str(out)]
         if command == "graph":
             argv.append("--placements")
         assert main(argv) == 2
@@ -451,18 +466,6 @@ def test_out_of_memory_keeps_the_earlier_file(tmp_path, mib):
     else:
         assert (proc.returncode, proc.stderr) == (2, "error: out of memory\n")
         assert doc.read_bytes() == b"earlier output\n"
-
-
-@pytest.mark.parametrize("command", ["construct", "graph"])
-@pytest.mark.parametrize("cap", ["0", "-5"])
-def test_eps_exponent_cap_below_one_is_refused(tmp_path, command, cap):
-    # Refused before the output is opened, so before any build.
-    out = tmp_path / "out.json"
-    argv = [command, "-k", "3", "--max-eps-exponent", cap, "-o", str(out)]
-    proc = _run_cli(*argv, *(["--placements"] if command == "graph" else []))
-    _assert_rejected(proc)
-    assert proc.stderr.splitlines() == [f"error: --max-eps-exponent must be at least 1, not {cap}"]
-    assert not out.exists()
 
 
 def _paths(node, path=()):
@@ -535,9 +538,9 @@ _SIX_POINTS = [pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2), pt(1, 1),
 def _valid_documents() -> list[dict]:
     level = construction.build(2)
     return [
-        construction_to_document(level),
-        graph_to_document(family(2), placements=level.chains, k=2),
-        points_to_document(Scaled(_SIX_POINTS)),
+        plain(construction_to_document(level)),
+        plain(graph_to_document(family(2), placements=level.chains, k=2)),
+        plain(points_to_document(Scaled(_SIX_POINTS))),
     ]
 
 

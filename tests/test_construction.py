@@ -59,6 +59,11 @@ def _reference_step(level, eps):
     return points_level(level.k + 1, *chains, level.eps_history + (eps,))
 
 
+def _pair(eps):
+    """A factor as the reduced pair that `step` takes."""
+    return eps.numerator, eps.denominator
+
+
 # Dyadic factors as the search draws them, and others whose denominators
 # are not powers of two; both sides of every level's threshold occur.
 _factors = st.one_of(
@@ -103,24 +108,35 @@ class TestWitnessSize:
 
 class TestStep:
     def test_rejects_nonpositive_eps(self):
-        for eps in (Fraction(0), Fraction(-1, 8)):
+        for eps in ((0, 1), (-1, 8), (1, 0)):
             with pytest.raises(ValueError):
                 step(base_case(), eps)
 
+    def test_rejects_a_pair_of_negatives(self):
+        # -1/-32 is 1/32, but a level recording (-1, -32) fails its own
+        # counts check and no document of it loads.
+        with pytest.raises(ValueError, match="reduced positive pair"):
+            step(base_case(), (-1, -32))
+
+    def test_rejects_an_unreduced_pair(self):
+        # (2, 64) gives the rows of (1, 32), but a level recording it is
+        # equal neither to that level nor to its own document round trip.
+        with pytest.raises(ValueError, match="reduced positive pair"):
+            step(base_case(), (2, 64))
+
     def test_refuses_float_eps(self):
         # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10.
-        for eps in (0.1, 1 / 32):
+        for eps in (0.1, 1 / 32, (1, 32.0), (0.5, 1)):
             with pytest.raises(TypeError):
                 step(base_case(), eps)
 
     def test_rejects_large_eps(self):
         # Flattening too little leaves the glued sequences out of order.
-        for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8),
-                    Fraction(1, 16)):
-            assert step(base_case(), eps) is None
+        for q in (1, 2, 4, 8, 16):
+            assert step(base_case(), (1, q)) is None
 
     def test_accepts_small_eps(self):
-        lv = step(base_case(), Fraction(1, 32))
+        lv = step(base_case(), (1, 32))
         assert lv is not None
         lv.validate()
         assert lv.k == 2
@@ -129,7 +145,7 @@ class TestStep:
         assert lv.eps_history == (Fraction(1, 32),)
 
     def test_witness_index_layout(self):
-        lv = step(base_case(), Fraction(1, 32))
+        lv = step(base_case(), (1, 32))
         assert lv.witness == (
             (0, 0), (1, 0), (1, 1),          # inherited pairs
             (0, 2), (1, 3),                  # new matching block
@@ -141,7 +157,7 @@ class TestStep:
         # rotated flattened first point of the old right chain.  With
         # eps = 1/32 the point (0, 2) flattens to (0, 2/1024), which
         # rotates to (-sqrt(3)/1024, 1/1024).
-        lv = step(base_case(), Fraction(1, 32))
+        lv = step(base_case(), (1, 32))
         assert lv.a[2].x == QSqrt3(1, Fraction(-1, 1024))
         assert lv.a[2].y == QSqrt3(Fraction(1025, 1024))
 
@@ -157,7 +173,7 @@ class TestStep:
         @example(k=3, eps=Fraction(2, 97))
         @settings(max_examples=40)
         def agrees(k, eps):
-            got = step(levels[k], eps)
+            got = step(levels[k], _pair(eps))
             assert got == _reference_step(levels[k], eps)
             verdicts.add(got is None)
 
@@ -172,7 +188,7 @@ class TestStep:
         for k in range(1, 7):
             for m in range(1, 7):
                 eps = Fraction(1, 2**m)
-                got = step(level, eps)
+                got = step(level, _pair(eps))
                 assert got == _reference_step(level, eps), (k, m)
                 verdicts[got is None] += 1
             level = find_epsilon(level)
@@ -188,7 +204,7 @@ class TestStep:
 
         monkeypatch.setattr(construction, "chain_defect", recording)
         level = base_case()
-        for eps in (Fraction(1, 32),) + (Fraction(1, 16),) * 6:
+        for eps in ((1, 32),) + ((1, 16),) * 6:
             sizes.clear()
             level = step(level, eps)
             # Four 4-point junctions, then new_a, new_b and the witness midpoints.
@@ -224,7 +240,7 @@ class TestStep:
     def test_chain_blocks_are_translates(self):
         lv = base_case()
         eps = Fraction(1, 32)
-        new = step(lv, eps)
+        new = step(lv, _pair(eps))
         n = len(lv.a)
         flat_a, rot_a = _transformed(lv.a, eps)
         flat_b, rot_b = _transformed(lv.b, eps)
@@ -245,14 +261,14 @@ class TestFindEpsilon:
             assert eps.numerator == 1
             m = eps.denominator.bit_length() - 1
             assert eps.denominator == 2**m
-            assert step(lv, eps) == nxt
-            assert step(lv, 2 * eps) is None
+            assert step(lv, _pair(eps)) == nxt
+            assert step(lv, _pair(2 * eps)) is None
 
     def test_smaller_dyadics_also_accepted(self):
         for lv in (base_case(), build(3)):
             eps = find_epsilon(lv).eps_history[-1]
-            assert step(lv, eps / 2) is not None
-            assert step(lv, eps / 4) is not None
+            assert step(lv, _pair(eps / 2)) is not None
+            assert step(lv, _pair(eps / 4)) is not None
 
     def test_exponent_cap(self):
         with pytest.raises(EpsilonSearchError):

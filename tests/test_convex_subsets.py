@@ -30,12 +30,12 @@ def both(points):
 
 
 def assert_sound(result: CiResult, points) -> None:
-    pool = set(points)
-    assert len(result.witness) == result.size
-    assert set(result.witness) <= pool
-    assert is_convexly_independent(result.witness)
-    assert set(convex_hull(result.witness)) == set(result.witness)
-    assert_strictly_ccw(result.witness)
+    pool, witness = set(points), result.witness_rows.points()
+    assert len(witness) == result.size
+    assert set(witness) <= pool
+    assert is_convexly_independent(witness)
+    assert set(convex_hull(witness)) == set(witness)
+    assert_strictly_ccw(witness)
 
 
 def assert_strictly_ccw(witness) -> None:
@@ -53,7 +53,7 @@ class TestExamples:
     def test_single_point(self):
         for solver in (ci_bruteforce, ci_dp):
             res = solver([pt(3, 4)])
-            assert res.size == 1 and res.witness == (pt(3, 4),)
+            assert res.size == 1 and res.witness_rows.points() == [pt(3, 4)]
 
     def test_collinear_points_give_two(self):
         pts = [pt(0, 0), pt(1, 1), pt(2, 2), pt(3, 3)]
@@ -80,8 +80,8 @@ class TestExamples:
         pts = [pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2), pt(1, 1)]
         brute, dp = both(pts)
         assert brute.size == dp.size == 4
-        assert pt(1, 1) not in brute.witness
-        assert pt(1, 1) not in dp.witness
+        assert pt(1, 1) not in brute.witness_rows.points()
+        assert pt(1, 1) not in dp.witness_rows.points()
 
     def test_bruteforce_prefers_lexicographically_smallest(self):
         # Every pair of collinear points is optimal; the combination scan
@@ -89,7 +89,7 @@ class TestExamples:
         pts = [pt(3, 0), pt(1, 0), pt(2, 0), pt(0, 0)]
         res = ci_bruteforce(pts)
         assert res.size == 2
-        assert res.witness == (pt(0, 0), pt(1, 0))
+        assert res.witness_rows.points() == [pt(0, 0), pt(1, 0)]
 
     def test_hexagon_in_grid(self):
         grid = [pt(x, y) for x in range(3) for y in range(3)]
@@ -203,8 +203,8 @@ class TestAgreement:
             assert_sound(brute, pts)
             assert_sound(dp, pts)
             # An oracle independent of the `Scaled` kernel both solvers share.
-            assert convex_position_oracle(brute.witness)
-            assert convex_position_oracle(dp.witness)
+            assert convex_position_oracle(brute.witness_rows.points())
+            assert convex_position_oracle(dp.witness_rows.points())
 
 
 class TestInvariances:

@@ -17,26 +17,25 @@ from sechain.convex_subsets import ci_bruteforce, ci_dp
 from sechain.document import (
     FORMAT_VERSION,
     DocumentError,
-    Items,
     construction_to_document,
     dumps,
     encode_points,
     graph_to_document,
     load_path,
     loads,
-    plain,
     points_to_document,
 )
 from sechain.geometry import Point, Scaled, pt
 from sechain.graphs import BipartiteGraph, drawing_from_level, family, g1
 from sechain.numbers import QSqrt3
+from sechain.writer import Items
 
-from .helpers import points_level, reference_level
+from .helpers import plain, points_level, reference_level
 
 
 def _load_eps(fraction: dict) -> Fraction:
     """The first factor of a level-2 document whose eps_history[0] is `fraction`."""
-    document = construction_to_document(build(2))
+    document = plain(construction_to_document(build(2)))
     document["metadata"]["eps_history"][0] = fraction
     return loads(json.dumps(document))[1].eps_history[0]
 
@@ -56,12 +55,13 @@ class TestFractionCodec:
         # 2/4 and 1/2 give one level: equal, of one hash, written alike.
         levels = []
         for num, den in (("2", "4"), ("1", "2")):
-            document = construction_to_document(build(2))
+            document = plain(construction_to_document(build(2)))
             document["metadata"]["eps_history"][0] = {"num": num, "den": den}
             levels.append(loads(json.dumps(document))[1])
         assert levels[0] == levels[1] and hash(levels[0]) == hash(levels[1])
         assert levels[0].eps_pairs == ((1, 2),)
-        assert construction_to_document(levels[0]) == construction_to_document(levels[1])
+        assert plain(construction_to_document(levels[0])) == plain(
+            construction_to_document(levels[1]))
         assert _load_eps({"num": "0", "den": "5"}) == 0
         assert _load_eps({"num": "-6", "den": "4"}) == Fraction(-3, 2)
 
@@ -115,7 +115,7 @@ class TestConstructionRoundTrip:
         assert isinstance(point["x"]["q"]["num"], str)
 
     def test_non_canonical_fractions_normalize(self):
-        document = construction_to_document(base_case())
+        document = plain(construction_to_document(base_case()))
         point = document["objects"]["a_chain"]["points"][0]
         point["x"]["p"] = {"num": "2", "den": "4"}
         _, parsed = loads(dumps(document))
@@ -124,7 +124,7 @@ class TestConstructionRoundTrip:
 
 class TestConstructionValidation:
     def _document(self):
-        return construction_to_document(base_case())
+        return plain(construction_to_document(base_case()))
 
     def _expect_error(self, document, fragment):
         with pytest.raises(DocumentError) as err:
@@ -238,7 +238,7 @@ class TestPointsDocuments:
         assert parsed.points() == []
 
     def test_bad_point_entry(self):
-        document = points_to_document(Scaled([pt(0, 0)]))
+        document = plain(points_to_document(Scaled([pt(0, 0)])))
         document["objects"]["points"]["points"][0] = {"x": {}}
         with pytest.raises(DocumentError):
             loads(dumps(document))
@@ -265,14 +265,14 @@ class TestGraphDocuments:
             graph_to_document(family(2), placements=build(1).chains)
 
     def test_invalid_graph_structure(self):
-        document = graph_to_document(g1())
+        document = plain(graph_to_document(g1()))
         document["objects"]["graph"]["edges"].append(["u1", "v1"])
         with pytest.raises(DocumentError) as err:
             loads(dumps(document))
         assert "objects.graph" in str(err.value)
 
     def test_edge_must_be_pair_of_strings(self):
-        document = graph_to_document(g1())
+        document = plain(graph_to_document(g1()))
         document["objects"]["graph"]["edges"][0] = ["u1", 3]
         with pytest.raises(DocumentError):
             loads(dumps(document))
@@ -323,8 +323,8 @@ class TestCanonicalWriter:
 
 
 # The templates against the plain form they stand for: `dumps` of a
-# builder's `Items` encoding must equal `dumps` of its plain encoding, and
-# so `json.dumps`.  Components are negative, zero or thousands of digits
+# builder's document, its `Items` written by template, must equal
+# `json.dumps` of the document's `plain` form.  Components are negative, zero or thousands of digits
 # long, over scales that are mostly not powers of two; names carry
 # quotes, backslashes, control, non-ASCII and lone surrogate characters.
 _components = st.one_of(st.integers(-(10**12), 10**12), _big_ints)
@@ -337,11 +337,11 @@ def _rows(n):
 
 
 def _same_text(make):
-    """`dumps` of `make(Items)`, required equal to `dumps` of `make(plain)`,
-    which `json.dumps` writes too; `make` is called afresh each time."""
-    text = dumps(make(plain))
-    assert text == json.dumps(make(plain), sort_keys=True, indent=2) + "\n"
-    assert dumps(make(Items)) == text
+    """`dumps` of `make()`, required equal to `json.dumps` of the `plain`
+    form of `make()`; `make` is called afresh each time, as `Items` are
+    read once."""
+    text = dumps(make())
+    assert text == json.dumps(plain(make()), sort_keys=True, indent=2) + "\n"
     return text
 
 
@@ -349,15 +349,15 @@ class TestTemplates:
     @given(st.integers(0, 6).flatmap(_rows), st.integers(0, 6).flatmap(_rows))
     def test_points_at_several_indents(self, a, b):
         # a twice at one indent, so through one template; b deeper; empty lists.
-        _same_text(lambda encode: {
-            "a": encode_points(a, encode), "b": [encode_points(b, encode), {}],
-            "c": {"d": encode_points(b, encode), "e": encode_points(a, encode)},
-            "f": encode_points(Scaled.from_rows([], 3), encode),
+        _same_text(lambda: {
+            "a": encode_points(a), "b": [encode_points(b), {}],
+            "c": {"d": encode_points(b), "e": encode_points(a)},
+            "f": encode_points(Scaled.from_rows([], 3)),
         })
 
     @given(st.lists(st.tuples(_components, _components), max_size=6))
     def test_int_pairs(self, pairs):
-        _same_text(lambda encode: {"a": encode(list, pairs), "b": [encode(list, pairs[::-1])]})
+        _same_text(lambda: {"a": Items(list, pairs), "b": [Items(list, pairs[::-1])]})
 
     @given(st.lists(_text, unique=True, max_size=8), st.data())
     def test_graphs_with_placements(self, names, data):
@@ -368,14 +368,14 @@ class TestTemplates:
         graph = BipartiteGraph(u, v, tuple(data.draw(edges)))
         placements = data.draw(_rows(len(names)))
         for rows in (None, placements):
-            _same_text(lambda encode: graph_to_document(graph, rows, 3, encode))
+            _same_text(lambda: graph_to_document(graph, rows, 3))
 
     @given(st.lists(st.tuples(*[st.fractions(-9, 9, max_denominator=6)] * 3), max_size=9),
            st.sampled_from(("dp", "brute")))
     @settings(max_examples=40, deadline=None)
     def test_points_documents_and_ci_witnesses(self, coords, algo):
         points = [Point(QSqrt3(x, q), QSqrt3(y)) for x, q, y in coords]
-        text = _same_text(lambda encode: points_to_document(Scaled(points), encode))
+        text = _same_text(lambda: points_to_document(Scaled(points)))
         if not points:
             return
         with tempfile.TemporaryDirectory() as tmp:
@@ -386,8 +386,9 @@ class TestTemplates:
             with contextlib.redirect_stdout(out):
                 assert main(["ci", "--algo", algo, "--json", path]) == 0
         result = (ci_dp if algo == "dp" else ci_bruteforce)(Scaled(points).distinct())
-        witness = encode_points(result.witness_rows)
-        assert out.getvalue() == dumps({"algo": algo, "size": result.size, "witness": witness})
+        witness = plain(encode_points(result.witness_rows))
+        report = {"algo": algo, "size": result.size, "witness": witness}
+        assert out.getvalue() == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
     def test_templates_are_written_by_the_same_call(self, monkeypatch):
         # perfbench counts the bytes that each `dumps` call returns.
@@ -398,15 +399,15 @@ class TestTemplates:
             return dumps(document)
 
         monkeypatch.setattr("sechain.document.dumps", counted)
-        counted(construction_to_document(build(3), Items))
+        counted(construction_to_document(build(3)))
         assert len(calls) == 1
 
     def test_levels(self):
         for k in range(1, 6):
             level = build(k)
             graph = drawing_from_level(level).graph
-            _same_text(lambda encode: construction_to_document(level, encode))
-            _same_text(lambda encode: graph_to_document(graph, level.chains, k, encode))
+            _same_text(lambda: construction_to_document(level))
+            _same_text(lambda: graph_to_document(graph, level.chains, k))
 
 
 # -- decoder message sweep ------------------------------------------------
@@ -430,10 +431,10 @@ def _sweep_documents():
     drawing = drawing_from_level(level)
     pts = [pt(0, 0), Point(QSqrt3(1, Fraction(1, 3)), QSqrt3(2))]
     return {
-        "construction": construction_to_document(level),
-        "points": points_to_document(Scaled(pts)),
-        "graph": graph_to_document(drawing.graph, k=2),
-        "placed-graph": graph_to_document(drawing.graph, placements=level.chains, k=2),
+        "construction": plain(construction_to_document(level)),
+        "points": plain(points_to_document(Scaled(pts))),
+        "graph": plain(graph_to_document(drawing.graph, k=2)),
+        "placed-graph": plain(graph_to_document(drawing.graph, placements=level.chains, k=2)),
     }
 
 

@@ -61,11 +61,11 @@ def test_document_serves_the_writer_names():
     import sechain.document as document
     import sechain.writer as writer
 
-    for name in ("Items", "construction_to_document", "dumps", "encode_points",
-                 "graph_to_document", "plain", "points_to_document"):
+    for name in ("construction_to_document", "dumps", "encode_points",
+                 "graph_to_document", "points_to_document"):
         assert getattr(document, name) is getattr(writer, name)
         assert vars(document)[name] is getattr(writer, name)
-    for name in ("no_such_name", "_point", "_Slot"):
+    for name in ("no_such_name", "_point", "_Slot", "Items", "plain"):
         with pytest.raises(AttributeError):
             getattr(document, name)
 

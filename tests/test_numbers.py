@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sechain.geometry import sign2
 from sechain.numbers import QSqrt3
 
-from .helpers import SQRT3, div, interval_sign, nonzero_qsqrt3_st, qsqrt3_st
+from .helpers import SQRT3, div, exact_sign, interval_sign, nonzero_qsqrt3_st, qsqrt3_st
 
 ZERO, ONE = QSqrt3(0), QSqrt3(1)
 
@@ -142,6 +142,20 @@ def _lopsided(draw):
     b = draw(st.integers(min_value=2 ** (lb - 1), max_value=2**lb - 1))
     s = draw(st.sampled_from((1, -1)))
     return s * a, -s * b
+
+
+class TestExactSign:
+    # The quartic oracle's sign, from the definition on the Fraction
+    # parts, against the interval reference.
+    @given(st.one_of(qsqrt3_st, _near_sqrt3.map(lambda pair: QSqrt3(*pair))))
+    @example(QSqrt3(97, -56))
+    @example(QSqrt3(-18817, 10864))
+    @example(QSqrt3(Fraction(7, 3), Fraction(-4, 3)))
+    @settings(max_examples=200)
+    def test_matches_interval_oracle(self, a):
+        expected = interval_sign(a)
+        assert exact_sign(a) == (0 if expected is None else expected)
+        assert expected is not None or a == ZERO
 
 
 class TestSign2:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import importlib
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import sechain
+from sechain import cli
 from sechain import (
     BipartiteDrawing,
     BipartiteGraph,
@@ -39,6 +41,28 @@ _SURFACE = {
                "edge_list_text", "family", "g1", "verify_drawing"),
     "numbers": ("QSqrt3",),
 }
+
+
+# The command line: each subcommand's option strings, and a positional
+# argument by its name, in the order `cli.build_parser()` declares them.
+_CLI_SURFACE = {
+    "construct": ("-h", "--help", "-k", "-o", "--output", "--max-k"),
+    "verify": ("-h", "--help", "input", "--json"),
+    "ci": ("-h", "--help", "input", "--algo", "--json"),
+    "graph": ("-h", "--help", "-k", "-o", "--output", "--max-k", "--placements"),
+    "render": ("-h", "--help", "input", "-o", "--output"),
+}
+
+
+def test_cli_surface():
+    # An option added, renamed or removed anywhere fails here.
+    def options(parser):
+        return tuple(s for a in parser._actions for s in a.option_strings or [a.dest])
+
+    parser = cli.build_parser()
+    assert options(parser) == ("-h", "--help", "command")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name: options(p) for name, p in sub.choices.items()} == _CLI_SURFACE
 
 
 def test_public_surface_and_readme_session():
