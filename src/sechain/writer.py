@@ -42,7 +42,8 @@ def _point(parts: tuple) -> dict[str, Any]:
 class Items:
     """Items of one layout, which `dumps` writes by template, one `%` fill
     per item: each is the JSON value `make(fields)`, in a list, or in a
-    dict under `keys` if given; `items` is read once."""
+    dict under `keys` if given.  `items` is read once, by the one `dumps`
+    that may write the node."""
 
     __slots__ = ("make", "items", "keys")
 
@@ -66,8 +67,8 @@ def dumps(document: Any) -> str:
     whose indented encode CPython runs in pure Python, with each `Items`
     node written as the list or dict of its items' values.  Only
     str-keyed dicts, lists, strs, ints, bools and None are written;
-    anything else raises TypeError, and an int past the interpreter's
-    int-to-str limit InputError.
+    anything else, an `Items` node written before too, raises TypeError,
+    and an int past the interpreter's int-to-str limit InputError.
     """
     chunks: list[str] = []
     put = chunks.append
@@ -97,7 +98,10 @@ def dumps(document: Any) -> str:
         elif kind is int:
             put(str(value))
         elif kind is Items:
+            if value.items is None:  # written already: its generator may be spent
+                raise TypeError("an Items node is written once; lay the document out again")
             items, inner, keyed = iter(value.items), indent + "  ", value.keys is not None
+            value.items = None
             first = next(items, None)
             if first is None:
                 put("{}" if keyed else "[]")

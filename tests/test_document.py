@@ -402,6 +402,14 @@ class TestTemplates:
         counted(construction_to_document(build(3)))
         assert len(calls) == 1
 
+    def test_a_document_is_written_once(self):
+        # Its points are read once, so a second write would lose them.
+        document = construction_to_document(build(2))
+        assert loads(dumps(document))[1] == build(2)
+        for node in (document, document["objects"]["witness_pairs"]["pairs"]):
+            with pytest.raises(TypeError, match="written once"):
+                dumps(node)
+
     def test_levels(self):
         for k in range(1, 6):
             level = build(k)
