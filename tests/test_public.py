@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import sechain
-from sechain import cli
 from sechain import (
     BipartiteDrawing,
     BipartiteGraph,
@@ -22,6 +21,7 @@ from sechain import (
     Point,
     QSqrt3,
     base_case,
+    cli,
     g1,
     pt,
 )
