@@ -11,13 +11,14 @@ unwritable output (`OSError`) and a `MemoryError` are reported beside
 it.
 
 Each handler imports the modules it runs, so an op loads, and without a
-bytecode cache compiles, only those: the record `level` to read a level,
-the builder `construction` only to build one, and `writer` only to write
-a document or `--json`.  Every op stays on integer rows and loads none
-of `numbers`, `fractions` and `decimal`, `--help` loads no other package
-module, and a malformed document is refused having loaded only
-`document`, which imports the geometry kernel once a document is
-well-formed.
+bytecode cache compiles, only those: `reader` only to read a document,
+the record `level` to read a level, the builder `construction` only to
+build one, and `writer` only to write a document or `--json`.  Both
+sides' names are imported from `document`, which serves them.  Every op
+stays on integer rows and loads none of `numbers`, `fractions` and
+`decimal`, `--help` loads no other package module, and a malformed
+document is refused having loaded only `document` and `reader`, which
+imports the geometry kernel once a document is well-formed.
 """
 
 from __future__ import annotations

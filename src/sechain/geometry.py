@@ -16,8 +16,8 @@ coordinate and turn sign, and subsets (`take`), dedupes (`distinct`),
 orders (`sorted`), forms midpoints (`midpoints`, `midpoint_set`) and
 flattens and rotates (`flattened`, which `construction.step` and
 `transform_chains` share).  A `construction.Level` holds its chains as
-one `Scaled` over the least scale (`reduced`), and `document` encodes
-and decodes every coordinate through one.  The predicates here, both
+one `Scaled` over the least scale (`reduced`), and `writer` encodes and
+`reader` decodes every coordinate through one.  The predicates here, both
 `convex_subsets` solvers, the construction, `Level.checks`, the drawing
 checks, `render` and `ci` compute in it.
 
@@ -308,17 +308,23 @@ def chain_defect(points: Sequence[Point] | Scaled) -> str:
     slopes strictly increasing.  Coordinates are checked along the whole
     sequence before any turn.  Fewer than 2 points is a defect: the
     predicate is about segments.  A `Scaled` sequence is used as it is.
+    Each row difference is taken once; its x and y parts and the cross
+    product of neighbouring differences are signed by `sign2` directly.
     """
     if len(points) < 2:
         return "fewer than 2 points"
-    k = points if isinstance(points, Scaled) else Scaled(points)
-    for t in range(len(points) - 1):
-        if k.dx_sign(t, t + 1) <= 0:
+    rows = (points if isinstance(points, Scaled) else Scaled(points)).rows
+    steps: list[Row] = []
+    for t, ((pxa, pxb, pya, pyb), (qxa, qxb, qya, qyb)) in enumerate(zip(rows, rows[1:])):
+        dxa, dxb, dya, dyb = qxa - pxa, qxb - pxb, qya - pya, qyb - pyb
+        if sign2(dxa, dxb) <= 0:
             return f"x does not strictly increase at indices {t},{t + 1}"
-        if k.dy_sign(t, t + 1) <= 0:
+        if sign2(dya, dyb) <= 0:
             return f"y does not strictly increase at indices {t},{t + 1}"
-    for t in range(len(points) - 2):
-        if k.cross_sign(t, t + 1, t + 1, t + 2) <= 0:
+        steps.append((dxa, dxb, dya, dyb))
+    for t, ((uxa, uxb, uya, uyb), (vxa, vxb, vya, vyb)) in enumerate(zip(steps, steps[1:])):
+        if sign2(uxa * vya + 3 * uxb * vyb - uya * vxa - 3 * uyb * vxb,
+                 uxa * vyb + uxb * vya - uya * vxb - uyb * vxa) <= 0:
             return f"turn at indices {t},{t + 1},{t + 2} is not strictly left"
     return ""
 

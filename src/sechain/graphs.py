@@ -10,7 +10,8 @@ equality of names is equality of recursion paths.
 Part lists and the edge list are kept in construction order on purpose:
 vertex t of a part corresponds to point t of the matching chain of a
 built level, and edge t corresponds to witness pair t.  Their structure
-is checked on names alone, by `document.structure_defect`.  A
+is checked on names alone, by `document.structure_defect`, which the
+reader runs on a document's graph before this module loads.  A
 `BipartiteDrawing` places vertices on the plane.  `placement_defect`
 checks rows placing `graph.u + graph.v` in order, by exact predicates
 only: both parts and the edge midpoints, its row sums over

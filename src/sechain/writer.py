@@ -6,8 +6,9 @@ making the item's JSON value from them.  `dumps` writes the canonical
 text (sorted keys, two-space indent) itself, each item as one fill of a
 `%` template made from its layout.  So one point template, filled from
 `geometry.Scaled` rows with one gcd per component, writes every point of
-every document and of `ci --json`'s witness.  `document` serves these
-names.
+every document and of `ci --json`'s witness.  The format tag comes from
+`document`, which serves these names, so an op that only writes
+compiles neither the reader nor its decoders.
 """
 
 from __future__ import annotations

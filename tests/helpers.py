@@ -1,10 +1,10 @@
 """Shared oracles and generators for the test suite.
 
 The sign oracles (`interval_sign`, and `exact_sign` on the `Fraction`
-parts), the point-in-triangle oracle and the drawing oracle are written
-directly against the definitions, independently of the library
-internals, so the exact-arithmetic code has something external to agree
-with.  So is the value reference for the construction's maps: exact
+parts), the point-in-triangle oracle, the chain defect locator and the
+drawing oracle are written directly against the definitions,
+independently of the library internals, so the exact-arithmetic code has
+something external to agree with.  So is the value reference for the construction's maps: exact
 division, `slope`, `midpoint`, `rotate60` and `flatten`, on `QSqrt3`
 arithmetic alone and never through `geometry.Scaled` or its sign, and
 `reference_level`, a construction document read into `Fraction` and
@@ -203,6 +203,26 @@ def south_east_chain_oracle(points) -> bool:
         if not _strictly_positive(turn):
             return False
     return True
+
+
+def chain_defect_locator(points) -> str:
+    """Where `points` first fails the chain definition, "" for a chain, in
+    `geometry.chain_defect`'s words and order: fewer than 2 points, then
+    x and y of each neighbour pair along the whole sequence, then each turn
+    of three neighbours.  Written on `Point` differences and signed by
+    `exact_sign`, never through `geometry.Scaled` or `sign2`."""
+    pts = list(points)
+    if len(pts) < 2:
+        return "fewer than 2 points"
+    for t, (a, b) in enumerate(zip(pts, pts[1:])):
+        if exact_sign(b.x - a.x) <= 0:
+            return f"x does not strictly increase at indices {t},{t + 1}"
+        if exact_sign(b.y - a.y) <= 0:
+            return f"y does not strictly increase at indices {t},{t + 1}"
+    for t, (a, b, c) in enumerate(zip(pts, pts[1:], pts[2:])):
+        if exact_sign((b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x)) <= 0:
+            return f"turn at indices {t},{t + 1},{t + 2} is not strictly left"
+    return ""
 
 
 def drawing_midpoints(drawing) -> list[Point]:

@@ -23,6 +23,7 @@ from sechain.numbers import QSqrt3
 
 from .helpers import (
     SQRT3,
+    chain_defect_locator,
     chains_st,
     convex_position_oracle,
     div,
@@ -99,6 +100,47 @@ class TestSouthEastChain:
         assert not is_south_east_chain(tuple(reversed(chain)))
 
 
+# Components over unrelated denominators, so `Scaled` has to bring every
+# coordinate to one shared scale.
+_dens = st.integers(min_value=1, max_value=60)
+_nums = st.integers(min_value=-1000, max_value=1000)
+_mixed_coord = st.builds(
+    lambda a, da, b, db: QSqrt3(Fraction(a, da), Fraction(b, db)),
+    _nums, _dens, _nums, _dens,
+)
+_mixed_points = st.builds(Point, _mixed_coord, _mixed_coord)
+
+
+@st.composite
+def _near_zero(draw):
+    """(a - b*sqrt(3)) / d, or its negative, with |a| within 2 of b*sqrt(3)."""
+    b = draw(st.integers(min_value=1, max_value=10**12))
+    a = isqrt(3 * b * b) + draw(st.integers(min_value=-2, max_value=2))
+    s, d = draw(st.sampled_from((1, -1))), draw(_dens)
+    return QSqrt3(Fraction(s * a, d), Fraction(-s * b, d))
+
+
+@st.composite
+def _near_chains(draw):
+    """2 to 8 points: mixed-sign points, or a chain as drawn, with one point
+    moved (by mixed-sign or nearly cancelling offsets, or onto the midpoint
+    of its neighbours), or with two neighbours swapped."""
+    kind = draw(st.sampled_from(("mixed", "chain", "moved", "midpoint", "swapped")))
+    if kind == "mixed":
+        return draw(st.lists(_mixed_points, min_size=2, max_size=8))
+    points = list(draw(chains_st(max_len=8)))
+    i = draw(st.integers(min_value=0, max_value=len(points) - 1))
+    if kind == "moved":
+        offset = st.one_of(st.just(QSqrt3(0)), _mixed_coord, _near_zero())
+        points[i] = Point(points[i].x + draw(offset), points[i].y + draw(offset))
+    elif kind == "midpoint" and 0 < i < len(points) - 1:
+        points[i] = midpoint(points[i - 1], points[i + 1])
+    elif kind == "swapped":
+        i = min(i, len(points) - 2)
+        points[i], points[i + 1] = points[i + 1], points[i]
+    return points
+
+
 class TestChainDefect:
     def test_chain_has_no_defect(self):
         assert chain_defect([pt(0, 0), pt(2, 1), pt(3, 3)]) == ""
@@ -128,25 +170,12 @@ class TestChainDefect:
     def test_agrees_with_predicate(self, points):
         assert (chain_defect(points) == "") == is_south_east_chain(points)
 
-
-# Components over unrelated denominators, so `Scaled` has to bring every
-# coordinate to one shared scale.
-_dens = st.integers(min_value=1, max_value=60)
-_nums = st.integers(min_value=-1000, max_value=1000)
-_mixed_coord = st.builds(
-    lambda a, da, b, db: QSqrt3(Fraction(a, da), Fraction(b, db)),
-    _nums, _dens, _nums, _dens,
-)
-_mixed_points = st.builds(Point, _mixed_coord, _mixed_coord)
-
-
-@st.composite
-def _near_zero(draw):
-    """(a - b*sqrt(3)) / d, or its negative, with |a| within 2 of b*sqrt(3)."""
-    b = draw(st.integers(min_value=1, max_value=10**12))
-    a = isqrt(3 * b * b) + draw(st.integers(min_value=-2, max_value=2))
-    s, d = draw(st.sampled_from((1, -1))), draw(_dens)
-    return QSqrt3(Fraction(s * a, d), Fraction(-s * b, d))
+    @given(_near_chains())
+    @settings(max_examples=300)
+    def test_agrees_with_independent_locator(self, points):
+        expected = chain_defect_locator(points)
+        assert chain_defect(points) == expected
+        assert chain_defect(Scaled(points)) == expected
 
 
 @st.composite

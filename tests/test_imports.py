@@ -47,6 +47,7 @@ def test_import_sechain_loads_no_submodule():
 
 
 def test_import_document_loads_no_writer():
+    # Nor the reader: `import sechain.document` loads neither side.
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, sechain.document; "
          "print(sorted(m for m in sys.modules if m.startswith('sechain')))"],
@@ -57,17 +58,52 @@ def test_import_document_loads_no_writer():
 
 def test_document_serves_the_writer_names():
     # perfbench's tracer wraps a name only where a module namespace holds it,
-    # so a served name is kept in `document` after its first access.
+    # so a served name is kept in `document` after its first access.  The
+    # reader's two public names are served the same way; no private name is.
     import sechain.document as document
+    import sechain.reader as reader
     import sechain.writer as writer
 
-    for name in ("construction_to_document", "dumps", "encode_points",
-                 "graph_to_document", "points_to_document"):
-        assert getattr(document, name) is getattr(writer, name)
-        assert vars(document)[name] is getattr(writer, name)
-    for name in ("no_such_name", "_point", "_Slot", "Items", "plain"):
+    for module, names in ((writer, ("construction_to_document", "dumps", "encode_points",
+                                    "graph_to_document", "points_to_document")),
+                          (reader, ("loads", "load_path"))):
+        for name in names:
+            assert getattr(document, name) is getattr(module, name)
+            assert vars(document)[name] is getattr(module, name)
+    for name in ("no_such_name", "_point", "_Slot", "Items", "plain", "_ratios", "_points",
+                 "_scaled", "_decode_construction", "_decode_graph", "_fail", "_INT_RE",
+                 "ParsedDocument"):
         with pytest.raises(AttributeError):
             getattr(document, name)
+
+
+def test_traced_spans_reach_document(tmp_path):
+    # As `perfbench/run.py --trace 1` does: only `sechain.cli` is imported
+    # when the tracer installs, and the ops run through `cli.main`.  Every
+    # span the document metrics read must still be recorded.
+    root = Path(__file__).resolve().parents[1]
+    child = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import sechain.cli as cli
+from layers import Tracer
+tracer = Tracer()
+tracer.install()
+out = sys.argv[2]
+codes = [cli.main(argv) for argv in (["construct", "-k", "2", "-o", out], ["verify", out],
+                                     ["verify", "--json", out])]
+tracer.remove()
+print(json.dumps([codes, tracer.calls()]))
+"""
+    proc = subprocess.run([sys.executable, "-c", child, str(root / "perfbench"),
+                           str(tmp_path / "level.json")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    codes, calls = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    for name in ("document.construction_to_document", "document.dumps", "document.load_path",
+                 "document.loads", "construction.step"):
+        assert calls.get(name, 0) > 0, name
 
 
 def test_perfbench_targets_resolve():
@@ -162,29 +198,32 @@ print(sorted(m for m in ("fractions", "sechain.numbers") if m in sys.modules))
 # convex_subsets, graphs and render; and a malformed document of any
 # kind, a graph with a bad placement or edge too, is refused before the
 # decoder imports another package module, and so is a well-formed graph
-# whose structure is invalid.  Every refusal writes exactly one stderr
-# line, an `error:` line.
+# whose structure is invalid.  Only an op that reads a document loads the
+# reader, `reader`: `construct` and `graph --placements` load exactly
+# `_BUILD`.  Every refusal writes exactly one stderr line, an `error:` line.
 _ROWS = {"sechain", "sechain.document", "sechain.geometry"}
 _LEVEL = _ROWS | {"sechain.level"}
 _BUILD = _LEVEL | {"sechain.construction", "sechain.writer"}
-_REFUSED = {"sechain", "sechain.document"}
+_READ = _ROWS | {"sechain.reader"}
+_READ_LEVEL = _LEVEL | {"sechain.reader"}
+_REFUSED = {"sechain", "sechain.document", "sechain.reader"}
 _OPS = [
     (["--help"], 0, {"sechain"}),
     (["construct", "-k", "3", "-o", "{out}"], 0, _BUILD),
     (["graph", "-k", "2", "--placements", "-o", "{out}"], 0, _BUILD | {"sechain.graphs"}),
-    (["verify", "{level}"], 0, _LEVEL),
-    (["verify", "--json", "{graph}"], 0, _ROWS | {"sechain.graphs", "sechain.writer"}),
+    (["verify", "{level}"], 0, _READ_LEVEL),
+    (["verify", "--json", "{graph}"], 0, _READ | {"sechain.graphs", "sechain.writer"}),
     (["verify", "{bad}"], 2, _REFUSED),
     (["verify", "{zero_den}"], 2, _REFUSED),
     (["verify", "--json", "{bad_pair}"], 2, _REFUSED),
     (["verify", "{graph_zero_den}"], 2, _REFUSED),
     (["verify", "{bad_edge}"], 2, _REFUSED),
     (["verify", "{dup_edge}"], 2, _REFUSED),
-    (["render", "{level}", "-o", "{out}"], 0, _LEVEL | {"sechain.render"}),
-    (["ci", "{level}"], 0, _LEVEL | {"sechain.convex_subsets"}),
-    (["ci", "--json", "{points}"], 0, _ROWS | {"sechain.convex_subsets", "sechain.writer"}),
+    (["render", "{level}", "-o", "{out}"], 0, _READ_LEVEL | {"sechain.render"}),
+    (["ci", "{level}"], 0, _READ_LEVEL | {"sechain.convex_subsets"}),
+    (["ci", "--json", "{points}"], 0, _READ | {"sechain.convex_subsets", "sechain.writer"}),
     (["ci", "--algo", "brute", "--json", "{points}"], 0,
-     _ROWS | {"sechain.convex_subsets", "sechain.writer"}),
+     _READ | {"sechain.convex_subsets", "sechain.writer"}),
 ]
 
 
