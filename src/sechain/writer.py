@@ -8,7 +8,7 @@ text (sorted keys, two-space indent) itself, each item as one fill of a
 `geometry.Scaled` rows with one gcd per component, writes every point of
 every document and of `ci --json`'s witness.  The format tag comes from
 `document`, which serves these names, so an op that only writes
-compiles neither the reader nor its decoders.
+compiles no decoder.
 """
 
 from __future__ import annotations
