@@ -33,6 +33,7 @@ from .level import IndexPair, Level, expected_witness_size  # noqa: F401
 # flat(b) in new_b and (1, 5/2) for rot(flat(a)) in new_b.  By linearity
 # the witness blocks of the new level sit at half sums of them.
 _OFFSETS = ((2, 0, 2, 0), (0, 0, 4, 0), (2, 0, 5, 0))
+MAX_EPS_EXPONENT = 256  # find_epsilon's cap, read at each call
 
 
 def base_case() -> Level:
@@ -97,34 +98,31 @@ class EpsilonSearchError(InputError, RuntimeError):
     """No acceptable power of two found below the exponent cap."""
 
 
-def find_epsilon(level: Level, max_exponent: int = 256) -> Level:
+def find_epsilon(level: Level) -> Level:
     """The next level, built with the largest accepted factor 2**-m, m >= 1.
 
     The search starts at the previous doubling's exponent (1 at the base
-    case), clamped to [1, max_exponent].  If that is accepted it walks
+    case), clamped to [1, MAX_EPS_EXPONENT].  If that is accepted it walks
     down while m - 1 is accepted too, else up to the first accepted m.
     Each candidate is decided by running `step` on the pair (1, 2**m), and
     the level `step` proved is returned; its factor is `eps_history[-1]`,
     and twice it was run and rejected unless m = 1.  "Largest" rests on
     "smaller keeps working": factors above a rejected one are not tried.
-    A cap below 1 leaves no factor to try and raises ValueError.
     """
-    if max_exponent < 1:
-        raise ValueError(f"the exponent cap must be at least 1, not {max_exponent}")
     m = level.eps_pairs[-1][1].bit_length() - 1 if level.eps_pairs else 1
-    m = max(1, min(m, max_exponent))
+    m = max(1, min(m, MAX_EPS_EXPONENT))
     nxt = step(level, (1, 2**m))
     if nxt is not None:
         while m > 1 and (up := step(level, (1, 2 ** (m - 1)))) is not None:
             nxt, m = up, m - 1
         return nxt
-    while m < max_exponent:
+    while m < MAX_EPS_EXPONENT:
         m += 1
         nxt = step(level, (1, 2**m))
         if nxt is not None:
             return nxt
     raise EpsilonSearchError(
-        f"no flattening factor down to 2**-{max_exponent} was "
+        f"no flattening factor down to 2**-{MAX_EPS_EXPONENT} was "
         f"accepted at level {level.k}"
     )
 

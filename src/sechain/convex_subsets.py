@@ -37,14 +37,14 @@ Two different algorithms compute the same number:
 Each solver is one implementation on integer rows, `geometry.Scaled`.
 Both take the points as rows or as `Point`s, which the public boundary
 turns into rows once, keep each point once (`Scaled.distinct`) and check
-their cap before any sort.  Then `ci_bruteforce` works on the points in
-(x, y) order and `ci_dp` on them in (y, x) order, both from
-`Scaled.sorted`, and each returns its witness as rows: a `CiResult`
-keeps rows only, and `ci --json` encodes `witness_rows` as they are.
-Both are exact and take every sign from the one kernel (integers over a
-shared denominator), so they differ in algorithm, not in arithmetic.
-The oracles independent of that kernel are in `tests/helpers.py` and
-`perfbench/exact.py`.
+their cap, `BRUTE_MAX_POINTS` or `DP_MAX_POINTS` as read at each call,
+before any sort.  Then `ci_bruteforce` works on the points in (x, y)
+order and `ci_dp` on them in (y, x) order, both from `Scaled.sorted`,
+and each returns its witness as rows: a `CiResult` keeps rows only, and
+`ci --json` encodes `witness_rows` as they are.  Both are exact and take
+every sign from the one kernel (integers over a shared denominator), so
+they differ in algorithm, not in arithmetic.  The oracles independent
+of that kernel are in `tests/helpers.py` and `perfbench/exact.py`.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ class CiResult(Record):
 # ci of level 5 (1024 points) takes about 1.3-1.7 s at 50 MB peak RSS (2
 # cores, Python 3.11) and runs under a 56 MiB RLIMIT_AS; at 4096 points (level
 # 6) ci_dp takes about 25 s at 742 MB in process.
-DP_MAX_POINTS = 2500  # ci_dp's default cap, the larger of the two
+DP_MAX_POINTS = 2500  # ci_dp's cap
+BRUTE_MAX_POINTS = 20  # ci_bruteforce's cap
 _KEY_BITS = 64  # edge keys resolve the pseudo-angle to 2**-64
 _MARGIN = 1  # keys at most this far apart may be out of angle order
 _BLOCK = 4096  # edges relabelled in place per step
@@ -97,14 +98,14 @@ def _prepare(points: Iterable[Point] | Scaled, max_points: int, what: str) -> Sc
     return k
 
 
-def ci_bruteforce(points: Iterable[Point] | Scaled, max_points: int = 20) -> CiResult:
+def ci_bruteforce(points: Iterable[Point] | Scaled) -> CiResult:
     """Exact maximum by exhaustive search; the cross-check for `ci_dp`.
 
     It returns the lexicographically smallest largest subset of the points
     in (x, y) order, growing index subsets in that order only while convex
     (so is every subset of a convex set) and able to beat the best so far.
     Each turn's sign is computed once: on big coordinates it is most of the time."""
-    k = _prepare(points, max_points, "ci_bruteforce").sorted()
+    k = _prepare(points, BRUTE_MAX_POINTS, "ci_bruteforce").sorted()
     n, best, turn = len(k), (), cache(k.turn)
 
     def grow(combo: tuple[int, ...]) -> None:
@@ -262,9 +263,9 @@ def _edge_bounds(src: list[int], dst: list[int], n: int) -> list[int]:
     return bound
 
 
-def ci_dp(points: Iterable[Point] | Scaled, max_points: int = DP_MAX_POINTS) -> CiResult:
+def ci_dp(points: Iterable[Point] | Scaled) -> CiResult:
     """Largest convexly independent subset via the edge-sorted DP."""
-    k = _prepare(points, max_points, "ci_dp")
+    k = _prepare(points, DP_MAX_POINTS, "ci_dp")
     n = len(k)
     ranked = k.sorted(y_first=True)
     src, dst = _angle_sorted_edges(ranked)

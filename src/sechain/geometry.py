@@ -125,7 +125,7 @@ def _coord(value: QSqrt3Like) -> QSqrt3:
 
 
 class Point(Record):
-    """An exact point of the plane."""
+    """An exact point of the plane: an (x, y) record."""
 
     __slots__ = ("x", "y")
     x: QSqrt3
@@ -133,12 +133,6 @@ class Point(Record):
 
     def __init__(self, x: QSqrt3, y: QSqrt3) -> None:
         self._set(x, y)
-
-    def __add__(self, other: Point) -> Point:
-        return Point(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: Point) -> Point:
-        return Point(self.x - other.x, self.y - other.y)
 
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"

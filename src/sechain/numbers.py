@@ -21,7 +21,6 @@ flattening factors as pairs of ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 from typing import Union
 
 from .geometry import _SQRT3_FLOAT, sign2
@@ -30,7 +29,6 @@ RationalLike = Union[int, Fraction]
 QSqrt3Like = Union[int, Fraction, "QSqrt3"]
 
 
-@total_ordering
 class QSqrt3:
     """An element p + q*sqrt(3) of Q(sqrt(3)), immutable and hashable."""
 
@@ -102,7 +100,7 @@ class QSqrt3:
     def __pos__(self) -> QSqrt3:
         return self
 
-    # -- exact sign and order -----------------------------------------
+    # -- exact sign, the one order query, and equality ----------------
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}: `sign2` of the integer-scaled parts."""
@@ -115,12 +113,6 @@ class QSqrt3:
         if not isinstance(other, QSqrt3):
             return NotImplemented
         return self._p == other._p and self._q == other._q
-
-    def __lt__(self, other: QSqrt3Like) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() < 0
 
     def __hash__(self) -> int:
         return hash((self._p, self._q))

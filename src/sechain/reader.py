@@ -12,9 +12,10 @@ decimal strings (chains, point sets, placements) as plain ints, x then
 y, p then q, num then den, and checks each denominator where it reads
 it.  Every field of a document is read, and a graph's structure is
 checked on names alone (`document.structure_defect`, which
-`BipartiteGraph` runs too), before any module past `document` and this
-one is imported, so a malformed file of any kind, an invalid graph
-structure too, is refused having loaded no other package module.  Then
+`BipartiteGraph` runs too), as is each placed name being a vertex,
+before any module past `document` and this one is imported, so a
+malformed file of any kind, an invalid graph structure too, is refused
+having loaded no other package module.  Then
 `_scaled` imports the geometry kernel, once, and puts the points on rows
 over the lcm of their denominators, where `loads` and `load_path` keep
 them: a construction's, which `Level` brings to the least scale (its
@@ -198,6 +199,10 @@ def _decode_graph(
     defect = structure_defect(u, v, edges)
     if defect:
         raise DocumentError(defect, "objects.graph")
+    vertices = {*u, *v}
+    for name in placed or ():  # in document order
+        if name not in vertices:
+            raise _fail("not a vertex of the graph", ("objects", "placements", "points", (name,)))
     _check_types(objects, {"graph": "bipartite_graph"} if placed is None
                  else {"graph": "bipartite_graph", "placements": "placement"})
     from .graphs import BipartiteGraph

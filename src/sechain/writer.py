@@ -17,7 +17,7 @@ import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from . import InputError
 from .document import FORMAT_VERSION
@@ -165,32 +165,27 @@ def points_to_document(points: Scaled) -> dict[str, Any]:
     }
 
 
-def graph_to_document(
-    graph: BipartiteGraph,
-    placements: Optional[Scaled] = None,
-    k: Optional[int] = None,
-) -> dict[str, Any]:
-    """The graph, and the placements of its vertices in `graph.u + graph.v`
-    order if given; edges and placements as `Items`."""
-    document: dict[str, Any] = {
+def graph_to_document(graph: BipartiteGraph, placements: Scaled, k: int) -> dict[str, Any]:
+    """The graph of level k with the placements of its vertices in
+    `graph.u + graph.v` order, edges and placements as `Items`; placements
+    that do not match the vertices in number raise ValueError."""
+    names = graph.u + graph.v
+    if len(placements) != len(names):
+        raise ValueError(f"{len(placements)} placements for {len(names)} vertices")
+    return {
         "version": FORMAT_VERSION,
         "kind": "graph",
-        "metadata": {} if k is None else {"k": k},
+        "metadata": {"k": k},
         "objects": {
             "graph": {
                 "type": "bipartite_graph",
                 "u": list(graph.u),
                 "v": list(graph.v),
                 "edges": Items(list, graph.edges),
-            }
+            },
+            "placements": {
+                "type": "placement",
+                "points": encode_points(placements, names),
+            },
         },
     }
-    if placements is not None:
-        names = graph.u + graph.v
-        if len(placements) != len(names):
-            raise ValueError(f"{len(placements)} placements for {len(names)} vertices")
-        document["objects"]["placements"] = {
-            "type": "placement",
-            "points": encode_points(placements, names),
-        }
-    return document

@@ -1,7 +1,8 @@
 """Shared oracles and generators for the test suite.
 
 The sign oracles (`interval_sign`, and `exact_sign` on the `Fraction`
-parts), the point-in-triangle oracle, the chain defect locator and the
+parts, with the exact order keys `xy_key` and `yx_key` on it), the
+point-in-triangle oracle, the chain defect locator and the
 drawing oracle are written directly against the definitions,
 independently of the library internals, so the exact-arithmetic code has
 something external to agree with.  So is the value reference for the construction's maps: exact
@@ -129,6 +130,12 @@ def exact_sign(value: QSqrt3) -> int:
     if sp * sq >= 0:
         return sp or sq
     return sp if p * p > 3 * q * q else sq
+
+
+# Sort keys for exact (x, y) and (y, x) order, by `exact_sign` of the
+# coordinate differences: 128-bit intervals cannot order every test set.
+xy_key = functools.cmp_to_key(lambda a, b: exact_sign(a.x - b.x) or exact_sign(a.y - b.y))
+yx_key = functools.cmp_to_key(lambda a, b: exact_sign(a.y - b.y) or exact_sign(a.x - b.x))
 
 
 def _orient(a: Point, b: Point, c: Point) -> int:
@@ -279,7 +286,7 @@ def rand_chain(
             s = s + QSqrt3(0, bump / 4)
         else:
             s = s + QSqrt3(bump)
-    if max_slope is not None and slopes and slopes[-1] >= QSqrt3(max_slope):
+    if max_slope is not None and slopes and exact_sign(slopes[-1] - max_slope) >= 0:
         scale = div(QSqrt3(max_slope), slopes[-1] * 2)
         slopes = [t * scale for t in slopes]
     cur = rand_point(rng, irrational)

@@ -36,7 +36,7 @@ from sechain.geometry import Point, Scaled, pt
 from sechain.graphs import drawing_from_level, edge_list_text, family
 from sechain.numbers import QSqrt3
 
-from .helpers import plain
+from .helpers import plain, xy_key
 
 
 @pytest.fixture
@@ -149,9 +149,7 @@ class TestConstruct:
     def test_eps_exponent_cap(self, monkeypatch, capsys):
         # A search that reaches find_epsilon's cap is refused with exit 2:
         # level 2 needs 2**-5.
-        real = construction.find_epsilon
-        monkeypatch.setattr(construction, "find_epsilon",
-                            lambda level: real(level, max_exponent=4))
+        monkeypatch.setattr(construction, "MAX_EPS_EXPONENT", 4)
         assert main(["construct", "-k", "2"]) == 2
         assert capsys.readouterr().err == (
             "error: no flattening factor down to 2**-4 was accepted at level 1\n")
@@ -255,6 +253,20 @@ class TestVerify:
         assert main(["verify", str(doc)]) == 1
         assert "FAIL  placements-complete  (8 missing)" in capsys.readouterr().out
 
+    def test_placement_of_a_non_vertex_is_refused(self, tmp_path, capsys):
+        # Every vertex is still placed.  Of two extra names, the first in
+        # the document is named, whatever the set order of the names.
+        doc = tmp_path / "g2.json"
+        assert main(["graph", "-k", "2", "--placements", "-o", str(doc)]) == 0
+        payload = json.loads(doc.read_text())
+        points = payload["objects"]["placements"]["points"]
+        points["ghost"] = points["zz"] = next(iter(points.values()))
+        doc.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["verify", str(doc)]) == 2
+        assert capsys.readouterr().err == (
+            "error: objects.placements.points[ghost]: not a vertex of the graph\n")
+
     def test_corrupted_placement_fails(self, tmp_path, capsys):
         doc = tmp_path / "g2.json"
         assert main(["graph", "-k", "2", "--placements", "-o", str(doc)]) == 0
@@ -282,7 +294,7 @@ class TestVerify:
         if case == "part-v":  # v3 moved right, to x = 1000
             placement[graph.v[3]] = Point(QSqrt3(1000), b[3].y)
         else:  # v2 moved so that edge (u0, v2) has the midpoint of edge (u2, v3)
-            placement[graph.v[2]] = a[2] + b[3] - a[0]
+            placement[graph.v[2]] = Point(a[2].x + b[3].x - a[0].x, a[2].y + b[3].y - a[0].y)
         bad = tmp_path / "bad.json"
         placed = Scaled([placement[name] for name in graph.u + graph.v])
         bad.write_text(dumps(graph_to_document(graph, placements=placed, k=2)))
@@ -770,7 +782,7 @@ def _random120() -> list[Point]:
 
     while len(points) < 120:
         points.add(Point(coord(), coord()))
-    return sorted(points, key=lambda p: (p.x, p.y))
+    return sorted(points, key=xy_key)
 
 
 def _sha256(data: bytes) -> str:

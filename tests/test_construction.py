@@ -18,7 +18,7 @@ from sechain.construction import (
     step,
 )
 from sechain.document import construction_to_document, dumps, loads
-from sechain.geometry import is_south_east_chain, pt
+from sechain.geometry import Point, is_south_east_chain, pt
 from sechain.numbers import QSqrt3
 
 from .helpers import flatten, midpoint, points_level, rotate60
@@ -26,6 +26,11 @@ from .helpers import flatten, midpoint, points_level, rotate60
 # The paper's translations of the glued blocks: rot(flat(b)) in new_a,
 # flat(b) in new_b and rot(flat(a)) in new_b.
 ROT_B_IN_A, FLAT_B_IN_B, ROT_A_IN_B = pt(1, 1), pt(0, 2), pt(1, Fraction(5, 2))
+
+
+def _shifted(points, offset: Point) -> list[Point]:
+    """Each point translated by `offset`, on `QSqrt3` sums."""
+    return [Point(p.x + offset.x, p.y + offset.y) for p in points]
 
 
 def _transformed(points, eps):
@@ -40,9 +45,9 @@ def _reference_chains(a, b, witness, eps):
     n = len(a)
     a_flat, a_rot = _transformed(a, eps)
     b_flat, b_rot = _transformed(b, eps)
-    new_a = a_flat + [p + ROT_B_IN_A for p in b_rot]
-    new_b = [p + FLAT_B_IN_B for p in b_flat]
-    new_b += [p + ROT_A_IN_B for p in a_rot]
+    new_a = a_flat + _shifted(b_rot, ROT_B_IN_A)
+    new_b = _shifted(b_flat, FLAT_B_IN_B)
+    new_b += _shifted(a_rot, ROT_A_IN_B)
     new_witness = witness + tuple((i, n + i) for i in range(n))
     new_witness += tuple((n + j, n + i) for i, j in witness)
     mids = [midpoint(new_a[i], new_b[j]) for i, j in new_witness]
@@ -233,9 +238,9 @@ class TestStep:
             assert (old_witness_block, matching_block, rotated_witness_block) == (
                 pt(0, 1), pt(Fraction(1, 2), Fraction(5, 4)), pt(1, Fraction(7, 4))
             )
-            assert list(mids[:w]) == [old_witness_block + p for p in flat_c]
-            assert list(mids[w:w + n]) == [matching_block + p for p in mean_a]
-            assert list(mids[w + n:]) == [rotated_witness_block + p for p in rot_c]
+            assert list(mids[:w]) == _shifted(flat_c, old_witness_block)
+            assert list(mids[w:w + n]) == _shifted(mean_a, matching_block)
+            assert list(mids[w + n:]) == _shifted(rot_c, rotated_witness_block)
 
     def test_chain_blocks_are_translates(self):
         lv = base_case()
@@ -245,9 +250,9 @@ class TestStep:
         flat_a, rot_a = _transformed(lv.a, eps)
         flat_b, rot_b = _transformed(lv.b, eps)
         assert list(new.a[:n]) == flat_a
-        assert list(new.a[n:]) == [ROT_B_IN_A + p for p in rot_b]
-        assert list(new.b[:n]) == [FLAT_B_IN_B + p for p in flat_b]
-        assert list(new.b[n:]) == [ROT_A_IN_B + p for p in rot_a]
+        assert list(new.a[n:]) == _shifted(rot_b, ROT_B_IN_A)
+        assert list(new.b[:n]) == _shifted(flat_b, FLAT_B_IN_B)
+        assert list(new.b[n:]) == _shifted(rot_a, ROT_A_IN_B)
 
 
 class TestFindEpsilon:
@@ -270,19 +275,13 @@ class TestFindEpsilon:
             assert step(lv, _pair(eps / 2)) is not None
             assert step(lv, _pair(eps / 4)) is not None
 
-    def test_exponent_cap(self):
+    def test_exponent_cap(self, monkeypatch):
+        monkeypatch.setattr(construction, "MAX_EPS_EXPONENT", 4)
         with pytest.raises(EpsilonSearchError):
-            find_epsilon(base_case(), max_exponent=4)
-        capped = find_epsilon(base_case(), max_exponent=5)
+            find_epsilon(base_case())
+        monkeypatch.setattr(construction, "MAX_EPS_EXPONENT", 5)
+        capped = find_epsilon(base_case())
         assert capped.eps_history == (Fraction(1, 32),)
-
-    def test_cap_below_one_is_refused_before_any_step(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(construction, "step", lambda *args: calls.append(args))
-        for cap in (0, -5):
-            with pytest.raises(ValueError, match=f"at least 1, not {cap}"):
-                find_epsilon(base_case(), max_exponent=cap)
-        assert calls == []
 
     def test_search_starts_at_previous_exponent(self):
         # Level 2 was built with 2**-5 and level 3 needs 2**-4.  Starting
@@ -432,8 +431,8 @@ class TestLevelValidate:
         off = pt(5, 7)
         moved = points_level(
             k=lv.k,
-            a=tuple(p + off for p in lv.a),
-            b=tuple(p + off for p in lv.b),
+            a=tuple(_shifted(lv.a, off)),
+            b=tuple(_shifted(lv.b, off)),
             witness=lv.witness,
             eps_history=lv.eps_history,
         )

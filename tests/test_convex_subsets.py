@@ -22,7 +22,7 @@ from sechain.geometry import (
 )
 from sechain.numbers import QSqrt3
 
-from .helpers import convex_position_oracle, points_st, rand_point
+from .helpers import convex_position_oracle, points_st, rand_point, yx_key
 
 
 def both(points):
@@ -126,11 +126,12 @@ class TestGuards:
             with pytest.raises(ValueError):
                 solver([])
 
-    def test_bruteforce_cap(self):
+    def test_bruteforce_cap(self, monkeypatch):
         pts = [pt(i, i * i) for i in range(21)]
         with pytest.raises(ValueError):
             ci_bruteforce(pts)
-        assert ci_bruteforce(pts, max_points=21).size == 21
+        monkeypatch.setattr(convex_subsets, "BRUTE_MAX_POINTS", 21)
+        assert ci_bruteforce(pts).size == 21
 
     def test_bruteforce_signs_each_turn_once(self, monkeypatch):
         # A sign on 4000-digit coordinates is costly, so the search, however
@@ -175,7 +176,7 @@ class TestAgreement:
         if flavor == "collinear":
             base = rand_point(rng)
             d = pt(1, rng.randint(-2, 2))
-            line = [base + Point(d.x * i, d.y * i) for i in range(rng.randint(3, 6))]
+            line = [Point(base.x + d.x * i, base.y + d.y * i) for i in range(rng.randint(3, 6))]
             extra = [rand_point(rng) for _ in range(rng.randint(0, 4))]
             return line + extra
         if flavor == "duplicates":
@@ -214,7 +215,7 @@ class TestInvariances:
         base = ci_dp(pts).size
         off = pt(17, Fraction(-5, 3))
         scale = QSqrt3(Fraction(3, 7))
-        moved = [p + off for p in pts]
+        moved = [Point(p.x + off.x, p.y + off.y) for p in pts]
         scaled = [Point(p.x * scale, p.y * scale) for p in pts]
         assert ci_dp(moved).size == base
         assert ci_dp(scaled).size == base
@@ -247,7 +248,7 @@ _lattice_st = st.builds(pt, st.integers(0, 4), st.integers(0, 3))
 def _collinear_st(draw):
     base = draw(points_st)
     dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1), (1, -2)]))
-    line = [base + pt(dx * i, dy * i) for i in range(draw(st.integers(3, 6)))]
+    line = [Point(base.x + dx * i, base.y + dy * i) for i in range(draw(st.integers(3, 6)))]
     return line + draw(st.lists(points_st, max_size=4))
 
 
@@ -307,7 +308,7 @@ class TestEdgeOrder:
 
     @staticmethod
     def assert_comparator_order(points) -> None:
-        ranked = sorted(set(points), key=lambda p: (p.y, p.x))
+        ranked = sorted(set(points), key=yx_key)
         k = Scaled(ranked)
         assert Scaled(list(points)).sorted(y_first=True).points() == ranked
         assert convex_subsets._angle_sorted_edges(k) == by_angle(k)
@@ -407,7 +408,7 @@ class TestEdgeOrder:
                      [o, near[0], c, plus(c, near[1])]):
             pts = [Point(QSqrt3(xa, xb), QSqrt3(ya, yb)) for xa, xb, ya, yb in rows]
             self.assert_comparator_order(pts)
-            k = Scaled(sorted(pts, key=lambda p: (p.y, p.x)))
+            k = Scaled(sorted(pts, key=yx_key))
             with monkeypatch.context() as patch:
                 patch.setattr(convex_subsets, "_MARGIN", 0)
                 assert convex_subsets._angle_sorted_edges(k) != by_angle(k)

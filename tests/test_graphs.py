@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sechain.construction import base_case, build, expected_witness_size
-from sechain.geometry import pt
+from sechain.geometry import Point, pt
 from sechain.graphs import (
     BipartiteDrawing,
     BipartiteGraph,
@@ -238,7 +238,8 @@ class TestDrawingOracle:
         names = d.graph.u + d.graph.v
         name = names[vertex % len(names)]
         start = names[other % len(names)] if onto_other else name
-        placement = {**d.placement, name: d.placement[start] + offset}
+        at = d.placement[start]
+        placement = {**d.placement, name: Point(at.x + offset.x, at.y + offset.y)}
         moved = BipartiteDrawing(graph=d.graph, placement=placement)
         assert drawing_oracle(moved) == verify_drawing(moved)
 

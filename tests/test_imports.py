@@ -145,7 +145,7 @@ print(len(TARGETS), bad)
 def docs(tmp_path_factory):
     base = tmp_path_factory.mktemp("docs")
     names = ("level", "graph", "points", "bad", "zero_den", "bad_pair", "graph_zero_den",
-             "bad_edge", "dup_edge")
+             "bad_edge", "dup_edge", "ghost")
     paths = {name: base / f"{name}.json" for name in names}
     assert main(["construct", "-k", "2", "-o", str(paths["level"])]) == 0
     assert main(["graph", "-k", "2", "--placements", "-o", str(paths["graph"])]) == 0
@@ -155,7 +155,8 @@ def docs(tmp_path_factory):
     # Malformed only past both chains: the last coordinate of chain b, and
     # the last witness pair; in a graph, the last placement, and an edge
     # of three names, read before the structure is checked.  A repeated
-    # edge is well-formed, and its structure is refused on names alone.
+    # edge is well-formed, and its structure is refused on names alone, as
+    # is a placement of a name that is not a vertex.
     for name, source, edit in (
         ("zero_den", "level", lambda o: o["b_chain"]["points"][-1]["y"]["q"].update(den="0")),
         ("bad_pair", "level", lambda o: o["witness_pairs"]["pairs"][-1].__setitem__(1, 4)),
@@ -163,6 +164,8 @@ def docs(tmp_path_factory):
          lambda o: [*o["placements"]["points"].values()][-1]["y"]["q"].update(den="0")),
         ("bad_edge", "graph", lambda o: o["graph"]["edges"][-1].append(o["graph"]["v"][0])),
         ("dup_edge", "graph", lambda o: o["graph"]["edges"].append(o["graph"]["edges"][0])),
+        ("ghost", "graph", lambda o: o["placements"]["points"].__setitem__(
+            "ghost", o["placements"]["points"][o["graph"]["u"][0]])),
     ):
         document = json.loads(paths[source].read_text(encoding="utf-8"))
         edit(document["objects"])
@@ -198,7 +201,7 @@ print(sorted(m for m in ("fractions", "sechain.numbers") if m in sys.modules))
 # convex_subsets, graphs and render; and a malformed document of any
 # kind, a graph with a bad placement or edge too, is refused before the
 # decoder imports another package module, and so is a well-formed graph
-# whose structure is invalid.  Only an op that reads a document loads the
+# whose structure is invalid or that places a name that is not a vertex.  Only an op that reads a document loads the
 # reader, `reader`: `construct` and `graph --placements` load exactly
 # `_BUILD`.  Every refusal writes exactly one stderr line, an `error:` line.
 _ROWS = {"sechain", "sechain.document", "sechain.geometry"}
@@ -219,6 +222,7 @@ _OPS = [
     (["verify", "{graph_zero_den}"], 2, _REFUSED),
     (["verify", "{bad_edge}"], 2, _REFUSED),
     (["verify", "{dup_edge}"], 2, _REFUSED),
+    (["verify", "{ghost}"], 2, _REFUSED),
     (["render", "{level}", "-o", "{out}"], 0, _READ_LEVEL | {"sechain.render"}),
     (["ci", "{level}"], 0, _READ_LEVEL | {"sechain.convex_subsets"}),
     (["ci", "--json", "{points}"], 0, _READ | {"sechain.convex_subsets", "sechain.writer"}),

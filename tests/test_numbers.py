@@ -194,31 +194,6 @@ class TestSign2:
         assert sign2(a, b) == (1 if larger > 0 else -1)
 
 
-class TestOrdering:
-    def test_examples(self):
-        assert QSqrt3(0, 1) < QSqrt3(2)
-        assert QSqrt3(1, 1) > QSqrt3(Fraction(5, 2))
-        assert QSqrt3(1, 1) <= QSqrt3(1, 1)
-
-    @given(qsqrt3_st, qsqrt3_st)
-    def test_trichotomy(self, a, b):
-        assert (a < b) + (a == b) + (a > b) == 1
-
-    @given(qsqrt3_st, qsqrt3_st, qsqrt3_st)
-    def test_translation_invariance(self, a, b, c):
-        if a < b:
-            assert a + c < b + c
-
-    @given(qsqrt3_st, qsqrt3_st, nonzero_qsqrt3_st)
-    def test_scaling(self, a, b, c):
-        if a < b and c.sign() == 1:
-            assert a * c < b * c
-
-    @given(qsqrt3_st, qsqrt3_st)
-    def test_consistent_with_sign(self, a, b):
-        assert (a < b) == ((a - b).sign() == -1)
-
-
 class TestProtocols:
     def test_hash_follows_equality(self):
         assert hash(QSqrt3(Fraction(2, 4), 0)) == hash(QSqrt3(Fraction(1, 2)))

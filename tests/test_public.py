@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import copy
 import importlib
+import inspect
 import io
 import pickle
 import re
@@ -63,6 +64,70 @@ def test_cli_surface():
     assert options(parser) == ("-h", "--help", "command")
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert {name: options(p) for name, p in sub.choices.items()} == _CLI_SURFACE
+
+
+# The public signatures: `str(inspect.signature(...))` of each name in
+# `__all__`, None for an exception class that keeps the built-in
+# `__init__`, and of each name that `sechain.document` serves.
+_SIGNATURES = {
+    'BipartiteDrawing': "(graph: 'BipartiteGraph', placement: 'Mapping[str, Point]') -> 'None'",
+    'BipartiteGraph':
+        "(u: 'tuple[str, ...]', v: 'tuple[str, ...]', edges: 'tuple[Edge, ...]') -> 'None'",
+    'CiResult': "(size: 'int', witness_rows: 'Scaled') -> 'None'",
+    'DocumentError': "(message: 'str', context: 'str' = '') -> 'None'",
+    'EpsilonSearchError': None,
+    'Level':
+        "(k: 'int', chains: 'Scaled', n: 'int', witness: 'tuple[IndexPair, ...]', "
+        "eps_pairs: 'tuple[tuple[int, int], ...]') -> 'None'",
+    'Point': "(x: 'QSqrt3', y: 'QSqrt3') -> 'None'",
+    'QSqrt3': "(p: 'RationalLike' = 0, q: 'RationalLike' = 0) -> 'None'",
+    'base_case': "() -> 'Level'",
+    'build': "(k: 'int') -> 'Level'",
+    'chain_defect': "(points: 'Sequence[Point] | Scaled') -> 'str'",
+    'ci_bruteforce': "(points: 'Iterable[Point] | Scaled') -> 'CiResult'",
+    'ci_dp': "(points: 'Iterable[Point] | Scaled') -> 'CiResult'",
+    'convex_hull': "(points: 'Iterable[Point]') -> 'list[Point]'",
+    'cross': "(o: 'Point', a: 'Point', b: 'Point') -> 'QSqrt3'",
+    'double': "(graph: 'BipartiteGraph') -> 'BipartiteGraph'",
+    'drawing_from_level': "(level: 'Level') -> 'BipartiteDrawing'",
+    'edge_list_text': "(graph: 'BipartiteGraph') -> 'str'",
+    'expected_witness_size': "(k: 'int') -> 'int'",
+    'family': "(k: 'int') -> 'BipartiteGraph'",
+    'find_epsilon': "(level: 'Level') -> 'Level'",
+    'g1': "() -> 'BipartiteGraph'",
+    'is_convexly_independent': "(points: 'Iterable[Point] | Scaled') -> 'bool'",
+    'is_south_east_chain': "(points: 'Sequence[Point] | Scaled') -> 'bool'",
+    'midpoint_set': "(ps: 'Iterable[Point]', qs: 'Iterable[Point]') -> 'frozenset[Point]'",
+    'pt': "(x: 'QSqrt3Like', y: 'QSqrt3Like') -> 'Point'",
+    'step': "(level: 'Level', eps: 'tuple[int, int]') -> 'Optional[Level]'",
+    'transform_chains':
+        "(chain: 'Sequence[Point]', eps: 'Fraction') -> 'tuple[list[Point], list[Point]]'",
+    'verify_drawing': "(drawing: 'BipartiteDrawing') -> 'bool'",
+    'document.construction_to_document': "(level: 'Level') -> 'dict[str, Any]'",
+    'document.dumps': "(document: 'Any') -> 'str'",
+    'document.encode_points': "(points: 'Scaled', keys: 'Any' = None) -> 'Items'",
+    'document.graph_to_document':
+        "(graph: 'BipartiteGraph', placements: 'Scaled', k: 'int') -> 'dict[str, Any]'",
+    'document.load_path': "(path: 'str') -> 'ParsedDocument'",
+    'document.loads': "(text: 'str') -> 'ParsedDocument'",
+    'document.points_to_document': "(points: 'Scaled') -> 'dict[str, Any]'",
+}
+
+
+def test_public_signatures():
+    # A parameter added, removed or given a default anywhere fails here.
+    import sechain.document as document
+
+    def signature(obj):
+        try:
+            return str(inspect.signature(obj))
+        except ValueError:  # no signature: the built-in exception `__init__`
+            return None
+
+    got = {name: signature(getattr(sechain, name)) for name in sechain.__all__}
+    got.update({f"document.{name}": signature(getattr(document, name))
+                for name in document._READER | document._WRITER})
+    assert got == _SIGNATURES
 
 
 def test_public_surface_and_readme_session():
