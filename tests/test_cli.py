@@ -255,12 +255,12 @@ class TestVerify:
 
     def test_placement_of_a_non_vertex_is_refused(self, tmp_path, capsys):
         # Every vertex is still placed.  Of two extra names, the first in
-        # the document is named, whatever the set order of the names.
+        # the document is named, not the first in sorted or set order.
         doc = tmp_path / "g2.json"
         assert main(["graph", "-k", "2", "--placements", "-o", str(doc)]) == 0
         payload = json.loads(doc.read_text())
         points = payload["objects"]["placements"]["points"]
-        points["ghost"] = points["zz"] = next(iter(points.values()))
+        points["ghost"] = points["a-ghost"] = next(iter(points.values()))
         doc.write_text(json.dumps(payload))
         capsys.readouterr()
         assert main(["verify", str(doc)]) == 2

@@ -279,6 +279,19 @@ class TestGraphDocuments:
             loads(dumps(document))
         assert "objects.graph" in str(err.value)
 
+    def test_placed_names_are_checked_before_the_type_tags(self):
+        # As every other field is: the tags are what a document states
+        # about itself, checked last.
+        document = plain(graph_to_document(g1(), build(1).chains, 1))
+        placements = document["objects"]["placements"]
+        placements["points"]["ghost"] = placements["points"]["u1"]
+        placements["type"] = "bogus"
+        with pytest.raises(DocumentError) as err:
+            loads(dumps(document))
+        assert (err.value.context, str(err.value)) == (
+            "objects.placements.points[ghost]",
+            "objects.placements.points[ghost]: not a vertex of the graph")
+
     def test_edge_must_be_pair_of_strings(self):
         document = _unplaced(plain(graph_to_document(g1(), build(1).chains, 1)))
         document["objects"]["graph"]["edges"][0] = ["u1", 3]
