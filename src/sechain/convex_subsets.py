@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from functools import cache, cmp_to_key
 from itertools import compress, count, islice
-from math import isqrt
 from typing import Iterable
 
 from . import InputError
@@ -133,42 +132,31 @@ def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
     takes two collinear edges in a row and its turns stay strict.
     """
     n = len(k)
-    rows, cross_sign = k.rows, k.cross_sign
+    cross_sign = k.cross_sign
 
     # An integer filter orders the up edges by the pseudo-angle g(a, y) =
     # -a / (|a| + y) of (a, y) = (dx, dy), which rises strictly with the
-    # angle over [0, pi), from -1 (dy = 0) to 1.  Take dx = dxa + dxb*sqrt(3)
-    # and dy on the rows (the scale changes no angle): every component of
-    # a row difference is below 2**b in size.  With f = K + 2b + 8, K =
-    # _KEY_BITS and r = floor(2**f * sqrt(3)), X = (xa << f) + xb*r and Y
-    # alike give 2**f * dx = dX + dxb*phi exactly, phi = 2**f*sqrt(3) - r in
-    # (0, 1), so |dX - 2**f * dx| < 2**b, and the same for dY.
-    # * A nonzero a + c*sqrt(3), |a|, |c| < 2**b, is above 2**(-b-2) in
-    #   size: |a**2 - 3c**2| >= 1 and |a - c*sqrt(3)| < 4 * 2**b.  So dX has
-    #   the sign of dx, as 2**(f-b-2) > 2**b, and dY that of dy: an edge is
-    #   horizontal exactly when dY == 0, and |dX| + dY > 0.
-    # * Both partial derivatives of g are at most 1 / (|a| + y) in size,
-    #   and from (dX, dY) to 2**f * (dx, dy) |a| + y stays above
-    #   2**(f-b-2) - 2**(b+1) = 2**(b+1) * (2**(K+5) - 1).  So t = 2**K *
-    #   g(dx, dy) is within 2**(K+b+1) over that, below 1/16, of 2**K *
-    #   g(dX, dY), whose floor is the key k: k - 1/16 < t < k + 1 + 1/16.
+    # angle over [0, pi), from -1 (dy = 0) to 1.  X and Y are
+    # `k.lifted(K)`, K = _KEY_BITS, for f = K + 2b + 8: by its bound an
+    # edge is horizontal exactly when dY == 0, |dX| + dY > 0, and from
+    # (dX, dY) to 2**f * (dx, dy), each within 2**b, |a| + y stays above
+    # 2**(f-b-2) - 2**(b+1) = 2**(b+1) * (2**(K+5) - 1).  Both partial
+    # derivatives of g are at most 1 / (|a| + y) in size, so t = 2**K *
+    # g(dx, dy) is within 2**(K+b+1) over that, below 1/16, of 2**K *
+    # g(dX, dY), whose floor is the key k: k - 1/16 < t < k + 1 + 1/16.
     # So edges whose keys are more than _MARGIN = 1 apart are in angle
     # order, and edges of one angle have keys at most 1 apart.  Each key is
     # packed above the edge code u << w | v, and one native sort of the
     # packed ints orders the edges by (key, u, v).
-    bits = 1 + max([c.bit_length() for row in rows for c in row], default=0)
-    f = _KEY_BITS + 2 * bits + 8
-    r = isqrt(3 << 2 * f)
-    xs = [(xa << f) + xb * r for xa, xb, _, _ in rows]
-    ys = [(ya << f) + yb * r for _, _, ya, yb in rows]
-    lifted = [x << _KEY_BITS for x in xs]
+    xs, ys = k.lifted(_KEY_BITS)
+    shifted = [x << _KEY_BITS for x in xs]
     w = (n - 1).bit_length()
     low, shift = (1 << w) - 1, 2 * w
     edges = []
     for u in range(n):
-        ux, uy, ul, code = xs[u], ys[u], lifted[u], u << w
+        ux, uy, ul, code = xs[u], ys[u], shifted[u], u << w
         edges += [(ul - vl) // (abs(vx - ux) + vy - uy) << shift | c
-                  for c, vx, vy, vl in zip(range(code + u + 1, code + n), xs[u + 1:], ys[u + 1:], lifted[u + 1:])]
+                  for c, vx, vy, vl in zip(range(code + u + 1, code + n), xs[u + 1:], ys[u + 1:], shifted[u + 1:])]
     edges.sort()
 
     # Runs [i, j): maximal stretches of edges whose adjacent keys are at

@@ -11,11 +11,12 @@ The integer kernel lives here: `sign2`, the exact sign of a + b*sqrt(3)
 for integers a and b, and `Record`, the base of the package's value
 records.  `Scaled` is the one point-set kernel on it: a point
 sequence as one list of integer rows (xa, xb, ya, yb) over one shared
-scale, read and built as rows by every method.  It gives every
-coordinate and turn sign, and subsets (`take`), dedupes (`distinct`),
-orders (`sorted`), forms midpoints (`midpoints`, `midpoint_set`) and
-flattens and rotates (`flattened`, which `construction.step` and
-`transform_chains` share).  A `construction.Level` holds its chains as
+scale, read and built as rows by every method.  It gives every turn
+sign, lifts coordinates to integers in their exact order (`lifted`, the
+one order of Q(sqrt(3)) values: `sorted` and `ci_dp`'s edge keys take it),
+and subsets (`take`), dedupes (`distinct`), orders (`sorted`), forms
+midpoints (`midpoints`, `midpoint_set`) and flattens and rotates
+(`flattened`, which `construction.step` and `transform_chains` share).  A `construction.Level` holds its chains as
 one `Scaled` over the least scale (`reduced`), and `writer` encodes and
 `reader` decodes every coordinate through one.  The predicates here, both
 `convex_subsets` solvers, the construction, `Level.checks`, the drawing
@@ -33,8 +34,7 @@ when the turn a -> b -> c is counterclockwise.
 
 from __future__ import annotations
 
-from functools import cmp_to_key
-from math import gcd, lcm, sqrt
+from math import gcd, isqrt, lcm, sqrt
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:  # a `Point` is built only at the public boundary
@@ -223,11 +223,31 @@ class Scaled:
         return Scaled.from_rows(list(dict.fromkeys(self.rows)), self.s)
 
     def sorted(self, y_first: bool = False) -> Scaled:
-        """The points in exact (x, y) order, or (y, x) order; equal points
-        keep their order."""
-        first, second = (self.dy_sign, self.dx_sign) if y_first else (self.dx_sign, self.dy_sign)
-        order = cmp_to_key(lambda i, j: -(first(i, j) or second(i, j)))
-        return self.take(sorted(range(len(self)), key=order))
+        """The points in exact (x, y) order, or (y, x) order, by one native
+        sort on their `lifted` integers; equal points keep their order."""
+        xs, ys = self.lifted(0)
+        keys = list(zip(ys, xs) if y_first else zip(xs, ys))
+        return self.take(sorted(range(len(self)), key=keys.__getitem__))
+
+    def lifted(self, extra: int) -> tuple[list[int], list[int]]:
+        """Integers X and Y for each row's x and y, in their exact order.
+
+        With every component of a row difference below 2**b in size, f =
+        extra + 2b + 8 and r = floor(2**f * sqrt(3)), X = (xa << f) + xb*r
+        and Y alike, so 2**f * dx = dX + dxb*(2**f*sqrt(3) - r) and
+        |dX - 2**f * dx| < 2**b.  A nonzero a + c*sqrt(3), |a|, |c| < 2**b,
+        is above 2**(-b-2) in size (|a**2 - 3c**2| >= 1 and |a - c*sqrt(3)|
+        < 4 * 2**b), so a nonzero 2**f * dx is above 2**(f-b-2) >= 2**(b+6)
+        and dX has its sign; a zero dx has dxa = dxb = 0 and dX = 0.  The
+        same holds for dY.  `extra` is the headroom a caller's own bound
+        needs: 0 for point orders.
+        """
+        rows = self.rows
+        b = 1 + max([c.bit_length() for row in rows for c in row], default=0)
+        f = extra + 2 * b + 8
+        r = isqrt(3 << 2 * f)
+        return ([(xa << f) + xb * r for xa, xb, _, _ in rows],
+                [(ya << f) + yb * r for _, _, ya, yb in rows])
 
     def midpoints(self, n: int, pairs: Iterable[tuple[int, int]]) -> Scaled:
         """Midpoints of a[i] and b[j] for each pair (i, j), in order, where
@@ -267,16 +287,6 @@ class Scaled:
             rot.append((xa - 3 * yb, xb - ya, 3 * xb + ya, xa + yb))
         t = 2 * q * q * self.s
         return Scaled.from_rows(flat, t), Scaled.from_rows(rot, t)
-
-    def dx_sign(self, i: int, j: int) -> int:
-        """Sign of x[j] - x[i]."""
-        p, q = self.rows[i], self.rows[j]
-        return sign2(q[0] - p[0], q[1] - p[1])
-
-    def dy_sign(self, i: int, j: int) -> int:
-        """Sign of y[j] - y[i]."""
-        p, q = self.rows[i], self.rows[j]
-        return sign2(q[2] - p[2], q[3] - p[3])
 
     def turn(self, p: int, q: int, r: int) -> int:
         """Sign of the turn p -> q -> r; positive means left."""

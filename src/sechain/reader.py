@@ -217,6 +217,19 @@ def _decode_graph(
 ParsedDocument = tuple[str, Any]
 
 
+def _object(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object, refused at the first key it repeats: `json` alone keeps
+    the last value and drops the others unseen."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DocumentError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def loads(text: str) -> ParsedDocument:
     """Parse any known document kind from text.
 
@@ -225,7 +238,9 @@ def loads(text: str) -> ParsedDocument:
     whose placements are the placed names and one `Scaled` of their rows.
     """
     try:
-        document = json.loads(text)
+        document = json.loads(text, object_pairs_hook=_object)
+    except DocumentError:
+        raise
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"invalid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"

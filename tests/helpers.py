@@ -174,34 +174,19 @@ def convex_position_oracle(points) -> bool:
 
 
 def _strictly_positive(value: QSqrt3) -> bool:
-    """Interval sign is +1; an inconclusive interval does not count."""
-    return interval_sign(value) == 1
-
-
-def _xy_order(a: Point, b: Point) -> int:
-    """Lexicographic (x, y) comparison of two points.
-
-    Equal coordinates are recognised by their unique (p, q) form; any
-    other pair is ordered by interval sign, and a pair the intervals
-    cannot separate is an error rather than a guess.
-    """
-    for s, t in ((a.x, b.x), (a.y, b.y)):
-        if s != t:
-            order = interval_sign(s - t)
-            if order is None:
-                raise ValueError(f"128-bit intervals cannot order {s} and {t}")
-            return order
-    return 0
+    """Interval sign is +1, or `exact_sign` is where the interval is inconclusive."""
+    sign = interval_sign(value)
+    return (exact_sign(value) if sign is None else sign) == 1
 
 
 def south_east_chain_oracle(points) -> bool:
-    """Chain definition checked on the points sorted by (x, y).
+    """Chain definition checked on the points sorted by `xy_key`.
 
     Both coordinates must strictly increase between neighbours and every
     turn of three neighbours must be strictly left.  Fewer than two
     points pass trivially, as in `verify_drawing`.
     """
-    pts = sorted(points, key=functools.cmp_to_key(_xy_order))
+    pts = sorted(points, key=xy_key)
     for a, b in zip(pts, pts[1:]):
         if not (_strictly_positive(b.x - a.x) and _strictly_positive(b.y - a.y)):
             return False

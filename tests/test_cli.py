@@ -267,6 +267,20 @@ class TestVerify:
         assert capsys.readouterr().err == (
             "error: objects.placements.points[ghost]: not a vertex of the graph\n")
 
+    def test_repeated_key_is_refused(self, tmp_path, capsys):
+        # `json` alone keeps the last value of a repeated key, so a bogus
+        # placement written before the real one passed unseen.
+        doc = tmp_path / "g2.json"
+        assert main(["graph", "-k", "2", "--placements", "-o", str(doc)]) == 0
+        text = doc.read_text()
+        bogus = copy.deepcopy(json.loads(text)["objects"]["placements"]["points"]["0:u1"])
+        bogus["x"]["p"]["num"] = bogus["y"]["p"]["num"] = "999"
+        at = text.index('"0:u1": {')
+        doc.write_text(f'{text[:at]}"0:u1": {json.dumps(bogus)},\n{text[at:]}')
+        capsys.readouterr()
+        assert main(["verify", str(doc)]) == 2
+        assert capsys.readouterr().err == "error: repeated key '0:u1'\n"
+
     def test_corrupted_placement_fails(self, tmp_path, capsys):
         doc = tmp_path / "g2.json"
         assert main(["graph", "-k", "2", "--placements", "-o", str(doc)]) == 0

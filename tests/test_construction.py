@@ -18,10 +18,10 @@ from sechain.construction import (
     step,
 )
 from sechain.document import construction_to_document, dumps, loads
-from sechain.geometry import Point, is_south_east_chain, pt
+from sechain.geometry import Point, chain_defect, is_south_east_chain, pt
 from sechain.numbers import QSqrt3
 
-from .helpers import flatten, midpoint, points_level, rotate60
+from .helpers import chain_defect_locator, flatten, midpoint, points_level, rotate60
 
 # The paper's translations of the glued blocks: rot(flat(b)) in new_a,
 # flat(b) in new_b and rot(flat(a)) in new_b.
@@ -109,6 +109,47 @@ class TestWitnessSize:
                 expected_witness_size(k + 1)
                 == 2 * expected_witness_size(k) + 2**k
             )
+
+
+def _prefix_witness_size(n: int) -> int:
+    """f(n) = W(k) + (n - N) + f(n - N) for N = 2**k < n <= 2N, f(1) = 1,
+    with W(k) = (k + 2) * 2**(k - 1), and W(0) = 1 = f(1)."""
+    if n == 1:
+        return 1
+    k = (n - 1).bit_length() - 1
+    return (k + 2) * 2**k // 2 + (n - 2**k) + _prefix_witness_size(n - 2**k)
+
+
+def _prefix_witness_closed_form(n: int) -> int:
+    """1 + r + the sum over j of 2**(k_j - 1) * (k_j + 2j), where n - 1 =
+    2**k_1 + ... + 2**k_r with k_1 > ... > k_r."""
+    ks = [k for k in range((n - 1).bit_length() - 1, -1, -1) if (n - 1) >> k & 1]
+    return 1 + len(ks) + sum((k + 2 * j) * 2**k // 2 for j, k in enumerate(ks, 1))
+
+
+class TestPrefixWitness:
+    """The first n points of each chain of level 8 and the witness pairs
+    inside both prefixes: a witness for every n up to 256."""
+
+    def test_every_prefix_keeps_a_chain_of_f_n_midpoints(self, levels):
+        level = levels[8]
+        points = level.chains.points()
+        a, b = points[:level.n], points[level.n:]
+        for n in range(2, level.n + 1):
+            pairs = [(i, j) for i, j in level.witness if i < n and j < n]
+            prefixes = level.chains.take([*range(n), *range(level.n, level.n + n)])
+            assert chain_defect(prefixes.midpoints(n, pairs)) == "", n
+            assert len(pairs) == _prefix_witness_size(n) == _prefix_witness_closed_form(n), n
+            if n in (3, 12, 100, 255):
+                assert chain_defect_locator([midpoint(a[i], b[j]) for i, j in pairs]) == ""
+
+    def test_values(self):
+        assert [_prefix_witness_size(n) for n in (3, 5, 7, 12, 24, 48, 100, 200, 255)] == [
+            5, 10, 16, 32, 76, 176, 416, 932, 1271,
+        ]
+        assert [_prefix_witness_size(2**k) for k in range(1, 11)] == [
+            expected_witness_size(k) for k in range(1, 11)
+        ]
 
 
 class TestStep:

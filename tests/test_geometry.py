@@ -37,6 +37,7 @@ from .helpers import (
     rand_point,
     rotate60,
     slope,
+    south_east_chain_oracle,
     xy_key,
     yx_key,
 )
@@ -179,6 +180,19 @@ class TestChainDefect:
         assert chain_defect(points) == expected
         assert chain_defect(Scaled(points)) == expected
 
+    @pytest.mark.parametrize("heights, is_chain", [
+        ((0, 1, 3, 6, 10), True), ((0, 2, 3, 5), False), ((0, 1, 2, 3), False),
+    ])
+    def test_oracle_decides_near_horizontal_pell_chains(self, heights, is_chain):
+        # e = p - q*sqrt(3), p**2 - 3q**2 = 1, is about 2**-70: 128-bit
+        # intervals can neither sign e nor order points e apart in x.
+        p, q = _pell_pairs(70)[-1]
+        e = QSqrt3(p, -q)
+        points = [Point(i * e, c * e * e) for i, c in enumerate(heights)]
+        assert interval_sign(e) is None
+        assert south_east_chain_oracle(points) == is_chain
+        assert (chain_defect(points) == "") == is_chain
+
 
 @st.composite
 def _kernel_points(draw):
@@ -204,6 +218,20 @@ def _points_with_ties(draw):
     return draw(st.lists(st.builds(Point, st.sampled_from(xs), st.sampled_from(ys)), max_size=14))
 
 
+def _sign(n: int) -> int:
+    return (n > 0) - (n < 0)
+
+
+def _pell_pairs(bits: int) -> list[tuple[int, int]]:
+    """The solutions (p, q) of p**2 - 3q**2 = 1 from (2, 1) up to the first
+    p of at least `bits` bits."""
+    pairs = [(2, 1)]
+    while pairs[-1][0].bit_length() < bits:
+        p, q = pairs[-1]
+        pairs.append((2 * p + 3 * q, p + 2 * q))
+    return pairs
+
+
 class TestScaled:
     """The orientation kernel against field arithmetic and interval signs."""
 
@@ -217,9 +245,11 @@ class TestScaled:
     @settings(max_examples=200)
     def test_signs_match_oracles(self, pts):
         k = Scaled(pts)
-        for i, j in permutations(range(4), 2):
-            self._agree(k.dx_sign(i, j), pts[j].x - pts[i].x)
-            self._agree(k.dy_sign(i, j), pts[j].y - pts[i].y)
+        for extra in (0, 64):  # point orders, and ci_dp's edge keys
+            xs, ys = k.lifted(extra)
+            for i, j in permutations(range(4), 2):
+                self._agree(_sign(xs[j] - xs[i]), pts[j].x - pts[i].x)
+                self._agree(_sign(ys[j] - ys[i]), pts[j].y - pts[i].y)
         for p, q, r, s in permutations(range(4)):
             a, b, c, d = pts[p], pts[q], pts[r], pts[s]
             turn = (b.x - a.x) * (d.y - c.y) - (b.y - a.y) * (d.x - c.x)
@@ -256,8 +286,24 @@ class TestScaled:
         # Convergents of sqrt(3): 18817 - 10864*sqrt(3) is about 2.7e-5.
         x = QSqrt3(Fraction(18817, 7), Fraction(-10864, 7)) + Fraction(1, 3)
         k = Scaled([pt(Fraction(1, 3), 0), Point(x, QSqrt3(0, Fraction(1, 5)))])
-        assert k.dx_sign(0, 1) == 1 and k.dx_sign(1, 0) == -1
-        assert k.dy_sign(0, 1) == 1 and k.dx_sign(0, 0) == 0
+        xs, ys = k.lifted(0)
+        assert _sign(xs[1] - xs[0]) == 1 and _sign(xs[0] - xs[1]) == -1
+        assert _sign(ys[1] - ys[0]) == 1 and _sign(xs[0] - xs[0]) == 0
+
+    @pytest.mark.parametrize("bits", [8, 40, 72, 136, 200, 13300])  # 13300 bits: 4000 digits
+    def test_orders_of_pell_near_ties_match_the_exact_keys(self, bits):
+        # With p**2 - 3q**2 = 1, p - q*sqrt(3) = 1 / (p + q*sqrt(3)): values
+        # within 2**-bits of 0 and of 1, whose differences cancel in both
+        # parts.  A lift with f < 2b + 2 misorders them.
+        pairs = _pell_pairs(bits)[-4:]
+        tiny = [QSqrt3(p, -q) for p, q in pairs]
+        pool = [QSqrt3(0), QSqrt3(1), tiny[-1] * Fraction(1, 3)]
+        pool += [v for e in tiny for v in (e, -e, 1 + e, 1 - e)]
+        rng = random.Random(bits)
+        pts = [Point(rng.choice(pool), rng.choice(pool)) for _ in range(40)]
+        k = Scaled(pts)
+        assert k.sorted().points() == sorted(pts, key=xy_key)
+        assert k.sorted(y_first=True).points() == sorted(pts, key=yx_key)
 
 
 class TestRotate60:

@@ -111,12 +111,27 @@ _SIGNATURES = {
     'document.load_path': "(path: 'str') -> 'ParsedDocument'",
     'document.loads': "(text: 'str') -> 'ParsedDocument'",
     'document.points_to_document': "(points: 'Scaled') -> 'dict[str, Any]'",
+    'Scaled.cross_sign': "(self, p: 'int', q: 'int', r: 'int', s: 'int') -> 'int'",
+    'Scaled.distinct': "(self) -> 'Scaled'",
+    'Scaled.flattened': "(self, p: 'int', q: 'int') -> 'tuple[Scaled, Scaled]'",
+    'Scaled.floats': "(self) -> 'list[tuple[float, float]]'",
+    'Scaled.from_rows': "(rows: 'list[Row]', s: 'int') -> 'Scaled'",
+    'Scaled.lifted': "(self, extra: 'int') -> 'tuple[list[int], list[int]]'",
+    'Scaled.midpoint_set': "(self, n: 'int', limit: 'int') -> 'Scaled'",
+    'Scaled.midpoints': "(self, n: 'int', pairs: 'Iterable[tuple[int, int]]') -> 'Scaled'",
+    'Scaled.points': "(self) -> 'list[Point]'",
+    'Scaled.reduced': "(self) -> 'Scaled'",
+    'Scaled.sorted': "(self, y_first: 'bool' = False) -> 'Scaled'",
+    'Scaled.take': "(self, indices: 'Iterable[int]') -> 'Scaled'",
+    'Scaled.turn': "(self, p: 'int', q: 'int', r: 'int') -> 'int'",
 }
 
 
 def test_public_signatures():
-    # A parameter added, removed or given a default anywhere fails here.
+    # A parameter added, removed or given a default anywhere fails here,
+    # and so does a public method of the kernel `Scaled` added or removed.
     import sechain.document as document
+    from sechain.geometry import Scaled
 
     def signature(obj):
         try:
@@ -127,6 +142,8 @@ def test_public_signatures():
     got = {name: signature(getattr(sechain, name)) for name in sechain.__all__}
     got.update({f"document.{name}": signature(getattr(document, name))
                 for name in document._READER | document._WRITER})
+    got.update({f"Scaled.{name}": signature(getattr(Scaled, name)) for name in vars(Scaled)
+                if not name.startswith("_") and callable(getattr(Scaled, name))})
     assert got == _SIGNATURES
 
 
