@@ -12,15 +12,16 @@ for integers a and b, and `Record`, the base of the package's value
 records.  `Scaled` is the one point-set kernel on it: a point
 sequence as one list of integer rows (xa, xb, ya, yb) over one shared
 scale, read and built as rows by every method.  It gives every turn
-sign, lifts coordinates to integers in their exact order (`lifted`, the
-one order of Q(sqrt(3)) values: `sorted` and `ci_dp`'s edge keys take it),
-and subsets (`take`), dedupes (`distinct`), orders (`sorted`), forms
-midpoints (`midpoints`, `midpoint_set`) and flattens and rotates
-(`flattened`, which `construction.step` and `transform_chains` share).  A `construction.Level` holds its chains as
-one `Scaled` over the least scale (`reduced`), and `writer` encodes and
-`reader` decodes every coordinate through one.  The predicates here, both
-`convex_subsets` solvers, the construction, `Level.checks`, the drawing
-checks, `render` and `ci` compute in it.
+sign and the one order of coordinates (`lifted`, integers in their exact
+order, which `sorted` and `ci_dp`'s edge keys take), and subsets
+(`take`), dedupes (`distinct`), orders (`sorted`), forms midpoints
+(`midpoints`, `midpoint_set`) and flattens and rotates (`flattened`,
+which `construction.step` and `transform_chains` share).  A
+`construction.Level` holds its chains as one `Scaled` over the least
+scale (`reduced`), and `writer` encodes and `reader` decodes every
+coordinate through one.  The predicates here, both `convex_subsets`
+solvers, the construction, `Level.checks`, the drawing checks, `render`
+and `ci` compute in it.
 
 `Point`s, over `numbers.QSqrt3` and `fractions.Fraction`, are built only
 at the public boundary (`pt`, `Scaled.points`), and only those two
@@ -156,8 +157,8 @@ class Scaled:
     takes s as the lcm of every reduced denominator, the least scale;
     `from_rows` keeps the rows it is given, and `reduced` brings them to
     the least scale, where equal rows are equal points.  A positive
-    common scale changes no sign, so each sign below is one `sign2` on
-    integers.  Methods take indices into `rows`.
+    common scale changes no sign, so each turn sign below is one `sign2`
+    on integers.  Methods take indices into `rows`.
     """
 
     __slots__ = ("rows", "s")
@@ -232,15 +233,14 @@ class Scaled:
     def lifted(self, extra: int) -> tuple[list[int], list[int]]:
         """Integers X and Y for each row's x and y, in their exact order.
 
-        With every component of a row difference below 2**b in size, f =
-        extra + 2b + 8 and r = floor(2**f * sqrt(3)), X = (xa << f) + xb*r
-        and Y alike, so 2**f * dx = dX + dxb*(2**f*sqrt(3) - r) and
-        |dX - 2**f * dx| < 2**b.  A nonzero a + c*sqrt(3), |a|, |c| < 2**b,
-        is above 2**(-b-2) in size (|a**2 - 3c**2| >= 1 and |a - c*sqrt(3)|
-        < 4 * 2**b), so a nonzero 2**f * dx is above 2**(f-b-2) >= 2**(b+6)
-        and dX has its sign; a zero dx has dxa = dxb = 0 and dX = 0.  The
-        same holds for dY.  `extra` is the headroom a caller's own bound
-        needs: 0 for point orders.
+        With components of row differences below 2**b in size, f = extra +
+        2b + 8 and r = floor(2**f * sqrt(3)), X = (xa << f) + xb*r and Y alike,
+        so |dX - 2**f * dx| = |dxb| * (2**f*sqrt(3) - r) < 2**b.  A nonzero
+        a + c*sqrt(3), |a|, |c| < 2**b, exceeds 2**(-b-2) in size, as
+        |a**2 - 3c**2| >= 1 and |a - c*sqrt(3)| < 4 * 2**b.  So a nonzero
+        2**f * dx exceeds 2**(f-b-2) >= 2**(b+6) and dX has its sign, and dx
+        = 0 gives dX = 0; the same holds for y.  `extra` is the headroom a
+        caller's own bound needs: 0 for point orders.
         """
         rows = self.rows
         b = 1 + max([c.bit_length() for row in rows for c in row], default=0)

@@ -5,7 +5,7 @@ both names, imported on first access and kept there, so an op that only
 writes never compiles this module.
 
 Parsing is strict about structure (types, integer syntax, positive
-denominators, index ranges) and raises `DocumentError` with a dotted
+denominators, index ranges, no key repeated in an object) and raises `DocumentError` with a dotted
 path to the offending field, carried as a tuple and written out only
 when a check fails.  One reader, `_ratios`, reads every point's eight
 decimal strings (chains, point sets, placements) as plain ints, x then
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
@@ -218,15 +219,12 @@ ParsedDocument = tuple[str, Any]
 
 
 def _object(pairs: list[tuple[str, Any]]) -> dict:
-    """A JSON object, refused at the first key it repeats: `json` alone keeps
-    the last value and drops the others unseen."""
+    """A JSON object, refused at its first key that repeats: `json` alone
+    keeps the key's last value and drops the others unseen."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise DocumentError(f"repeated key {key!r}")
-            seen.add(key)
+        counts = Counter(key for key, _ in pairs)
+        raise DocumentError(f"repeated key {next(key for key in obj if counts[key] > 1)!r}")
     return obj
 
 
