@@ -20,10 +20,10 @@ Two different algorithms compute the same number:
   on the integers `Scaled.lifted` makes of the coordinates, gives 2**64
   times its pseudo-angle -dx / (|dx| + dy) within a proven 1/16, so only
   runs of keys at most 1 apart, exactly parallel edges among them, are
-  ordered by the orientation sign.  The reverses follow
-  in the same order, except that within each group of exactly parallel
-  edges their own tie-break orders them; the groups end where two
-  adjacent edges of a run turn.
+  ordered by the orientation sign.  The reverses follow in the same
+  order, except that within each group of exactly parallel edges their
+  own tie-break orders them; the groups end where two adjacent edges of
+  a run turn.
 
   Each anchor gets its own bound from two integer passes: a polygon
   anchored at a is one path from a over the up half of the sorted edges
@@ -137,19 +137,17 @@ def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
     # An integer filter orders the up edges by the pseudo-angle g(a, y) =
     # -a / (|a| + y) of (a, y) = (dx, dy), which rises strictly with the
     # angle over [0, pi), from -1 (dy = 0) to 1.  X and Y are `k.lifted(K)`,
-    # K = _KEY_BITS, so f = K + 2b + 8: by the lift's bound dX and dY have
-    # the signs of dx and dy and are within 2**b of 2**f * dx and 2**f * dy,
-    # which are 0 or above 2**(f-b-2) in size.  So an edge is horizontal
-    # exactly when dY == 0, |dX| + dY > 0, and from (dX, dY) to 2**f *
-    # (dx, dy) |a| + y stays above 2**(f-b-2) - 2**(b+1) = 2**(b+1) *
-    # (2**(K+5) - 1).  Both partial derivatives of g are at most
-    # 1 / (|a| + y) in size, so t = 2**K * g(dx, dy) is within 2**(K+b+1)
-    # over that, below 1/16, of 2**K * g(dX, dY), whose floor is the key
-    # k: k - 1/16 < t < k + 1 + 1/16.  So edges whose keys are more than
-    # _MARGIN = 1 apart are in angle order, and edges of one angle have
-    # keys at most 1 apart.  Each key is packed above the edge code
-    # u << w | v, and one native sort of the packed ints orders the edges
-    # by (key, u, v).
+    # K = _KEY_BITS.  By the lift's bound (dX, dY) has the signs of (dx, dy),
+    # so an edge is horizontal exactly when dY == 0 and |dX| + dY > 0, and
+    # it is within 2**b of 2**f * (dx, dy) in each part, where |a| + y stays
+    # above 2**(f-b-2) - 2**(b+1) = 2**(b+1) * (2**(K+5) - 1).  Both partial
+    # derivatives of g are at most 1 / (|a| + y) in size, so t = 2**K *
+    # g(dx, dy) is within 2**(K+b+1) over that, below 1/16, of 2**K *
+    # g(dX, dY), whose floor is the key k: k - 1/16 < t < k + 1 + 1/16.
+    # So edges whose keys are more than _MARGIN = 1 apart are in angle
+    # order, and edges of one angle have keys at most 1 apart.  Each key is
+    # packed above the edge code u << w | v, and one native sort of the
+    # packed ints orders the edges by (key, u, v).
     xs, ys = k.lifted(_KEY_BITS)
     shifted = [x << _KEY_BITS for x in xs]
     w = (n - 1).bit_length()

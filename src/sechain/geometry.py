@@ -12,12 +12,11 @@ for integers a and b, and `Record`, the base of the package's value
 records.  `Scaled` is the one point-set kernel on it: a point
 sequence as one list of integer rows (xa, xb, ya, yb) over one shared
 scale, read and built as rows by every method.  It gives every turn
-sign and the one order of coordinates (`lifted`, integers in their exact
-order, which `sorted` and `ci_dp`'s edge keys take), and subsets
-(`take`), dedupes (`distinct`), orders (`sorted`), forms midpoints
-(`midpoints`, `midpoint_set`) and flattens and rotates (`flattened`,
-which `construction.step` and `transform_chains` share).  A
-`construction.Level` holds its chains as one `Scaled` over the least
+sign, and subsets (`take`), dedupes (`distinct`), orders (`sorted`, on
+the integers `lifted` gives in exact order, as `ci_dp`'s edge keys do),
+forms midpoints (`midpoints`, `midpoint_set`) and flattens and rotates
+(`flattened`, which `construction.step` and `transform_chains` share).
+A `construction.Level` holds its chains as one `Scaled` over the least
 scale (`reduced`), and `writer` encodes and `reader` decodes every
 coordinate through one.  The predicates here, both `convex_subsets`
 solvers, the construction, `Level.checks`, the drawing checks, `render`

@@ -294,7 +294,7 @@ class TestScaled:
     def test_orders_of_pell_near_ties_match_the_exact_keys(self, bits):
         # With p**2 - 3q**2 = 1, p - q*sqrt(3) = 1 / (p + q*sqrt(3)): values
         # within 2**-bits of 0 and of 1, whose differences cancel in both
-        # parts.  A lift with f < 2b + 2 misorders them.
+        # parts.  A lift with f = extra + b + 8 misorders them.
         pairs = _pell_pairs(bits)[-4:]
         tiny = [QSqrt3(p, -q) for p, q in pairs]
         pool = [QSqrt3(0), QSqrt3(1), tiny[-1] * Fraction(1, 3)]
