@@ -55,7 +55,7 @@ from itertools import compress, count, islice
 from typing import Iterable
 
 from . import InputError
-from .geometry import Point, Record, Scaled, _hull
+from .geometry import _LIFT_BITS, Point, Record, Scaled, _hull
 
 
 class CiResult(Record):
@@ -82,7 +82,6 @@ class CiResult(Record):
 # 6) ci_dp takes about 25 s at 742 MB in process.
 DP_MAX_POINTS = 2500  # ci_dp's cap
 BRUTE_MAX_POINTS = 20  # ci_bruteforce's cap
-_KEY_BITS = 64  # edge keys resolve the pseudo-angle to 2**-64
 _MARGIN = 1  # keys at most this far apart may be out of angle order
 _BLOCK = 4096  # edges relabelled in place per step
 _PRUNE_ANCHORS = 4  # pruning the edges costs about four relaxations of them
@@ -133,23 +132,24 @@ def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
     takes two collinear edges in a row and its turns stay strict.
     """
     n = len(k)
+    cross_sign = k.cross_sign
 
     # An integer filter orders the up edges by the pseudo-angle g(a, y) =
     # -a / (|a| + y) of (a, y) = (dx, dy), which rises strictly with the
-    # angle over [0, pi), from -1 (dy = 0) to 1.  X and Y are `k.lifted(K)`,
-    # K = _KEY_BITS.  By the lift's bound (dX, dY) has the signs of (dx, dy),
-    # so an edge is horizontal exactly when dY == 0 and |dX| + dY > 0, and
-    # it is within 2**b of 2**f * (dx, dy) in each part, where |a| + y stays
-    # above 2**(f-b-2) - 2**(b+1) = 2**(b+1) * (2**(K+5) - 1).  Both partial
-    # derivatives of g are at most 1 / (|a| + y) in size, so t = 2**K *
-    # g(dx, dy) is within 2**(K+b+1) over that, below 1/16, of 2**K *
-    # g(dX, dY), whose floor is the key k: k - 1/16 < t < k + 1 + 1/16.
-    # So edges whose keys are more than _MARGIN = 1 apart are in angle
-    # order, and edges of one angle have keys at most 1 apart.  Each key is
-    # packed above the edge code u << w | v, and one native sort of the
-    # packed ints orders the edges by (key, u, v).
-    xs, ys = k.lifted(_KEY_BITS)
-    shifted = [x << _KEY_BITS for x in xs]
+    # angle over [0, pi), from -1 (dy = 0) to 1.  X and Y are `k.lifted()`,
+    # with headroom K = _LIFT_BITS: by the lift's bound (dX, dY) has the
+    # signs of (dx, dy), so an edge is horizontal exactly when dY == 0 and
+    # |dX| + dY > 0, and it is within 2**b of 2**f * (dx, dy) in each part,
+    # where |a| + y stays above 2**(f-b-2) - 2**(b+1) = 2**(b+1) *
+    # (2**(K+5) - 1).  Both partial derivatives of g are at most 1 / (|a| +
+    # y) in size, so t = 2**K * g(dx, dy) is within 2**(K+b+1) over that,
+    # below 1/16, of 2**K * g(dX, dY), whose floor is the key k: k - 1/16 <
+    # t < k + 1 + 1/16.  So edges whose keys are more than _MARGIN = 1
+    # apart are in angle order, and edges of one angle have keys at most 1
+    # apart.  Each key is packed above the edge code u << w | v, and one
+    # native sort of the packed ints orders the edges by (key, u, v).
+    xs, ys = k.lifted()
+    shifted = [x << _LIFT_BITS for x in xs]
     w = (n - 1).bit_length()
     low, shift = (1 << w) - 1, 2 * w
     edges = []
@@ -175,7 +175,7 @@ def _angle_sorted_edges(k: Scaled) -> tuple[list[int], list[int]]:
 
     def turn(c1: int, c2: int) -> int:
         """Sign of edge c1 x edge c2."""
-        return k.cross_sign(c1 >> w & low, c1 & low, c2 >> w & low, c2 & low)
+        return cross_sign(c1 >> w & low, c1 & low, c2 >> w & low, c2 & low)
 
     def cmp(c1: int, c2: int) -> int:
         return -turn(c1, c2) or (c2 >> w & low) - (c1 >> w & low) or (c1 & low) - (c2 & low)

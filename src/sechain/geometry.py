@@ -45,6 +45,7 @@ if TYPE_CHECKING:  # a `Point` is built only at the public boundary
 Row = tuple[int, int, int, int]
 
 _SQRT3_FLOAT = sqrt(3.0)
+_LIFT_BITS = 64  # headroom of `Scaled.lifted`: ci_dp's edge keys resolve angles to 2**-64
 
 
 def sign2(a: int, b: int) -> int:
@@ -225,25 +226,25 @@ class Scaled:
     def sorted(self, y_first: bool = False) -> Scaled:
         """The points in exact (x, y) order, or (y, x) order, by one native
         sort on their `lifted` integers; equal points keep their order."""
-        xs, ys = self.lifted(0)
+        xs, ys = self.lifted()
         keys = list(zip(ys, xs) if y_first else zip(xs, ys))
         return self.take(sorted(range(len(self)), key=keys.__getitem__))
 
-    def lifted(self, extra: int) -> tuple[list[int], list[int]]:
+    def lifted(self) -> tuple[list[int], list[int]]:
         """Integers X and Y for each row's x and y, in their exact order.
 
-        With components of row differences below 2**b in size, f = extra +
-        2b + 8 and r = floor(2**f * sqrt(3)), X = (xa << f) + xb*r and Y alike,
-        so |dX - 2**f * dx| = |dxb| * (2**f*sqrt(3) - r) < 2**b.  A nonzero
-        a + c*sqrt(3), |a|, |c| < 2**b, exceeds 2**(-b-2) in size, as
-        |a**2 - 3c**2| >= 1 and |a - c*sqrt(3)| < 4 * 2**b.  So a nonzero
-        2**f * dx exceeds 2**(f-b-2) >= 2**(b+6) and dX has its sign, and dx
-        = 0 gives dX = 0; the same holds for y.  `extra` is the headroom a
-        caller's own bound needs: 0 for point orders.
+        With components of row differences below 2**b in size, H =
+        _LIFT_BITS, f = H + 2b + 8 and r = floor(2**f * sqrt(3)), X = (xa <<
+        f) + xb*r and Y alike, so |dX - 2**f * dx| = |dxb| * (2**f*sqrt(3) -
+        r) < 2**b.  A nonzero a + c*sqrt(3), |a|, |c| < 2**b, exceeds
+        2**(-b-2) in size, as |a**2 - 3c**2| >= 1 and |a - c*sqrt(3)| < 4 *
+        2**b.  So a nonzero 2**f * dx exceeds 2**(f-b-2) = 2**(H+b+6) and dX
+        has its sign, and dx = 0 gives dX = 0; the same holds for y.  Point
+        orders need no headroom H; `ci_dp`'s edge keys take all of it.
         """
         rows = self.rows
         b = 1 + max([c.bit_length() for row in rows for c in row], default=0)
-        f = extra + 2 * b + 8
+        f = _LIFT_BITS + 2 * b + 8
         r = isqrt(3 << 2 * f)
         return ([(xa << f) + xb * r for xa, xb, _, _ in rows],
                 [(ya << f) + yb * r for _, _, ya, yb in rows])

@@ -5,26 +5,26 @@ both names, imported on first access and kept there, so an op that only
 writes never compiles this module.
 
 Parsing is strict about structure (types, integer syntax, positive
-denominators, index ranges, no key repeated in an object) and raises
-`DocumentError` with a dotted path to the offending field, carried as a
-tuple and written out only when a check fails.  One reader, `_ratios`,
-reads every point's eight decimal strings (chains, point sets,
-placements) as plain ints, x then y, p then q, num then den, and checks
-each denominator where it reads it.  Every field of a document is read,
-and a graph's structure is checked on names alone
-(`document.structure_defect`, which `BipartiteGraph` runs too), as is
-each placed name being a vertex, before any module past `document` and
-this one is imported, so a malformed file of any kind, an invalid graph
-structure too, is refused having loaded no other package module.  Then
+denominators, index ranges) and raises `DocumentError` with a dotted
+path to the offending field, carried as a tuple and written out only
+when a check fails.  One reader, `_ratios`, reads every point's eight
+decimal strings (chains, point sets, placements) as plain ints, x then
+y, p then q, num then den, and checks each denominator where it reads
+it.  Every field of a document is read, and a graph's structure is
+checked on names alone (`document.structure_defect`, which
+`BipartiteGraph` runs too), as is each placed name being a vertex,
+before any module past `document` and this one is imported, so a
+malformed file of any kind, an invalid graph structure too, is refused
+having loaded no other package module.  Then
 `_scaled` imports the geometry kernel, once, and puts the points on rows
 over the lcm of their denominators, where `loads` and `load_path` keep
 them: a construction's, which `Level` brings to the least scale (its
 factors are (num, den) pairs reduced by their gcd), a point set's and a
-graph's placements.  No `Point` is built, so no CLI op loads `numbers` or
-`fractions`.  Parsing does NOT re-prove the geometric invariants: a
+graph's placements.  No `Point` is built, so no CLI op loads `numbers`
+or `fractions`.  Parsing does NOT re-prove the geometric invariants: a
 well-formed file whose chains are broken parses fine and is rejected
 later by verification, which keeps "unreadable input" and "readable but
-wrong" distinguishable.
+wrong" distinguishable.  A key repeated in one object is refused.
 """
 
 from __future__ import annotations

@@ -173,12 +173,6 @@ def convex_position_oracle(points) -> bool:
     return True
 
 
-def _strictly_positive(value: QSqrt3) -> bool:
-    """Interval sign is +1, or `exact_sign` is where the interval is inconclusive."""
-    sign = interval_sign(value)
-    return (exact_sign(value) if sign is None else sign) == 1
-
-
 def south_east_chain_oracle(points) -> bool:
     """Chain definition checked on the points sorted by `xy_key`.
 
@@ -188,11 +182,11 @@ def south_east_chain_oracle(points) -> bool:
     """
     pts = sorted(points, key=xy_key)
     for a, b in zip(pts, pts[1:]):
-        if not (_strictly_positive(b.x - a.x) and _strictly_positive(b.y - a.y)):
+        if exact_sign(b.x - a.x) <= 0 or exact_sign(b.y - a.y) <= 0:
             return False
     for a, b, c in zip(pts, pts[1:], pts[2:]):
         turn = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-        if not _strictly_positive(turn):
+        if exact_sign(turn) <= 0:
             return False
     return True
 

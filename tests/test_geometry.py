@@ -245,11 +245,10 @@ class TestScaled:
     @settings(max_examples=200)
     def test_signs_match_oracles(self, pts):
         k = Scaled(pts)
-        for extra in (0, 64):  # point orders, and ci_dp's edge keys
-            xs, ys = k.lifted(extra)
-            for i, j in permutations(range(4), 2):
-                self._agree(_sign(xs[j] - xs[i]), pts[j].x - pts[i].x)
-                self._agree(_sign(ys[j] - ys[i]), pts[j].y - pts[i].y)
+        xs, ys = k.lifted()
+        for i, j in permutations(range(4), 2):
+            self._agree(_sign(xs[j] - xs[i]), pts[j].x - pts[i].x)
+            self._agree(_sign(ys[j] - ys[i]), pts[j].y - pts[i].y)
         for p, q, r, s in permutations(range(4)):
             a, b, c, d = pts[p], pts[q], pts[r], pts[s]
             turn = (b.x - a.x) * (d.y - c.y) - (b.y - a.y) * (d.x - c.x)
@@ -285,16 +284,18 @@ class TestScaled:
     def test_near_zero_pair_examples(self):
         # Convergents of sqrt(3): 18817 - 10864*sqrt(3) is about 2.7e-5.
         x = QSqrt3(Fraction(18817, 7), Fraction(-10864, 7)) + Fraction(1, 3)
-        k = Scaled([pt(Fraction(1, 3), 0), Point(x, QSqrt3(0, Fraction(1, 5)))])
-        xs, ys = k.lifted(0)
+        y = QSqrt3(0, Fraction(1, 5))
+        k = Scaled([pt(Fraction(1, 3), 0), Point(x, y), pt(Fraction(1, 3), y)])
+        xs, ys = k.lifted()
         assert _sign(xs[1] - xs[0]) == 1 and _sign(xs[0] - xs[1]) == -1
-        assert _sign(ys[1] - ys[0]) == 1 and _sign(xs[0] - xs[0]) == 0
+        assert _sign(ys[1] - ys[0]) == 1
+        assert xs[2] == xs[0] and ys[2] == ys[1]  # equal coordinates, equal integers
 
     @pytest.mark.parametrize("bits", [8, 40, 72, 136, 200, 13300])  # 13300 bits: 4000 digits
     def test_orders_of_pell_near_ties_match_the_exact_keys(self, bits):
         # With p**2 - 3q**2 = 1, p - q*sqrt(3) = 1 / (p + q*sqrt(3)): values
         # within 2**-bits of 0 and of 1, whose differences cancel in both
-        # parts.  A lift with f = extra + b + 8 misorders them.
+        # parts.  A lift with f = _LIFT_BITS + b + 8 misorders them.
         pairs = _pell_pairs(bits)[-4:]
         tiny = [QSqrt3(p, -q) for p, q in pairs]
         pool = [QSqrt3(0), QSqrt3(1), tiny[-1] * Fraction(1, 3)]

@@ -116,7 +116,7 @@ _SIGNATURES = {
     'Scaled.flattened': "(self, p: 'int', q: 'int') -> 'tuple[Scaled, Scaled]'",
     'Scaled.floats': "(self) -> 'list[tuple[float, float]]'",
     'Scaled.from_rows': "(rows: 'list[Row]', s: 'int') -> 'Scaled'",
-    'Scaled.lifted': "(self, extra: 'int') -> 'tuple[list[int], list[int]]'",
+    'Scaled.lifted': "(self) -> 'tuple[list[int], list[int]]'",
     'Scaled.midpoint_set': "(self, n: 'int', limit: 'int') -> 'Scaled'",
     'Scaled.midpoints': "(self, n: 'int', pairs: 'Iterable[tuple[int, int]]') -> 'Scaled'",
     'Scaled.points': "(self) -> 'list[Point]'",
