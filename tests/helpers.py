@@ -10,9 +10,11 @@ division, `slope`, `midpoint`, `rotate60` and `flatten`, on `QSqrt3`
 arithmetic alone and never through `geometry.Scaled` or its sign, and
 `reference_level`, a construction document read into `Fraction` and
 `QSqrt3` points.  `plain` gives a written document as the JSON values
-it stands for.
+it stands for, and `build_parser` is the argparse reference for the
+command line that `sechain.cli` reads from its own table.
 """
 
+import argparse
 import functools
 import random
 from fractions import Fraction
@@ -20,6 +22,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 from mpmath import iv
 
+from sechain import cli
 from sechain.construction import Level
 from sechain.geometry import Point, Scaled, pt
 from sechain.numbers import QSqrt3
@@ -304,3 +307,54 @@ def assert_points_equal(got, expected) -> None:
     got = list(got)
     expected = [p if isinstance(p, Point) else pt(*p) for p in expected]
     assert got == expected, f"{got} != {expected}"
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command line as argparse declared it before `sechain.cli` read
+    it from its own table; each parse gives `func`, the handler, beside
+    the values."""
+    parser = argparse.ArgumentParser(
+        prog="sechain",
+        description="Exact south-east chain constructions and checks.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    # -k, -o and the level cap, shared by construct and graph.
+    level_options = argparse.ArgumentParser(add_help=False)
+    level_options.add_argument("-k", type=int, required=True, help="level index")
+    level_options.add_argument("-o", "--output", default=None, help="output path")
+    level_options.add_argument("--max-k", type=int, default=12)
+
+    p_construct = sub.add_parser(
+        "construct", parents=[level_options],
+        help="build a level and write it as a document",
+    )
+    p_construct.set_defaults(func=cli._cmd_construct)
+
+    p_verify = sub.add_parser("verify", help="re-check a document's invariants")
+    p_verify.add_argument("input")
+    p_verify.add_argument("--json", action="store_true")
+    p_verify.set_defaults(func=cli._cmd_verify)
+
+    p_ci = sub.add_parser("ci", help="largest convexly independent subset of a document")
+    p_ci.add_argument("input")
+    p_ci.add_argument("--algo", choices=("dp", "brute"), default="dp")
+    p_ci.add_argument("--json", action="store_true")
+    p_ci.set_defaults(func=cli._cmd_ci)
+
+    p_graph = sub.add_parser(
+        "graph", parents=[level_options], help="emit a family graph"
+    )
+    p_graph.add_argument(
+        "--placements",
+        action="store_true",
+        help="JSON document with exact vertex placements (builds level k)",
+    )
+    p_graph.set_defaults(func=cli._cmd_graph)
+
+    p_render = sub.add_parser("render", help="render a construction as SVG")
+    p_render.add_argument("input")
+    p_render.add_argument("-o", "--output", required=True, help="output path")
+    p_render.set_defaults(func=cli._cmd_render)
+
+    return parser

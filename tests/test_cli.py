@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sechain import cli, construction, convex_subsets, geometry, render
+from sechain import InputError, cli, construction, convex_subsets, geometry, render
 from sechain.cli import main
 from sechain.document import (
     construction_to_document,
@@ -36,7 +36,7 @@ from sechain.geometry import Point, Scaled, pt
 from sechain.graphs import drawing_from_level, edge_list_text, family
 from sechain.numbers import QSqrt3
 
-from .helpers import plain, xy_key
+from .helpers import build_parser, plain, xy_key
 
 
 @pytest.fixture
@@ -465,8 +465,8 @@ def test_failed_write_leaves_no_new_file(tmp_path, monkeypatch, capsys):
     def open_on_full_disk(path, mode="r", **kwargs):
         handle = open(path, mode, **kwargs)
         if mode == "wb":
-            def write(data):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            def write(data):  # as write() raises it: naming no file
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
             handle.write = write
         return handle
@@ -892,6 +892,171 @@ class TestPinnedBytes:
         assert _sha256(doc.read_bytes()) == _PINNED_SIX_POINTS
         assert main(["ci", "--json", str(doc)]) == 0
         assert _sha256(capsys.readouterr().out.encode("utf-8")) == _PINNED_SIX_POINTS_CI
+
+
+# The argv grammar of the parser oracle: each verb's options, each
+# with the values it takes (None for a flag), and values drawn to be
+# good, bad, negative, option-like or empty.  Left out: forms whose
+# argparse reading differs between Python 3.10 and 3.13 (negative
+# numbers with "_", values holding "=", a space in a joined -kVALUE, an
+# empty inline value, "--" anywhere but before a last positional, or
+# after an option that lacks its value), and forms that `cli._parse`
+# reads otherwise on purpose ("--" on a verb without a positional, or
+# before the verb; -h bundled with more letters; a token starting "--=";
+# a negative number with a trailing newline).
+_ARGV_OPTIONS = {
+    "construct": {"-k": int, "-o": str, "--output": str, "--max-k": int},
+    "verify": {"--json": None},
+    "ci": {"--algo": "choice", "--json": None},
+    "graph": {"-k": int, "-o": str, "--output": str, "--max-k": int, "--placements": None},
+    "render": {"-o": str, "--output": str},
+}
+_ARGV_VALUES = {
+    int: ["1", "3", "12", "0", "-1", "-7", "007", " 4", "1_0", "x", "1.5", "-1.5", "-.5", "",
+          "9" * 5000, "-x", "-k", "--json"],
+    str: ["doc.json", "-", "-1", "-.5", "", "a b", "-x", "-k", "--json", "--bogus"],
+    "choice": ["dp", "brute", "fast", "DP", "", "-1", "-x"],
+}
+
+
+@st.composite
+def _argv_piece(draw, options: dict) -> list[str]:
+    """One option with its value in one of its spellings, or a help
+    option, an unknown option or a bare value."""
+    kind = draw(st.sampled_from(["option"] * 4 + ["help", "unknown", "value"]))
+    if kind == "help":
+        return [draw(st.sampled_from(["-h", "--help", "--he"]))]
+    if kind == "unknown":
+        return [draw(st.sampled_from(["--bogus", "-x", "--bogus=1", "-q5"]))]
+    if kind == "value" or not options:
+        return [draw(st.sampled_from([*_ARGV_VALUES[str], "extra"]))]
+    name = draw(st.sampled_from(sorted(options)))
+    # Every unique prefix of a long option names it.
+    spelled = draw(st.sampled_from([name[:n] for n in range(3 if name[1] == "-" else 2,
+                                                            len(name) + 1)]))
+    if options[name] is None:
+        return [draw(st.sampled_from([spelled, spelled + "=x"]))]
+    value = draw(st.sampled_from(_ARGV_VALUES[options[name]]))
+    forms = [[spelled, value]]
+    if value:
+        forms.append([f"{spelled}={value}"])
+    if value and len(spelled) == 2 and " " not in value:
+        forms.append([spelled + value])
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    argv = draw(st.sampled_from([[], [], [], ["-h"], ["--he"], ["--bogus"]]))
+    verb = draw(st.sampled_from([*_ARGV_OPTIONS, "bogus", None]))
+    if verb is None:
+        return argv
+    options = _ARGV_OPTIONS.get(verb, {})
+    argv.append(verb)
+    for _ in range(draw(st.integers(0, 5))):
+        argv += draw(_argv_piece(options))
+    ending = draw(st.sampled_from(["none", "input", "bare"]))
+    if ending == "input" and verb in ("verify", "ci", "render"):
+        argv += ["--", draw(st.sampled_from(_ARGV_VALUES[str]))]
+    elif ending == "bare" and options:  # an option that lacks its value
+        argv.append(draw(st.sampled_from(sorted(options))))
+    return argv
+
+
+def _read_by_argparse(argv: list[str]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            values = vars(build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return "help" if exc.code == 0 else "refused"
+    del values["command"]
+    return values.pop("func"), values
+
+
+def _read_by_table(argv: list[str]):
+    try:
+        handler, args = cli._parse(argv)
+    except InputError:
+        return "refused"
+    return "help" if handler is print else (handler, vars(args))
+
+
+class TestArgv:
+    @settings(max_examples=400, deadline=None)
+    @given(_argv())
+    def test_reads_argv_as_argparse(self, argv):
+        # The same handler and values, or both refuse, or both show help.
+        assert _read_by_table(argv) == _read_by_argparse(argv)
+
+    @pytest.mark.parametrize("argv, values", [
+        (["construct", "-o", "x", "-k", "3"], {"k": 3, "output": "x", "max_k": 12}),
+        (["construct", "-k3", "--output=x", "--max-k=4"], {"k": 3, "output": "x", "max_k": 4}),
+        (["construct", "-k=3", "--out", "-", "--m", "-1"], {"k": 3, "output": "-", "max_k": -1}),
+        (["construct", "-k", "-1"], {"k": -1, "output": None, "max_k": 12}),
+        (["ci", "--j", "--algo=brute", "--", "-x"], {"input": "-x", "algo": "brute", "json": True}),
+        (["verify", "-", "--json"], {"input": "-", "json": True}),
+        (["render", "-o-", "-1"], {"input": "-1", "output": "-"}),
+    ])
+    def test_forms(self, argv, values):
+        assert _read_by_table(argv) == (cli._VERBS[argv[0]][0], values)
+        assert _read_by_argparse(argv) == (cli._VERBS[argv[0]][0], values)
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: VERB"),
+        (["bogus"], "invalid verb 'bogus' (choose from construct, verify, ci, graph, render)"),
+        (["construct"], "the following arguments are required: -k"),
+        (["construct", "-k", "x"], "argument -k: invalid value 'x'"),
+        (["construct", "-k", "9" * 5000], f"argument -k: invalid value '{'9' * 5000}'"),
+        (["construct", "-k"], "argument -k: expected one argument"),
+        (["construct", "-k", "1", "-o", "--max-k", "2"], "argument --output: expected one argument"),
+        (["construct", "-k", "1", "extra", "--bogus"], "unrecognized arguments: extra --bogus"),
+        (["verify", "--json=yes", "doc"], "argument --json: ignored explicit argument 'yes'"),
+        (["ci", "--algo", "fast", "doc"], "argument --algo: invalid value 'fast'"),
+        (["render", "doc"], "the following arguments are required: --output"),
+    ])
+    def test_refusals(self, capsys, argv, message):
+        # One `error:` line on stderr, exit 2, and nothing on stdout.
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_help_wins_over_a_later_refusal_only(self, capsys):
+        assert main(["construct", "--bogus", "--help", "-k", "x"]) == 0
+        assert capsys.readouterr().out.startswith("usage: sechain construct ")
+        assert main(["construct", "-k", "x", "--help"]) == 2
+
+
+def _run_buffered(argv: list[str], stdout) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter whose stdout is block-buffered, as it
+    is without PYTHONUNBUFFERED, so its last write happens at a flush."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "sechain.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60, env=env)
+
+
+@pytest.mark.parametrize("argv", [["construct", "-k", "1"], ["--help"], ["graph", "-k", "8"]])
+def test_closed_stdout_pipe_exits_zero(argv):
+    # A reader that went away is not an error, and exit's own flush must
+    # not fail after `main` has returned.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _run_buffered(argv, write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv, name", [(["construct", "-k", "1"], "stdout"),
+                                        (["--help"], "stdout"),
+                                        (["construct", "-k", "1", "-o", "/dev/full"], "/dev/full"),
+                                        (["construct", "-k", "8", "-o", "/dev/full"], "/dev/full")])
+def test_full_device_is_reported(argv, name):
+    # A write that fails for want of space names the -o path, or stdout.
+    with open("/dev/full", "w") as full:
+        proc = _run_buffered(argv, full)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write {name}: {os.strerror(errno.ENOSPC)}\n"
 
 
 def _distribution_installed(name: str) -> bool:

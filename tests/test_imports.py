@@ -203,7 +203,9 @@ print(sorted(m for m in ("fractions", "sechain.numbers") if m in sys.modules))
 # decoder imports another package module, and so is a well-formed graph
 # whose structure is invalid or that places a name that is not a vertex.  Only an op that reads a document loads the
 # reader, `reader`: `construct` and `graph --placements` load exactly
-# `_BUILD`.  Every refusal writes exactly one stderr line, an `error:` line.
+# `_BUILD`.  A refused argv loads no package module but `sechain`, and
+# no op, `--help` included, loads argparse, gettext or locale.  Every
+# refusal writes exactly one stderr line, an `error:` line.
 _ROWS = {"sechain", "sechain.document", "sechain.geometry"}
 _LEVEL = _ROWS | {"sechain.level"}
 _BUILD = _LEVEL | {"sechain.construction", "sechain.writer"}
@@ -212,6 +214,13 @@ _READ_LEVEL = _LEVEL | {"sechain.reader"}
 _REFUSED = {"sechain", "sechain.document", "sechain.reader"}
 _OPS = [
     (["--help"], 0, {"sechain"}),
+    ([], 2, {"sechain"}),
+    (["bogus"], 2, {"sechain"}),
+    (["construct"], 2, {"sechain"}),
+    (["construct", "-k", "x"], 2, {"sechain"}),
+    (["verify"], 2, {"sechain"}),
+    (["render", "{level}"], 2, {"sechain"}),
+    (["ci", "--algo", "fast", "{points}"], 2, {"sechain"}),
     (["construct", "-k", "3", "-o", "{out}"], 0, _BUILD),
     (["graph", "-k", "2", "--placements", "-o", "{out}"], 0, _BUILD | {"sechain.graphs"}),
     (["verify", "{level}"], 0, _READ_LEVEL),
@@ -231,7 +240,8 @@ _OPS = [
 ]
 
 
-@pytest.mark.parametrize("argv, code, package", _OPS, ids=[" ".join(op[0]) for op in _OPS])
+@pytest.mark.parametrize("argv, code, package", _OPS,
+                         ids=[" ".join(op[0]) or "(no arguments)" for op in _OPS])
 def test_op_loads_only_what_it_runs(docs, tmp_path, argv, code, package):
     got_code, loaded, err = _loaded([arg.format(out=tmp_path / "out", **docs) for arg in argv])
     assert got_code == code
@@ -241,4 +251,5 @@ def test_op_loads_only_what_it_runs(docs, tmp_path, argv, code, package):
     if argv == ["verify", "{dup_edge}"]:
         assert err == "error: objects.graph: duplicate edge\n"
     assert {m for m in loaded if m.split(".")[0] == "sechain"} == package
-    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "sechain.numbers"}
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "sechain.numbers",
+                         "argparse", "gettext", "locale"}

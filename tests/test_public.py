@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import copy
 import importlib
@@ -44,8 +43,8 @@ _SURFACE = {
 }
 
 
-# The command line: each subcommand's option strings, and a positional
-# argument by its name, in the order `cli.build_parser()` declares them.
+# The command line: each verb's option strings, and a positional argument
+# by its name, in the order `cli._VERBS` declares them.
 _CLI_SURFACE = {
     "construct": ("-h", "--help", "-k", "-o", "--output", "--max-k"),
     "verify": ("-h", "--help", "input", "--json"),
@@ -56,14 +55,26 @@ _CLI_SURFACE = {
 
 
 def test_cli_surface():
-    # An option added, renamed or removed anywhere fails here.
-    def options(parser):
-        return tuple(s for a in parser._actions for s in a.option_strings or [a.dest])
+    # An option added, renamed or removed anywhere fails here.  Every verb
+    # takes -h/--help besides the arguments in its table entry.
+    surface = {verb: ("-h", "--help", *(s for names, dest, *_ in arguments
+                                        for s in names or (dest,)))
+               for verb, (_, _, arguments) in cli._VERBS.items()}
+    assert surface == _CLI_SURFACE
 
-    parser = cli.build_parser()
-    assert options(parser) == ("-h", "--help", "command")
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert {name: options(p) for name, p in sub.choices.items()} == _CLI_SURFACE
+
+def test_help_lists_the_surface(capsys):
+    # `--help` lists every verb, and each verb's -h and --help every one of
+    # its option strings and its positional, on stdout with exit 0.
+    def words(argv):
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return set(re.findall(r"[-\w]+", captured.out))
+
+    assert set(_CLI_SURFACE) <= words(["--help"]) == words(["-h"])
+    for verb, names in _CLI_SURFACE.items():
+        assert set(names) <= words([verb, "--help"]) == words([verb, "-h"])
 
 
 # The public signatures: `str(inspect.signature(...))` of each name in
